@@ -586,11 +586,13 @@ class TestServiceReachability:
 # the scalar studies are bit-identical to before the redesign
 # ----------------------------------------------------------------------
 class TestScalarTrajectoryLock:
-    """Golden trajectories captured on the pre-redesign tree.
+    """Golden trajectories of every study, scalar and multi-target.
 
     ``explore`` with these exact arguments must reproduce the recorded
-    sampling order and error trajectory bit-for-bit: the multi-target
-    redesign may not perturb the scalar studies in any way.
+    sampling order and error trajectory bit-for-bit.  The scalar entries
+    were captured before the multi-target redesign, the cache-policy
+    entry before multi-target folds moved onto the fold-stacked trainer;
+    refactors of the training engine may not perturb any of them.
     """
 
     GOLDEN = {
@@ -618,6 +620,22 @@ class TestScalarTrajectoryLock:
             "mean": 42.857796183968,
             "std": 30.789899077095,
         },
+        ("cache-policy", "osc-tight"): {
+            "sampled": [
+                177, 548, 363, 398, 297, 132, 476, 32, 280, 168, 595, 541,
+                71, 3, 523, 517, 338, 489, 454, 78, 111, 514, 409, 393, 381,
+                298, 316, 405, 355, 426, 53, 431, 214, 36, 64, 371, 24, 275,
+                360, 143,
+            ],
+            "targets3": [0.119539531513, 0.137509273555, 0.0771117547],
+            "mean": 18.957342671391,
+            "std": 15.911056938850,
+            "per_target": {
+                "ipc": 18.957342671391,
+                "hit_rate": 7.304575704132,
+                "energy_nj": 18.150407003481,
+            },
+        },
     }
 
     @pytest.mark.parametrize("study_name,bench", sorted(GOLDEN))
@@ -640,5 +658,15 @@ class TestScalarTrajectoryLock:
         np.testing.assert_allclose(
             [result.final_estimate.mean, result.final_estimate.std],
             [golden["mean"], golden["std"]],
+            rtol=1e-9,
+        )
+        per_target = golden.get("per_target", {})
+        assert result.final_estimate.target_names == tuple(per_target)
+        np.testing.assert_allclose(
+            [
+                result.final_estimate.for_target(name).mean
+                for name in per_target
+            ],
+            list(per_target.values()),
             rtol=1e-9,
         )
