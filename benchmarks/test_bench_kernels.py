@@ -9,9 +9,9 @@ Times the two hot paths the vectorized kernels replaced:
 * full-design-space ensemble prediction through the cached design
   matrix + chunked batch kernel versus the legacy per-configuration
   encode-and-predict loop, on the memory-system study (23 040 points);
-* full 10-fold ensemble fits through the fold-stacked
-  ``engine="stacked"`` path versus the legacy per-fold loop
-  (``engine="perfold"``), on both studies.  The floor-gated config is
+* full 10-fold ensemble fits through the fold-stacked trainer
+  (``CrossValidationEnsemble``) versus the per-fold reference loop
+  (one ``RobustTrainer`` fit per fold task), on both studies.  The floor-gated config is
   the paper's literal Section 3.1 recipe (sigmoid hidden units,
   learning rate 0.001, momentum 0.5, per-sample presentation), where
   per-epoch Python dispatch dominates and stacking pays off most; the
@@ -42,12 +42,13 @@ from bench_utils import emit
 
 from repro.core import encoding
 from repro.core.context import RunContext
-from repro.core.crossval import CrossValidationEnsemble
+from repro.core.crossval import CrossValidationEnsemble, fold_tasks
 from repro.core.encoding import ParameterEncoder, TargetScaler, design_matrix
 from repro.core.ensemble import EnsemblePredictor
+from repro.core.error import percentage_errors
 from repro.core.kernels import DEFAULT_PREDICT_CHUNK, TrainingKernel
 from repro.core.network import FeedForwardNetwork
-from repro.core.training import TrainingConfig
+from repro.core.training import RobustTrainer, TargetRecipe, TrainingConfig
 from repro.experiments.studies import get_study
 from repro.obs.atomicio import atomic_write_text
 from repro.obs.metrics import MetricsRegistry
@@ -237,21 +238,33 @@ def _bench_ensemble_fit(study_name, repeats):
     # the bench times training mechanics, not predictive accuracy
     y = 0.5 + 1.5 * np.abs(np.sin(x.sum(axis=1))) + 0.1
 
-    def fit(engine, cfg):
+    def stacked(cfg):
         context = RunContext(
             rng=np.random.default_rng(7),
             telemetry=RunTelemetry(enabled=False),
             metrics=MetricsRegistry(enabled=False),
-            n_jobs=1,
         )
-        CrossValidationEnsemble(
-            k=10, training=cfg, context=context, engine=engine
-        ).fit(x, y)
+        CrossValidationEnsemble(k=10, training=cfg, context=context).fit(x, y)
+
+    def perfold(cfg):
+        # the per-fold reference: the same fold tasks and scaler, one
+        # RobustTrainer fit plus held-out prediction per fold
+        tasks = fold_tasks(len(x), 10, np.random.default_rng(7))
+        scalers = TargetRecipe.of(y).fold_scalers(y, tasks)
+        metrics = MetricsRegistry(enabled=False)
+        for (train_idx, es_idx, test_idx, seed), scaler in zip(tasks, scalers):
+            network, _ = RobustTrainer(cfg, seed=seed, metrics=metrics).fit(
+                x[train_idx], y[train_idx], x[es_idx], y[es_idx], scaler
+            )
+            percentage_errors(
+                scaler.inverse_transform(network.predict(x[test_idx])[:, 0]),
+                y[test_idx],
+            )
 
     out = {"study": study_name, "n_points": n, "k": 10}
     for key, cfg in _ensemble_fit_configs().items():
-        stacked_s = _best_of(lambda: fit("stacked", cfg), repeats)
-        perfold_s = _best_of(lambda: fit("perfold", cfg), repeats)
+        stacked_s = _best_of(lambda: stacked(cfg), repeats)
+        perfold_s = _best_of(lambda: perfold(cfg), repeats)
         out[key] = {
             "batch_size": cfg.batch_size,
             "max_epochs": cfg.max_epochs,

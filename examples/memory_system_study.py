@@ -80,9 +80,12 @@ def main() -> None:
         print(f"  cross-validation estimate: {estimate.mean:.2f}% "
               f"+/- {estimate.std:.2f}%")
         fit = telemetry.events_named("crossval.fit")[-1].payload
+        epochs = sum(
+            e.payload["epochs"]
+            for e in telemetry.events_named("crossval.fold")[-fit["k"]:]
+        )
         print(f"  10-fold fit: {fit['wall_s']:.1f}s wall, "
-              f"{fit['worker_utilization'] * 100:.0f}% worker utilization "
-              f"({fit['n_workers']} worker(s))")
+              f"{epochs} epochs across {fit['n_folds_used']} folds")
 
         predictions = ensemble.predict(encoder.encode_space())
         best = study.space.config_at(int(np.argmax(predictions)))

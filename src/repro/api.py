@@ -26,6 +26,7 @@ deprecation policy: anything else may move without notice.
 
 from __future__ import annotations
 
+import warnings
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -194,7 +195,7 @@ def explore(
 
     Pass ``seed`` for a reproducible run, or a full ``context``
     (:class:`RunContext`) to also control telemetry, metrics and the
-    fold-training worker budget — one or the other, not both.  With
+    evaluation worker budget — one or the other, not both.  With
     ``checkpoint``, completed rounds persist to that path and a killed
     run resumes bit-identically (including the agent's own state).
     """
@@ -255,7 +256,7 @@ def fit_ensemble(
     ``x`` is a feature matrix (e.g. rows of :func:`predict_space`'s
     design matrix), ``y`` the raw simulated targets; rows with
     non-finite targets are masked out and reported on the estimate.
-    A 2-D ``y`` with matching ``target_names`` fits a multitask
+    A 2-D ``y`` with matching ``target_names`` fits a multi-target
     ensemble whose estimate carries a per-target breakdown
     (``estimate.for_target(name)``); the first column is the primary
     target.
@@ -263,19 +264,24 @@ def fit_ensemble(
     trained :class:`EnsemblePredictor` and whose ``estimate`` is the
     cross-validation :class:`ErrorEstimate`.
 
-    ``engine`` picks the fold-training engine (see
-    :data:`repro.core.crossval.ENGINES`): ``"stacked"`` trains all
-    folds through one batched kernel, ``"perfold"`` runs one fit per
-    fold, and the default auto-selects by the context's worker budget.
-    All engines produce bit-identical ensembles at equal seeds.
+    ``engine`` is deprecated and ignored: every fit trains its folds
+    through the one fold-stacked engine, which the former engine
+    choices all matched bit for bit.
     """
+    if engine is not None:
+        warnings.warn(
+            "passing engine= to fit_ensemble is deprecated and ignored; "
+            "every fit trains its folds through the fold-stacked engine "
+            "(see docs/api.md)",
+            DeprecationWarning,
+            stacklevel=2,
+        )
     return fit_cv_round(
         x,
         y,
         k=k,
         training=training,
         min_folds=min_folds,
-        engine=engine,
         context=_resolve(seed, context),
         target_names=tuple(target_names),
     )

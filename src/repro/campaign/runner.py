@@ -134,7 +134,7 @@ def execute_exploration(
             k=k if k is not None else DEFAULT_FOLDS,
             training=TrainingConfig.from_preset(training),
             # n_jobs=1: the worker process IS the unit of parallelism —
-            # nested fold-training pools would oversubscribe the host
+            # nested evaluation pools would oversubscribe the host
             context=RunContext.seeded(seed, n_jobs=1),
             min_folds=min_folds,
             agent=agent,

@@ -15,8 +15,9 @@ The context deliberately holds only *run-wide* concerns:
 * ``rng`` — the seeded generator driving sampling and training;
 * ``telemetry`` / ``metrics`` — the observability hooks of
   :mod:`repro.obs` (disabled defaults cost one branch per call);
-* ``n_jobs`` — worker-process budget for fold training and
-  process-pool evaluation backends (``REPRO_N_JOBS`` by default);
+* ``n_jobs`` — worker-process budget for process-pool evaluation
+  backends (``REPRO_N_JOBS`` by default); cross-validation folds always
+  train in-process, side by side through the fold-stacked kernel;
 * ``cache_dir`` — root of the on-disk artifact cache
   (``REPRO_CACHE_DIR``; ``None`` disables disk caching).
 
@@ -43,9 +44,10 @@ from ..obs.telemetry import NULL_TELEMETRY, RunTelemetry
 def default_n_jobs() -> int:
     """Worker processes for parallel work: ``REPRO_N_JOBS`` env var, or 1.
 
-    The paper trains its 10 folds in parallel on a 10-node cluster
-    (Section 5.4); fold training and batch evaluation here are
-    embarrassingly parallel too.
+    Batch evaluation is embarrassingly parallel.  The paper also
+    trains its 10 folds in parallel on a 10-node cluster (Section
+    5.4); here the folds train side by side in one process through the
+    fold-stacked kernel instead.
     """
     env = os.environ.get("REPRO_N_JOBS", "")
     if env:
@@ -92,7 +94,7 @@ class RunContext:
         Counter/timer registry (the module-global, normally disabled,
         :data:`~repro.obs.metrics.METRICS` when omitted).
     n_jobs:
-        Worker-process budget for fold training and process-pool
+        Worker-process budget for process-pool evaluation
         backends (:func:`default_n_jobs` when omitted).
     cache_dir:
         Root for on-disk caches (:func:`default_cache_dir` when

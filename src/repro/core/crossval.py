@@ -8,43 +8,50 @@ ensemble whose prediction is the average of the members' predictions, and
 whose accuracy on the full design space is estimated from the per-point
 percentage errors the members make on their held-out test folds.
 
-Fold training parallelizes across worker processes (the paper trains its
-10 folds on a 10-node cluster, Section 5.4).  The dataset is shipped to
-each worker once, through the pool initializer, and tasks carry only
-index arrays and seeds; workers record their telemetry events and
-metrics locally and return them with the fold result, which the parent
-replays, so the observability stream is identical regardless of
-``n_jobs``.
+The paper trains its 10 folds side by side on a 10-node cluster
+(Section 5.4).  Here every fit, scalar or multi-target, trains its folds
+side by side in one process through the fold-stacked
+:class:`~repro.core.training.StackedEnsembleTrainer`: every active
+fold's epoch is one batched matmul stack.  Each fold records its
+telemetry and metrics into its own buffer and the buffers are replayed
+in fold order, so the stream reads as if the folds had trained one
+after another.
+
+A multi-target fit (``target_names``) trains networks with one output
+per target, scores every target on the held-out folds and reports the
+primary target's estimate with the per-target breakdown attached;
+:class:`~repro.core.training.TargetRecipe` holds the two ways its
+recipe departs from the scalar one.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..obs.metrics import MetricsRegistry
 from ..obs.telemetry import RunTelemetry
-from .context import RunContext, default_n_jobs, resolve_context
-from .encoding import TargetScaler
+from .context import RunContext, resolve_context
 from .ensemble import EnsemblePredictor
-from .error import ErrorEstimate, percentage_errors
-from .network import FeedForwardNetwork, TrainingDiverged
-from .training import RobustTrainer, StackedEnsembleTrainer, TrainingConfig
+from .error import ErrorEstimate
+from .network import TrainingDiverged
+from .training import (
+    FoldResult,
+    StackedEnsembleTrainer,
+    TargetRecipe,
+    TrainingConfig,
+)
 
 __all__ = [
     "DEFAULT_FOLDS",
     "DEFAULT_MIN_FOLDS",
-    "ENGINES",
     "CrossValidationEnsemble",
     "FoldResult",
-    "MultiTaskCrossValidationEnsemble",
-    "MultiTaskEnsemblePredictor",
-    "default_n_jobs",
+    "fold_tasks",
     "make_folds",
 ]
 
@@ -55,133 +62,8 @@ DEFAULT_FOLDS = 10
 #: for an ensemble fit to stand; fewer raises instead of degrading
 DEFAULT_MIN_FOLDS = 2
 
-#: recognized fold-training engines: ``"stacked"`` trains every active
-#: fold's epoch as one batched matmul stack through
-#: :class:`~repro.core.training.StackedEnsembleTrainer`, ``"perfold"``
-#: is the legacy one-fit-per-fold path (serial, or process-pool when
-#: ``n_jobs > 1``).  ``None`` auto-selects: stacked in-process when
-#: ``n_jobs == 1``, the pool otherwise.  All three produce bit-identical
-#: networks, estimates and observability streams.
-ENGINES = ("stacked", "perfold")
-
-
-def _train_one_fold(
-    x: np.ndarray,
-    y: np.ndarray,
-    train_idx: np.ndarray,
-    es_idx: np.ndarray,
-    test_idx: np.ndarray,
-    training: TrainingConfig,
-    scaler: TargetScaler,
-    seed: int,
-    telemetry: Optional[RunTelemetry] = None,
-    metrics: Optional[MetricsRegistry] = None,
-) -> Tuple[Optional[FeedForwardNetwork], np.ndarray, float, int, Optional[str]]:
-    """Train one fold's network under restart supervision.
-
-    Returns ``(network, test_errors, wall_seconds, epochs_run, error)``;
-    the wall time is measured here so fold timings stay exact under
-    process-pool execution.  A fold whose training exhausts its restart
-    budget comes back with ``network=None`` and ``error`` describing the
-    failure — the caller quarantines it instead of crashing the fit.
-    """
-    started = time.perf_counter()
-    trainer = RobustTrainer(
-        training, seed=seed, telemetry=telemetry, metrics=metrics
-    )
-    try:
-        network, history = trainer.fit(
-            x[train_idx], y[train_idx], x[es_idx], y[es_idx], scaler
-        )
-    except TrainingDiverged as exc:
-        wall = time.perf_counter() - started
-        return None, np.empty(0), wall, 0, f"{exc.reason}: {exc}"
-    test_predictions = scaler.inverse_transform(network.predict(x[test_idx])[:, 0])
-    wall = time.perf_counter() - started
-    return (
-        network,
-        percentage_errors(test_predictions, y[test_idx]),
-        wall,
-        history.epochs_run,
-        None,
-    )
-
-
-@dataclass
-class FoldResult:
-    """One trained fold plus the observability it recorded.
-
-    ``events`` carries the fold's telemetry as ``(name, payload)`` pairs
-    and ``metrics`` its local registry; both are ``replay``-ed into the
-    parent's hooks after process-pool training, so ``train.check`` /
-    ``train.stop`` events and ``train.epochs`` counters are identical
-    whether folds trained in-process or in workers.
-
-    A quarantined fold — training exhausted its restart budget — has
-    ``network=None``, empty ``test_errors`` and ``error`` describing the
-    last failure.
-    """
-
-    network: Optional[FeedForwardNetwork]
-    test_errors: np.ndarray
-    wall_s: float
-    epochs: int
-    events: List[Tuple[str, Dict[str, object]]] = field(default_factory=list)
-    metrics: Optional[MetricsRegistry] = None
-    error: Optional[str] = None
-
-    @property
-    def diverged(self) -> bool:
-        """Whether this fold was quarantined."""
-        return self.network is None
-
-    def replay(self, telemetry: RunTelemetry, metrics: MetricsRegistry) -> None:
-        """Re-emit recorded events and merge recorded metrics."""
-        for name, payload in self.events:
-            telemetry.emit(name, **payload)
-        if self.metrics is not None:
-            metrics.merge(self.metrics)
-
-
-# ----------------------------------------------------------------------
-# worker-process plumbing: the dataset is installed once per worker via
-# the pool initializer; tasks then carry only index arrays and seeds
-# ----------------------------------------------------------------------
-_FOLD_STATE: Optional[Tuple] = None
-
-
-def _init_fold_worker(
-    x: np.ndarray,
-    y: np.ndarray,
-    scaler: TargetScaler,
-    training: TrainingConfig,
-    capture_telemetry: bool,
-    capture_metrics: bool,
-) -> None:
-    """Pool initializer: receive the shared dataset once per worker."""
-    global _FOLD_STATE
-    _FOLD_STATE = (x, y, scaler, training, capture_telemetry, capture_metrics)
-
-
-def _run_fold_task(
-    task: Tuple[np.ndarray, np.ndarray, np.ndarray, int],
-) -> FoldResult:
-    """Worker task: train one fold against the installed dataset."""
-    assert _FOLD_STATE is not None, "fold-worker initializer did not run"
-    x, y, scaler, training, capture_telemetry, capture_metrics = _FOLD_STATE
-    train_idx, es_idx, test_idx, seed = task
-    telemetry = RunTelemetry(enabled=True) if capture_telemetry else None
-    metrics = MetricsRegistry(enabled=True) if capture_metrics else None
-    network, errors, wall, epochs, error = _train_one_fold(
-        x, y, train_idx, es_idx, test_idx, training, scaler, seed,
-        telemetry, metrics,
-    )
-    events = (
-        [(event.name, dict(event.payload)) for event in telemetry.events]
-        if telemetry is not None
-        else []
-    )
-    return FoldResult(network, errors, wall, epochs, events, metrics, error)
+#: one fold's ``(train_idx, es_idx, test_idx, seed)``
+FoldTask = Tuple[np.ndarray, np.ndarray, np.ndarray, int]
 
 
 def make_folds(
@@ -200,6 +82,27 @@ def make_folds(
     return [fold.copy() for fold in np.array_split(indices, k)]
 
 
+def fold_tasks(n: int, k: int, rng: np.random.Generator) -> List[FoldTask]:
+    """The ``k`` fold tasks of one fit over ``n`` points.
+
+    Shuffles the points into folds, then draws one training seed per
+    fold from ``rng``.  Figure 3.3 layout: model ``i`` early-stops on
+    fold ``i+k-2`` and is tested on fold ``i+k-1``, so every fold plays
+    each role exactly once.
+    """
+    folds = make_folds(n, k, rng)
+    seeds = rng.integers(0, 2**63 - 1, size=k)
+    tasks = []
+    for i in range(k):
+        es = (i + k - 2) % k
+        test = (i + k - 1) % k
+        train_idx = np.concatenate(
+            [folds[j] for j in range(k) if j not in (es, test)]
+        )
+        tasks.append((train_idx, folds[es], folds[test], int(seeds[i])))
+    return tasks
+
+
 class CrossValidationEnsemble:
     """Train and hold a k-fold ANN ensemble.
 
@@ -209,8 +112,7 @@ class CrossValidationEnsemble:
         Number of folds (and ensemble members).
     training:
         Hyperparameters shared by all members (including the
-        ``max_restarts`` budget each fold's :class:`RobustTrainer` may
-        spend on divergence).
+        ``max_restarts`` budget each fold may spend on divergence).
     min_folds:
         Folds that must survive training for the fit to stand.  A fold
         whose training diverges through all restarts is *quarantined*:
@@ -219,33 +121,21 @@ class CrossValidationEnsemble:
         survive the fit degrades gracefully (a ``RuntimeWarning`` plus
         ``crossval.quarantine`` telemetry); below that it raises
         :class:`~repro.core.network.TrainingDiverged`.
+    target_names:
+        The target columns of a multi-target fit, primary first (at
+        least two); :meth:`fit` then takes an ``(n, len(target_names))``
+        target matrix.  Empty (the default) for a scalar fit.
     context:
-        :class:`~repro.core.context.RunContext` supplying the generator,
-        observability hooks and the fold-training worker budget.  The
-        legacy ``rng`` / ``n_jobs`` / ``telemetry`` / ``metrics``
-        keywords remain supported for callers that predate the context
-        (pass either the context or the individual fields, not both).
-    rng:
-        Drives fold shuffling, weight initialization and presentation
-        order; pass a seeded generator for reproducibility.
-    telemetry:
-        Optional event stream; each :meth:`fit` emits per-fold
-        ``crossval.fold`` events (wall time, epochs) and one
-        ``crossval.fit`` event carrying the worker-utilization summary.
-        Per-check ``train.check`` events are recorded in-process or in
-        the workers and replayed, so the stream's contents do not depend
-        on ``n_jobs``.
-    metrics:
-        Registry receiving ``train.fold`` timings and ``crossval.*``
-        counters; defaults to the global registry.
-    engine:
-        Fold-training engine, one of :data:`ENGINES`.  ``None`` (the
-        default) auto-selects: the fold-stacked kernel when the context
-        allots one worker, the process pool when it allots several.
-        ``"stacked"`` forces the batched in-process kernel regardless of
-        ``n_jobs``; ``"perfold"`` forces the legacy one-fit-per-fold
-        path.  Engines are bit-identical in results and observability —
-        the choice is purely a wall-time/parallelism trade.
+        :class:`~repro.core.context.RunContext` supplying the generator
+        (fold shuffling, member seeds) and the observability hooks.
+        Each :meth:`fit` emits per-fold ``crossval.fold`` events, the
+        folds' replayed ``train.*`` events, and one ``crossval.fit``
+        summary; ``train.fold`` timings and ``crossval.*`` counters go
+        to the context's metrics.  The legacy ``rng`` / ``n_jobs`` /
+        ``telemetry`` / ``metrics`` keywords remain supported for
+        callers that predate the context (pass either the context or
+        the individual fields, not both).  Folds always train in this
+        process, whatever the worker budget.
     """
 
     def __init__(
@@ -258,7 +148,7 @@ class CrossValidationEnsemble:
         metrics: Optional[MetricsRegistry] = None,
         context: Optional[RunContext] = None,
         min_folds: Optional[int] = None,
-        engine: Optional[str] = None,
+        target_names: Sequence[str] = (),
     ):
         self.k = k
         self.training = training or TrainingConfig()
@@ -267,12 +157,13 @@ class CrossValidationEnsemble:
             raise ValueError(
                 f"min_folds must be in [1, k={k}], got {self.min_folds}"
             )
-        if engine is not None and engine not in ENGINES:
+        if len(target_names) == 1:
             raise ValueError(
-                f"unknown engine {engine!r}; choices: {sorted(ENGINES)} "
-                "(or None for auto-selection)"
+                "target_names names the columns of a multi-target fit "
+                f"(two or more); a scalar fit passes none, got "
+                f"{tuple(target_names)!r}"
             )
-        self.engine = engine
+        self.target_names = tuple(target_names)
         self.context = resolve_context(
             context, rng=rng, telemetry=telemetry, metrics=metrics,
             n_jobs=n_jobs, owner="CrossValidationEnsemble",
@@ -286,10 +177,6 @@ class CrossValidationEnsemble:
         return self.context.rng
 
     @property
-    def n_jobs(self) -> int:
-        return self.context.n_jobs
-
-    @property
     def telemetry(self) -> RunTelemetry:
         return self.context.telemetry
 
@@ -297,97 +184,54 @@ class CrossValidationEnsemble:
     def metrics(self) -> MetricsRegistry:
         return self.context.metrics
 
-    def _fold_tasks(self, n: int):
-        """Per-fold ``(train_idx, es_idx, test_idx, seed)`` tuples.
-
-        Tasks carry only index arrays — the dataset itself is shared
-        with workers once, through the pool initializer.
-        """
-        folds = make_folds(n, self.k, self.rng)
-        seeds = self.rng.integers(0, 2**63 - 1, size=self.k)
-        tasks = []
-        for i in range(self.k):
-            # Figure 3.3 layout: model i early-stops on fold i+k-2 and is
-            # tested on fold i+k-1; every fold plays each role exactly once
-            es = (i + self.k - 2) % self.k
-            test = (i + self.k - 1) % self.k
-            train_idx = np.concatenate(
-                [folds[j] for j in range(self.k) if j not in (es, test)]
+    def _targets(self, y: np.ndarray) -> np.ndarray:
+        """``y`` validated against the declared targets."""
+        y = np.asarray(y, dtype=np.float64)
+        if not self.target_names:
+            return y.reshape(-1)
+        width = len(self.target_names)
+        if y.ndim != 2 or y.shape[1] != width:
+            raise ValueError(
+                f"targets must have shape (n, {width}), got {y.shape}"
             )
-            tasks.append((train_idx, folds[es], folds[test], int(seeds[i])))
-        return tasks
+        if np.any(y == 0):
+            raise ValueError(
+                "percentage error is undefined for zero targets; every "
+                "declared target must be nonzero at every sampled point"
+            )
+        return y
 
     def fit(self, x: np.ndarray, y: np.ndarray) -> ErrorEstimate:
         """Train the ensemble on raw targets; returns the CV error estimate.
 
-        Folds train in parallel when the context's ``n_jobs`` > 1 (the
-        paper trains its folds on a 10-node cluster); results,
-        telemetry and metrics are bit-identical either way."""
+        ``y`` is a target vector, or for a multi-target fit an ``(n,
+        len(target_names))`` matrix; the estimate then describes the
+        primary target and carries the per-target breakdown in
+        ``estimate.per_target``.
+        """
         x = np.asarray(x, dtype=np.float64)
-        y = np.asarray(y, dtype=np.float64).reshape(-1)
+        y = self._targets(y)
         if len(x) != len(y):
             raise ValueError("x and y must have equal length")
         n = len(x)
-        scaler = TargetScaler().fit(y)
-        tasks = self._fold_tasks(n)
+        tasks = fold_tasks(n, self.k, self.rng)
+        recipe = TargetRecipe.of(y)
+        scalers = recipe.fold_scalers(y, tasks)
         fit_start = time.perf_counter()
-
-        engine = self.engine
-        if engine is None:
-            engine = "stacked" if self.n_jobs == 1 else "perfold"
-        if engine == "perfold" and self.n_jobs > 1:
-            n_workers = min(self.n_jobs, self.k)
-            with ProcessPoolExecutor(
-                max_workers=n_workers,
-                initializer=_init_fold_worker,
-                initargs=(
-                    x, y, scaler, self.training,
-                    self.telemetry.enabled, self.metrics.enabled,
-                ),
-            ) as pool:
-                results = list(pool.map(_run_fold_task, tasks))
-            for result in results:
-                result.replay(self.telemetry, self.metrics)
-        elif engine == "stacked":
-            # all folds' epochs run as batched matmuls through one
-            # fold-stacked kernel; each fold buffers its observability
-            # and the buffers replay in fold order, exactly like the
-            # process-pool path, so the streams stay engine-independent
-            n_workers = 1
-            outcomes = StackedEnsembleTrainer(self.training).fit_folds(
-                x, y, tasks, scaler,
-                capture_telemetry=self.telemetry.enabled,
-                capture_metrics=self.metrics.enabled,
-            )
-            results = [
-                FoldResult(
-                    outcome.network, outcome.test_errors, outcome.wall_s,
-                    outcome.epochs, outcome.events, outcome.metrics,
-                    outcome.error,
-                )
-                for outcome in outcomes
-            ]
-            for result in results:
-                result.replay(self.telemetry, self.metrics)
-        else:
-            n_workers = 1
-            # in-process: thread the observability hooks into the trainer
-            results = []
-            for task in tasks:
-                network, errors, wall, epochs, error = _train_one_fold(
-                    x, y, *task[:3], self.training, scaler, task[3],
-                    self.telemetry, self.metrics,
-                )
-                results.append(
-                    FoldResult(network, errors, wall, epochs, error=error)
-                )
+        results = StackedEnsembleTrainer(self.training).fit_folds(
+            x, y, tasks, scalers,
+            capture_telemetry=self.telemetry.enabled,
+            capture_metrics=self.metrics.enabled,
+        )
+        for result in results:
+            result.replay(self.telemetry, self.metrics)
         wall_s = time.perf_counter() - fit_start
-        # fold-training phase wall time, engine-independent: the number
-        # the ensemble_fit bench gate tracks
+        # fold-training phase wall time: the number the ensemble_fit
+        # bench gate tracks
         self.metrics.observe("crossval.ensemble_fit", wall_s)
 
         # -- fold quarantine: drop diverged folds, keep the honest rest
-        healthy = [result for result in results if not result.diverged]
+        healthy = [i for i, result in enumerate(results) if not result.diverged]
         for i, result in enumerate(results):
             if result.diverged:
                 self.metrics.inc("crossval.quarantined")
@@ -401,7 +245,7 @@ class CrossValidationEnsemble:
             raise TrainingDiverged(
                 f"only {len(healthy)} of {self.k} folds survived training "
                 f"(min_folds={self.min_folds}); the sampled targets are "
-                "numerically hostile — check for near-zero or huge IPC "
+                "numerically hostile — check for near-zero or huge target "
                 "values in the training set",
                 reason="min_folds",
             )
@@ -414,25 +258,25 @@ class CrossValidationEnsemble:
                 stacklevel=2,
             )
 
-        fold_seconds = [result.wall_s for result in results]
-        fold_epochs = [result.epochs for result in results]
         self.predictor = EnsemblePredictor(
-            networks=[result.network for result in healthy], scaler=scaler
+            networks=[results[i].network for i in healthy],
+            scaler=(
+                [scalers[i] for i in healthy]
+                if recipe.per_fold_scaling
+                else scalers[0]
+            ),
+            target_names=self.target_names,
         )
-        self.estimate = ErrorEstimate.from_fold_errors(
-            [result.test_errors for result in healthy],
-            n_training=n,
-            n_folds=self.k,
+        self.estimate = self._estimate(
+            [results[i].test_errors for i in healthy], n
         )
 
-        for seconds in fold_seconds:
-            self.metrics.observe("train.fold", seconds)
+        for result in results:
+            self.metrics.observe("train.fold", result.wall_s)
         self.metrics.inc("crossval.fits")
-        self.metrics.inc("crossval.epochs", sum(fold_epochs))
-        busy_s = sum(fold_seconds)
-        # fraction of the worker-seconds the pool had available that fold
-        # training actually used (the paper's 10-node cluster view)
-        utilization = busy_s / (wall_s * n_workers) if wall_s > 0 else 0.0
+        self.metrics.inc(
+            "crossval.epochs", sum(result.epochs for result in results)
+        )
         for i, result in enumerate(results):
             self.telemetry.emit(
                 "crossval.fold",
@@ -441,284 +285,47 @@ class CrossValidationEnsemble:
                 epochs=result.epochs,
                 quarantined=result.diverged,
             )
+        summary = {}
+        if self.estimate.per_target:
+            summary["per_target_error"] = {
+                name: estimate.mean
+                for name, estimate in self.estimate.per_target
+            }
         self.telemetry.emit(
             "crossval.fit",
             k=self.k,
             n_points=n,
-            engine=engine,
-            n_workers=n_workers,
+            n_targets=recipe.n_targets,
             n_folds_used=len(healthy),
             fold_coverage=self.estimate.fold_coverage,
             wall_s=wall_s,
-            busy_s=busy_s,
-            worker_utilization=utilization,
             error_mean=self.estimate.mean,
             error_std=self.estimate.std,
+            **summary,
         )
         return self.estimate
 
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        """Ensemble prediction (average of members, denormalized)."""
-        if self.predictor is None:
-            raise RuntimeError("fit() must be called before predict()")
-        return self.predictor.predict(x)
-
-
-# ----------------------------------------------------------------------
-# multi-target cross validation
-# ----------------------------------------------------------------------
-@dataclass
-class MultiTaskEnsemblePredictor:
-    """The trained members of a multi-target k-fold ensemble.
-
-    Exposes the same surface model-guided agents consume from the
-    scalar :class:`~repro.core.ensemble.EnsemblePredictor` — ``predict``
-    (mean of the members' *primary* head) and ``prediction_variance``
-    (member disagreement on the primary head) — so committee and
-    Bayesian-optimization acquisitions work unchanged over a
-    multi-target study.  ``predict_all`` adds the full per-target
-    prediction matrix.
-    """
-
-    members: "List"
-    target_names: Tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        if not self.members:
-            raise ValueError("an ensemble needs at least one member")
-        if len(self.target_names) < 2:
-            raise ValueError(
-                "MultiTaskEnsemblePredictor is for multi-target fits; "
-                f"got targets {self.target_names!r}"
+    def _estimate(
+        self, fold_errors: List[np.ndarray], n: int
+    ) -> ErrorEstimate:
+        """Pool the surviving folds' ``(n_test, n_targets)`` errors."""
+        columns = [
+            ErrorEstimate.from_fold_errors(
+                [errors[:, t] for errors in fold_errors],
+                n_training=n,
+                n_folds=self.k,
             )
-
-    @property
-    def ensemble_size(self) -> int:
-        return len(self.members)
-
-    @staticmethod
-    def _chunks(x: np.ndarray, chunk_size: Optional[int]):
-        if chunk_size is None or len(x) <= chunk_size:
-            yield x
-        else:
-            for start in range(0, len(x), chunk_size):
-                yield x[start:start + chunk_size]
-
-    def predict_all(
-        self, x: np.ndarray, chunk_size: Optional[int] = None
-    ) -> np.ndarray:
-        """Mean denormalized prediction per target; shape ``(n, n_targets)``."""
-        x = np.asarray(x, dtype=np.float64)
-        out = [
-            np.stack([m.predict_all(chunk) for m in self.members]).mean(axis=0)
-            for chunk in self._chunks(x, chunk_size)
+            for t in range(fold_errors[0].shape[1])
         ]
-        return np.concatenate(out) if len(out) > 1 else out[0]
-
-    def member_predictions(
-        self, x: np.ndarray, chunk_size: Optional[int] = None
-    ) -> np.ndarray:
-        """Primary-target prediction of each member; shape ``(k, n)``."""
-        x = np.asarray(x, dtype=np.float64)
-        out = [
-            np.stack([m.predict_primary(chunk) for m in self.members])
-            for chunk in self._chunks(x, chunk_size)
-        ]
-        return np.concatenate(out, axis=1) if len(out) > 1 else out[0]
-
-    def predict(
-        self, x: np.ndarray, chunk_size: Optional[int] = None
-    ) -> np.ndarray:
-        """Mean primary-target prediction; shape ``(n,)``."""
-        return self.member_predictions(x, chunk_size).mean(axis=0)
-
-    def prediction_variance(
-        self, x: np.ndarray, chunk_size: Optional[int] = None
-    ) -> np.ndarray:
-        """Member disagreement on the primary target; shape ``(n,)``."""
-        return self.member_predictions(x, chunk_size).var(axis=0, ddof=0)
-
-
-class MultiTaskCrossValidationEnsemble:
-    """K-fold ensemble of shared-hidden multitask networks.
-
-    The multi-target counterpart of :class:`CrossValidationEnsemble`:
-    the same Figure 3.3 fold layout and rng discipline (fold shuffle,
-    then one seed draw per fold), but each fold trains a
-    :class:`~repro.core.multitask.MultiTaskNetwork` on the full target
-    matrix and is tested per target on its held-out fold.  The returned
-    estimate describes the *primary* target (column 0) and carries the
-    per-target breakdown in ``estimate.per_target``.
-
-    Fold training is serial; a fold whose training diverges is
-    quarantined exactly like the scalar path.
-    """
-
-    def __init__(
-        self,
-        k: int = DEFAULT_FOLDS,
-        training: Optional[TrainingConfig] = None,
-        context: Optional[RunContext] = None,
-        min_folds: Optional[int] = None,
-        target_names: Tuple[str, ...] = (),
-    ):
-        if len(target_names) < 2:
-            raise ValueError(
-                "multi-task cross validation needs >= 2 target names, "
-                f"got {target_names!r}"
-            )
-        self.k = k
-        self.training = training or TrainingConfig()
-        self.min_folds = DEFAULT_MIN_FOLDS if min_folds is None else min_folds
-        if not 1 <= self.min_folds <= k:
-            raise ValueError(
-                f"min_folds must be in [1, k={k}], got {self.min_folds}"
-            )
-        self.target_names = tuple(target_names)
-        self.context = resolve_context(
-            context, owner="MultiTaskCrossValidationEnsemble"
+        if not self.target_names:
+            return columns[0]
+        return dataclasses.replace(
+            columns[0], per_target=tuple(zip(self.target_names, columns))
         )
-        self.predictor: Optional[MultiTaskEnsemblePredictor] = None
-        self.estimate: Optional[ErrorEstimate] = None
-
-    @property
-    def rng(self) -> np.random.Generator:
-        return self.context.rng
-
-    @property
-    def telemetry(self) -> RunTelemetry:
-        return self.context.telemetry
-
-    @property
-    def metrics(self) -> MetricsRegistry:
-        return self.context.metrics
-
-    def fit(self, x: np.ndarray, y: np.ndarray) -> ErrorEstimate:
-        """Train the ensemble on an ``(n, n_targets)`` target matrix."""
-        from .multitask import MultiTaskNetwork
-
-        x = np.asarray(x, dtype=np.float64)
-        y = np.asarray(y, dtype=np.float64)
-        if y.ndim != 2 or y.shape[1] != len(self.target_names):
-            raise ValueError(
-                f"targets must have shape (n, {len(self.target_names)}), "
-                f"got {y.shape}"
-            )
-        if len(x) != len(y):
-            raise ValueError("x and y must have equal length")
-        if np.any(y == 0):
-            raise ValueError(
-                "percentage error is undefined for zero targets; every "
-                "declared target must be nonzero at every sampled point"
-            )
-        n = len(x)
-        n_tasks = y.shape[1]
-        folds = make_folds(n, self.k, self.rng)
-        seeds = self.rng.integers(0, 2**63 - 1, size=self.k)
-        fit_start = time.perf_counter()
-
-        members = []
-        fold_errors: List[List[np.ndarray]] = []  # surviving folds x targets
-        quarantined = 0
-        for i in range(self.k):
-            es = (i + self.k - 2) % self.k
-            test = (i + self.k - 1) % self.k
-            train_idx = np.concatenate(
-                [folds[j] for j in range(self.k) if j not in (es, test)]
-            )
-            member = MultiTaskNetwork(
-                n_inputs=x.shape[1],
-                n_tasks=n_tasks,
-                training=self.training,
-                rng=np.random.default_rng(int(seeds[i])),
-            )
-            try:
-                member.fit(
-                    x[train_idx], y[train_idx], x[folds[es]], y[folds[es]]
-                )
-            except TrainingDiverged as exc:
-                quarantined += 1
-                self.metrics.inc("crossval.quarantined")
-                self.telemetry.emit(
-                    "crossval.quarantine",
-                    fold=i,
-                    error=f"{exc.reason}: {exc}",
-                    n_test=len(folds[test]),
-                )
-                continue
-            predictions = member.predict_all(x[folds[test]])
-            fold_errors.append(
-                [
-                    percentage_errors(predictions[:, t], y[folds[test], t])
-                    for t in range(n_tasks)
-                ]
-            )
-            members.append(member)
-        wall_s = time.perf_counter() - fit_start
-        self.metrics.observe("crossval.ensemble_fit", wall_s)
-
-        if len(members) < self.min_folds:
-            raise TrainingDiverged(
-                f"only {len(members)} of {self.k} folds survived training "
-                f"(min_folds={self.min_folds}); the sampled targets are "
-                "numerically hostile — check for near-zero or huge target "
-                "values in the training set",
-                reason="min_folds",
-            )
-        if quarantined:
-            warnings.warn(
-                f"{quarantined} of {self.k} folds diverged and were "
-                "quarantined; the ensemble and error estimate use the "
-                f"surviving {len(members)} folds",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-
-        per_target = tuple(
-            (
-                name,
-                ErrorEstimate.from_fold_errors(
-                    [errors[t] for errors in fold_errors],
-                    n_training=n,
-                    n_folds=self.k,
-                ),
-            )
-            for t, name in enumerate(self.target_names)
-        )
-        primary = per_target[0][1]
-        self.estimate = ErrorEstimate(
-            mean=primary.mean,
-            std=primary.std,
-            n_training=primary.n_training,
-            n_failed=primary.n_failed,
-            n_folds_used=primary.n_folds_used,
-            n_folds=primary.n_folds,
-            per_target=per_target,
-        )
-        self.predictor = MultiTaskEnsemblePredictor(
-            members=members, target_names=self.target_names
-        )
-        self.metrics.inc("crossval.fits")
-        self.telemetry.emit(
-            "crossval.fit",
-            k=self.k,
-            n_points=n,
-            engine="multitask",
-            n_workers=1,
-            n_tasks=n_tasks,
-            n_folds_used=len(members),
-            fold_coverage=self.estimate.fold_coverage,
-            wall_s=wall_s,
-            error_mean=self.estimate.mean,
-            error_std=self.estimate.std,
-            per_target_error={
-                name: est.mean for name, est in per_target
-            },
-        )
-        return self.estimate
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        """Primary-target ensemble prediction."""
+        """Ensemble prediction of the primary target (average of
+        members, denormalized)."""
         if self.predictor is None:
             raise RuntimeError("fit() must be called before predict()")
         return self.predictor.predict(x)

@@ -187,6 +187,12 @@ class TargetScaler:
     def span(self) -> float:
         return self.high - self.low
 
+    @property
+    def scalers(self) -> List["TargetScaler"]:
+        """Per-column scalers, as on :class:`MultiTargetScaler`: a
+        scalar target is its own single column."""
+        return [self]
+
     def transform(self, targets: np.ndarray) -> np.ndarray:
         """Map raw targets into [0, 1] (degenerate ranges map to 0.5)."""
         if not self._fitted:

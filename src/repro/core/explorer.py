@@ -95,7 +95,7 @@ class DesignSpaceExplorer:
         replay bit-identically.
     context:
         :class:`~repro.core.context.RunContext` carrying the seeded
-        generator, telemetry, metrics and the fold-training worker
+        generator, telemetry, metrics and the evaluation worker
         budget; forwarded whole to the ensembles the loop trains.  The
         legacy ``rng`` / ``telemetry`` / ``metrics`` keywords remain
         supported (pass either the context or the individual fields,

@@ -12,8 +12,8 @@ learning-curve runner (:func:`repro.experiments.runner.run_learning_curve`)
    under a :class:`~repro.core.context.RunContext`.
 
 Keeping these here (rather than re-implemented in each loop, as they
-were before the backend refactor) guarantees that parallel fold
-training, caching and telemetry behave identically in the exploration
+were before the backend refactor) guarantees that fold training,
+caching and telemetry behave identically in the exploration
 loop, the learning-curve experiments and the CLI.
 """
 
@@ -23,14 +23,14 @@ import dataclasses
 import time
 import warnings
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..designspace.space import Config
 from .backend import EvaluationBackend
 from .context import RunContext
-from .crossval import CrossValidationEnsemble, MultiTaskCrossValidationEnsemble
+from .crossval import CrossValidationEnsemble
 from .error import ErrorEstimate
 from .training import TrainingConfig
 
@@ -61,7 +61,7 @@ def evaluate_batch(
 class FitOutcome:
     """One trained ensemble plus its estimate and measured cost."""
 
-    ensemble: Union[CrossValidationEnsemble, MultiTaskCrossValidationEnsemble]
+    ensemble: CrossValidationEnsemble
     estimate: ErrorEstimate
     wall_s: float
 
@@ -73,21 +73,15 @@ def fit_cv_round(
     k: Optional[int] = None,
     training: Optional[TrainingConfig] = None,
     min_folds: Optional[int] = None,
-    engine: Optional[str] = None,
     context: RunContext,
     target_names: Tuple[str, ...] = (),
 ) -> FitOutcome:
     """Train one cross-validation ensemble under ``context``.
 
-    The context supplies the generator (fold shuffling, member seeds),
-    the telemetry/metrics hooks and the fold-training worker budget, so
-    a round fitted here behaves identically whether the caller is the
-    exploration loop, the learning-curve runner or the CLI.
-
-    ``engine`` picks the fold-training engine (see
-    :data:`repro.core.crossval.ENGINES`); the default auto-selects the
-    fold-stacked kernel in-process and the fold pool when the context
-    allots multiple workers.  Engines are bit-identical in results.
+    The context supplies the generator (fold shuffling, member seeds)
+    and the telemetry/metrics hooks, so a round fitted here behaves
+    identically whether the caller is the exploration loop, the
+    learning-curve runner or the CLI.
 
     Rows whose target is non-finite — evaluations that exhausted their
     retry budget and were NaN-marked by
@@ -102,14 +96,12 @@ def fit_cv_round(
     degrading.
 
     A two-dimensional ``y`` with several columns is a *multi-target*
-    round: pass the declared ``target_names`` (primary first) and the
-    round trains a
-    :class:`~repro.core.crossval.MultiTaskCrossValidationEnsemble`,
-    masking rows where *any* target is non-finite and returning an
-    estimate whose ``per_target`` carries the per-target breakdown.
-    A two-dimensional single-column ``y`` is a deprecated scalar
-    spelling: it warns and is flattened (the silent flatten it used to
-    get hid genuinely multi-column mistakes).
+    round: pass the declared ``target_names`` (primary first).  Rows
+    where *any* target is non-finite are masked, and the estimate's
+    ``per_target`` carries the per-target breakdown.  A two-dimensional
+    single-column ``y`` is a deprecated scalar spelling: it warns and is
+    flattened (the silent flatten it used to get hid genuinely
+    multi-column mistakes).
     """
     started = time.perf_counter()
     x = np.asarray(x, dtype=np.float64)
@@ -129,29 +121,10 @@ def fit_cv_round(
                 f"declares {len(target_names)} ({target_names!r})"
             )
         finite = np.isfinite(y).all(axis=1)
-        n_failed = int(len(y) - finite.sum())
-        if n_failed:
-            context.telemetry.emit(
-                "fit.masked", n_failed=n_failed, n_total=len(y)
-            )
-            context.metrics.inc("fit.masked_rows", n_failed)
-            x, y = x[finite], y[finite]
-        kwargs = {} if k is None else {"k": k}
-        multitask = MultiTaskCrossValidationEnsemble(
-            training=training, context=context, min_folds=min_folds,
-            target_names=tuple(target_names), **kwargs,
-        )
-        estimate = multitask.fit(x, y)
-        if n_failed:
-            estimate = dataclasses.replace(estimate, n_failed=n_failed)
-            multitask.estimate = estimate
-        return FitOutcome(
-            ensemble=multitask,
-            estimate=estimate,
-            wall_s=time.perf_counter() - started,
-        )
-    y = y.reshape(-1)
-    finite = np.isfinite(y)
+    else:
+        y = y.reshape(-1)
+        target_names = ()
+        finite = np.isfinite(y)
     n_failed = int(len(y) - finite.sum())
     if n_failed:
         context.telemetry.emit(
@@ -162,7 +135,7 @@ def fit_cv_round(
     kwargs = {} if k is None else {"k": k}
     ensemble = CrossValidationEnsemble(
         training=training, context=context, min_folds=min_folds,
-        engine=engine, **kwargs,
+        target_names=tuple(target_names), **kwargs,
     )
     estimate = ensemble.fit(x, y)
     if n_failed:

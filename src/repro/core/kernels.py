@@ -19,7 +19,7 @@ both as fused numpy kernels:
   guards did.
 * :class:`EnsembleTrainingKernel` stacks the weight and velocity
   matrices of many identically shaped member networks — the k
-  cross-validation folds of an ensemble, or several multitask heads —
+  cross-validation folds of an ensemble —
   into one set of 3-D tensors ``(members, fan_in + 1, fan_out)`` per
   layer, and runs forward/backprop/momentum for every *active* member
   as one batched matmul per layer per batch.  Early stopping, restarts
@@ -27,10 +27,11 @@ both as fused numpy kernels:
   member's slice is excluded from the batched epoch (frozen in place),
   and a restart reseeds only that slice.
 * :func:`ensemble_predict` / :func:`member_predictions` /
-  :func:`ensemble_variance` evaluate every ensemble member over a large
-  point set in fixed-size chunks (a handful of matmuls per member per
-  chunk), bounding peak memory while keeping the reduction over members
-  bit-identical to the unchunked ``vstack(...).mean(axis=0)`` path.
+  :func:`ensemble_variance` / :func:`ensemble_predict_all` evaluate
+  every ensemble member over a large point set in fixed-size chunks (a
+  handful of matmuls per member per chunk), bounding peak memory while
+  keeping the reduction over members bit-identical to the unchunked
+  ``vstack(...).mean(axis=0)`` path.
 
 The kernels compute *exactly* the same floating-point operations, in the
 same order, as the per-batch/per-call paths they replace: with any
@@ -46,11 +47,11 @@ alone, and on row-sum reductions over the batch axis preserving the
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
-from .encoding import TargetScaler
+from .encoding import MultiTargetScaler, TargetScaler
 from .network import (
     SATURATION_THRESHOLD,
     FeedForwardNetwork,
@@ -593,21 +594,40 @@ def _chunk_bounds(n: int, chunk_size: Optional[int]):
         yield start, min(start + chunk_size, n)
 
 
-def _member_block(
-    networks: Sequence[FeedForwardNetwork],
-    scaler: TargetScaler,
-    x: np.ndarray,
-) -> np.ndarray:
-    """Denormalized predictions of every member on one chunk; ``(k, c)``."""
-    block = np.empty((len(networks), len(x)))
-    for i, network in enumerate(networks):
-        block[i] = scaler.inverse_transform(forward_raw(network, x)[:, 0])
+def per_member_scalers(
+    scaler, networks: Sequence[FeedForwardNetwork]
+) -> list:
+    """``scaler`` as one scaler per member: a list or tuple holds one
+    per member already, anything else is shared by every member."""
+    if isinstance(scaler, (list, tuple)):
+        if len(scaler) != len(networks):
+            raise ValueError(
+                f"got {len(scaler)} scalers for {len(networks)} networks"
+            )
+        return list(scaler)
+    return [scaler] * len(networks)
+
+
+def _finite(block: np.ndarray) -> np.ndarray:
     if not np.isfinite(block).all():
         raise TrainingDiverged(
             "network output contains non-finite values",
             reason="non-finite output",
         )
     return block
+
+
+def _member_block(
+    networks: Sequence[FeedForwardNetwork],
+    scalers: Sequence[TargetScaler],
+    x: np.ndarray,
+) -> np.ndarray:
+    """Denormalized primary-output predictions of every member on one
+    chunk; ``(k, c)``."""
+    block = np.empty((len(networks), len(x)))
+    for i, (network, scaler) in enumerate(zip(networks, scalers)):
+        block[i] = scaler.inverse_transform(forward_raw(network, x)[:, 0])
+    return _finite(block)
 
 
 def _validated(
@@ -626,26 +646,29 @@ def _validated(
 
 def member_predictions(
     networks: Sequence[FeedForwardNetwork],
-    scaler: TargetScaler,
+    scaler: Union[TargetScaler, Sequence[TargetScaler]],
     x: np.ndarray,
     chunk_size: Optional[int] = DEFAULT_PREDICT_CHUNK,
 ) -> np.ndarray:
     """Denormalized predictions of every member; shape ``(k, n)``.
 
-    Evaluates ``chunk_size`` points at a time so the peak working set is
-    ``O(k * chunk)`` regardless of ``n``; the result is identical to the
+    Reads each network's first output; ``scaler`` is one target scaler
+    shared by every member or a sequence with one per member.  Evaluates
+    ``chunk_size`` points at a time so the peak working set is ``O(k *
+    chunk)`` regardless of ``n``; the result is identical to the
     unchunked computation (chunking splits the point axis only).
     """
     x = _validated(networks, x)
+    scalers = per_member_scalers(scaler, networks)
     out = np.empty((len(networks), len(x)))
     for start, stop in _chunk_bounds(len(x), chunk_size):
-        out[:, start:stop] = _member_block(networks, scaler, x[start:stop])
+        out[:, start:stop] = _member_block(networks, scalers, x[start:stop])
     return out
 
 
 def ensemble_predict(
     networks: Sequence[FeedForwardNetwork],
-    scaler: TargetScaler,
+    scaler: Union[TargetScaler, Sequence[TargetScaler]],
     x: np.ndarray,
     chunk_size: Optional[int] = DEFAULT_PREDICT_CHUNK,
 ) -> np.ndarray:
@@ -656,25 +679,58 @@ def ensemble_predict(
     ever materializing one ``(k, chunk)`` block.
     """
     x = _validated(networks, x)
+    scalers = per_member_scalers(scaler, networks)
     out = np.empty(len(x))
     for start, stop in _chunk_bounds(len(x), chunk_size):
         out[start:stop] = _member_block(
-            networks, scaler, x[start:stop]
+            networks, scalers, x[start:stop]
         ).mean(axis=0)
     return out
 
 
 def ensemble_variance(
     networks: Sequence[FeedForwardNetwork],
-    scaler: TargetScaler,
+    scaler: Union[TargetScaler, Sequence[TargetScaler]],
     x: np.ndarray,
     chunk_size: Optional[int] = DEFAULT_PREDICT_CHUNK,
 ) -> np.ndarray:
     """Population variance of member predictions per point; shape ``(n,)``."""
     x = _validated(networks, x)
+    scalers = per_member_scalers(scaler, networks)
     out = np.empty(len(x))
     for start, stop in _chunk_bounds(len(x), chunk_size):
         out[start:stop] = _member_block(
-            networks, scaler, x[start:stop]
+            networks, scalers, x[start:stop]
         ).var(axis=0, ddof=0)
+    return out
+
+
+def ensemble_predict_all(
+    networks: Sequence[FeedForwardNetwork],
+    scaler: Union[
+        TargetScaler, MultiTargetScaler, Sequence[MultiTargetScaler]
+    ],
+    x: np.ndarray,
+    chunk_size: Optional[int] = DEFAULT_PREDICT_CHUNK,
+) -> np.ndarray:
+    """Mean of the members' denormalized predictions of every output;
+    shape ``(n, n_outputs)``.
+
+    ``scaler`` is one target scaler shared by every member or a
+    sequence with one per member; each maps a member's whole output
+    matrix back to target units.  Chunking is bit-identical for the
+    same reason as in :func:`ensemble_predict`.
+    """
+    x = _validated(networks, x)
+    scalers = per_member_scalers(scaler, networks)
+    out = np.empty((len(x), networks[0].n_outputs))
+    for start, stop in _chunk_bounds(len(x), chunk_size):
+        chunk = x[start:stop]
+        block = np.stack(
+            [
+                scaler.inverse_transform(forward_raw(network, chunk))
+                for network, scaler in zip(networks, scalers)
+            ]
+        )
+        out[start:stop] = _finite(block).mean(axis=0)
     return out

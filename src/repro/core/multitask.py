@@ -14,11 +14,10 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
+from .context import RunContext
 from .encoding import MultiTargetScaler
-from .error import percentage_errors
-from .kernels import EnsembleTrainingKernel, TrainingKernel
-from .network import FeedForwardNetwork, TrainingDiverged, warn_unseeded
-from .training import TrainingConfig
+from .network import FeedForwardNetwork, warn_unseeded
+from .training import EarlyStoppingTrainer, TrainingConfig
 
 
 class MultiTaskNetwork:
@@ -70,53 +69,25 @@ class MultiTaskNetwork:
         y_es: np.ndarray,
     ) -> List[float]:
         """Train on raw multi-column targets with early stopping on the
-        primary task's percentage error; returns the early-stopping trace."""
-        cfg = self.training
-        x = np.asarray(x, dtype=np.float64)
+        primary task's percentage error; returns the early-stopping trace.
+
+        The fit is one run of the single-network reference trainer,
+        :class:`~repro.core.training.EarlyStoppingTrainer`, on targets
+        scaled to this network's own training rows; this network's
+        generator drives the presentation order.
+        """
         y = np.atleast_2d(np.asarray(y, dtype=np.float64))
-        x_es = np.asarray(x_es, dtype=np.float64)
         y_es = np.atleast_2d(np.asarray(y_es, dtype=np.float64))
         if y.shape[1] != self.n_tasks or y_es.shape[1] != self.n_tasks:
             raise ValueError(f"targets must have {self.n_tasks} columns")
-
         self.scaler.fit(y)
-        y_norm = self.scaler.transform(y)
-        primary = y[:, 0]
-        if np.any(primary <= 0):
-            raise ValueError("primary targets must be positive")
-        inverse = 1.0 / primary
-        probabilities = inverse / inverse.sum()
-
-        n = len(x)
-        kernel = TrainingKernel(self.network, x, y_norm)
-        history: List[float] = []
-        best_error = float("inf")
-        best_weights = self.network.get_weights()
-        stale_checks = 0
-        for epoch in range(1, cfg.max_epochs + 1):
-            order = self.rng.choice(n, size=n, p=probabilities)
-            kernel.run_epoch(
-                order,
-                cfg.batch_size,
-                learning_rate=cfg.learning_rate,
-                momentum=cfg.momentum,
-            )
-            if epoch % cfg.check_interval:
-                continue
-            error = float(
-                np.mean(percentage_errors(self.predict_primary(x_es), y_es[:, 0]))
-            )
-            history.append(error)
-            if error < best_error - 1e-12:
-                best_error = error
-                best_weights = self.network.get_weights()
-                stale_checks = 0
-            else:
-                stale_checks += 1
-                if stale_checks >= cfg.patience:
-                    break
-        self.network.set_weights(best_weights)
-        return history
+        trainer = EarlyStoppingTrainer(
+            self.training, context=RunContext(rng=self.rng)
+        )
+        history = trainer.train(
+            self.network, x, y, x_es, y_es, self.scaler
+        )
+        return history.es_errors
 
     def predict_all(self, x: np.ndarray) -> np.ndarray:
         """Denormalized predictions for every task; shape ``(n, n_tasks)``."""
@@ -125,113 +96,6 @@ class MultiTaskNetwork:
     def predict_primary(self, x: np.ndarray) -> np.ndarray:
         """Predictions of the main metric (IPC); shape ``(n,)``."""
         return self.predict_all(x)[:, 0]
-
-
-def fit_members_stacked(
-    members: Sequence[MultiTaskNetwork],
-    x: np.ndarray,
-    y: np.ndarray,
-    x_es: np.ndarray,
-    y_es: np.ndarray,
-) -> List[List[float]]:
-    """Train several multitask networks through one fold-stacked kernel.
-
-    Equivalent to calling :meth:`MultiTaskNetwork.fit` on each member in
-    turn — same rng streams, same early-stopping traces, bit-identical
-    final weights — but every still-active member's epoch runs as one
-    batched matmul stack through
-    :class:`~repro.core.kernels.EnsembleTrainingKernel`, so an ensemble
-    of differently seeded heads costs a fraction of ``len(members)``
-    sequential fits.  Members must share one architecture (the kernel
-    validates); each keeps its own generator, scaler and early-stopping
-    schedule.  Returns one early-stopping trace per member, in order.
-
-    A member whose weights go non-finite raises
-    :class:`~repro.core.network.TrainingDiverged` exactly like the
-    per-member kernel; because epochs interleave, siblings may then be
-    mid-fit rather than complete, so treat the whole batch as failed.
-    """
-    if not members:
-        return []
-    cfg = members[0].training
-    x = np.asarray(x, dtype=np.float64)
-    y = np.atleast_2d(np.asarray(y, dtype=np.float64))
-    x_es = np.asarray(x_es, dtype=np.float64)
-    y_es = np.atleast_2d(np.asarray(y_es, dtype=np.float64))
-    y_norms = []
-    for member in members:
-        if y.shape[1] != member.n_tasks or y_es.shape[1] != member.n_tasks:
-            raise ValueError(
-                f"targets must have {member.n_tasks} columns"
-            )
-        member.scaler.fit(y)
-        y_norms.append(member.scaler.transform(y))
-    primary = y[:, 0]
-    if np.any(primary <= 0):
-        raise ValueError("primary targets must be positive")
-    inverse = 1.0 / primary
-    probabilities = inverse / inverse.sum()
-
-    n = len(x)
-    kernel = EnsembleTrainingKernel(
-        [member.network for member in members], [x] * len(members), y_norms
-    )
-    histories: List[List[float]] = [[] for _ in members]
-    best_errors = [float("inf")] * len(members)
-    best_weights = [member.network.get_weights() for member in members]
-    stale_checks = [0] * len(members)
-    epochs = [0] * len(members)
-
-    while True:
-        active = kernel.active_members
-        if len(active) == 0:
-            break
-        orders = np.stack(
-            [
-                members[i].rng.choice(n, size=n, p=probabilities)
-                for i in active
-            ]
-        )
-        kernel.run_epoch(
-            orders,
-            cfg.batch_size,
-            np.full(len(active), cfg.learning_rate),
-            cfg.momentum,
-        )
-        finite = kernel.members_finite()
-        for i in active:
-            if not finite[i]:
-                # the same failure TrainingKernel.run_epoch raises for a
-                # single network, detected at the same epoch granularity
-                raise TrainingDiverged(
-                    "training epoch produced non-finite weights",
-                    reason="non-finite weights",
-                )
-            epochs[i] += 1
-            epoch = epochs[i]
-            if epoch % cfg.check_interval == 0:
-                predictions = members[i].scaler.inverse_transform(
-                    kernel.predict_member(i, x_es)
-                )[:, 0]
-                error = float(
-                    np.mean(percentage_errors(predictions, y_es[:, 0]))
-                )
-                histories[i].append(error)
-                if error < best_errors[i] - 1e-12:
-                    best_errors[i] = error
-                    best_weights[i] = kernel.get_member_weights(i)
-                    stale_checks[i] = 0
-                else:
-                    stale_checks[i] += 1
-                    if stale_checks[i] >= cfg.patience:
-                        kernel.deactivate(i)
-            if epoch >= cfg.max_epochs:
-                kernel.deactivate(i)
-
-    for i, member in enumerate(members):
-        kernel.set_member_weights(i, best_weights[i])
-        kernel.sync_member(i)
-    return histories
 
 
 def auxiliary_target_names(metrics: Sequence[str]) -> List[str]:

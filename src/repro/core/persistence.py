@@ -3,8 +3,14 @@
 Sensitivity studies are long-lived: the architect trains a model once and
 interrogates it for weeks.  ``save_predictor``/``load_predictor`` persist
 an :class:`EnsemblePredictor` to a single ``.npz`` file — weights,
-activations and target scaling — with a format version for forward
-compatibility.  No pickle is involved, so files are safe to share.
+activations, target names and target scaling — with a format version
+for forward compatibility.  No pickle is involved, so files are safe to
+share.
+
+Format v2 adds ``target_names`` and lets ``scaler_low``/``scaler_high``
+hold one ``(n_networks, n_targets)`` row of column ranges per member
+(multi-target ensembles, whose folds scale their own rows) instead of
+the one shared scalar range of v1.  v1 files still load.
 """
 
 from __future__ import annotations
@@ -13,21 +19,32 @@ from typing import Dict
 
 import numpy as np
 
-from .encoding import TargetScaler
+from .encoding import MultiTargetScaler, TargetScaler
 from .ensemble import EnsemblePredictor
 from .network import FeedForwardNetwork
 
 #: bump on incompatible format changes
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+
+#: versions :func:`load_predictor` reads
+READABLE_VERSIONS = (1, 2)
 
 
 def save_predictor(predictor: EnsemblePredictor, path: str) -> None:
     """Write ``predictor`` to ``path`` (``.npz``)."""
+    if isinstance(predictor.scaler, TargetScaler):
+        low = np.array(predictor.scaler.low)
+        high = np.array(predictor.scaler.high)
+    else:
+        columns = [scaler.scalers for scaler in predictor.member_scalers]
+        low = np.array([[s.low for s in row] for row in columns])
+        high = np.array([[s.high for s in row] for row in columns])
     arrays: Dict[str, np.ndarray] = {
         "format_version": np.array(FORMAT_VERSION),
         "n_networks": np.array(predictor.size),
-        "scaler_low": np.array(predictor.scaler.low),
-        "scaler_high": np.array(predictor.scaler.high),
+        "target_names": np.array(predictor.target_names, dtype=str),
+        "scaler_low": low,
+        "scaler_high": high,
     }
     for i, network in enumerate(predictor.networks):
         arrays[f"net{i}_n_layers"] = np.array(network.n_layers)
@@ -62,20 +79,43 @@ def _rebuild_network(data, index: int) -> FeedForwardNetwork:
     return network
 
 
+def _target_scaler(low: float, high: float) -> TargetScaler:
+    scaler = TargetScaler()
+    scaler.low = float(low)
+    scaler.high = float(high)
+    scaler._fitted = True
+    return scaler
+
+
+def _member_scaler(lows: np.ndarray, highs: np.ndarray) -> MultiTargetScaler:
+    scaler = MultiTargetScaler()
+    scaler.scalers = [_target_scaler(lo, hi) for lo, hi in zip(lows, highs)]
+    return scaler
+
+
 def load_predictor(path: str) -> EnsemblePredictor:
     """Read an ensemble previously written by :func:`save_predictor`."""
     with np.load(path, allow_pickle=False) as data:
         version = int(data["format_version"])
-        if version != FORMAT_VERSION:
+        if version not in READABLE_VERSIONS:
             raise ValueError(
                 f"unsupported predictor format v{version}; this build "
-                f"reads v{FORMAT_VERSION}"
+                f"reads v{', v'.join(map(str, READABLE_VERSIONS))}"
             )
-        scaler = TargetScaler()
-        scaler.low = float(data["scaler_low"])
-        scaler.high = float(data["scaler_high"])
-        scaler._fitted = True
+        low = data["scaler_low"]
+        high = data["scaler_high"]
+        if low.ndim == 0:
+            scaler = _target_scaler(low, high)
+        else:
+            scaler = [_member_scaler(lo, hi) for lo, hi in zip(low, high)]
+        target_names = (
+            tuple(str(name) for name in data["target_names"])
+            if "target_names" in data
+            else ()
+        )
         networks = [
             _rebuild_network(data, i) for i in range(int(data["n_networks"]))
         ]
-    return EnsemblePredictor(networks=networks, scaler=scaler)
+    return EnsemblePredictor(
+        networks=networks, scaler=scaler, target_names=target_names
+    )

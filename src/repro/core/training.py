@@ -19,20 +19,29 @@ non-finite/exploding early-stopping error, weight explosion and dead
 :class:`~repro.core.network.TrainingDiverged` instead of returning
 garbage, and :class:`RobustTrainer` retries a diverged fit with
 deterministically reseeded weights up to ``max_restarts`` times.
+
+Targets may be one column or several: a network has one output per
+target, the primary target (column 0) drives presentation frequency
+and early stopping, and :class:`TargetRecipe` holds the two ways a
+multi-target fit departs from the scalar recipe.  Those two trainers
+are the single-network reference; cross-validation ensembles train
+every fold at once through :class:`StackedEnsembleTrainer`, which
+reproduces them exactly.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import time
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..obs.metrics import METRICS, MetricsRegistry
 from ..obs.telemetry import NULL_TELEMETRY, RunTelemetry
 from .context import RunContext, resolve_context
-from .encoding import TargetScaler
+from .encoding import MultiTargetScaler, TargetScaler
 from .error import percentage_errors
 from .kernels import EnsembleTrainingKernel, TrainingKernel
 from .network import (
@@ -55,7 +64,7 @@ def presentation_probabilities(
 ) -> np.ndarray:
     """Per-point presentation frequency, proportional to 1/target.
 
-    The Section 3.1 percentage-error weighting; shared by the per-fold
+    The Section 3.1 percentage-error weighting; shared by the single-network
     :class:`EarlyStoppingTrainer` and the fold-stacked
     :class:`StackedEnsembleTrainer` so both paths validate and weight
     targets identically.
@@ -196,6 +205,64 @@ class TrainingHistory:
     stopped_early: bool = False
 
 
+def target_columns(y: np.ndarray) -> np.ndarray:
+    """Raw targets as an ``(n, n_targets)`` matrix.
+
+    A 1-D target vector is the width-1 case.  Column 0 is the primary
+    target: presentation frequency and early stopping both follow it.
+    """
+    y = np.asarray(y, dtype=np.float64)
+    return y if y.ndim == 2 else y.reshape(-1, 1)
+
+
+@dataclass(frozen=True)
+class TargetRecipe:
+    """How the output width of a fit adjusts the Section 3.1 recipe.
+
+    A scalar fit (width 1) runs the recipe as configured.  A
+    multi-target fit departs from it in exactly two ways, both decided
+    here so that the fold-stacked trainer, the single-network reference
+    and the cross-validation ensemble cannot disagree:
+
+    * **per-fold scaling** — a scalar fit scales its targets with one
+      :class:`~repro.core.encoding.TargetScaler` fit on every sampled
+      row and shared by all folds, while each multi-target fold fits
+      its own :class:`~repro.core.encoding.MultiTargetScaler` on its
+      training rows.  One shared scaler measured worse on the
+      cache-policy ``osc-tight`` exploration at seed 17 (final error
+      4.08 -> 5.15 %, simulations to target 100 -> 150);
+    * **no plateau decay** — multi-target fits keep the learning rate
+      fixed (``lr_decay`` 1.0); the scalar recipe's decay measured
+      8.56 % final error on the same run.
+    """
+
+    n_targets: int = 1
+
+    @classmethod
+    def of(cls, y: np.ndarray) -> "TargetRecipe":
+        """The recipe for raw targets ``y`` (1-D or ``(n, n_targets)``)."""
+        return cls(target_columns(y).shape[1])
+
+    @property
+    def per_fold_scaling(self) -> bool:
+        """Whether each fold scales its own training rows."""
+        return self.n_targets > 1
+
+    def config(self, config: TrainingConfig) -> TrainingConfig:
+        """``config`` as a fit of this width trains it."""
+        if self.n_targets > 1 and config.lr_decay != 1.0:
+            return dataclasses.replace(config, lr_decay=1.0)
+        return config
+
+    def fold_scalers(self, y: np.ndarray, tasks: Sequence) -> List:
+        """One fitted target scaler per ``(train_idx, ...)`` fold task."""
+        if not self.per_fold_scaling:
+            shared = TargetScaler().fit(y)
+            return [shared] * len(tasks)
+        y = target_columns(y)
+        return [MultiTargetScaler().fit(y[task[0]]) for task in tasks]
+
+
 class EarlyStoppingTrainer:
     """Train one network on raw targets with an early-stopping set.
 
@@ -276,18 +343,21 @@ class EarlyStoppingTrainer:
         y_train: np.ndarray,
         x_es: np.ndarray,
         y_es: np.ndarray,
-        scaler: TargetScaler,
+        scaler: Union[TargetScaler, MultiTargetScaler],
     ) -> TrainingHistory:
         """Train ``network`` in place; returns the early-stopping history.
 
-        ``y_train``/``y_es`` are raw (unnormalized) targets; ``scaler``
-        maps them to the network's [0, 1] output range and back.
+        ``y_train``/``y_es`` are raw (unnormalized) targets, 1-D or one
+        column per network output; ``scaler`` maps them to the
+        network's [0, 1] output range and back.  Presentation frequency
+        and early stopping follow the primary target (column 0), and
+        the :class:`TargetRecipe` of the targets' width applies.
         """
-        cfg = self.config
+        cfg = TargetRecipe.of(y_train).config(self.config)
         x_train = np.asarray(x_train, dtype=np.float64)
-        y_train = np.asarray(y_train, dtype=np.float64).reshape(-1)
+        y_train = target_columns(y_train)
         x_es = np.asarray(x_es, dtype=np.float64)
-        y_es = np.asarray(y_es, dtype=np.float64).reshape(-1)
+        y_es = target_columns(y_es)
         if len(x_train) != len(y_train):
             raise ValueError("x_train and y_train must have equal length")
         if len(x_es) != len(y_es):
@@ -295,10 +365,12 @@ class EarlyStoppingTrainer:
         if len(x_train) == 0 or len(x_es) == 0:
             raise ValueError("training and early-stopping sets must be non-empty")
 
-        y_norm = scaler.transform(y_train)[:, None]
+        y_norm = scaler.transform(y_train)
+        primary_scaler = scaler.scalers[0]
+        y_es = y_es[:, 0]
         # presentation weights depend only on the (fixed) targets: one
         # computation per fit, reused by every epoch's draw
-        probabilities = self.presentation_probabilities(y_train)
+        probabilities = self.presentation_probabilities(y_train[:, 0])
         kernel = TrainingKernel(network, x_train, y_norm)
         n = len(x_train)
         fit_start = time.perf_counter()
@@ -348,7 +420,7 @@ class EarlyStoppingTrainer:
                 self._diverged(
                     str(exc), reason=exc.reason, epoch=epoch, history=history
                 )
-            predictions = scaler.inverse_transform(raw)
+            predictions = primary_scaler.inverse_transform(raw)
             es_error = float(np.mean(percentage_errors(predictions, y_es)))
             if not np.isfinite(es_error) or es_error > cfg.divergence_error:
                 self._diverged(
@@ -436,6 +508,10 @@ class RobustTrainer:
     Each restart emits a ``train.restart`` event and counter; exhausting
     the budget re-raises ``TrainingDiverged`` with reason
     ``"restarts exhausted"`` for the caller (fold quarantine) to handle.
+
+    Together with :class:`EarlyStoppingTrainer` this is the
+    single-network reference: :class:`StackedEnsembleTrainer` must
+    reproduce one ``RobustTrainer`` fit per fold task exactly.
     """
 
     def __init__(
@@ -464,13 +540,14 @@ class RobustTrainer:
         return np.random.default_rng([self.seed, attempt])
 
     def build_network(
-        self, n_inputs: int, rng: np.random.Generator
+        self, n_inputs: int, rng: np.random.Generator, n_outputs: int = 1
     ) -> FeedForwardNetwork:
         """A freshly initialized network drawn from ``rng``."""
         cfg = self.config
         return FeedForwardNetwork(
             n_inputs=n_inputs,
             hidden_layers=cfg.hidden_layers,
+            n_outputs=n_outputs,
             hidden_activation=cfg.hidden_activation,
             rng=rng,
             init_range=cfg.init_range,
@@ -482,18 +559,20 @@ class RobustTrainer:
         y_train: np.ndarray,
         x_es: np.ndarray,
         y_es: np.ndarray,
-        scaler: TargetScaler,
+        scaler: Union[TargetScaler, MultiTargetScaler],
     ) -> Tuple[FeedForwardNetwork, TrainingHistory]:
         """Train a fresh network; returns ``(network, history)``.
 
-        Raises :class:`~repro.core.network.TrainingDiverged` only after
+        The network has one output per target column.  Raises
+        :class:`~repro.core.network.TrainingDiverged` only after
         ``max_restarts + 1`` attempts all diverged.
         """
         x_train = np.asarray(x_train, dtype=np.float64)
+        n_outputs = target_columns(y_train).shape[1]
         last: Optional[TrainingDiverged] = None
         for attempt in range(self.max_restarts + 1):
             rng = self._attempt_rng(attempt)
-            network = self.build_network(x_train.shape[1], rng)
+            network = self.build_network(x_train.shape[1], rng, n_outputs)
             trainer = EarlyStoppingTrainer(
                 self.config,
                 context=RunContext(
@@ -529,25 +608,39 @@ class RobustTrainer:
 # fold-stacked ensemble training
 # ----------------------------------------------------------------------
 @dataclass
-class StackedFoldOutcome:
-    """One fold's result from a stacked ensemble fit.
+class FoldResult:
+    """One trained fold plus the observability it recorded.
 
-    Field-for-field the payload of
-    :class:`~repro.core.crossval.FoldResult`: the trained network (or
-    ``None`` for a quarantined fold), held-out test errors, attributed
-    wall seconds, the final attempt's epoch count (0 when quarantined,
-    matching the per-fold path), the fold's buffered telemetry events as
-    ``(name, payload)`` pairs, its local metrics registry, and the
-    quarantine error string.
+    A quarantined fold — training exhausted its restart budget — has
+    ``network=None``, no test errors, ``epochs`` 0 and ``error``
+    describing the last failure.  ``test_errors`` holds the held-out
+    percentage errors as an ``(n_test, n_targets)`` matrix.
+
+    ``events`` carries the fold's telemetry as ``(name, payload)``
+    pairs and ``metrics`` its local registry; the caller ``replay``-s
+    them in fold order, so a stacked fit's stream reads as if the folds
+    had trained one after another.
     """
 
     network: Optional[FeedForwardNetwork]
     test_errors: np.ndarray
     wall_s: float
     epochs: int
-    events: List = field(default_factory=list)
+    events: List[Tuple[str, Dict[str, object]]] = field(default_factory=list)
     metrics: Optional[MetricsRegistry] = None
     error: Optional[str] = None
+
+    @property
+    def diverged(self) -> bool:
+        """Whether this fold was quarantined."""
+        return self.network is None
+
+    def replay(self, telemetry: RunTelemetry, metrics: MetricsRegistry) -> None:
+        """Re-emit recorded events and merge recorded metrics."""
+        for name, payload in self.events:
+            telemetry.emit(name, **payload)
+        if self.metrics is not None:
+            metrics.merge(self.metrics)
 
 
 class _FoldProgram:
@@ -564,13 +657,12 @@ class _FoldProgram:
 
     def __init__(
         self,
-        fold: int,
         member: int,
         x_train: np.ndarray,
         y_train: np.ndarray,
         x_es: np.ndarray,
         y_es: np.ndarray,
-        scaler: TargetScaler,
+        scaler: Union[TargetScaler, MultiTargetScaler],
         config: TrainingConfig,
         seed: int,
         telemetry: RunTelemetry,
@@ -584,15 +676,14 @@ class _FoldProgram:
             raise ValueError(
                 "training and early-stopping sets must be non-empty"
             )
-        self.fold = fold
         self.member = member
         self.x_train = x_train
-        self.y_train = y_train
-        self.y_norm = scaler.transform(y_train)[:, None]
+        self.y_norm = scaler.transform(y_train)
         self.x_es = x_es
-        self.y_es = y_es
-        self.scaler = scaler
-        self.cfg = config
+        self.y_es = y_es[:, 0]
+        self.primary_scaler = scaler.scalers[0]
+        self.n_outputs = y_train.shape[1]
+        self.cfg = TargetRecipe(self.n_outputs).config(config)
         self.seed = int(seed)
         self.telemetry = telemetry
         self.metrics = metrics
@@ -600,7 +691,7 @@ class _FoldProgram:
         # fixed targets: one probability computation per fold, like the
         # once-per-fit hoisting in EarlyStoppingTrainer.train
         self.probabilities = presentation_probabilities(
-            y_train, config.weight_by_inverse_target
+            y_train[:, 0], config.weight_by_inverse_target
         )
         self.attempt = 0
         self.done = False
@@ -627,6 +718,7 @@ class _FoldProgram:
         self.network = FeedForwardNetwork(
             n_inputs=self.x_train.shape[1],
             hidden_layers=cfg.hidden_layers,
+            n_outputs=self.n_outputs,
             hidden_activation=cfg.hidden_activation,
             rng=self.rng,
             init_range=cfg.init_range,
@@ -678,8 +770,8 @@ class _FoldProgram:
             weights_finite = kernel.member_weights_finite(self.member)
         try:
             if not weights_finite:
-                # the per-fold kernel raises before epochs_run is set:
-                # the failed epoch is not counted
+                # the single-network kernel raises before epochs_run is
+                # set: the failed epoch is not counted
                 self._diverged(
                     "training epoch produced non-finite weights",
                     reason="non-finite weights",
@@ -717,7 +809,7 @@ class _FoldProgram:
             raw = kernel.predict_member(self.member, self.x_es)[:, 0]
         except TrainingDiverged as exc:
             self._diverged(str(exc), reason=exc.reason, epoch=epoch)
-        predictions = self.scaler.inverse_transform(raw)
+        predictions = self.primary_scaler.inverse_transform(raw)
         es_error = float(np.mean(percentage_errors(predictions, self.y_es)))
         if not np.isfinite(es_error) or es_error > cfg.divergence_error:
             self._diverged(
@@ -800,9 +892,8 @@ class _FoldProgram:
             self.start_attempt()
             kernel.reinit_member(self.member, self.network)
         else:
-            # the exact message the per-fold quarantine records:
-            # RobustTrainer's restarts-exhausted wrapper formatted by
-            # _train_one_fold as "{reason}: {message}"
+            # RobustTrainer's restarts-exhausted error, formatted as
+            # "{reason}: {message}" like every quarantine record
             self.error = (
                 "restarts exhausted: training diverged on all "
                 f"{self.cfg.max_restarts + 1} attempts "
@@ -816,23 +907,23 @@ class _FoldProgram:
 class StackedEnsembleTrainer:
     """Train a whole CV ensemble through one fold-stacked kernel.
 
-    Drop-in replacement for the per-fold serial loop in
-    :class:`~repro.core.crossval.CrossValidationEnsemble`: given the
-    same ``(train_idx, es_idx, test_idx, seed)`` fold tasks it produces
-    bit-identical networks, test errors, telemetry events and counters
-    — but runs every still-active fold's epoch as one batched matmul
-    stack instead of ``k`` Python-level fits.  Folds are grouped by
-    training-set length (``n % k != 0`` makes fold sizes differ by at
-    most one, so at most three groups) because stacking requires equal
-    GEMM shapes for bit-identity; each group trains through its own
-    :class:`~repro.core.kernels.EnsembleTrainingKernel` until every
+    The training engine of
+    :class:`~repro.core.crossval.CrossValidationEnsemble`, for scalar
+    and multi-target fits alike (the network's output width is the
+    number of target columns).  Given ``(train_idx, es_idx, test_idx,
+    seed)`` fold tasks it produces bit-identical networks, test errors,
+    telemetry events and counters to one :class:`RobustTrainer` fit per
+    task — but runs every still-active fold's epoch as one batched
+    matmul stack instead of ``k`` Python-level fits.  Folds are grouped
+    by training-set length (``n % k != 0`` makes fold sizes differ by
+    at most one, so at most three groups) because stacking requires
+    equal GEMM shapes for bit-identity; each group trains through its
+    own :class:`~repro.core.kernels.EnsembleTrainingKernel` until every
     member has early-stopped, exhausted its epoch budget, or been
     quarantined.
 
-    Observability matches the process-pool path: each fold records into
-    its own buffer and the caller replays buffers in fold order, so the
-    event stream is identical to both the per-fold serial and the
-    parallel engines.
+    Each fold records its observability into its own buffer, returned
+    on its :class:`FoldResult` for the caller to replay in fold order.
     """
 
     def __init__(self, config: Optional[TrainingConfig] = None):
@@ -842,40 +933,30 @@ class StackedEnsembleTrainer:
         self,
         x: np.ndarray,
         y: np.ndarray,
-        tasks: List,
-        scaler: TargetScaler,
+        tasks: Sequence,
+        scalers: Sequence[Union[TargetScaler, MultiTargetScaler]],
         capture_telemetry: bool = False,
         capture_metrics: bool = False,
-    ) -> List[StackedFoldOutcome]:
-        """Train every fold task; returns one outcome per task, in order.
+    ) -> List[FoldResult]:
+        """Train every fold task; returns one result per task, in order.
 
         ``tasks`` carries ``(train_idx, es_idx, test_idx, seed)`` tuples
-        as produced by ``CrossValidationEnsemble._fold_tasks``.  When
+        as produced by :func:`~repro.core.crossval.fold_tasks`, and
+        ``scalers`` the fitted target scaler each task trains under
+        (see :meth:`TargetRecipe.fold_scalers`).  When
         ``capture_telemetry`` / ``capture_metrics`` are set each fold
-        records events and counters into a private buffer (returned on
-        the outcome for fold-order replay); otherwise the hooks are
-        no-ops, exactly like the process-pool workers' capture flags.
+        records events and counters into a private buffer; otherwise
+        the hooks are no-ops.
         """
         x = np.asarray(x, dtype=np.float64)
-        y = np.asarray(y, dtype=np.float64).reshape(-1)
+        y = target_columns(y)
+        if len(scalers) != len(tasks):
+            raise ValueError("need one target scaler per fold task")
         programs: List[_FoldProgram] = []
-        fold_telemetry: List[Optional[RunTelemetry]] = []
-        fold_metrics: List[Optional[MetricsRegistry]] = []
         groups: dict = {}
-        for fold, (train_idx, es_idx, test_idx, seed) in enumerate(tasks):
-            telemetry = (
-                RunTelemetry(enabled=True) if capture_telemetry
-                else NULL_TELEMETRY
-            )
-            metrics = (
-                MetricsRegistry(enabled=True) if capture_metrics
-                else MetricsRegistry(enabled=False)
-            )
-            fold_telemetry.append(telemetry if capture_telemetry else None)
-            fold_metrics.append(metrics if capture_metrics else None)
+        for (train_idx, es_idx, _, seed), scaler in zip(tasks, scalers):
             group = groups.setdefault(len(train_idx), [])
             program = _FoldProgram(
-                fold=fold,
                 member=len(group),
                 x_train=x[train_idx],
                 y_train=y[train_idx],
@@ -884,8 +965,8 @@ class StackedEnsembleTrainer:
                 scaler=scaler,
                 config=self.config,
                 seed=seed,
-                telemetry=telemetry,
-                metrics=metrics,
+                telemetry=RunTelemetry(enabled=capture_telemetry),
+                metrics=MetricsRegistry(enabled=capture_metrics),
             )
             group.append(program)
             programs.append(program)
@@ -893,43 +974,41 @@ class StackedEnsembleTrainer:
         for group in groups.values():
             self._train_group(group)
 
-        outcomes: List[StackedFoldOutcome] = []
-        for fold, (train_idx, es_idx, test_idx, seed) in enumerate(tasks):
-            program = programs[fold]
+        results: List[FoldResult] = []
+        for program, (_, _, test_idx, _), scaler in zip(
+            programs, tasks, scalers
+        ):
             started = time.perf_counter()
             if program.network is not None:
-                test_predictions = scaler.inverse_transform(
-                    program.network.predict(x[test_idx])[:, 0]
+                predictions = scaler.inverse_transform(
+                    program.network.predict(x[test_idx])
                 )
-                test_errors = percentage_errors(
-                    test_predictions, y[test_idx]
+                test_errors = np.column_stack(
+                    [
+                        percentage_errors(predictions[:, t], y[test_idx, t])
+                        for t in range(y.shape[1])
+                    ]
                 )
                 epochs = program.history.epochs_run
             else:
-                test_errors = np.empty(0)
+                test_errors = np.empty((0, y.shape[1]))
                 epochs = 0
             program.wall_s += time.perf_counter() - started
-            telemetry = fold_telemetry[fold]
-            events = (
-                [
-                    (event.name, dict(event.payload))
-                    for event in telemetry.events
-                ]
-                if telemetry is not None
-                else []
-            )
-            outcomes.append(
-                StackedFoldOutcome(
+            results.append(
+                FoldResult(
                     network=program.network,
                     test_errors=test_errors,
                     wall_s=program.wall_s,
                     epochs=epochs,
-                    events=events,
-                    metrics=fold_metrics[fold],
+                    events=[
+                        (event.name, dict(event.payload))
+                        for event in program.telemetry.events
+                    ],
+                    metrics=program.metrics if capture_metrics else None,
                     error=program.error,
                 )
             )
-        return outcomes
+        return results
 
     def _train_group(self, group: List[_FoldProgram]) -> None:
         """Run one equal-length group of folds to completion."""
@@ -945,8 +1024,8 @@ class StackedEnsembleTrainer:
                 break
             step_start = time.perf_counter()
             # one weighted presentation draw per active fold, from that
-            # fold's own attempt rng — the same stream order as the
-            # per-fold loop
+            # fold's own attempt rng — the same stream order as a
+            # single-network fit
             orders = np.stack([program.draw_order() for program in active])
             learning_rates = np.array(
                 [program.learning_rate for program in active]

@@ -5,7 +5,7 @@ parameter grids.  This third study stresses the two remaining axes of
 the methodology: a *nominal* parameter (the replacement policy) that
 dominates the space's structure, and *multi-output* targets — hit
 rate, IPC and energy per instruction are predicted jointly by a
-multitask ensemble, with energy-delay products derived from the
+multi-target ensemble, with energy-delay products derived from the
 predicted vector.
 
 The simulator composes three existing substrates:

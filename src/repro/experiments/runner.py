@@ -12,8 +12,8 @@ The runner is built on the same primitives as the exploration loop
 (:mod:`repro.core.fitting`): training targets are batch-evaluated
 through an :class:`~repro.core.backend.EvaluationBackend` and every
 ensemble trains under the caller's
-:class:`~repro.core.context.RunContext`, so parallel fold training,
-caching and telemetry behave identically here, in
+:class:`~repro.core.context.RunContext`, so fold training, caching
+and telemetry behave identically here, in
 :class:`~repro.core.explorer.DesignSpaceExplorer` and in the CLI.
 
 Data sources:
@@ -281,7 +281,7 @@ def run_learning_curve(
     rounds *extend* earlier ones exactly as the incremental framework
     collects results in batches.
 
-    ``context`` supplies telemetry/metrics, the fold-training worker
+    ``context`` supplies telemetry/metrics, the evaluation worker
     budget and the on-disk cache root; randomness stays governed by
     ``seed`` (it is part of the cache key), so two contexts with
     different generators still produce identical curves.

@@ -160,7 +160,7 @@ class Study:
     ``targets`` declares the study's prediction vector, primary target
     first.  The paper's scalar-IPC studies are the 1-tuple special case
     ``("ipc",)``; studies declaring more than one target are fitted with
-    multitask ensembles and report per-target cross-validation error.
+    multi-target ensembles and report per-target cross-validation error.
     ``workloads`` names the benchmarks the study is defined over, and
     ``simulator_factory`` (when set) replaces the default interval-engine
     ``SIM(p, A)`` construction in :func:`make_simulate_fn`.

@@ -179,11 +179,11 @@ class MetricsRegistry:
 
         Counters add, gauges take the other registry's value (last write
         wins, and the merged registry is the later writer), timers merge
-        their summaries exactly.  This is how per-worker registries from
-        process-parallel fold training are replayed into the parent, so
-        counters like ``train.epochs`` are identical regardless of
-        ``n_jobs``.  A disabled parent ignores the merge, matching the
-        no-op behaviour of its other writers.
+        their summaries exactly.  This is how the per-fold registries of a
+        fold-stacked ensemble fit are replayed into the caller's, so
+        counters like ``train.epochs`` read as if the folds had trained
+        one after another.  A disabled parent ignores the merge, matching
+        the no-op behaviour of its other writers.
         """
         if not self.enabled:
             return

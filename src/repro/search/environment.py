@@ -149,8 +149,8 @@ class Environment:
         #: primary target (agents, checkpoints and observations are
         #: untouched); when the backend chain exposes a multi-target
         #: simulator, the full declared vector per sampled point
-        #: accumulates in ``target_rows`` and the round fit goes through
-        #: the multitask ensemble
+        #: accumulates in ``target_rows`` and the round fits a
+        #: multi-target ensemble
         self.multi_simulator = resolve_multi_target_simulator(self.backend)
         self.target_names: tuple = (
             tuple(self.multi_simulator.target_names)

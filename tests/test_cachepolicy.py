@@ -478,6 +478,52 @@ class TestMultiTargetFit:
         assert outcome.estimate.target_names == ("ipc", "hit_rate")
 
 
+class TestPreviousReleaseCheckpoint:
+    def test_removed_predictor_class_refuses_to_resume(
+        self, tmp_path, monkeypatch
+    ):
+        """A cache-policy checkpoint written by the previous release
+        pickles its ``MultiTaskEnsemblePredictor``, a class this release
+        no longer has.  Resuming it must fail with CheckpointError — not
+        crash with a bare AttributeError, not silently start over."""
+        import repro.core.crossval as crossval
+        from repro.core.checkpoint import CheckpointError
+        from repro.search.environment import Environment
+
+        class MultiTaskEnsemblePredictor:
+            """Stands in for the removed class while the file is written."""
+
+        MultiTaskEnsemblePredictor.__module__ = crossval.__name__
+        MultiTaskEnsemblePredictor.__qualname__ = "MultiTaskEnsemblePredictor"
+        monkeypatch.setattr(
+            crossval, "MultiTaskEnsemblePredictor",
+            MultiTaskEnsemblePredictor, raising=False,
+        )
+        checkpoint_state = Environment.checkpoint_state
+
+        def previous_release_state(self, agent):
+            state = checkpoint_state(self, agent)
+            state.predictor = MultiTaskEnsemblePredictor()
+            return state
+
+        monkeypatch.setattr(
+            Environment, "checkpoint_state", previous_release_state
+        )
+        # keep the run's checkpoint (and its .prev) as a killed run would
+        monkeypatch.setattr(Environment, "finish", lambda self: None)
+        kwargs = dict(
+            study="cache-policy", workload="osc-tight", target_error=1.0,
+            batch_size=20, seed=7, training=_fast(),
+            checkpoint=tmp_path / "run.ckpt",
+        )
+        api.explore(max_simulations=40, **kwargs)
+        monkeypatch.undo()
+        assert not hasattr(crossval, "MultiTaskEnsemblePredictor")
+
+        with pytest.raises(CheckpointError, match="MultiTaskEnsemblePredictor"):
+            api.explore(max_simulations=60, **kwargs)
+
+
 class TestScalarDeprecations:
     def test_result_targets_alias_warns(self, tiny_space, fast_training):
         result = api.explore(

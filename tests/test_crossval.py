@@ -56,14 +56,18 @@ class TestMakeFolds:
 class TestCrossValidationEnsemble:
     def test_fit_learns(self, rng, fast_training):
         x, y = make_problem(rng)
-        ensemble = CrossValidationEnsemble(k=5, training=fast_training, rng=rng)
+        ensemble = CrossValidationEnsemble(
+            k=5, training=fast_training, context=RunContext(rng=rng)
+        )
         estimate = ensemble.fit(x, y)
         assert estimate.mean < 10.0
         assert estimate.n_training == len(x)
 
     def test_builds_k_networks(self, rng, fast_training):
         x, y = make_problem(rng, n=120)
-        ensemble = CrossValidationEnsemble(k=4, training=fast_training, rng=rng)
+        ensemble = CrossValidationEnsemble(
+            k=4, training=fast_training, context=RunContext(rng=rng)
+        )
         ensemble.fit(x, y)
         assert ensemble.predictor.size == 4
 
@@ -74,7 +78,9 @@ class TestCrossValidationEnsemble:
 
     def test_prediction_shape_and_quality(self, rng, fast_training):
         x, y = make_problem(rng, n=300)
-        ensemble = CrossValidationEnsemble(k=5, training=fast_training, rng=rng)
+        ensemble = CrossValidationEnsemble(
+            k=5, training=fast_training, context=RunContext(rng=rng)
+        )
         ensemble.fit(x[:250], y[:250])
         predictions = ensemble.predict(x[250:])
         assert predictions.shape == (50,)
@@ -82,7 +88,9 @@ class TestCrossValidationEnsemble:
         assert errors.mean() < 0.10
 
     def test_length_mismatch(self, rng, fast_training):
-        ensemble = CrossValidationEnsemble(k=4, training=fast_training, rng=rng)
+        ensemble = CrossValidationEnsemble(
+            k=4, training=fast_training, context=RunContext(rng=rng)
+        )
         with pytest.raises(ValueError):
             ensemble.fit(np.zeros((10, 2)), np.ones(5))
 
@@ -91,7 +99,7 @@ class TestCrossValidationEnsemble:
 
         def fit():
             ensemble = CrossValidationEnsemble(
-                k=4, training=fast_training, rng=np.random.default_rng(7)
+                k=4, training=fast_training, context=RunContext.seeded(7)
             )
             return ensemble.fit(x, y).mean
 
@@ -101,7 +109,9 @@ class TestCrossValidationEnsemble:
         """The core claim of Section 3.2: fold-pooled errors estimate the
         ensemble's true error on unseen points."""
         x, y = make_problem(rng, n=400)
-        ensemble = CrossValidationEnsemble(k=5, training=fast_training, rng=rng)
+        ensemble = CrossValidationEnsemble(
+            k=5, training=fast_training, context=RunContext(rng=rng)
+        )
         estimate = ensemble.fit(x[:300], y[:300])
         predictions = ensemble.predict(x[300:])
         true_error = float(
@@ -110,14 +120,17 @@ class TestCrossValidationEnsemble:
         assert abs(estimate.mean - true_error) < max(2.0, true_error)
 
     def test_parallel_jobs_equivalent(self, fast_training):
+        """The worker budget is for evaluation backends; folds train
+        in-process and identically whatever it is."""
         x, y = make_problem(np.random.default_rng(5), n=120)
-        serial = CrossValidationEnsemble(
-            k=4, training=fast_training, rng=np.random.default_rng(7), n_jobs=1
-        ).fit(x, y)
-        parallel = CrossValidationEnsemble(
-            k=4, training=fast_training, rng=np.random.default_rng(7), n_jobs=2
-        ).fit(x, y)
-        assert serial.mean == pytest.approx(parallel.mean)
+
+        def fit(n_jobs):
+            context = RunContext.seeded(7, n_jobs=n_jobs)
+            return CrossValidationEnsemble(
+                k=4, training=fast_training, context=context
+            ).fit(x, y)
+
+        assert fit(1) == fit(2)
 
     def test_accepts_context(self, fast_training):
         x, y = make_problem(np.random.default_rng(5), n=120)
@@ -138,12 +151,9 @@ class TestCrossValidationEnsemble:
 
 
 class TestParallelObservability:
-    """Satellite fix: fold workers must not silently drop telemetry.
-
-    A parallel fit must produce the same predictions *and* the same
-    observability streams as a serial one — workers record their
-    training events locally and the parent replays them in fold order.
-    """
+    """A context with a larger worker budget changes neither the fit nor
+    its observability: folds record their training events into their
+    own buffers and the ensemble replays them in fold order."""
 
     @staticmethod
     def _fit(n_jobs, training):
@@ -201,3 +211,51 @@ class TestParallelObservability:
             k=4, training=fast_training, context=context
         ).fit(x, y)
         assert telemetry.events == []
+
+
+def make_multi_problem(n=120):
+    """``make_problem`` plus two positive auxiliary targets."""
+    x, y = make_problem(np.random.default_rng(5), n=n)
+    return x, np.column_stack([y, 0.1 + 0.5 * x[:, 1], 0.05 + 0.3 * x[:, 0]])
+
+
+class TestMultiTarget:
+    NAMES = ("ipc", "hit_rate", "energy_nj")
+
+    def _ensemble(self, fast_training, **kwargs):
+        return CrossValidationEnsemble(
+            k=4, training=fast_training, context=RunContext.seeded(7),
+            target_names=self.NAMES, **kwargs,
+        )
+
+    def test_folds_scale_their_own_training_rows(self, fast_training):
+        x, y = make_multi_problem()
+        ensemble = self._ensemble(fast_training)
+        ensemble.fit(x, y)
+        scalers = ensemble.predictor.member_scalers
+        assert len({id(scaler) for scaler in scalers}) == ensemble.k
+        assert len({scaler.scalers[0].high for scaler in scalers}) > 1
+
+    def test_fit_event_reports_targets(self, fast_training):
+        x, y = make_multi_problem()
+        telemetry = RunTelemetry()
+        CrossValidationEnsemble(
+            k=4, training=fast_training, target_names=self.NAMES,
+            context=RunContext.seeded(7, telemetry=telemetry),
+        ).fit(x, y)
+        (fit,) = telemetry.events_named("crossval.fit")
+        assert fit.payload["n_targets"] == 3
+        assert set(fit.payload["per_target_error"]) == set(self.NAMES)
+        assert len(telemetry.events_named("crossval.fold")) == 4
+        assert len(telemetry.events_named("train.stop")) == 4
+
+    def test_validation(self, fast_training):
+        x, y = make_multi_problem(n=40)
+        with pytest.raises(ValueError, match="shape"):
+            self._ensemble(fast_training).fit(x, y[:, :2])
+        zero = y.copy()
+        zero[3, 2] = 0.0
+        with pytest.raises(ValueError, match="zero targets"):
+            self._ensemble(fast_training).fit(x, zero)
+        with pytest.raises(ValueError, match="two or more"):
+            CrossValidationEnsemble(k=4, target_names=("ipc",))

@@ -7,19 +7,37 @@ Two layers of guarantees are locked here:
   velocity trajectory equals (``==``, not approximately) training that
   member alone through :class:`TrainingKernel` with the same
   presentation orders;
-* ``engine="stacked"`` through :class:`CrossValidationEnsemble` — the
-  full CV fit reproduces the legacy per-fold engine exactly: same
-  predictions, same error estimate, same telemetry stream, same
-  counters, same quarantine accounting.
+* :class:`StackedEnsembleTrainer` through :class:`CrossValidationEnsemble`
+  — a CV fit, scalar or multi-target, reproduces the per-fold reference
+  (one :class:`RobustTrainer` fit per fold task) exactly: same networks,
+  predictions, error estimate, telemetry, counters and quarantine
+  accounting.
 """
+
+import dataclasses
+import warnings
 
 import numpy as np
 import pytest
 
-from repro.core import CrossValidationEnsemble, RunContext
+from repro.core import (
+    CrossValidationEnsemble,
+    EnsemblePredictor,
+    ErrorEstimate,
+    RunContext,
+    fold_tasks,
+    percentage_errors,
+)
 from repro.core.kernels import EnsembleTrainingKernel, TrainingKernel
-from repro.core.network import FeedForwardNetwork
-from repro.core.training import TrainingConfig
+from repro.core.network import FeedForwardNetwork, TrainingDiverged
+from repro.core.training import (
+    FoldResult,
+    RobustTrainer,
+    StackedEnsembleTrainer,
+    TargetRecipe,
+    TrainingConfig,
+    target_columns,
+)
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.telemetry import RunTelemetry
 
@@ -236,25 +254,206 @@ class TestEnsembleTrainingKernel:
             EnsembleTrainingKernel([net_a, net_c], [x, x], [y, y])
 
 
+def reference_folds(x, y, tasks, scalers, training):
+    """The per-fold reference: one :class:`RobustTrainer` fit per fold
+    task, each recording into its own telemetry and metrics."""
+    truths = target_columns(y)
+    folds = []
+    for (train_idx, es_idx, test_idx, seed), scaler in zip(tasks, scalers):
+        telemetry = RunTelemetry()
+        metrics = MetricsRegistry(enabled=True)
+        trainer = RobustTrainer(
+            training, seed=seed, telemetry=telemetry, metrics=metrics
+        )
+        events = telemetry.events
+        try:
+            network, history = trainer.fit(
+                x[train_idx], y[train_idx], x[es_idx], y[es_idx], scaler
+            )
+        except TrainingDiverged as exc:
+            folds.append(
+                FoldResult(
+                    None, np.empty((0, truths.shape[1])), 0.0, 0,
+                    [(e.name, dict(e.payload)) for e in events], metrics,
+                    f"{exc.reason}: {exc}",
+                )
+            )
+            continue
+        predictions = target_columns(
+            scaler.inverse_transform(network.predict(x[test_idx]))
+        )
+        errors = np.column_stack(
+            [
+                percentage_errors(predictions[:, t], truths[test_idx, t])
+                for t in range(truths.shape[1])
+            ]
+        )
+        folds.append(
+            FoldResult(
+                network, errors, 0.0, history.epochs_run,
+                [(e.name, dict(e.payload)) for e in events], metrics,
+            )
+        )
+    return folds
+
+
+def reference_fit(x, y, k, training, seed, target_names=()):
+    """A cross-validation fit through the per-fold reference.
+
+    Same fold tasks, scalers, ensemble and pooled estimate as
+    :class:`CrossValidationEnsemble`, with each fold trained alone; the
+    folds' observability is replayed in fold order.  Returns
+    ``(predictor, estimate, telemetry, metrics, folds)``.
+    """
+    tasks = fold_tasks(len(x), k, np.random.default_rng(seed))
+    recipe = TargetRecipe.of(y)
+    scalers = recipe.fold_scalers(y, tasks)
+    folds = reference_folds(x, y, tasks, scalers, training)
+    metrics = MetricsRegistry(enabled=True)
+    telemetry = RunTelemetry(metrics=metrics)
+    for fold in folds:
+        fold.replay(telemetry, metrics)
+    healthy = [i for i, fold in enumerate(folds) if not fold.diverged]
+    for i, fold in enumerate(folds):
+        if fold.diverged:
+            metrics.inc("crossval.quarantined")
+            telemetry.emit(
+                "crossval.quarantine", fold=i, error=fold.error,
+                n_test=len(tasks[i][2]),
+            )
+    predictor = EnsemblePredictor(
+        [folds[i].network for i in healthy],
+        [scalers[i] for i in healthy] if recipe.per_fold_scaling
+        else scalers[0],
+        target_names,
+    )
+    columns = [
+        ErrorEstimate.from_fold_errors(
+            [folds[i].test_errors[:, t] for i in healthy],
+            n_training=len(x), n_folds=k,
+        )
+        for t in range(recipe.n_targets)
+    ]
+    estimate = columns[0]
+    if target_names:
+        estimate = dataclasses.replace(
+            estimate, per_target=tuple(zip(target_names, columns))
+        )
+    return predictor, estimate, telemetry, metrics, folds
+
+
+#: a recipe that lets near-zero targets diverge within a few checks
+HOSTILE_TRAINING = TrainingConfig(
+    hidden_layers=(8,),
+    max_epochs=60,
+    patience=6,
+    check_interval=10,
+    batch_size=32,
+    max_restarts=2,
+)
+
+
+def width_problem(width, hostile, n=120):
+    """``make_problem`` with ``width`` target columns; ``hostile`` puts
+    a near-zero value into the primary target (skewed presentation
+    sampling, so some folds diverge, restart and get quarantined)."""
+    x, y = make_problem(np.random.default_rng(5), n=n)
+    if width == 3:
+        y = np.column_stack([y, 0.1 + 0.5 * x[:, 1], 0.05 + 0.3 * x[:, 0]])
+    if hostile:
+        y = y.copy()
+        target_columns(y)[0, 0] = 1e-9
+    return x, y
+
+
 class TestEngineParity:
-    """engine="stacked" is bit-identical to engine="perfold" end to end."""
+    """The fold-stacked CV fit is bit-identical to the per-fold
+    reference: one :class:`RobustTrainer` fit per fold task."""
 
     @staticmethod
-    def _fit(engine, n=120, k=4, training=None, seed=7):
+    def _fit(engine, n=120, k=4, training=None, seed=7, x=None, y=None,
+             target_names=()):
+        """``(predictor, estimate, telemetry, metrics)`` of one fit:
+        ``"stacked"`` through :class:`CrossValidationEnsemble`,
+        ``"perfold"`` through :func:`reference_fit`."""
+        if x is None:
+            x, y = make_problem(np.random.default_rng(5), n=n)
+        training = training or TrainingConfig()
+        if engine == "perfold":
+            return reference_fit(x, y, k, training, seed, target_names)[:4]
         metrics = MetricsRegistry(enabled=True)
         telemetry = RunTelemetry(metrics=metrics)
         context = RunContext(
             rng=np.random.default_rng(seed),
             telemetry=telemetry,
             metrics=metrics,
-            n_jobs=1,
         )
-        x, y = make_problem(np.random.default_rng(5), n=n)
         ensemble = CrossValidationEnsemble(
-            k=k, training=training, context=context, engine=engine
+            k=k, training=training, context=context,
+            target_names=target_names,
         )
         estimate = ensemble.fit(x, y)
-        return ensemble.predict(x[:16]), estimate, telemetry, metrics
+        return ensemble.predictor, estimate, telemetry, metrics
+
+    @pytest.mark.parametrize("hostile", [False, True], ids=["healthy", "hostile"])
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_stacked_fit_matches_reference(self, width, hostile, fast_training):
+        """Fold by fold and end to end, at output width 1 and 3, on
+        healthy data and on data whose folds diverge: same networks,
+        test errors, epochs, quarantine records, events and counters;
+        hence the same ensemble and estimate."""
+        x, y = width_problem(width, hostile)
+        training = HOSTILE_TRAINING if hostile else fast_training
+        names = ("ipc", "hit_rate", "energy_nj") if width == 3 else ()
+        tasks = fold_tasks(len(x), 10, np.random.default_rng(3))
+        scalers = TargetRecipe.of(y).fold_scalers(y, tasks)
+        stacked = StackedEnsembleTrainer(training).fit_folds(
+            x, y, tasks, scalers, capture_telemetry=True, capture_metrics=True
+        )
+        reference = reference_folds(x, y, tasks, scalers, training)
+        for got, want in zip(stacked, reference):
+            assert got.error == want.error
+            assert got.epochs == want.epochs
+            assert got.events == want.events
+            np.testing.assert_array_equal(got.test_errors, want.test_errors)
+            for counter in ("train.epochs", "train.diverged", "train.restarts"):
+                assert got.metrics.counter(counter) == want.metrics.counter(
+                    counter
+                )
+            if want.network is None:
+                assert got.network is None
+            else:
+                for got_w, want_w in zip(
+                    got.network.weights, want.network.weights
+                ):
+                    np.testing.assert_array_equal(got_w, want_w)
+        quarantined = sum(fold.diverged for fold in reference)
+        assert (quarantined > 0) == hostile
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            got_pred, got_est, got_tel, got_met = self._fit(
+                "stacked", k=10, training=training, seed=3, x=x, y=y,
+                target_names=names,
+            )
+        want_pred, want_est, want_tel, want_met = self._fit(
+            "perfold", k=10, training=training, seed=3, x=x, y=y,
+            target_names=names,
+        )
+        assert got_est == want_est
+        np.testing.assert_array_equal(
+            got_pred.predict_all(x), want_pred.predict_all(x)
+        )
+        for name in (
+            "train.check", "train.stop", "train.diverged", "train.restart",
+            "crossval.quarantine",
+        ):
+            assert [e.payload for e in got_tel.events_named(name)] == [
+                e.payload for e in want_tel.events_named(name)
+            ]
+        assert got_met.counter("crossval.quarantined") == quarantined
+        if hostile:
+            assert got_met.counter("train.restarts") > 0
 
     # n=122 with k=4 makes ragged folds (sizes 31/31/30/30): the
     # stacked engine must split them into same-length kernel groups
@@ -268,34 +467,38 @@ class TestEngineParity:
         perfold, est_p, _, _ = self._fit(
             "perfold", n=n, k=k, training=fast_training
         )
-        np.testing.assert_array_equal(stacked, perfold)
+        x, _ = make_problem(np.random.default_rng(5), n=n)
+        np.testing.assert_array_equal(
+            stacked.predict(x[:16]), perfold.predict(x[:16])
+        )
         assert est_s == est_p
 
     def test_event_streams_identical(self, fast_training):
         _, _, stacked, _ = self._fit("stacked", training=fast_training)
         _, _, perfold, _ = self._fit("perfold", training=fast_training)
-        assert [e.name for e in stacked.events] == [
-            e.name for e in perfold.events
-        ]
-        for name in ("train.check", "train.stop"):
-            assert [e.payload for e in stacked.events_named(name)] == [
-                e.payload for e in perfold.events_named(name)
+
+        def training_events(telemetry):
+            return [
+                (e.name, e.payload) for e in telemetry.events
+                if e.name.startswith("train.")
             ]
+
+        assert training_events(stacked) == training_events(perfold)
+        assert training_events(stacked)
 
     def test_counters_identical(self, fast_training):
         _, _, _, stacked = self._fit("stacked", training=fast_training)
         _, _, _, perfold = self._fit("perfold", training=fast_training)
-        for counter in ("train.epochs", "crossval.epochs", "crossval.fits"):
+        assert stacked.counter("train.epochs") > 0
+        for counter in ("train.epochs", "train.diverged", "train.restarts"):
             assert stacked.counter(counter) == perfold.counter(counter)
-
-    def test_crossval_fit_event_records_engine(self, fast_training):
-        _, _, telemetry, _ = self._fit("stacked", training=fast_training)
-        (done,) = telemetry.events_named("crossval.fit")
-        assert done.payload["engine"] == "stacked"
+        assert stacked.counter("crossval.epochs") == stacked.counter(
+            "train.epochs"
+        )
 
     def test_per_fold_early_stop_epochs_match(self, fast_training):
         """Folds stop at different epochs (the per-fold active mask),
-        and each fold's epoch count equals the per-fold engine's."""
+        and each fold's epoch count equals the reference's."""
         _, _, stacked, _ = self._fit("stacked", training=fast_training)
         _, _, perfold, _ = self._fit("perfold", training=fast_training)
         epochs_s = [
@@ -313,7 +516,7 @@ class TestEngineParity:
     @pytest.mark.parametrize("study", ["memory-system", "processor"])
     def test_study_design_matrix_parity(self, study, fast_training):
         """Equal-seed fits on real study design matrices are identical
-        through either engine — the ISSUE's acceptance criterion."""
+        through the stacked engine and the reference."""
         from repro.core.encoding import design_matrix
         from repro.experiments.studies import get_study
 
@@ -324,53 +527,26 @@ class TestEngineParity:
         x = np.array(matrix[idx])
         y = 0.5 + 1.5 * np.abs(np.sin(x.sum(axis=1))) + 0.1
 
-        def fit(engine):
-            context = RunContext(rng=np.random.default_rng(7), n_jobs=1)
-            ensemble = CrossValidationEnsemble(
-                k=5, training=fast_training, context=context, engine=engine
-            )
-            estimate = ensemble.fit(x, y)
-            return estimate, ensemble.predict(matrix[:64])
-
-        est_s, pred_s = fit("stacked")
-        est_p, pred_p = fit("perfold")
+        pred_s, est_s, _, _ = self._fit(
+            "stacked", k=5, training=fast_training, x=x, y=y
+        )
+        pred_p, est_p, _, _ = self._fit(
+            "perfold", k=5, training=fast_training, x=x, y=y
+        )
         assert est_s == est_p
-        np.testing.assert_array_equal(pred_s, pred_p)
-
-    @staticmethod
-    def _hostile_fit(engine):
-        """Near-zero target -> skewed presentation sampling -> some
-        folds diverge, restart and get quarantined."""
-        config = TrainingConfig(
-            hidden_layers=(8,),
-            max_epochs=60,
-            patience=6,
-            check_interval=10,
-            batch_size=32,
-            max_restarts=2,
+        np.testing.assert_array_equal(
+            pred_s.predict(matrix[:64]), pred_p.predict(matrix[:64])
         )
-        metrics = MetricsRegistry(enabled=True)
-        telemetry = RunTelemetry(metrics=metrics)
-        context = RunContext(
-            rng=np.random.default_rng(3),
-            telemetry=telemetry,
-            metrics=metrics,
-            n_jobs=1,
-        )
-        x, y = make_problem(np.random.default_rng(5), n=120)
-        y = y.copy()
-        y[0] = 1e-9
-        ensemble = CrossValidationEnsemble(
-            k=10, training=config, context=context, engine=engine,
-            min_folds=2,
-        )
-        with pytest.warns(RuntimeWarning, match="quarantined"):
-            estimate = ensemble.fit(x, y)
-        return estimate, telemetry, metrics
 
     def test_quarantine_parity(self):
-        est_s, tel_s, met_s = self._hostile_fit("stacked")
-        est_p, tel_p, met_p = self._hostile_fit("perfold")
+        x, y = width_problem(1, hostile=True)
+        with pytest.warns(RuntimeWarning, match="quarantined"):
+            _, est_s, tel_s, met_s = self._fit(
+                "stacked", k=10, training=HOSTILE_TRAINING, seed=3, x=x, y=y
+            )
+        _, est_p, tel_p, met_p = self._fit(
+            "perfold", k=10, training=HOSTILE_TRAINING, seed=3, x=x, y=y
+        )
         assert est_s.n_folds_used < est_s.n_folds
         assert est_s == est_p
         for counter in (

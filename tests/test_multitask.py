@@ -3,11 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import (
-    MultiTaskNetwork,
-    auxiliary_target_names,
-    fit_members_stacked,
-)
+from repro.core import MultiTaskNetwork, auxiliary_target_names
 
 
 def make_multitask_problem(rng, n=300):
@@ -61,46 +57,6 @@ class TestMultiTaskNetwork:
         y = np.zeros((20, 1))
         with pytest.raises(ValueError):
             model.fit(x, y, x, y)
-
-
-class TestFitMembersStacked:
-    @staticmethod
-    def _members(training, n_members=3):
-        return [
-            MultiTaskNetwork(
-                3, 3, training=training, rng=np.random.default_rng(10 + i)
-            )
-            for i in range(n_members)
-        ]
-
-    def test_bitwise_equivalent_to_sequential_fits(self, fast_training):
-        """One stacked call == the same members fitted one at a time:
-        identical early-stopping traces and identical final weights."""
-        x, y = make_multitask_problem(np.random.default_rng(2), n=120)
-        stacked = self._members(fast_training)
-        sequential = self._members(fast_training)
-
-        histories = fit_members_stacked(
-            stacked, x[:100], y[:100], x[100:], y[100:]
-        )
-        for member, history in zip(sequential, histories):
-            want = member.fit(x[:100], y[:100], x[100:], y[100:])
-            assert history == want
-        for got, want in zip(stacked, sequential):
-            for got_w, want_w in zip(
-                got.network.weights, want.network.weights
-            ):
-                np.testing.assert_array_equal(got_w, want_w)
-            np.testing.assert_array_equal(
-                got.predict_all(x[:8]), want.predict_all(x[:8])
-            )
-
-    def test_empty_and_validation(self, fast_training):
-        assert fit_members_stacked([], None, None, None, None) == []
-        x, y = make_multitask_problem(np.random.default_rng(2), n=40)
-        members = self._members(fast_training, n_members=2)
-        with pytest.raises(ValueError):
-            fit_members_stacked(members, x, y[:, :2], x, y[:, :2])
 
 
 class TestAuxiliaryNames:

@@ -1,15 +1,23 @@
 """Tests for ensemble save/load."""
 
+import pathlib
+
 import numpy as np
 import pytest
 
+from repro import api
 from repro.core import (
     CrossValidationEnsemble,
+    RunContext,
     load_predictor,
     save_predictor,
 )
 from repro.core.persistence import FORMAT_VERSION
 from repro.core.training import TrainingConfig
+
+#: a scalar predictor written by the v1 format (before multi-target
+#: ensembles could be saved): 3 members, 2 inputs, one hidden layer
+V1_FILE = pathlib.Path(__file__).parent / "data" / "predictor_v1.npz"
 
 FAST = TrainingConfig(
     hidden_layers=(8,), max_epochs=150, patience=5, check_interval=10
@@ -20,7 +28,9 @@ FAST = TrainingConfig(
 def trained(rng):
     x = rng.random((120, 4))
     y = 0.5 + 0.6 * x[:, 0] + 0.3 * x[:, 1] * x[:, 2]
-    ensemble = CrossValidationEnsemble(k=4, training=FAST, rng=rng)
+    ensemble = CrossValidationEnsemble(
+        k=4, training=FAST, context=RunContext(rng=rng)
+    )
     ensemble.fit(x, y)
     return ensemble.predictor, x
 
@@ -64,7 +74,9 @@ class TestRoundTrip:
         )
         x = rng.random((80, 3))
         y = 0.5 + x[:, 0]
-        ensemble = CrossValidationEnsemble(k=4, training=cfg, rng=rng)
+        ensemble = CrossValidationEnsemble(
+            k=4, training=cfg, context=RunContext(rng=rng)
+        )
         ensemble.fit(x, y)
         path = tmp_path / "deep.npz"
         save_predictor(ensemble.predictor, str(path))
@@ -82,3 +94,47 @@ class TestRoundTrip:
         np.savez_compressed(str(path), **data)
         with pytest.raises(ValueError, match="unsupported"):
             load_predictor(str(path))
+
+
+class TestMultiTargetRoundTrip:
+    def test_cache_policy_exploration_predictor_saves(self, tmp_path):
+        """The predictor of a multi-target exploration saves and loads
+        with every target, member scaler and disagreement intact."""
+        study = api.get_study("cache-policy")
+        result = api.explore(
+            study.space,
+            api.make_simulate_fn(study, "osc-tight"),
+            target_error=1.0,
+            max_simulations=40,
+            batch_size=20,
+            seed=7,
+            training=TrainingConfig.fast_settings(),
+        )
+        path = tmp_path / "cache_policy.npz"
+        save_predictor(result.predictor, str(path))
+        restored = load_predictor(str(path))
+        assert restored.target_names == ("ipc", "hit_rate", "energy_nj")
+        x = api.design_matrix(study.space)
+        np.testing.assert_array_equal(
+            restored.predict_all(x), result.predictor.predict_all(x)
+        )
+        np.testing.assert_array_equal(
+            restored.prediction_variance(x),
+            result.predictor.prediction_variance(x),
+        )
+
+
+class TestVersionOneFiles:
+    def test_v1_file_loads(self):
+        with np.load(V1_FILE, allow_pickle=False) as data:
+            assert int(data["format_version"]) == 1
+        predictor = load_predictor(str(V1_FILE))
+        assert predictor.size == 3
+        assert predictor.target_names == ()
+        probe = np.array([[0.1, 0.2], [0.5, 0.5], [0.9, 0.3]])
+        # the predictions the writing release made for this probe
+        np.testing.assert_allclose(
+            predictor.predict(probe),
+            [0.9941519621894305, 0.9997441279886295, 1.0050943616730548],
+            rtol=1e-12,
+        )

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import FeedForwardNetwork, TargetScaler
+from repro.core import FeedForwardNetwork, RunContext, TargetScaler
 from repro.core.training import EarlyStoppingTrainer, TrainingConfig
 
 
@@ -47,20 +47,21 @@ class TestTrainingConfig:
 
 class TestPresentationWeighting:
     def test_inverse_target_frequencies(self, rng):
-        trainer = EarlyStoppingTrainer(TrainingConfig(), rng)
+        trainer = EarlyStoppingTrainer(TrainingConfig(), context=RunContext(rng=rng))
         probs = trainer.presentation_probabilities(np.array([1.0, 2.0, 4.0]))
         # frequencies proportional to 1/y
         np.testing.assert_allclose(probs, np.array([4, 2, 1]) / 7.0)
 
     def test_uniform_when_disabled(self, rng):
         trainer = EarlyStoppingTrainer(
-            TrainingConfig(weight_by_inverse_target=False), rng
+            TrainingConfig(weight_by_inverse_target=False),
+            context=RunContext(rng=rng),
         )
         probs = trainer.presentation_probabilities(np.array([1.0, 2.0]))
         np.testing.assert_allclose(probs, [0.5, 0.5])
 
     def test_rejects_nonpositive_targets(self, rng):
-        trainer = EarlyStoppingTrainer(TrainingConfig(), rng)
+        trainer = EarlyStoppingTrainer(TrainingConfig(), context=RunContext(rng=rng))
         with pytest.raises(ValueError):
             trainer.presentation_probabilities(np.array([1.0, 0.0]))
 
@@ -70,7 +71,7 @@ class TestTraining:
         x, y = make_problem(rng)
         scaler = TargetScaler().fit(y)
         net = FeedForwardNetwork(3, fast_training.hidden_layers, rng=rng)
-        trainer = EarlyStoppingTrainer(fast_training, rng)
+        trainer = EarlyStoppingTrainer(fast_training, context=RunContext(rng=rng))
         history = trainer.train(net, x[:200], y[:200], x[200:], y[200:], scaler)
         assert history.best_error < 5.0
 
@@ -81,7 +82,7 @@ class TestTraining:
             hidden_layers=(8,), max_epochs=100, patience=3, check_interval=5
         )
         net = FeedForwardNetwork(3, (8,), rng=rng)
-        trainer = EarlyStoppingTrainer(cfg, rng)
+        trainer = EarlyStoppingTrainer(cfg, context=RunContext(rng=rng))
         history = trainer.train(net, x[:200], y[:200], x[200:], y[200:], scaler)
         # final network must reproduce the best ES error exactly
         from repro.core import percentage_errors
@@ -101,7 +102,7 @@ class TestTraining:
             learning_rate=0.5,  # converges quickly, then plateaus
         )
         net = FeedForwardNetwork(3, (4,), rng=rng)
-        history = EarlyStoppingTrainer(cfg, rng).train(
+        history = EarlyStoppingTrainer(cfg, context=RunContext(rng=rng)).train(
             net, x[:100], y[:100], x[100:], y[100:], scaler
         )
         assert history.stopped_early
@@ -111,9 +112,10 @@ class TestTraining:
         x, y = make_problem(rng, n=150)
         scaler = TargetScaler().fit(y)
         net = FeedForwardNetwork(3, fast_training.hidden_layers, rng=rng)
-        history = EarlyStoppingTrainer(fast_training, rng).train(
-            net, x[:100], y[:100], x[100:], y[100:], scaler
+        trainer = EarlyStoppingTrainer(
+            fast_training, context=RunContext(rng=rng)
         )
+        history = trainer.train(net, x[:100], y[:100], x[100:], y[100:], scaler)
         assert len(history.es_errors) >= 1
         assert history.best_epoch % fast_training.check_interval == 0
 
@@ -121,7 +123,7 @@ class TestTraining:
         x, y = make_problem(rng, n=50)
         scaler = TargetScaler().fit(y)
         net = FeedForwardNetwork(3, fast_training.hidden_layers, rng=rng)
-        trainer = EarlyStoppingTrainer(fast_training, rng)
+        trainer = EarlyStoppingTrainer(fast_training, context=RunContext(rng=rng))
         with pytest.raises(ValueError):
             trainer.train(net, x, y[:10], x, y, scaler)
         with pytest.raises(ValueError):
@@ -141,7 +143,7 @@ class TestTraining:
             lr_decay=1.0,
         )
         net = FeedForwardNetwork(3, (16,), rng=rng)
-        history = EarlyStoppingTrainer(cfg, rng).train(
+        history = EarlyStoppingTrainer(cfg, context=RunContext(rng=rng)).train(
             net, x[:150], y[:150], x[150:], y[150:], scaler
         )
         # slow but must clearly beat the trivial predict-the-mean model

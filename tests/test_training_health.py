@@ -48,7 +48,10 @@ def fit_once(config, x, y, x_es, y_es, telemetry=None, metrics=None):
         init_range=config.init_range,
     )
     trainer = EarlyStoppingTrainer(
-        config, np.random.default_rng(2), telemetry, metrics
+        config,
+        context=RunContext(
+            rng=np.random.default_rng(2), telemetry=telemetry, metrics=metrics
+        ),
     )
     history = trainer.train(network, x, y, x_es, y_es, scaler)
     return network, history
@@ -100,14 +103,18 @@ class TestFiniteGuards:
 
 class TestPresentationProbabilities:
     def test_non_finite_targets_named(self, fast_training):
-        trainer = EarlyStoppingTrainer(fast_training, np.random.default_rng(0))
+        trainer = EarlyStoppingTrainer(
+            fast_training, context=RunContext.seeded(0)
+        )
         with pytest.raises(ValueError, match=r"indices \[1, 3\]"):
             trainer.presentation_probabilities(
                 np.array([1.0, np.nan, 2.0, np.inf])
             )
 
     def test_non_positive_targets_rejected(self, fast_training):
-        trainer = EarlyStoppingTrainer(fast_training, np.random.default_rng(0))
+        trainer = EarlyStoppingTrainer(
+            fast_training, context=RunContext.seeded(0)
+        )
         with pytest.raises(ValueError, match="positive"):
             trainer.presentation_probabilities(np.array([1.0, 0.0]))
 
@@ -204,7 +211,9 @@ class TestRobustTrainer:
             rng=rng,
             init_range=fast_training.init_range,
         )
-        manual_history = EarlyStoppingTrainer(fast_training, rng).train(
+        manual_history = EarlyStoppingTrainer(
+            fast_training, context=RunContext(rng=rng)
+        ).train(
             manual, x, y, x_es, y_es, scaler
         )
 
@@ -317,26 +326,57 @@ class TestFoldQuarantine:
         # restarts were actually spent before quarantining
         assert metrics.counter("train.restarts") >= quarantined
 
-    @pytest.mark.parametrize("engine", ["perfold", "stacked"])
-    def test_min_folds_raises(self, fast_training, monkeypatch, engine):
-        # inject total divergence at each engine's own training seam
-        if engine == "perfold":
-            def doomed(self, *args, **kwargs):
-                raise TrainingDiverged("injected", reason="injected")
-
-            monkeypatch.setattr(RobustTrainer, "fit", doomed)
-        else:
-            from repro.core.kernels import EnsembleTrainingKernel
-
-            monkeypatch.setattr(
-                EnsembleTrainingKernel,
-                "members_finite",
-                lambda self: np.zeros(self.n_members, dtype=bool),
-            )
-        x, y = linear_data(seed=1, n=12)
+    def test_multi_target_outlier_fold_is_quarantined(self, fast_training):
+        """Multi-target folds run the scalar path's health checks: the
+        near-zero primary target diverges, restarts and quarantines."""
+        x, y = linear_data(seed=0, n=40)
+        y = np.column_stack([y, 0.5 * y, y + 1.0])
+        y[0, 0] = 1e-9
+        telemetry = RunTelemetry()
+        metrics = MetricsRegistry(enabled=True)
         ensemble = CrossValidationEnsemble(
-            k=4, training=fast_training, rng=np.random.default_rng(0),
-            engine=engine,
+            k=10,
+            training=fast_training,
+            target_names=("ipc", "hit_rate", "energy_nj"),
+            context=RunContext(
+                rng=np.random.default_rng(3),
+                telemetry=telemetry,
+                metrics=metrics,
+            ),
+        )
+        with pytest.warns(RuntimeWarning, match="quarantined"):
+            estimate = ensemble.fit(x, y)
+
+        quarantined = 10 - estimate.n_folds_used
+        assert quarantined > 0
+        assert estimate.for_target("hit_rate").n_folds_used == (
+            estimate.n_folds_used
+        )
+        assert metrics.counter("crossval.quarantined") == quarantined
+        assert len(telemetry.events_named("crossval.quarantine")) == quarantined
+        assert telemetry.events_named("train.restart")
+        assert metrics.counter("train.restarts") >= quarantined
+        assert ensemble.predictor.size == estimate.n_folds_used
+        assert np.isfinite(ensemble.predictor.predict_all(x)).all()
+
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_min_folds_raises(self, fast_training, monkeypatch, width):
+        # inject total divergence at the stacked kernel's finite guard
+        from repro.core.kernels import EnsembleTrainingKernel
+
+        monkeypatch.setattr(
+            EnsembleTrainingKernel,
+            "members_finite",
+            lambda self: np.zeros(self.n_members, dtype=bool),
+        )
+        x, y = linear_data(seed=1, n=12)
+        names = ()
+        if width == 3:
+            y = np.column_stack([y, 0.5 * y, y + 1.0])
+            names = ("ipc", "hit_rate", "energy_nj")
+        ensemble = CrossValidationEnsemble(
+            k=4, training=fast_training, target_names=names,
+            context=RunContext.seeded(0),
         )
         with pytest.raises(TrainingDiverged) as info:
             ensemble.fit(x, y)
