@@ -18,9 +18,9 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .encoding import MultiTargetScaler, TargetScaler
 from .kernels import (
     DEFAULT_PREDICT_CHUNK,
+    Scaler,
     ensemble_predict,
     ensemble_predict_all,
     ensemble_variance,
@@ -28,8 +28,6 @@ from .kernels import (
     per_member_scalers,
 )
 from .network import FeedForwardNetwork
-
-Scaler = Union[TargetScaler, MultiTargetScaler]
 
 
 @dataclass
@@ -82,9 +80,6 @@ class EnsemblePredictor:
         """The scaler of each member, in member order."""
         return per_member_scalers(self.scaler, self.networks)
 
-    def _primary_scalers(self) -> List[TargetScaler]:
-        return [scaler.scalers[0] for scaler in self.member_scalers]
-
     def member_predictions(
         self,
         x: np.ndarray,
@@ -93,7 +88,7 @@ class EnsemblePredictor:
         """Denormalized primary-target predictions of every member;
         shape ``(k, n)``."""
         return member_predictions(
-            self.networks, self._primary_scalers(), x, chunk_size=chunk_size
+            self.networks, self.scaler, x, chunk_size=chunk_size
         )
 
     def predict(
@@ -109,7 +104,7 @@ class EnsemblePredictor:
         chunking) with results identical to per-point prediction.
         """
         return ensemble_predict(
-            self.networks, self._primary_scalers(), x, chunk_size=chunk_size
+            self.networks, self.scaler, x, chunk_size=chunk_size
         )
 
     def predict_all(
@@ -120,7 +115,7 @@ class EnsemblePredictor:
         """Mean denormalized prediction of every target; shape ``(n,
         n_targets)`` (one column for a scalar ensemble)."""
         return ensemble_predict_all(
-            self.networks, self.member_scalers, x, chunk_size=chunk_size
+            self.networks, self.scaler, x, chunk_size=chunk_size
         )
 
     def prediction_variance(
@@ -132,5 +127,5 @@ class EnsemblePredictor:
         active-learning extension uses this as its query-by-committee
         acquisition signal."""
         return ensemble_variance(
-            self.networks, self._primary_scalers(), x, chunk_size=chunk_size
+            self.networks, self.scaler, x, chunk_size=chunk_size
         )

@@ -59,6 +59,9 @@ from .network import (
     WeightHealth,
 )
 
+#: a target scaler: one column, or one :class:`TargetScaler` per column
+Scaler = Union[TargetScaler, MultiTargetScaler]
+
 #: rows per chunk for batched full-space prediction; large enough that
 #: BLAS dominates, small enough that the (k, chunk) member block and the
 #: per-layer activations stay cache- and memory-friendly
@@ -309,10 +312,6 @@ class EnsembleTrainingKernel:
     def deactivate(self, member: int) -> None:
         """Freeze ``member``: exclude its slice from batched epochs."""
         self._active[member] = False
-
-    def activate(self, member: int) -> None:
-        """Re-include ``member`` in batched epochs."""
-        self._active[member] = True
 
     # -- per-member views and writes -----------------------------------
     def get_member_weights(self, member: int) -> List[np.ndarray]:
@@ -619,14 +618,16 @@ def _finite(block: np.ndarray) -> np.ndarray:
 
 def _member_block(
     networks: Sequence[FeedForwardNetwork],
-    scalers: Sequence[TargetScaler],
+    scalers: Sequence[Scaler],
     x: np.ndarray,
 ) -> np.ndarray:
     """Denormalized primary-output predictions of every member on one
     chunk; ``(k, c)``."""
     block = np.empty((len(networks), len(x)))
     for i, (network, scaler) in enumerate(zip(networks, scalers)):
-        block[i] = scaler.inverse_transform(forward_raw(network, x)[:, 0])
+        block[i] = scaler.scalers[0].inverse_transform(
+            forward_raw(network, x)[:, 0]
+        )
     return _finite(block)
 
 
@@ -646,14 +647,15 @@ def _validated(
 
 def member_predictions(
     networks: Sequence[FeedForwardNetwork],
-    scaler: Union[TargetScaler, Sequence[TargetScaler]],
+    scaler: Union[Scaler, Sequence[Scaler]],
     x: np.ndarray,
     chunk_size: Optional[int] = DEFAULT_PREDICT_CHUNK,
 ) -> np.ndarray:
     """Denormalized predictions of every member; shape ``(k, n)``.
 
-    Reads each network's first output; ``scaler`` is one target scaler
-    shared by every member or a sequence with one per member.  Evaluates
+    Reads each network's first (primary) output; ``scaler`` is one
+    target scaler shared by every member or a sequence with one per
+    member.  Evaluates
     ``chunk_size`` points at a time so the peak working set is ``O(k *
     chunk)`` regardless of ``n``; the result is identical to the
     unchunked computation (chunking splits the point axis only).
@@ -668,7 +670,7 @@ def member_predictions(
 
 def ensemble_predict(
     networks: Sequence[FeedForwardNetwork],
-    scaler: Union[TargetScaler, Sequence[TargetScaler]],
+    scaler: Union[Scaler, Sequence[Scaler]],
     x: np.ndarray,
     chunk_size: Optional[int] = DEFAULT_PREDICT_CHUNK,
 ) -> np.ndarray:
@@ -690,7 +692,7 @@ def ensemble_predict(
 
 def ensemble_variance(
     networks: Sequence[FeedForwardNetwork],
-    scaler: Union[TargetScaler, Sequence[TargetScaler]],
+    scaler: Union[Scaler, Sequence[Scaler]],
     x: np.ndarray,
     chunk_size: Optional[int] = DEFAULT_PREDICT_CHUNK,
 ) -> np.ndarray:
@@ -707,9 +709,7 @@ def ensemble_variance(
 
 def ensemble_predict_all(
     networks: Sequence[FeedForwardNetwork],
-    scaler: Union[
-        TargetScaler, MultiTargetScaler, Sequence[MultiTargetScaler]
-    ],
+    scaler: Union[Scaler, Sequence[Scaler]],
     x: np.ndarray,
     chunk_size: Optional[int] = DEFAULT_PREDICT_CHUNK,
 ) -> np.ndarray:

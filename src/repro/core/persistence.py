@@ -23,11 +23,8 @@ from .encoding import MultiTargetScaler, TargetScaler
 from .ensemble import EnsemblePredictor
 from .network import FeedForwardNetwork
 
-#: bump on incompatible format changes
+#: bump on incompatible format changes; v1 files still load
 FORMAT_VERSION = 2
-
-#: versions :func:`load_predictor` reads
-READABLE_VERSIONS = (1, 2)
 
 
 def save_predictor(predictor: EnsemblePredictor, path: str) -> None:
@@ -97,10 +94,10 @@ def load_predictor(path: str) -> EnsemblePredictor:
     """Read an ensemble previously written by :func:`save_predictor`."""
     with np.load(path, allow_pickle=False) as data:
         version = int(data["format_version"])
-        if version not in READABLE_VERSIONS:
+        if version not in (1, FORMAT_VERSION):
             raise ValueError(
                 f"unsupported predictor format v{version}; this build "
-                f"reads v{', v'.join(map(str, READABLE_VERSIONS))}"
+                f"reads v1 and v{FORMAT_VERSION}"
             )
         low = data["scaler_low"]
         high = data["scaler_high"]

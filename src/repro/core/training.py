@@ -749,25 +749,21 @@ class _FoldProgram:
         raise TrainingDiverged(message, reason=reason, epoch=epoch)
 
     def after_epoch(
-        self,
-        kernel: EnsembleTrainingKernel,
-        weights_finite: Optional[bool] = None,
+        self, kernel: EnsembleTrainingKernel, weights_finite: bool
     ) -> None:
         """Post-epoch bookkeeping for this fold's member slice.
 
         One iteration of the EarlyStoppingTrainer.train loop body —
         finite guard, periodic health/ES check, plateau decay, patience
         — with divergence handled by the restart/quarantine layer
-        instead of propagating.  ``weights_finite`` accepts the member's
+        instead of propagating.  ``weights_finite`` is the member's
         entry of a batched :meth:`EnsembleTrainingKernel.members_finite`
-        check so the per-epoch guard costs one reduction per layer for
+        check, so the per-epoch guard costs one reduction per layer for
         the whole group instead of one per fold.
         """
         cfg = self.cfg
         self.epoch += 1
         epoch = self.epoch
-        if weights_finite is None:
-            weights_finite = kernel.member_weights_finite(self.member)
         try:
             if not weights_finite:
                 # the single-network kernel raises before epochs_run is
