@@ -11,8 +11,8 @@ module          contents
 ``spec``        :class:`CampaignSpec` + TOML parsing/validation
 ``matrix``      :class:`CampaignCell` and deterministic expansion
 ``manifest``    the checksummed, atomically rewritten progress ledger
-``runner``      fault-isolated process-pool driver (watchdog, retry,
-                quarantine, resume)
+``runner``      the driver: each cell runs as a job on the serve
+                layer's lifecycle engine (watchdog, retry, quarantine)
 ``report``      deterministic ``report.json`` + accounting + markdown
 ==============  ======================================================
 

@@ -1,11 +1,12 @@
 """The checksummed campaign manifest: the driver's crash-safe ledger.
 
 The manifest is what makes ``kill -9`` of the campaign *driver* a
-recoverable event.  It is rewritten atomically (with rotation to
-``.prev`` and a sha256 checksum, via
-:func:`repro.core.checkpoint.save_json_checkpoint`) after every cell
-reaches a terminal state, so at any instant the file on disk describes
-a complete prefix of the campaign:
+recoverable event.  It is the campaign's ledger for the shared
+:class:`~repro.serve.supervisor.JobEngine`, and records only terminal
+cells: it is rewritten atomically (with rotation to ``.prev`` and a
+sha256 checksum, via :func:`repro.core.checkpoint.save_json_checkpoint`)
+every time a cell is marked done or quarantined, so at any instant the
+file on disk describes a complete prefix of the campaign:
 
 * which spec (by digest) the directory belongs to — resuming with a
   different spec fails loudly;
@@ -26,8 +27,9 @@ function of (spec, fault plan).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
-from typing import Dict, Optional, Union
+from typing import Callable, Dict, Optional, Union
 
 from ..core.checkpoint import (
     CheckpointError,
@@ -76,16 +78,30 @@ def manifest_exists(directory: PathLike) -> bool:
 
 @dataclass
 class CampaignManifest:
-    """In-memory form of the on-disk manifest."""
+    """In-memory form of the on-disk manifest.
+
+    After :meth:`persist_to`, which only the runner that owns the
+    campaign directory calls, each terminal transition is saved there
+    before it returns.
+    """
 
     spec: Dict[str, object]
     spec_digest: str
     cell_faults: Optional[Dict[str, object]] = None
     cells: Dict[str, Dict[str, object]] = field(default_factory=dict)
     version: int = MANIFEST_VERSION
+    _persist: Optional[Callable[[], Path]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
-    # -- recording ------------------------------------------------------
-    def record_done(
+    # -- transitions ----------------------------------------------------
+    def mark_running(self, cell_id: str, attempt: int) -> None:
+        """Nothing to record: the manifest holds terminal cells only."""
+
+    def mark_accepted(self, cell_id: str) -> None:
+        """Nothing to record: the manifest holds terminal cells only."""
+
+    def mark_done(
         self,
         cell_id: str,
         result: Dict[str, object],
@@ -93,23 +109,24 @@ class CampaignManifest:
         attempts: int,
     ) -> None:
         """Mark ``cell_id`` completed with its result and accounting."""
-        self.cells[cell_id] = {
-            "status": STATUS_DONE,
-            "attempts": attempts,
-            "result": result,
-            "resources": resources,
-        }
+        self._record(
+            cell_id, status=STATUS_DONE, attempts=attempts, result=result,
+            resources=resources,
+        )
 
-    def record_quarantined(
+    def mark_quarantined(
         self, cell_id: str, kind: str, error: str, attempts: int
     ) -> None:
         """Mark ``cell_id`` permanently failed (kept out of the matrix)."""
-        self.cells[cell_id] = {
-            "status": STATUS_QUARANTINED,
-            "attempts": attempts,
-            "kind": kind,
-            "error": error,
-        }
+        self._record(
+            cell_id, status=STATUS_QUARANTINED, attempts=attempts,
+            kind=kind, error=error,
+        )
+
+    def _record(self, cell_id: str, **record: object) -> None:
+        self.cells[cell_id] = record
+        if self._persist is not None:
+            self._persist()
 
     # -- queries --------------------------------------------------------
     def status_of(self, cell_id: str) -> Optional[str]:
@@ -217,3 +234,12 @@ class CampaignManifest:
                 "run `repro campaign run` first"
             )
         return cls.from_payload(payload)
+
+    def persist_to(
+        self,
+        directory: PathLike,
+        telemetry: Optional[RunTelemetry] = None,
+        metrics: Optional[MetricsRegistry] = None,
+    ) -> None:
+        """Save every later terminal transition to ``directory``."""
+        self._persist = partial(self.save, directory, telemetry, metrics)

@@ -1,11 +1,10 @@
-"""Shared worker-process supervision: the crash-isolation core.
+"""Worker-process supervision: the crash-isolation core.
 
-Both the campaign runner (:mod:`repro.campaign.runner`) and the
-exploration service (:mod:`repro.serve`) run their units of work —
-campaign cells, submitted jobs — as dedicated ``multiprocessing``
-worker processes, so a unit that crashes, hangs or corrupts its
-interpreter takes down only itself.  This module is the machinery they
-share:
+Every campaign cell and service job runs as a dedicated
+``multiprocessing`` worker process, so a unit that crashes, hangs or
+corrupts its interpreter takes down only itself.  This module is the
+process-level machinery under the one lifecycle engine,
+:class:`repro.serve.supervisor.JobEngine`:
 
 * :class:`ProcessSupervisor` — launch one worker per unit attempt
   (result returned over a pipe), poll for terminal workers, classify
@@ -25,9 +24,10 @@ share:
   flight — never a completed, checkpointed one — and a relaunched
   attempt resumes bit-identically, exactly like the SIGKILL story.
 
-The supervisor emits no telemetry of its own: callers translate
-outcomes into their ``campaign.*`` / ``serve.*`` vocabularies so each
-layer's event stream stays self-describing.
+The supervisor emits no telemetry and decides no policy of its own:
+the engine turns outcomes into retries, requeues and quarantines, and
+into the ``campaign.*`` / ``serve.*`` vocabulary of the driver it runs
+for, so each layer's event stream stays self-describing.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ import os
 import signal
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Dict, List, Optional
 
 from .faults import INJECTED_CRASH_EXIT
@@ -119,7 +120,7 @@ def run_worker(
     payload: Dict[str, object],
     execute: Callable[[Dict[str, object]], Dict[str, object]],
 ) -> None:
-    """The worker-process entry discipline shared by campaign and serve.
+    """The worker-process entry discipline of every cell and job attempt.
 
     Installs the SIGTERM flush handler, fires any injected fault from
     the payload (``"crash"`` exits hard with
@@ -202,9 +203,8 @@ class ProcessSupervisor:
         error-reporting discipline.
     unit:
         What one worker runs, used in deterministic failure messages
-        (``"cell"`` for campaigns, ``"job"`` for the service).
-    name_prefix:
-        Process-name prefix (``<prefix>-<key>``), for ``ps`` legibility.
+        (``"cell"`` for campaigns, ``"job"`` for the service) and in
+        process names (``repro-<unit>-<key>``, for ``ps`` legibility).
     """
 
     def __init__(
@@ -212,21 +212,15 @@ class ProcessSupervisor:
         entry: Callable[[object, Dict[str, object]], None],
         *,
         unit: str = "worker",
-        name_prefix: str = "repro-worker",
     ):
         self.entry = entry
         self.unit = unit
-        self.name_prefix = name_prefix
         self._running: Dict[str, WorkerHandle] = {}
 
     # -- introspection --------------------------------------------------
     @property
     def n_running(self) -> int:
         return len(self._running)
-
-    def is_running(self, key: str) -> bool:
-        """Whether a live worker currently owns ``key``."""
-        return key in self._running
 
     def pids(self) -> Dict[str, int]:
         """Live worker pids by key (for status endpoints and chaos)."""
@@ -251,7 +245,7 @@ class ProcessSupervisor:
         process = mp.Process(
             target=self.entry,
             args=(child_conn, payload),
-            name=f"{self.name_prefix}-{key}",
+            name=f"repro-{self.unit}-{key}",
         )
         process.start()
         child_conn.close()
@@ -272,6 +266,7 @@ class ProcessSupervisor:
     def _reap(self, handle: WorkerHandle) -> Optional[WorkerResult]:
         """Classify one attempt; ``None`` while it is still running."""
         process, conn = handle.process, handle.conn
+        result = partial(WorkerResult, handle.key, handle.attempt)
         if handle.deadline is not None and process.is_alive() \
                 and time.monotonic() >= handle.deadline:
             process.terminate()
@@ -280,15 +275,10 @@ class ProcessSupervisor:
                 process.kill()
                 process.join()
             conn.close()
-            return WorkerResult(
-                key=handle.key,
-                attempt=handle.attempt,
-                status=OUTCOME_HANG,
-                error=(
-                    f"{self.unit} exceeded its {handle.timeout_s}s "
-                    f"wall-clock watchdog"
-                ),
-            )
+            return result(OUTCOME_HANG, error=(
+                f"{self.unit} exceeded its {handle.timeout_s}s "
+                f"wall-clock watchdog"
+            ))
         if process.is_alive():
             return None
         process.join()
@@ -301,45 +291,27 @@ class ProcessSupervisor:
         conn.close()  # type: ignore[attr-defined]
         if message is None:
             if process.exitcode == SHUTDOWN_EXIT:
-                return WorkerResult(
-                    key=handle.key,
-                    attempt=handle.attempt,
-                    status=OUTCOME_SHUTDOWN,
-                    error=(
-                        f"{self.unit} exited after a SIGTERM "
-                        f"checkpoint flush"
-                    ),
-                )
+                return result(OUTCOME_SHUTDOWN, error=(
+                    f"{self.unit} exited after a SIGTERM checkpoint flush"
+                ))
             if process.exitcode == -signal.SIGTERM:
                 # SIGTERM landed before the worker installed its flush
                 # handler (the fork-to-install window), so the default
                 # disposition killed it.  The ask was still "stop"; the
                 # last completed round's checkpoint survives, so this is
                 # an unfinished unit, not a crash.
-                return WorkerResult(
-                    key=handle.key,
-                    attempt=handle.attempt,
-                    status=OUTCOME_SHUTDOWN,
+                return result(
+                    OUTCOME_SHUTDOWN,
                     error=f"{self.unit} was stopped by SIGTERM",
                 )
-            return WorkerResult(
-                key=handle.key,
-                attempt=handle.attempt,
-                status=OUTCOME_CRASH,
+            return result(
+                OUTCOME_CRASH,
                 error=f"worker exited with code {process.exitcode}",
             )
         if message.get("status") == "done":
-            return WorkerResult(
-                key=handle.key,
-                attempt=handle.attempt,
-                status=OUTCOME_DONE,
-                message=message,
-            )
-        return WorkerResult(
-            key=handle.key,
-            attempt=handle.attempt,
-            status=OUTCOME_ERROR,
-            error=str(message.get("error", "unknown error")),
+            return result(OUTCOME_DONE, message=message)
+        return result(
+            OUTCOME_ERROR, error=str(message.get("error", "unknown error"))
         )
 
     def poll(self) -> List[WorkerResult]:
@@ -352,23 +324,18 @@ class ProcessSupervisor:
                 finished.append(result)
         return finished
 
-    def signal_all(self, signum: int = signal.SIGTERM) -> List[str]:
-        """Send ``signum`` to every live worker; returns their keys.
-
-        With the default SIGTERM this asks workers to flush their round
-        checkpoint and exit (:data:`SHUTDOWN_EXIT`) — the graceful half
-        of a service drain.  The supervisor keeps tracking them until
-        :meth:`poll` reaps the exits.
+    def signal_all(self) -> None:
+        """SIGTERM every live worker: each flushes its round checkpoint
+        and exits (:data:`SHUTDOWN_EXIT`) — the graceful half of a stop.
+        The supervisor keeps tracking them until :meth:`poll` reaps the
+        exits.
         """
-        signalled: List[str] = []
         for handle in self._running.values():
             if handle.process.is_alive() and handle.process.pid is not None:
                 try:
-                    os.kill(handle.process.pid, signum)
+                    os.kill(handle.process.pid, signal.SIGTERM)
                 except ProcessLookupError:  # pragma: no cover - raced exit
-                    continue
-                signalled.append(handle.key)
-        return signalled
+                    pass
 
     def shutdown(self) -> None:
         """Terminate every live worker (a dying driver must not leak)."""

@@ -8,13 +8,14 @@ multi-tenant.  The layering, front to back:
   (``repro serve``), probes included;
 * :mod:`~repro.serve.health` — ``/healthz`` / ``/readyz`` payloads
   (the schema-checked ``serve-status`` document);
-* :mod:`~repro.serve.service` — the engine: admission, the pump,
-  retries/quarantine, drain and recovery;
+* :mod:`~repro.serve.service` — admission, tenants, drain and
+  recovery around the shared lifecycle engine;
 * :mod:`~repro.serve.queue` — bounded FIFO + admission policy
   (load shedding with reasons, per-tenant accounting);
-* :mod:`~repro.serve.supervisor` — one fault-isolated worker process
-  per job attempt, deadlines enforced twice (soft in the worker's
-  ResilientBackend, hard at the supervisor watchdog);
+* :mod:`~repro.serve.supervisor` — the one worker-lifecycle engine
+  (launch, reap, retry, quarantine) that campaigns run on too: one
+  fault-isolated worker process per job attempt, deadlines enforced
+  twice (soft in the worker's ResilientBackend, hard at the watchdog);
 * :mod:`~repro.serve.registry` — the durable job ledger, persisted
   through the checksummed ``.prev``-rotated JSON-checkpoint envelope.
 
@@ -35,7 +36,6 @@ from .registry import (  # noqa: F401
     StudyRegistry,
 )
 from .service import ExplorationService, SubmitResult  # noqa: F401
-from .supervisor import JobSupervisor  # noqa: F401
 
 __all__ = [
     "AdmissionPolicy",
@@ -43,7 +43,6 @@ __all__ = [
     "JobQueue",
     "JobSpec",
     "JobSpecError",
-    "JobSupervisor",
     "Rejection",
     "SERVE_STATUS_KIND",
     "SERVE_STATUS_SCHEMA",

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional
+from typing import Deque, Dict, Optional
 
 #: rejection reason vocabulary (stable: it reaches clients and metrics)
 REJECT_QUEUE_FULL = "queue-full"
@@ -103,9 +103,6 @@ class JobQueue:
     def __len__(self) -> int:
         return len(self._queue)
 
-    def __contains__(self, job_id: str) -> bool:
-        return job_id in self._queue
-
     def push(self, job_id: str) -> None:
         """Append ``job_id`` to the back of the queue."""
         self._queue.append(job_id)
@@ -117,10 +114,6 @@ class JobQueue:
     def pop(self) -> Optional[str]:
         """Dequeue the oldest job id, or ``None`` when empty."""
         return self._queue.popleft() if self._queue else None
-
-    def snapshot(self) -> List[str]:
-        """Queued ids in dequeue order (for status endpoints)."""
-        return list(self._queue)
 
 
 def check_admission(

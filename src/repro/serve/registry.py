@@ -22,7 +22,7 @@ fail-fast, naming the offending field, so a malformed submission is a
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
@@ -51,9 +51,6 @@ STATUS_ACCEPTED = "accepted"
 STATUS_RUNNING = "running"
 STATUS_DONE = "done"
 STATUS_QUARANTINED = "quarantined"
-
-#: states from which no further transition happens
-TERMINAL_STATUSES = (STATUS_DONE, STATUS_QUARANTINED)
 
 #: default admission-control RSS estimate per job (256 MiB) — what a
 #: default-sized exploration worker peaks at, with headroom
@@ -119,11 +116,9 @@ class JobSpec:
                     f"job spec field {name!r} must be a non-empty string, "
                     f"got {value!r}"
                 )
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool) \
-                or self.seed < 0:
+        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
             raise JobSpecError(
-                f"job spec field 'seed' must be a non-negative integer, "
-                f"got {self.seed!r}"
+                f"job spec field 'seed' must be an integer, got {self.seed!r}"
             )
         for name in ("budget", "batch_size"):
             value = getattr(self, name)
@@ -140,14 +135,14 @@ class JobSpec:
                 f"job spec field 'target_error' must be a positive number, "
                 f"got {self.target_error!r}"
             )
-        for name in ("k", "min_folds"):
+        for name, low in (("k", 2), ("min_folds", 1)):
             value = getattr(self, name)
             if value is not None and (
                 not isinstance(value, int) or isinstance(value, bool)
-                or value < 2
+                or value < low
             ):
                 raise JobSpecError(
-                    f"job spec field {name!r} must be an integer >= 2 "
+                    f"job spec field {name!r} must be an integer >= {low} "
                     f"or null, got {value!r}"
                 )
         if not isinstance(self.max_retries, int) \
@@ -173,6 +168,17 @@ class JobSpec:
                 f"job spec field 'rss_estimate_kb' must be a positive "
                 f"integer, got {self.rss_estimate_kb!r}"
             )
+
+    def check_submission(self) -> None:
+        """The service's admission bounds, stricter than what an
+        exploration (or a campaign cell) can run."""
+        for name, low in (("seed", 0), ("min_folds", 2)):
+            value = getattr(self, name)
+            if value is not None and value < low:
+                raise JobSpecError(
+                    f"job spec field {name!r} must be >= {low} in a "
+                    f"submission, got {value!r}"
+                )
 
     def to_dict(self) -> Dict[str, object]:
         """Serialise the spec to a JSON-friendly dict."""
@@ -204,10 +210,12 @@ class JobSpec:
                 f"job spec is missing required field(s) "
                 f"{', '.join(map(repr, missing))}"
             )
-        return cls(**data)
+        spec = cls(**data)
+        spec.check_submission()
+        return spec
 
 
-def _sanitize_tenant(tenant: str) -> str:
+def sanitize_tenant(tenant: str) -> str:
     """Validate a tenant identifier (it becomes part of job ids/paths)."""
     if not isinstance(tenant, str) or not tenant:
         raise JobSpecError(
@@ -366,15 +374,10 @@ class StudyRegistry:
         (registry.directory / JOBS_DIR).mkdir(exist_ok=True)
         return registry
 
-    # -- paths ----------------------------------------------------------
-    def checkpoint_for(self, job_id: str) -> Path:
-        """Where ``job_id``'s exploration checkpoint lives."""
-        return self.directory / JOBS_DIR / f"{job_id}.ckpt"
-
     # -- transitions ----------------------------------------------------
     def admit(self, spec: JobSpec, tenant: str) -> JobRecord:
         """Record a newly accepted job; durable before it returns."""
-        tenant = _sanitize_tenant(tenant)
+        tenant = sanitize_tenant(tenant)
         seq = self.next_seq
         self.next_seq += 1
         job_id = f"j{seq:06d}-{tenant}"

@@ -9,11 +9,11 @@ the full job lifecycle:
   (:mod:`repro.serve.queue`); a shed submission costs one counter and
   one event, an admitted one is durable in the registry *before* the
   caller hears "accepted";
-* **poll** — the pump: launch queued jobs up to ``max_inflight``
-  workers, reap terminal attempts, retry failures with seeded backoff
-  (requeued attempts resume from the job's exploration checkpoint), and
-  quarantine jobs that exhaust the budget — one poisoned study costs
-  exactly one quarantine record, never the service;
+* **poll** — the pump, delegated to the
+  :class:`~repro.serve.supervisor.JobEngine` campaigns also run on:
+  up to ``max_inflight`` workers, seeded-backoff retries, quarantine —
+  one poisoned study costs exactly one quarantine record, never the
+  service;
 * **drain / shutdown** — stop admitting (``draining`` rejections),
   SIGTERM in-flight workers so they exit at their next round-checkpoint
   boundary, demote whatever is still unfinished back to ``accepted``,
@@ -34,42 +34,29 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Union
 
 from ..core.faults import CellFaultPlan
-from ..core.resilience import RetryPolicy
-from ..core.supervise import (
-    OUTCOME_DONE,
-    OUTCOME_ERROR,
-    OUTCOME_HANG,
-    OUTCOME_SHUTDOWN,
-    WorkerResult,
-)
 from ..obs.metrics import METRICS, MetricsRegistry
 from ..obs.telemetry import NULL_TELEMETRY, RunTelemetry
 from .queue import (
     AdmissionPolicy,
-    JobQueue,
     Rejection,
     TenantAccounting,
     check_admission,
 )
 from .registry import (
+    JOBS_DIR,
     STATUS_ACCEPTED,
     STATUS_RUNNING,
+    JobRecord,
     JobSpec,
-    JobSpecError,
     StudyRegistry,
+    sanitize_tenant,
 )
-from .supervisor import JobSupervisor
+from .supervisor import POLL_S, JobEngine
 
 PathLike = Union[str, Path]
-
-#: pump poll interval used by the synchronous drive loops
-_POLL_S = 0.02
-
-#: quarantine kind for jobs whose ResilientBackend deadline expired
-KIND_DEADLINE = "deadline"
 
 
 @dataclass(frozen=True)
@@ -82,7 +69,7 @@ class SubmitResult:
 
 
 class ExplorationService:
-    """The service engine: one instance per service directory.
+    """The service: one instance per service directory.
 
     Parameters
     ----------
@@ -131,8 +118,6 @@ class ExplorationService:
             )
         self.directory = Path(directory)
         self.policy = policy or AdmissionPolicy()
-        self.job_retries = job_retries
-        self.job_faults = job_faults
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
         self.metrics = metrics if metrics is not None else METRICS
         self.draining = False
@@ -140,26 +125,24 @@ class ExplorationService:
         self.n_rejected = 0
         self.rejected_by_reason: Dict[str, int] = {}
         self.tenants = TenantAccounting()
-        self.queue = JobQueue()
         self.registry = StudyRegistry.open(
             self.directory, self.telemetry, self.metrics
         )
-        self.supervisor = JobSupervisor(
+        self.engine = JobEngine(
             self.registry,
-            job_faults=job_faults,
+            self.directory / JOBS_DIR,
+            namespace="serve",
+            unit="job",
+            max_workers=self.policy.max_inflight,
+            retries=job_retries,
+            retry_base_delay_s=retry_base_delay_s,
+            retry_seed=retry_seed,
+            telemetry=self.telemetry,
+            metrics=self.metrics,
+            faults=job_faults,
+            timeout_s=job_timeout_s,
             watchdog_grace_s=watchdog_grace_s,
-            default_timeout_s=job_timeout_s,
         )
-        self._attempts: Dict[str, int] = {}
-        self._waiting: List[Tuple[float, str]] = []
-        # one deterministic backoff schedule shared by every job, like
-        # the campaign runner's (delays never reach the report)
-        self._delays = RetryPolicy(
-            max_retries=job_retries,
-            base_delay_s=retry_base_delay_s,
-            jitter=0.1 if retry_base_delay_s > 0 else 0.0,
-            seed=retry_seed,
-        ).schedule(job_retries)
         self._recover()
 
     # -- recovery -------------------------------------------------------
@@ -169,49 +152,40 @@ class ExplorationService:
         if demoted:
             self.metrics.inc("serve.jobs_recovered", len(demoted))
         for record in self.registry.by_status(STATUS_ACCEPTED):
-            self.queue.push(record.job_id)
+            self.engine.push(
+                record.job_id, JobSpec.from_dict(record.spec),
+                tenant=record.tenant,
+            )
         self.telemetry.emit(
             "serve.start",
             directory=str(self.directory),
             n_jobs=len(self.registry.jobs),
             n_recovered=len(demoted),
-            n_queued=len(self.queue),
-            chaos=self.job_faults is not None,
+            n_queued=self.engine.n_queued,
+            chaos=self.engine.faults is not None,
         )
         self._update_gauges()
 
     # -- accounting helpers ---------------------------------------------
-    def _unfinished(self) -> List[str]:
-        counts_from = (STATUS_ACCEPTED, STATUS_RUNNING)
-        return [
-            record.job_id
-            for status in counts_from
-            for record in self.registry.by_status(status)
-        ]
-
-    def _depth(self) -> int:
+    def _unfinished(self) -> List[JobRecord]:
         """Accepted-but-unfinished jobs (queued, waiting and running)."""
-        return len(self._unfinished())
+        return [
+            record for record in self.registry.jobs.values()
+            if record.status in (STATUS_ACCEPTED, STATUS_RUNNING)
+        ]
 
     def _committed_rss_kb(self) -> int:
         """Summed RSS estimates of every unfinished job."""
-        total = 0
-        for job_id in self._unfinished():
-            spec = self.registry.jobs[job_id].spec
-            total += int(spec.get("rss_estimate_kb", 0))
-        return total
-
-    def _tenant_depth(self, tenant: str) -> int:
         return sum(
-            1 for job_id in self._unfinished()
-            if self.registry.jobs[job_id].tenant == tenant
+            int(record.spec.get("rss_estimate_kb", 0))
+            for record in self._unfinished()
         )
 
     def _update_gauges(self) -> None:
+        self.metrics.gauge("serve.queue_depth", float(self.engine.n_queued))
         self.metrics.gauge(
-            "serve.queue_depth", float(len(self.queue) + len(self._waiting))
+            "serve.inflight", float(self.engine.supervisor.n_running)
         )
-        self.metrics.gauge("serve.inflight", float(self.supervisor.n_running))
         self.metrics.gauge(
             "serve.rss_committed_kb", float(self._committed_rss_kb())
         )
@@ -229,20 +203,23 @@ class ExplorationService:
         rejections come back as a non-accepted :class:`SubmitResult`
         (the front end's 429/503) with ``serve.rejected`` accounting.
         """
-        if not isinstance(spec, JobSpec):
+        if isinstance(spec, JobSpec):
+            spec.check_submission()
+        else:
             spec = JobSpec.from_dict(spec)
-        if not isinstance(tenant, str) or not tenant:
-            raise JobSpecError(
-                f"tenant must be a non-empty string, got {tenant!r}"
-            )
+        # before admission: a malformed tenant is a 400, never a shed
+        # submission counted against a tenant that cannot exist
+        tenant = sanitize_tenant(tenant)
         rejection = check_admission(
             self.policy,
             draining=self.draining,
-            depth=self._depth(),
+            depth=len(self._unfinished()),
             inflight_rss_kb=self._committed_rss_kb(),
             job_rss_kb=spec.rss_estimate_kb,
             tenant=tenant,
-            tenant_depth=self._tenant_depth(tenant),
+            tenant_depth=sum(
+                record.tenant == tenant for record in self._unfinished()
+            ),
         )
         if rejection is not None:
             self.n_rejected += 1
@@ -260,7 +237,7 @@ class ExplorationService:
             )
             return SubmitResult(accepted=False, rejection=rejection)
         record = self.registry.admit(spec, tenant)
-        self.queue.push(record.job_id)
+        self.engine.push(record.job_id, spec, tenant=tenant)
         self.n_submitted += 1
         self.tenants.note_accepted(tenant)
         self.metrics.inc("serve.submitted")
@@ -275,128 +252,13 @@ class ExplorationService:
         return SubmitResult(accepted=True, job_id=record.job_id)
 
     # -- the pump -------------------------------------------------------
-    def _launch_ready(self) -> bool:
-        progressed = False
-        now = time.monotonic()
-        ready = [w for w in self._waiting if w[0] <= now]
-        if ready:
-            self._waiting = [w for w in self._waiting if w[0] > now]
-            for _, job_id in ready:
-                self.queue.push_front(job_id)
-        while len(self.queue) \
-                and self.supervisor.n_running < self.policy.max_inflight:
-            job_id = self.queue.pop()
-            record = self.registry.jobs[job_id]
-            spec = JobSpec.from_dict(record.spec)
-            attempt = self._attempts.get(job_id, 0) + 1
-            self._attempts[job_id] = attempt
-            self.registry.mark_running(job_id, attempt)
-            self.supervisor.launch_job(job_id, spec, attempt)
-            self.telemetry.emit(
-                "serve.job_start",
-                job_id=job_id,
-                tenant=record.tenant,
-                attempt=attempt,
-            )
-            progressed = True
-        return progressed
-
-    def _classify_kind(self, outcome: WorkerResult) -> str:
-        """The failure kind recorded for a non-done outcome.
-
-        A worker-reported ``DeadlineExceeded`` is the job outliving its
-        own budget, not an infrastructure error — it gets its own kind
-        so the taxonomy (and quarantine records) distinguish the two.
-        """
-        if outcome.status == OUTCOME_ERROR \
-                and outcome.error.startswith("DeadlineExceeded"):
-            return KIND_DEADLINE
-        return outcome.status
-
-    def _record_failure(self, outcome: WorkerResult) -> None:
-        """Retry with backoff, or quarantine when the budget is spent."""
-        kind = self._classify_kind(outcome)
-        if outcome.attempt <= self.job_retries:
-            delay = self._delays[outcome.attempt - 1]
-            self.metrics.inc("serve.job_retries")
-            self.telemetry.emit(
-                "serve.job_retry",
-                job_id=outcome.key,
-                attempt=outcome.attempt,
-                kind=kind,
-                delay_s=delay,
-                error=outcome.error,
-            )
-            self.registry.mark_accepted(outcome.key)
-            self._waiting.append((time.monotonic() + delay, outcome.key))
-            return
-        self.registry.mark_quarantined(
-            outcome.key,
-            kind=kind,
-            error=outcome.error,
-            attempts=outcome.attempt,
-        )
-        self.metrics.inc("serve.jobs_quarantined")
-        self.telemetry.emit(
-            "serve.job_quarantined",
-            job_id=outcome.key,
-            kind=kind,
-            attempts=outcome.attempt,
-            error=outcome.error,
-        )
-
-    def _record_done(self, outcome: WorkerResult) -> None:
-        resources = dict(outcome.message.get("resources") or {})
-        self.registry.mark_done(
-            outcome.key,
-            result=dict(outcome.message["result"]),  # type: ignore[arg-type]
-            resources=resources,
-            attempts=outcome.attempt,
-        )
-        self.metrics.inc("serve.jobs_completed")
-        self.metrics.observe(
-            "serve.job_wall_s", float(resources.get("wall_s", 0.0))
-        )
-        self.telemetry.emit(
-            "serve.job_done",
-            job_id=outcome.key,
-            attempt=outcome.attempt,
-            wall_s=resources.get("wall_s"),
-            max_rss_kb=resources.get("max_rss_kb"),
-        )
-
     def poll(self) -> bool:
         """One pump iteration: launch ready work, reap terminal workers.
 
         Returns whether anything progressed (the async front end sleeps
         when nothing did).  Never blocks.
         """
-        progressed = self._launch_ready()
-        for outcome in self.supervisor.poll():
-            progressed = True
-            if outcome.status == OUTCOME_DONE:
-                self._record_done(outcome)
-            elif outcome.status == OUTCOME_SHUTDOWN:
-                # the worker flushed its round checkpoint and exited on
-                # request; the job is simply unfinished — requeue it
-                # without consuming retry budget (durable first)
-                self.registry.mark_accepted(outcome.key)
-                self.telemetry.emit(
-                    "serve.job_checkpointed",
-                    job_id=outcome.key,
-                    attempt=outcome.attempt,
-                )
-                if not self.draining:
-                    self.queue.push_front(outcome.key)
-            else:
-                if outcome.status == OUTCOME_HANG:
-                    self.metrics.inc("serve.watchdog_kills")
-                    self.telemetry.emit(
-                        "serve.watchdog_kill",
-                        job_id=outcome.key,
-                        attempt=outcome.attempt,
-                    )
-                self._record_failure(outcome)
+        progressed = self.engine.poll()
         if progressed:
             self._update_gauges()
         return progressed
@@ -404,10 +266,9 @@ class ExplorationService:
     @property
     def idle(self) -> bool:
         """No queued, waiting or running work."""
-        return not self.queue.snapshot() and not self._waiting \
-            and self.supervisor.n_running == 0
+        return self.engine.idle
 
-    def run_until_idle(self, poll_s: float = _POLL_S) -> None:
+    def run_until_idle(self, poll_s: float = POLL_S) -> None:
         """Synchronously pump until every admitted job is terminal.
 
         The test/smoke drive loop; the asyncio front end uses
@@ -425,8 +286,8 @@ class ExplorationService:
             self.metrics.inc("serve.drains")
             self.telemetry.emit(
                 "serve.drain",
-                n_queued=len(self.queue) + len(self._waiting),
-                n_running=self.supervisor.n_running,
+                n_queued=self.engine.n_queued,
+                n_running=self.engine.supervisor.n_running,
             )
 
     def shutdown(self, grace_s: float = 10.0, finish_jobs: bool = False) -> None:
@@ -443,24 +304,16 @@ class ExplorationService:
         self.drain()
         if finish_jobs:
             self.run_until_idle()
-        else:
-            self.supervisor.signal_all()
-            deadline = time.monotonic() + grace_s
-            while self.supervisor.n_running \
-                    and time.monotonic() < deadline:
-                if not self.poll():
-                    time.sleep(_POLL_S)
-        # force-kill stragglers, then demote anything the force-kill
-        # left marked running — the same recovery a SIGKILL'd service
-        # performs on reopen, done eagerly here
-        self.supervisor.shutdown()
+        self.engine.stop(grace_s)
+        # demote anything the force-kill left marked running — the same
+        # recovery a SIGKILL'd service performs on reopen, done eagerly
         self.registry.recover()
         self._update_gauges()
         self.telemetry.emit(
             "serve.stop",
             n_done=self.registry.counts()["done"],
             n_quarantined=self.registry.counts()["quarantined"],
-            n_unfinished=self._depth(),
+            n_unfinished=len(self._unfinished()),
         )
 
     # -- introspection --------------------------------------------------
@@ -472,7 +325,7 @@ class ExplorationService:
         payload = record.to_payload()
         # live worker pid, for operators (and the chaos smoke's aim):
         # explicitly non-deterministic, never part of the report
-        pid = self.supervisor.pids().get(job_id)
+        pid = self.engine.supervisor.pids().get(job_id)
         if pid is not None:
             payload["worker_pid"] = pid
         return payload
@@ -481,8 +334,8 @@ class ExplorationService:
         """The service-level status snapshot feeding ``/healthz``."""
         return {
             "draining": self.draining,
-            "queue_depth": len(self.queue) + len(self._waiting),
-            "inflight": self.supervisor.n_running,
+            "queue_depth": self.engine.n_queued,
+            "inflight": self.engine.supervisor.n_running,
             "rss_committed_kb": self._committed_rss_kb(),
             "jobs": self.registry.counts(),
             "submitted": self.n_submitted,
@@ -491,7 +344,9 @@ class ExplorationService:
                 self.rejected_by_reason.items()
             )),
             "tenants": self.tenants.to_dict(),
-            "worker_pids": dict(sorted(self.supervisor.pids().items())),
+            "worker_pids": dict(
+                sorted(self.engine.supervisor.pids().items())
+            ),
         }
 
     def report(self) -> Dict[str, object]:

@@ -552,9 +552,10 @@ class TestServiceReachability:
     def test_execute_exploration_carries_per_target_errors(self, tmp_path):
         """The shared campaign-cell / serve-job worker reports the
         multi-target breakdown for the new study."""
-        from repro.campaign.runner import execute_exploration
+        from repro.serve import JobSpec
+        from repro.serve.supervisor import execute_exploration
 
-        message = execute_exploration(
+        spec = JobSpec(
             study="cache-policy",
             workload="osc-tight",
             agent="random",
@@ -567,8 +568,8 @@ class TestServiceReachability:
             min_folds=None,
             max_retries=0,
             eval_timeout_s=None,
-            checkpoint=str(tmp_path / "cell.ckpt"),
         )
+        message = execute_exploration(spec, str(tmp_path / "cell.ckpt"))
         result = message["result"]
         assert result["n_simulations"] == 24
         assert result["target_names"] == list(CACHE_POLICY_TARGETS)

@@ -177,11 +177,11 @@ class TestManifest:
 
     def test_roundtrip(self, tmp_path):
         manifest = self.make_manifest()
-        manifest.record_done(
+        manifest.mark_done(
             "a", result={"converged": True}, resources={"wall_s": 1.0},
             attempts=1,
         )
-        manifest.record_quarantined("b", kind="crash", error="boom", attempts=3)
+        manifest.mark_quarantined("b", kind="crash", error="boom", attempts=3)
         manifest.save(tmp_path)
         loaded = CampaignManifest.load(tmp_path)
         assert loaded.cells == manifest.cells
@@ -194,7 +194,7 @@ class TestManifest:
     def test_corrupt_primary_falls_back_to_previous(self, tmp_path):
         manifest = self.make_manifest()
         manifest.save(tmp_path)  # becomes .prev on the next save
-        manifest.record_done("a", result={}, resources={}, attempts=1)
+        manifest.mark_done("a", result={}, resources={}, attempts=1)
         manifest.save(tmp_path)
         path = manifest_path(tmp_path)
         path.write_text(path.read_text()[:40])  # truncate: checksum fails
@@ -290,6 +290,23 @@ class TestRunnerEndToEnd:
         report = campaign_status(tmp_path / "camp")
         assert report["summary"]["n_pending"] == 2
         assert all(row["status"] == "pending" for row in report["cells"])
+
+    def test_min_folds_one_and_negative_seed_still_run(self, tmp_path):
+        """A campaign accepts what the core accepts: ``min_folds=1`` runs
+        and a negative seed's cell is quarantined by its worker, so a
+        directory recorded with either resumes and reports."""
+        spec = tiny_spec(seeds=(-1, 0), min_folds=1, cell_retries=0)
+        manifest = CampaignManifest(
+            spec=spec.to_dict(), spec_digest=spec.digest()
+        )
+        manifest.save(tmp_path)
+        result = resume_campaign(tmp_path)
+        statuses = {
+            cell.seed: result.manifest.status_of(cell.cell_id)
+            for cell in result.cells
+        }
+        assert statuses == {-1: "quarantined", 0: "done"}
+        assert campaign_status(tmp_path) == result.report()
 
 
 class TestChaosCells:

@@ -11,9 +11,11 @@ from pathlib import Path
 
 import pytest
 
+from repro.campaign import CampaignSpec, run_campaign
 from repro.core.checkpoint import canonical_json
 from repro.core.faults import CellFaultPlan
 from repro.core.supervise import (
+    ProcessSupervisor,
     WorkerShutdown,
     install_sigterm_flush_handler,
     poll_shutdown,
@@ -47,7 +49,7 @@ from repro.serve.registry import (
     STATUS_RUNNING,
     registry_path,
 )
-from repro.serve.service import KIND_DEADLINE
+from repro.serve.supervisor import KIND_DEADLINE
 
 
 def fast_spec(**overrides):
@@ -119,6 +121,18 @@ class TestJobSpec:
         with pytest.raises(JobSpecError, match=field):
             JobSpec.from_dict(payload)
 
+    @pytest.mark.parametrize("field, value", [("seed", -1), ("min_folds", 1)])
+    def test_submission_bounds_apply_to_spec_objects(
+        self, tmp_path, field, value
+    ):
+        """A spec a campaign cell may run (negative seed, one fold) is
+        still no valid submission when passed as a JobSpec object."""
+        spec = fast_spec(**{field: value})
+        service = make_service(tmp_path)
+        with pytest.raises(JobSpecError, match=field):
+            service.submit(spec, tenant="t")
+        assert not service.registry.jobs
+
 
 class TestAdmission:
     def admit(self, policy, **overrides):
@@ -171,8 +185,7 @@ class TestAdmission:
         queue.push("a")
         queue.push("b")
         queue.push_front("c")
-        assert queue.snapshot() == ["c", "a", "b"]
-        assert "a" in queue and "z" not in queue
+        assert len(queue) == 3
         assert [queue.pop() for _ in range(4)] == ["c", "a", "b", None]
 
     def test_tenant_accounting(self):
@@ -333,6 +346,19 @@ class TestServiceLifecycle:
         with pytest.raises(JobSpecError, match="tenant"):
             service.submit(fast_spec(), tenant="")
 
+    def test_malformed_tenant_is_rejected_before_admission(self, tmp_path):
+        """With the queue full, a malformed tenant is still a 400 — not
+        a shed submission counted against a tenant that cannot exist."""
+        service = make_service(
+            tmp_path, policy=AdmissionPolicy(max_depth=1, max_inflight=1)
+        )
+        assert service.submit(fast_spec(seed=0), tenant="t").accepted
+        tenants = service.tenants.to_dict()
+        with pytest.raises(JobSpecError, match="tenant"):
+            service.submit(fast_spec(seed=1), tenant="bad tenant!")
+        assert service.tenants.to_dict() == tenants
+        assert service.metrics.counter("serve.rejected") == 0
+
 
 class TestServiceChaos:
     def test_crashing_job_is_quarantined_with_reason(self, tmp_path):
@@ -424,7 +450,7 @@ class TestServiceRecovery:
         deadline = time.monotonic() + 30
         while time.monotonic() < deadline:
             service.poll()
-            pid = service.supervisor.pids().get(job)
+            pid = service.engine.supervisor.pids().get(job)
             if pid is not None:
                 os.kill(pid, signal.SIGKILL)
                 break
@@ -449,7 +475,7 @@ class TestServiceRecovery:
         deadline = time.monotonic() + 30
         while time.monotonic() < deadline:
             service.poll()
-            if service.supervisor.is_running(job):
+            if job in service.engine.supervisor.pids():
                 break
             time.sleep(0.005)
         service.shutdown(grace_s=60.0)
@@ -462,6 +488,108 @@ class TestServiceRecovery:
         assert restarted.registry.jobs[job].status == STATUS_DONE
         assert canonical_json(restarted.report()) == \
             canonical_json(clean.report())
+
+
+@pytest.fixture
+def sigterm_first_worker(monkeypatch):
+    """SIGTERM the first worker any supervisor launches, right after
+    its launch; returns the list the killed pid is appended to."""
+    killed = []
+    launch = ProcessSupervisor.launch
+
+    def launch_then_sigterm(self, key, *args, **kwargs):
+        handle = launch(self, key, *args, **kwargs)
+        if not killed:
+            os.kill(handle.process.pid, signal.SIGTERM)
+            killed.append(handle.process.pid)
+        return handle
+
+    monkeypatch.setattr(ProcessSupervisor, "launch", launch_then_sigterm)
+    return killed
+
+
+class TestOneEngineTwoDrivers:
+    """A campaign cell runs as a service job on the one lifecycle engine:
+    the same exploration through either driver must end in the same
+    ledger record after the same lifecycle events."""
+
+    @staticmethod
+    def drive(driver, directory, faults=None):
+        """Run memory-system/mcf (fast, budget 40, batch 20) through
+        ``driver`` with one retry.  Returns the ledger record and the
+        lifecycle events as ``(name, attempt)``, with
+        ``campaign.cell_*`` and ``serve.job_*`` both mapped to
+        ``unit_*``."""
+        telemetry = RunTelemetry()
+        metrics = MetricsRegistry(enabled=True)
+        if driver == "campaign":
+            ns, unit = "campaign", "cell"
+            spec = CampaignSpec(
+                name="differential", studies=("memory-system",),
+                workloads=("mcf",), seeds=(0,), budgets=(40,),
+                target_error=1.0, batch_size=20, training="fast",
+                max_retries=0, cell_retries=1, retry_base_delay_s=0.0,
+            )
+            result = run_campaign(
+                spec, directory, cell_faults=faults,
+                telemetry=telemetry, metrics=metrics,
+            )
+            (record,) = result.manifest.cells.values()
+        else:
+            ns, unit = "serve", "job"
+            service = make_service(
+                directory, job_retries=1, job_faults=faults,
+                telemetry=telemetry, metrics=metrics,
+            )
+            job = service.submit(fast_spec(), tenant="t").job_id
+            service.run_until_idle()
+            record = service.registry.jobs[job].to_payload()
+        events = [
+            (
+                event.name[len(ns) + 1:].replace(f"{unit}_", "unit_"),
+                event.payload.get("attempt", event.payload.get("attempts")),
+            )
+            for event in telemetry.events
+            if event.name.startswith(f"{ns}.{unit}_")
+            or event.name == f"{ns}.watchdog_kill"
+        ]
+        return record, events
+
+    def test_healthy_results_and_events_agree(self, tmp_path):
+        cell, cell_events = self.drive("campaign", tmp_path / "campaign")
+        job, job_events = self.drive("service", tmp_path / "service")
+        assert cell["status"] == job["status"] == STATUS_DONE
+        assert cell["result"] == job["result"]
+        assert cell_events == job_events == [
+            ("unit_start", 1), ("unit_done", 1),
+        ]
+
+    def test_quarantine_records_and_events_agree(self, tmp_path):
+        faults = CellFaultPlan(crash=1.0)
+        cell, cell_events = self.drive(
+            "campaign", tmp_path / "campaign", faults
+        )
+        job, job_events = self.drive("service", tmp_path / "service", faults)
+        fields = ("status", "kind", "attempts", "error")
+        assert [cell[f] for f in fields] == [job[f] for f in fields]
+        assert cell["kind"] == "crash" and cell["attempts"] == 2
+        assert cell_events == job_events == [
+            ("unit_start", 1), ("unit_retry", 1),
+            ("unit_start", 2), ("unit_quarantined", 2),
+        ]
+
+    @pytest.mark.parametrize("driver", ["campaign", "service"])
+    def test_sigterm_requeues_at_the_same_attempt(
+        self, tmp_path, driver, sigterm_first_worker
+    ):
+        record, events = self.drive(driver, tmp_path)
+        assert sigterm_first_worker, "no worker was SIGTERM'd"
+        assert record["status"] == STATUS_DONE
+        assert record["attempts"] == 1
+        assert events == [
+            ("unit_start", 1), ("unit_checkpointed", 1),
+            ("unit_start", 1), ("unit_done", 1),
+        ]
 
 
 class TestSigtermFlushHandler:
