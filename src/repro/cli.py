@@ -53,6 +53,7 @@ from .core import (
     RunContext,
     SerialBackend,
     TrainingConfig,
+    design_matrix,
 )
 from .core.faults import CellFaultPlan
 from .cpu import Simulator, get_interval_simulator
@@ -406,10 +407,10 @@ def cmd_figure(args: argparse.Namespace) -> int:
 def cmd_profile(args: argparse.Namespace) -> int:
     """Run a small exploration and print a phase-by-phase breakdown.
 
-    Phases cover workload profiling, the exploration loop (further split
-    into simulation vs training via telemetry phases) and full-space
-    prediction; each row reports wall seconds and, unless
-    ``--no-alloc``, tracemalloc peak/net allocations.
+    Phases cover workload profiling, the design-matrix build, the
+    exploration loop (further split into simulation vs training via
+    telemetry phases) and full-space prediction; each row reports wall
+    seconds and, unless ``--no-alloc``, tracemalloc peak/net allocations.
     """
     study = get_study(args.study)
     telemetry = args.telemetry
@@ -418,6 +419,8 @@ def cmd_profile(args: argparse.Namespace) -> int:
     with profiler:
         with profiler.phase("workload.profile"):
             get_interval_simulator(args.benchmark)
+        with profiler.phase("design.matrix"):
+            design_matrix(study.space)
         with _evaluation_backend(args, context) as backend:
             with profiler.phase("explore"):
                 explorer = DesignSpaceExplorer(

@@ -133,6 +133,13 @@ def design_matrix(
     ``space.config_at(i)`` (enumeration order), so sampled subsets are
     cheap row gathers (``design_matrix(space)[indices]``).
 
+    The matrix is gathered, not encoded point by point: each parameter's
+    levels are encoded once into a ``(cardinality, width)`` table by
+    :meth:`ParameterEncoder._encode_parameter`, and the table is indexed
+    with that parameter's column of :meth:`DesignSpace.level_indices`.
+    Every float therefore comes from the same arithmetic as
+    :meth:`ParameterEncoder.encode`, and the result is byte-identical.
+
     The returned array is marked read-only — it is shared by every
     encoder of the space; callers who need to mutate must copy.
     """
@@ -140,7 +147,18 @@ def design_matrix(
     matrix = per_space.get(cardinal_encoding)
     if matrix is None:
         encoder = ParameterEncoder(space, cardinal_encoding)
-        matrix = np.vstack([encoder.encode(config) for config in space])
+        levels = space.level_indices()
+        columns = []
+        for position, parameter in enumerate(space.parameters):
+            table = np.asarray(
+                [
+                    encoder._encode_parameter(parameter, value)
+                    for value in parameter.values
+                ],
+                dtype=np.float64,
+            )
+            columns.append(table[levels[:, position]])
+        matrix = np.hstack(columns)
         matrix.setflags(write=False)
         per_space[cardinal_encoding] = matrix
     return matrix

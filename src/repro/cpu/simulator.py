@@ -31,8 +31,10 @@ from .ooo import CycleSimulator, SimulationResult
 
 ENGINES = ("interval", "cycle")
 
-#: bump when profile contents or the generator change incompatibly
-PROFILE_VERSION = 1
+#: bump when profile contents, the generator or the file key change
+#: incompatibly (v2: files are named by the requested trace length, not
+#: the generated one)
+PROFILE_VERSION = 2
 
 _PROFILE_CACHE: Dict[Tuple[str, int], ApplicationProfile] = {}
 _INTERVAL_CACHE: Dict[Tuple[str, int], IntervalSimulator] = {}
@@ -64,27 +66,37 @@ def _store_cached_profile(path: Path, profile: ApplicationProfile) -> None:
         pass  # caching is best-effort
 
 
+def _cache_key(benchmark: str, trace_length: Optional[int]) -> Tuple[str, int]:
+    """``(benchmark, requested trace length)``: the key of both memos."""
+    return benchmark, trace_length or get_workload(benchmark).trace_length
+
+
 def get_application_profile(
     benchmark: str, trace_length: Optional[int] = None
 ) -> ApplicationProfile:
     """Build (and memoize, in memory and on disk) the measured profile for
     ``benchmark``.  Profile construction costs seconds; everything that
     consumes profiles costs microseconds, so caching dominates total cost
-    for repeated studies."""
-    trace = generate_trace(benchmark, trace_length)
-    key = (benchmark, len(trace))
+    for repeated studies.
+
+    Both caches are keyed on the *requested* trace length (the key
+    :func:`generate_trace` memoizes on), so a hit never generates the
+    trace; it is generated only to build a missing profile."""
+    key = _cache_key(benchmark, trace_length)
     if key in _PROFILE_CACHE:
         return _PROFILE_CACHE[key]
+    length = key[1]
     seed = get_workload(benchmark).seed
     cache_dir = _profile_cache_dir()
     cache_path = (
-        cache_dir / f"profile-v{PROFILE_VERSION}-{benchmark}-{len(trace)}-{seed}.pkl"
+        cache_dir
+        / f"profile-v{PROFILE_VERSION}-{benchmark}-{length}-{seed}.pkl"
         if cache_dir
         else None
     )
     profile = _load_cached_profile(cache_path) if cache_path else None
     if profile is None:
-        profile = ApplicationProfile.from_trace(trace)
+        profile = ApplicationProfile.from_trace(generate_trace(benchmark, length))
         if cache_path:
             _store_cached_profile(cache_path, profile)
     _PROFILE_CACHE[key] = profile
@@ -95,10 +107,11 @@ def get_interval_simulator(
     benchmark: str, trace_length: Optional[int] = None
 ) -> IntervalSimulator:
     """Build (and memoize) the interval evaluator for ``benchmark``."""
-    profile = get_application_profile(benchmark, trace_length)
-    key = (benchmark, profile.n_instructions)
+    key = _cache_key(benchmark, trace_length)
     if key not in _INTERVAL_CACHE:
-        _INTERVAL_CACHE[key] = IntervalSimulator(profile)
+        _INTERVAL_CACHE[key] = IntervalSimulator(
+            get_application_profile(benchmark, trace_length)
+        )
     return _INTERVAL_CACHE[key]
 
 

@@ -175,6 +175,17 @@ class DesignSpace:
                 f"{self.name!r}"
             ) from None
 
+    def level_indices(self) -> np.ndarray:
+        """Every valid point's per-parameter value indices, as one
+        ``(N, P)`` integer grid in enumeration order: row ``i`` equals
+        ``config_to_indices(config_at(i))``."""
+        if not self.constraints:
+            shape = tuple(p.cardinality for p in self.parameters)
+            return np.column_stack(
+                np.unravel_index(np.arange(self.cross_product_size), shape)
+            )
+        return np.asarray(self._materialize(), dtype=np.intp)
+
     def _rank(self, idx: IndexTuple) -> int:
         rank = 0
         for p, i in zip(self.parameters, idx):

@@ -128,6 +128,18 @@ class TestCommands:
         assert "Plackett-Burman" in out
         assert "l2_size_kb" in out
 
+    def test_profile_times_design_matrix_before_explore(self, capsys):
+        assert main(
+            ["profile", "--benchmark", "gzip", "--batch-size", "20",
+             "--max-simulations", "40", "--target-error", "1.0", "--no-alloc"]
+        ) == 0
+        out = capsys.readouterr().out
+        table = out[out.index("phase "):out.index("\ntotal ")]
+        phases = [line.split()[0] for line in table.splitlines()[2:]]
+        assert phases == [
+            "workload.profile", "design.matrix", "explore", "predict.space"
+        ]
+
     def test_unknown_figure(self):
         with pytest.raises(SystemExit):
             main(["figure", "9.9"])

@@ -5,12 +5,20 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.core import MultiTargetScaler, ParameterEncoder, TargetScaler
+from repro.core import (
+    MultiTargetScaler,
+    ParameterEncoder,
+    TargetScaler,
+    design_matrix,
+)
 from repro.designspace import (
+    BooleanParameter,
     CardinalParameter,
     DesignSpace,
     NominalParameter,
+    PredicateConstraint,
 )
+from repro.experiments import STUDY_NAMES, get_study
 
 
 class TestParameterEncoder:
@@ -96,6 +104,80 @@ class TestParameterEncoder:
         enc = ParameterEncoder(tiny_space)
         with pytest.raises(ValueError):
             enc.encode({"size": 12, "ways": 1, "policy": "WT", "prefetch": False})
+
+
+def _reference_matrix(space, encoding):
+    """The point-by-point encoding :func:`design_matrix` must equal."""
+    encoder = ParameterEncoder(space, encoding)
+    return np.vstack([encoder.encode(config) for config in space])
+
+
+def _assert_gathered_matrix_is_reference(space, encoding):
+    matrix = design_matrix(space, encoding)
+    reference = _reference_matrix(space, encoding)
+    assert matrix.dtype == reference.dtype
+    assert matrix.shape == reference.shape
+    assert matrix.tobytes() == reference.tobytes()
+    assert not matrix.flags.writeable
+
+
+@st.composite
+def small_spaces(draw):
+    """Small random spaces mixing cardinal (single-level too), nominal
+    and boolean parameters, with or without a constraint."""
+    parameters = []
+    for position in range(draw(st.integers(min_value=1, max_value=4))):
+        name = f"p{position}"
+        kind = draw(st.sampled_from(("cardinal", "nominal", "boolean")))
+        if kind == "cardinal":
+            values = draw(
+                st.lists(
+                    st.integers(min_value=-50, max_value=50),
+                    min_size=1, max_size=5, unique=True,
+                )
+            )
+            parameters.append(CardinalParameter(name, sorted(values)))
+        elif kind == "nominal":
+            count = draw(st.integers(min_value=1, max_value=4))
+            parameters.append(
+                NominalParameter(name, [f"v{i}" for i in range(count)])
+            )
+        else:
+            parameters.append(BooleanParameter(name))
+    constraints = []
+    if draw(st.booleans()):
+        modulus = draw(st.integers(min_value=2, max_value=4))
+
+        def allows(config, parameters=tuple(parameters)):
+            # the all-first-levels point always passes, so the space is
+            # never empty
+            ranks = sum(p.index_of(config[p.name]) for p in parameters)
+            return ranks % modulus != modulus - 1
+
+        constraints.append(
+            PredicateConstraint([p.name for p in parameters], allows)
+        )
+    return DesignSpace("random", parameters, constraints)
+
+
+class TestDesignMatrix:
+    @pytest.mark.parametrize("encoding", ["rank", "value"])
+    @pytest.mark.parametrize("study", STUDY_NAMES)
+    def test_registered_studies_match_reference(self, study, encoding):
+        _assert_gathered_matrix_is_reference(get_study(study).space, encoding)
+
+    @given(small_spaces(), st.sampled_from(["rank", "value"]))
+    @settings(max_examples=60, deadline=None)
+    def test_random_spaces_match_reference(self, space, encoding):
+        _assert_gathered_matrix_is_reference(space, encoding)
+
+    @given(small_spaces())
+    @settings(max_examples=60, deadline=None)
+    def test_level_indices_rows_are_point_indices(self, space):
+        levels = space.level_indices()
+        assert levels.shape == (len(space), len(space.parameters))
+        for i, row in enumerate(levels):
+            assert tuple(row) == space.config_to_indices(space.config_at(i))
 
 
 class TestTargetScaler:

@@ -1,5 +1,8 @@
 """Tests for the SIM(p, A) facade and its caches."""
 
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.cpu import (
@@ -9,6 +12,9 @@ from repro.cpu import (
     get_application_profile,
     get_interval_simulator,
 )
+from repro.cpu.interval import ApplicationProfile
+from repro.workloads.generator import generate_trace
+from repro.workloads.spec import get_workload
 
 TRACE_LEN = 6_000
 
@@ -85,3 +91,55 @@ class TestCaches:
         profile = get_application_profile("gzip", TRACE_LEN)
         assert profile.n_instructions > 0
         clear_simulator_caches()
+
+
+class TestProfileCacheKey:
+    """Profiles are keyed on the requested trace length, so a warm cache
+    never regenerates the trace."""
+
+    @pytest.fixture
+    def cache_dir(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        clear_simulator_caches()
+        yield tmp_path
+        clear_simulator_caches()
+
+    def test_disk_hit_never_generates_the_trace(self, cache_dir, monkeypatch):
+        get_application_profile("gzip", TRACE_LEN)
+        clear_simulator_caches()
+
+        def no_trace(*args, **kwargs):
+            raise AssertionError("generate_trace called on a cache hit")
+
+        monkeypatch.setattr("repro.cpu.simulator.generate_trace", no_trace)
+        cached = get_application_profile("gzip", TRACE_LEN)
+        built = ApplicationProfile.from_trace(generate_trace("gzip", TRACE_LEN))
+        assert pickle.dumps(cached) == pickle.dumps(built)
+
+    def test_default_and_explicit_length_share_one_entry(
+        self, cache_dir, monkeypatch
+    ):
+        gzip = get_workload("gzip")
+        short = dataclasses.replace(gzip, trace_length=TRACE_LEN)
+        monkeypatch.setattr(
+            "repro.cpu.simulator.get_workload", lambda name: short
+        )
+        # a second memo entry would load its own copy from disk
+        assert get_application_profile("gzip") is get_application_profile(
+            "gzip", TRACE_LEN
+        )
+        assert get_interval_simulator("gzip") is get_interval_simulator(
+            "gzip", TRACE_LEN
+        )
+        assert [p.name for p in cache_dir.glob("profile-*.pkl")] == [
+            f"profile-v2-gzip-{TRACE_LEN}-{gzip.seed}.pkl"
+        ]
+
+    def test_version_1_file_is_ignored(self, cache_dir):
+        seed = get_workload("gzip").seed
+        planted = ApplicationProfile.from_trace(generate_trace("crafty", TRACE_LEN))
+        stale = cache_dir / f"profile-v1-gzip-{TRACE_LEN}-{seed}.pkl"
+        stale.write_bytes(pickle.dumps(planted))
+        profile = get_application_profile("gzip", TRACE_LEN)
+        assert profile.name == "gzip"
+        assert (cache_dir / f"profile-v2-gzip-{TRACE_LEN}-{seed}.pkl").exists()
