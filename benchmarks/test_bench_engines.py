@@ -3,7 +3,8 @@
 These quantify the performance claims DESIGN.md's substitution argument
 rests on: interval-model evaluations cost microseconds (which is what
 makes exhaustive 23K/20.7K-point ground truth feasible), profile building
-costs seconds, and the detailed cycle engine costs seconds per run.
+costs one to two seconds, and the detailed cycle engine costs seconds per
+run.
 """
 
 import numpy as np
@@ -57,7 +58,7 @@ def test_trace_generation(benchmark):
 
 
 def test_stack_distance_profiling(benchmark):
-    """Fenwick-tree stack-distance profiling of a 25K-reference stream."""
+    """Whole-array stack-distance profiling of a 25K-reference stream."""
     blocks = generate_trace("mesa", 70_000).block_addresses(64)[:25_000]
     profile = benchmark.pedantic(
         ReuseProfile, args=(blocks,), iterations=1, rounds=3

@@ -1,13 +1,23 @@
 """Tests for stack-distance profiling, including property-based checks
 against a naive reference implementation and the detailed cache model."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cpu.interval import _dedupe_consecutive
 from repro.memory import Cache, ReuseProfile, compute_stack_distances
 from repro.memory.stackdist import effective_capacity
+from repro.workloads.generator import generate_trace
+
+#: sha256 of the distances of mesa's seven profiled streams, concatenated
+#: in :meth:`ApplicationProfile.from_trace` order
+MESA_DISTANCES_SHA256 = (
+    "db9d0b78a0e2c7d4c0e0b77c693285dd80441373908187ad67c4a04e4e62468a"
+)
 
 
 def naive_stack_distances(blocks):
@@ -24,6 +34,19 @@ def naive_stack_distances(blocks):
         else:
             out.append(len(set(blocks[prev + 1 : i])))
     return np.array(out, dtype=np.int64)
+
+
+@st.composite
+def reference_streams(draw):
+    """Up to 300 references over a small or large alphabet of block ids,
+    which span the whole ``uint64`` range (half of them are >= 2**63) or
+    a narrow band of small values."""
+    length = draw(st.sampled_from([1, 2, 20, 100, 300]))
+    alphabet_size = draw(st.sampled_from([1, 3, 12, 300]))
+    high = draw(st.sampled_from([16, 2**64]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    alphabet = rng.integers(0, high, alphabet_size, dtype=np.uint64)
+    return rng.choice(alphabet, length)
 
 
 class TestComputeStackDistances:
@@ -43,13 +66,31 @@ class TestComputeStackDistances:
         dist = compute_stack_distances(np.arange(10))
         assert np.all(dist == -1)
 
-    @given(
-        st.lists(st.integers(min_value=0, max_value=12), min_size=1, max_size=120)
-    )
-    @settings(max_examples=80, deadline=None)
+    def test_rejects_2d_input(self):
+        with pytest.raises(ValueError, match="one-dimensional"):
+            compute_stack_distances(np.zeros((3, 3)))
+
+    @given(reference_streams())
+    @settings(max_examples=200, deadline=None)
     def test_matches_naive_reference(self, blocks):
-        fast = compute_stack_distances(np.array(blocks))
-        assert np.array_equal(fast, naive_stack_distances(blocks))
+        fast = compute_stack_distances(blocks)
+        assert fast.dtype == np.int64
+        assert np.array_equal(fast, naive_stack_distances(blocks.tolist()))
+
+    def test_mesa_streams_golden_digest(self):
+        """Bit-identity lock over every stream a mesa profile is built from:
+        data and load blocks at 32/64/128 B, then 32 B instruction blocks."""
+        trace = generate_trace("mesa")
+        loads = trace.addr[trace.load_mask]
+        streams = [trace.block_addresses(size) for size in (32, 64, 128)]
+        streams += [loads >> np.uint64(shift) for shift in (5, 6, 7)]
+        streams.append(_dedupe_consecutive(trace.pc >> np.uint64(5)))
+        digest = hashlib.sha256()
+        for stream in streams:
+            distances = compute_stack_distances(stream)
+            assert distances.dtype == np.int64
+            digest.update(distances.tobytes())
+        assert digest.hexdigest() == MESA_DISTANCES_SHA256
 
 
 class TestEffectiveCapacity:
