@@ -2,16 +2,14 @@
 
 Times the two hot paths the vectorized kernels replaced:
 
-* one training epoch through :class:`TrainingKernel.run_epoch` versus
-  the legacy per-batch ``FeedForwardNetwork.train_batch`` loop, at the
-  default batch size and at the paper's literal per-sample presentation
-  (``batch_size=1``);
 * full-design-space ensemble prediction through the cached design
   matrix + chunked batch kernel versus the legacy per-configuration
   encode-and-predict loop, on the memory-system study (23 040 points);
 * full 10-fold ensemble fits through the fold-stacked trainer
   (``CrossValidationEnsemble``) versus the per-fold reference loop
-  (one ``RobustTrainer`` fit per fold task), on both studies.  The floor-gated config is
+  (one fit per fold task through the single-network ``RobustTrainer``
+  of ``tests/reference_training.py``), on both studies.  The
+  floor-gated config is
   the paper's literal Section 3.1 recipe (sigmoid hidden units,
   learning rate 0.001, momentum 0.5, per-sample presentation), where
   per-epoch Python dispatch dominates and stacking pays off most; the
@@ -39,6 +37,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from bench_utils import emit
+from tests.reference_training import RobustTrainer
 
 from repro.core import encoding
 from repro.core.context import RunContext
@@ -46,9 +45,9 @@ from repro.core.crossval import CrossValidationEnsemble, fold_tasks
 from repro.core.encoding import ParameterEncoder, TargetScaler, design_matrix
 from repro.core.ensemble import EnsemblePredictor
 from repro.core.error import percentage_errors
-from repro.core.kernels import DEFAULT_PREDICT_CHUNK, TrainingKernel
+from repro.core.kernels import DEFAULT_PREDICT_CHUNK
 from repro.core.network import FeedForwardNetwork
-from repro.core.training import RobustTrainer, TargetRecipe, TrainingConfig
+from repro.core.training import TargetRecipe, TrainingConfig
 from repro.experiments.studies import get_study
 from repro.obs.atomicio import atomic_write_text
 from repro.obs.metrics import MetricsRegistry
@@ -78,58 +77,6 @@ def _best_of(fn, repeats):
         fn()
         best = min(best, time.perf_counter() - start)
     return best
-
-
-def _legacy_epoch(network, x, y, order, batch_size, lr, momentum):
-    """The pre-kernel training epoch: per-batch ``train_batch`` calls."""
-    n = len(order)
-    for start in range(0, n, batch_size):
-        batch = order[start : start + batch_size]
-        network.train_batch(
-            x[batch], y[batch], learning_rate=lr, momentum=momentum
-        )
-
-
-def _bench_train_epoch(batch_size, repeats):
-    cfg = TrainingConfig()
-    rng = np.random.default_rng(0)
-    n = 256 if SMALL else 512
-    x = rng.uniform(0.0, 1.0, (n, 10))
-    y = rng.uniform(0.1, 0.9, (n, 1))
-    order = np.random.default_rng(1).permutation(n)
-
-    def fresh():
-        return FeedForwardNetwork(
-            n_inputs=10,
-            hidden_layers=cfg.hidden_layers,
-            hidden_activation=cfg.hidden_activation,
-            rng=np.random.default_rng(7),
-        )
-
-    # a deliberately small learning rate: the nets train for
-    # ``repeats`` epochs back to back, and the bench must stay finite
-    # (divergence would abort timing); epoch cost is rate-independent
-    lr = 0.01
-    kernel_net = fresh()
-    kernel = TrainingKernel(kernel_net, x, y)
-    kernel_s = _best_of(
-        lambda: kernel.run_epoch(
-            order, batch_size, learning_rate=lr, momentum=0.9
-        ),
-        repeats,
-    )
-    legacy_net = fresh()
-    legacy_s = _best_of(
-        lambda: _legacy_epoch(legacy_net, x, y, order, batch_size, lr, 0.9),
-        repeats,
-    )
-    return {
-        "n_samples": n,
-        "batch_size": batch_size,
-        "kernel_s": kernel_s,
-        "legacy_s": legacy_s,
-        "speedup": legacy_s / kernel_s,
-    }
 
 
 def _bench_predict_space(repeats):
@@ -279,13 +226,9 @@ def _bench_ensemble_fit(study_name, repeats):
 def results():
     repeats = 3 if SMALL else 5
     data = {
-        "schema": 2,
+        "schema": 3,
         "small": SMALL,
         "repeats": repeats,
-        "train_epoch": {
-            "batch_default": _bench_train_epoch(32, repeats),
-            "batch_1": _bench_train_epoch(1, repeats),
-        },
         "predict_space": _bench_predict_space(repeats),
         "ensemble_fit": {
             study: _bench_ensemble_fit(study, repeats)
@@ -304,7 +247,6 @@ def results():
 
 
 def test_bench_kernels_report(results):
-    train = results["train_epoch"]
     predict = results["predict_space"]
     ensemble_lines = "".join(
         "  ensemble fit %-14s %s: %.2fx  (stacked %.3fs vs perfold %.3fs)\n"
@@ -320,20 +262,12 @@ def test_bench_kernels_report(results):
     )
     emit(
         "kernel benches (small=%s)\n"
-        "  train epoch  batch=32: %.2fx  (kernel %.4fs vs legacy %.4fs)\n"
-        "  train epoch  batch=1:  %.2fx  (kernel %.4fs vs legacy %.4fs)\n"
         "  predict %d pts warm:   %.1fx  (chunked %.4fs vs per-config %.2fs)\n"
         "  predict cold (+matrix): %.1fx\n"
         "%s"
         "  -> %s"
         % (
             results["small"],
-            train["batch_default"]["speedup"],
-            train["batch_default"]["kernel_s"],
-            train["batch_default"]["legacy_s"],
-            train["batch_1"]["speedup"],
-            train["batch_1"]["kernel_s"],
-            train["batch_1"]["legacy_s"],
             predict["n_points"],
             predict["speedup_warm"],
             predict["chunked_warm_s"],
@@ -365,15 +299,6 @@ def test_bench_kernels_regression_gate(results):
         f"vs gate {floor:.2f}x (baseline "
         f"{baseline['predict_space']['speedup_warm']:.2f}x - 25%)"
     )
-
-    for key in ("batch_default", "batch_1"):
-        got = results["train_epoch"][key]["speedup"]
-        want = TOLERANCE * baseline["train_epoch"][key]["speedup"]
-        assert got >= want, (
-            f"train-epoch ({key}) speedup regressed: {got:.2f}x vs gate "
-            f"{want:.2f}x (baseline "
-            f"{baseline['train_epoch'][key]['speedup']:.2f}x - 25%)"
-        )
 
     for study in ENSEMBLE_STUDIES:
         paper = results["ensemble_fit"][study]["paper"]["speedup"]

@@ -4,8 +4,8 @@
 Four document kinds are understood:
 
 * ``kernels`` — the ``BENCH_kernels.json`` report written by
-  ``benchmarks/test_bench_kernels.py`` (schema 2: ``train_epoch``,
-  ``predict_space``, ``ensemble_fit`` and ``gate`` sections);
+  ``benchmarks/test_bench_kernels.py`` (schema 3: ``predict_space``,
+  ``ensemble_fit`` and ``gate`` sections);
 * ``explore`` — ``--telemetry-out`` documents from ``repro explore``
   (``BENCH_explore_*.json``: the ``repro.obs.report`` shape with
   ``summary``/``iterations``/``telemetry``);
@@ -42,7 +42,7 @@ import sys
 from pathlib import Path
 from typing import Any, Dict, List
 
-KERNELS_SCHEMA = 2
+KERNELS_SCHEMA = 3
 EXPLORE_SCHEMA = 1
 STRATEGIES_SCHEMA = 2
 CAMPAIGN_SCHEMA = 1
@@ -50,8 +50,6 @@ CAMPAIGN_KIND = "campaign-report"
 SERVE_STATUS_SCHEMA = 1
 SERVE_STATUS_KIND = "serve-status"
 
-#: required numeric fields in each train_epoch section
-TRAIN_EPOCH_KEYS = ("n_samples", "batch_size", "kernel_s", "legacy_s", "speedup")
 #: required numeric fields in the predict_space section
 PREDICT_KEYS = (
     "n_points",
@@ -151,12 +149,6 @@ def check_kernels(doc: Dict[str, Any], check: Checker) -> None:
         check.fail("schema", f"expected {KERNELS_SCHEMA}, got {doc.get('schema')!r}")
     check.require(doc, "$", "small", bool)
     check.require(doc, "$", "repeats", int)
-
-    train = check.require(doc, "$", "train_epoch", dict) or {}
-    for section in ("batch_default", "batch_1"):
-        block = check.require(train, "train_epoch", section, dict)
-        for key in TRAIN_EPOCH_KEYS if block is not None else ():
-            check.number(block, f"train_epoch.{section}", key)
 
     predict = check.require(doc, "$", "predict_space", dict)
     if predict is not None:
@@ -416,7 +408,7 @@ def detect_kind(path: Path, doc: Dict[str, Any]) -> str:
         return "campaign"
     if doc.get("kind") == SERVE_STATUS_KIND or "serve" in name:
         return "serve-status"
-    if "train_epoch" in doc:
+    if "ensemble_fit" in doc:
         return "kernels"
     if "studies" in doc:
         return "strategies"

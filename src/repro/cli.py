@@ -679,9 +679,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     explore.add_argument(
         "--n-jobs", type=int, default=None, metavar="N",
-        help="worker processes for batch simulation and fold training "
-        "(default: REPRO_N_JOBS or 1; >1 evaluates batches through a "
-        "persistent process-pool backend)",
+        help="worker processes for batch simulation; folds always train "
+        "in this process (default: REPRO_N_JOBS or 1; >1 evaluates "
+        "batches through a persistent process-pool backend)",
     )
     explore.add_argument(
         "--checkpoint", metavar="PATH", default=None,
@@ -787,8 +787,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     profile.add_argument(
         "--n-jobs", type=int, default=None, metavar="N",
-        help="worker processes for batch simulation and fold training "
-        "(default: REPRO_N_JOBS or 1)",
+        help="worker processes for batch simulation; folds always train "
+        "in this process (default: REPRO_N_JOBS or 1)",
     )
     profile.set_defaults(func=cmd_profile)
 

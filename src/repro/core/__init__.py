@@ -56,7 +56,6 @@ from .fitting import FitOutcome, evaluate_batch, fit_cv_round
 from .kernels import (
     DEFAULT_PREDICT_CHUNK,
     EnsembleTrainingKernel,
-    TrainingKernel,
     ensemble_predict,
     ensemble_predict_all,
     ensemble_variance,
@@ -82,8 +81,6 @@ from .resilience import (
     RetryPolicy,
 )
 from .training import (
-    EarlyStoppingTrainer,
-    RobustTrainer,
     StackedEnsembleTrainer,
     TargetRecipe,
     TrainingConfig,
@@ -107,7 +104,6 @@ __all__ = [
     "DEFAULT_MOMENTUM",
     "DEFAULT_PREDICT_CHUNK",
     "DesignSpaceExplorer",
-    "EarlyStoppingTrainer",
     "EnsemblePredictor",
     "EnsembleTrainingKernel",
     "CellFaultPlan",
@@ -139,7 +135,6 @@ __all__ = [
     "QueryByCommitteeSampler",
     "ResilientBackend",
     "RetryPolicy",
-    "RobustTrainer",
     "RunContext",
     "SATURATION_THRESHOLD",
     "SerialBackend",
@@ -151,7 +146,6 @@ __all__ = [
     "TrainingConfig",
     "TrainingDiverged",
     "TrainingHistory",
-    "TrainingKernel",
     "WeightHealth",
     "as_backend",
     "auxiliary_target_names",

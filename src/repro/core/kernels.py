@@ -2,30 +2,26 @@
 
 Two loops dominate the cost of the paper's procedure once simulation is
 cheap: the per-epoch mini-batch backpropagation inside
-:class:`~repro.core.training.EarlyStoppingTrainer`, and full-design-space
-prediction (20,736-23,040 points per benchmark) inside
+:class:`~repro.core.training.StackedEnsembleTrainer`, and
+full-design-space prediction (20,736-23,040 points per benchmark) inside
 :class:`~repro.core.ensemble.EnsemblePredictor`.  This module implements
 both as fused numpy kernels:
 
-* :class:`TrainingKernel` runs a whole epoch of presentation-sampled
-  mini-batch gradient descent with momentum as batched forward/backward
-  matmuls.  Input validation happens once at construction, the epoch's
-  presentations are gathered with a single fancy-index instead of one
-  per batch, and the per-batch finite-guards of
-  :meth:`FeedForwardNetwork.gradients` are hoisted to one cheap
-  weight-finiteness check per epoch — non-finite values cannot
-  "un-diverge" under gradient descent with momentum, so checking after
-  the epoch detects the failure in the same epoch the old per-batch
-  guards did.
 * :class:`EnsembleTrainingKernel` stacks the weight and velocity
   matrices of many identically shaped member networks — the k
-  cross-validation folds of an ensemble —
-  into one set of 3-D tensors ``(members, fan_in + 1, fan_out)`` per
-  layer, and runs forward/backprop/momentum for every *active* member
-  as one batched matmul per layer per batch.  Early stopping, restarts
-  and quarantine become per-member active masks: a stopped or diverged
-  member's slice is excluded from the batched epoch (frozen in place),
-  and a restart reseeds only that slice.
+  cross-validation folds of an ensemble, or the one network of a single
+  fit — into one set of 3-D tensors ``(members, fan_in + 1, fan_out)``
+  per layer, and runs a whole epoch of presentation-sampled mini-batch
+  gradient descent with momentum for every *active* member as one
+  batched matmul per layer per batch.  The epoch's presentations are
+  gathered with a single fancy-index, and the per-batch finite-guards
+  of :meth:`FeedForwardNetwork.gradients` are hoisted to one weight
+  finiteness check per epoch — non-finite values cannot "un-diverge"
+  under gradient descent with momentum, so checking after the epoch
+  detects the failure in the same epoch per-batch guards would.  Early
+  stopping, restarts and quarantine become per-member active masks: a
+  stopped or diverged member's slice is excluded from the batched epoch
+  (frozen in place), and a restart reseeds only that slice.
 * :func:`ensemble_predict` / :func:`member_predictions` /
   :func:`ensemble_variance` / :func:`ensemble_predict_all` evaluate
   every ensemble member over a large point set in fixed-size chunks (a
@@ -34,15 +30,16 @@ both as fused numpy kernels:
   ``vstack(...).mean(axis=0)`` path.
 
 The kernels compute *exactly* the same floating-point operations, in the
-same order, as the per-batch/per-call paths they replace: with any
+same order, as the per-network paths they replace: with any
 ``batch_size`` (including 1, the paper's literal per-sample
-presentation) the weight trajectory is bit-identical to the pre-kernel
-implementation, which is what ``tests/test_kernels.py`` and
-``tests/test_ensemble_kernel.py`` lock in.  For the stacked ensemble
-kernel this relies on numpy evaluating an ``(m, a, b) @ (m, b, c)``
-matmul as the same BLAS GEMM per 2-D slice it would run for one member
-alone, and on row-sum reductions over the batch axis preserving the
-2-D accumulation order — both asserted per-op by the tests.
+presentation) each member's weight trajectory is bit-identical to
+training it alone, which ``tests/test_kernels.py`` and
+``tests/test_ensemble_kernel.py`` lock in against the single-network
+reference in ``tests/reference_training.py``.  This relies on numpy
+evaluating an ``(m, a, b) @ (m, b, c)`` matmul as the same BLAS GEMM per
+2-D slice it would run for one member alone, and on row-sum reductions
+over the batch axis preserving the 2-D accumulation order — both
+asserted per-op by the tests.
 """
 
 from __future__ import annotations
@@ -66,128 +63,6 @@ Scaler = Union[TargetScaler, MultiTargetScaler]
 #: BLAS dominates, small enough that the (k, chunk) member block and the
 #: per-layer activations stay cache- and memory-friendly
 DEFAULT_PREDICT_CHUNK = 8192
-
-
-class TrainingKernel:
-    """Fused mini-batch SGD+momentum epochs over one network and dataset.
-
-    Parameters
-    ----------
-    network:
-        The network to train in place.  The kernel holds references to
-        its weight and velocity arrays; in-place mutations made through
-        :meth:`FeedForwardNetwork.set_weights` /
-        :meth:`~FeedForwardNetwork.reset_momentum` (the early-stopping
-        restore path) are therefore picked up automatically.
-    x, y:
-        Training inputs ``(n, F)`` and normalized targets ``(n, O)``.
-        Validated once here instead of once per batch.
-    """
-
-    def __init__(
-        self, network: FeedForwardNetwork, x: np.ndarray, y: np.ndarray
-    ):
-        x = np.asarray(x, dtype=np.float64)
-        y = np.atleast_2d(np.asarray(y, dtype=np.float64))
-        if x.ndim != 2:
-            raise ValueError(f"x must be 2-D, got shape {x.shape}")
-        if x.shape[1] != network.n_inputs:
-            raise ValueError(
-                f"expected {network.n_inputs} input features, got {x.shape[1]}"
-            )
-        if y.shape[1] != network.n_outputs:
-            raise ValueError(
-                f"expected {network.n_outputs} targets, got {y.shape[1]}"
-            )
-        if len(x) != len(y):
-            raise ValueError("x and y must have the same number of rows")
-        self.network = network
-        self.x = x
-        self.y = y
-        # cache the hot attribute lookups out of the batch loop
-        self._weights = network.weights
-        self._velocity = network._velocity
-        self._hidden_forward = network.hidden_activation.forward
-        self._hidden_deriv = network.hidden_activation.derivative_from_output
-        self._output_forward = network.output_activation.forward
-        self._output_deriv = network.output_activation.derivative_from_output
-
-    def weights_finite(self) -> bool:
-        """Whether every weight matrix is free of NaN/inf (cheap: the
-        weight arrays are tiny next to one batch of activations)."""
-        return all(np.isfinite(w).all() for w in self._weights)
-
-    def run_epoch(
-        self,
-        order: np.ndarray,
-        batch_size: int,
-        learning_rate: float,
-        momentum: float,
-    ) -> None:
-        """One epoch: presentations ``order``, updates every ``batch_size``.
-
-        Performs the identical arithmetic to calling
-        :meth:`FeedForwardNetwork.train_batch` on each slice of
-        ``order`` — batched forward matmuls, backward matmuls, then the
-        Equation 3.2 momentum update per layer — with the validation and
-        finite-guards hoisted out of the loop.  Raises
-        :class:`~repro.core.network.TrainingDiverged` (reason
-        ``"non-finite weights"``) when the epoch left any weight
-        non-finite.
-        """
-        # one gather for the whole epoch instead of one per batch
-        x_ep = self.x[order]
-        y_ep = self.y[order]
-        weights = self._weights
-        velocity = self._velocity
-        n_layers = len(weights)
-        last = n_layers - 1
-        hidden_forward = self._hidden_forward
-        hidden_deriv = self._hidden_deriv
-        output_forward = self._output_forward
-        output_deriv = self._output_deriv
-        n = len(order)
-
-        for start in range(0, n, batch_size):
-            stop = start + batch_size
-            xb = x_ep[start:stop]
-            yb = y_ep[start:stop]
-            m = len(xb)
-
-            # -- forward: batched matmul per layer ----------------------
-            activations: List[np.ndarray] = [xb]
-            a = xb
-            for layer in range(n_layers):
-                w = weights[layer]
-                net = a @ w[1:] + w[0]
-                a = (
-                    output_forward(net) if layer == last
-                    else hidden_forward(net)
-                )
-                activations.append(a)
-
-            # -- backward + momentum update, output layer first ---------
-            delta = (a - yb) * output_deriv(a)
-            for layer in range(last, -1, -1):
-                previous = activations[layer]
-                w = weights[layer]
-                v = velocity[layer]
-                grad_bias = delta.sum(axis=0) / m
-                grad = previous.T @ delta / m
-                if layer > 0:
-                    # propagate before updating: backprop must see the
-                    # pre-update weights, exactly as the unfused path does
-                    delta = (delta @ w[1:].T) * hidden_deriv(previous)
-                v *= momentum
-                v[0] -= learning_rate * grad_bias
-                v[1:] -= learning_rate * grad
-                w += v
-
-        if not self.weights_finite():
-            raise TrainingDiverged(
-                "training epoch produced non-finite weights",
-                reason="non-finite weights",
-            )
 
 
 class EnsembleTrainingKernel:
@@ -225,9 +100,10 @@ class EnsembleTrainingKernel:
     Bit-identity contract: for any schedule of epochs, activation
     changes, weight restores and reseeds, each member's weight and
     velocity trajectory is bit-identical to training that member alone
-    through :class:`TrainingKernel` with the same presentation orders —
-    ``tests/test_ensemble_kernel.py`` locks this per op and end-to-end
-    through :class:`~repro.core.crossval.CrossValidationEnsemble`.
+    with the same presentation orders — ``tests/test_ensemble_kernel.py``
+    locks this per op against the single-network reference kernel and
+    end-to-end through
+    :class:`~repro.core.crossval.CrossValidationEnsemble`.
     """
 
     def __init__(
@@ -260,7 +136,7 @@ class EnsembleTrainingKernel:
         ys = [np.atleast_2d(np.asarray(y, dtype=np.float64)) for y in ys]
         n = len(xs[0])
         for x, y in zip(xs, ys):
-            # the same per-fit validation TrainingKernel does, per member
+            # validated once per fit, not once per batch
             if x.ndim != 2:
                 raise ValueError(f"x must be 2-D, got shape {x.shape}")
             if x.shape[1] != first.n_inputs:
@@ -374,8 +250,8 @@ class EnsembleTrainingKernel:
 
     # -- per-member health and inference -------------------------------
     def member_weights_finite(self, member: int) -> bool:
-        """Whether one member's weights are free of NaN/inf; mirrors
-        :meth:`TrainingKernel.weights_finite`."""
+        """Whether one member's weights are free of NaN/inf (cheap: the
+        weight arrays are tiny next to one batch of activations)."""
         return all(np.isfinite(w[member]).all() for w in self.weights)
 
     def members_finite(self) -> np.ndarray:
@@ -461,17 +337,16 @@ class EnsembleTrainingKernel:
             of :attr:`active_members`).  Each row is that member's own
             weighted presentation draw.
         batch_size:
-            Updates happen every ``batch_size`` presentations, exactly
-            as in :meth:`TrainingKernel.run_epoch`.
+            Updates happen every ``batch_size`` presentations, with the
+            arithmetic of :meth:`FeedForwardNetwork.train_batch`.
         learning_rates:
             One step size per active member, same order as ``orders``
             (plateau decay is per member).
         momentum:
             Shared momentum coefficient.
 
-        Unlike :meth:`TrainingKernel.run_epoch` this does not raise on
-        non-finite weights: one member diverging must not abort its
-        siblings' epoch.  Callers check :meth:`member_weights_finite`
+        This does not raise on non-finite weights: one member diverging
+        must not abort its siblings' epoch.  Callers check :meth:`member_weights_finite`
         per member afterwards and quarantine or reseed the failed slice
         — the same epoch-granularity detection the per-fold guard gave.
         """

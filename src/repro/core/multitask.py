@@ -14,10 +14,10 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .context import RunContext
+from ..obs.metrics import METRICS
 from .encoding import MultiTargetScaler
-from .network import FeedForwardNetwork, warn_unseeded
-from .training import EarlyStoppingTrainer, TrainingConfig
+from .network import FeedForwardNetwork, TrainingDiverged, warn_unseeded
+from .training import StackedEnsembleTrainer, TrainingConfig, target_columns
 
 
 class MultiTaskNetwork:
@@ -31,9 +31,11 @@ class MultiTaskNetwork:
         Number of simultaneously learned metrics; task 0 is the metric of
         interest (IPC).
     training:
-        Hyperparameters (hidden layout, learning rate, momentum...).
+        Hyperparameters (hidden layout, learning rate, momentum, restart
+        budget...).
     rng:
-        Seeded generator.
+        Seeded generator; each :meth:`fit` draws its training seed from
+        it.
     """
 
     def __init__(
@@ -50,15 +52,9 @@ class MultiTaskNetwork:
             warn_unseeded("MultiTaskNetwork")
             rng = np.random.default_rng()
         self.rng = rng
+        self.n_inputs = n_inputs
         self.n_tasks = n_tasks
-        self.network = FeedForwardNetwork(
-            n_inputs=n_inputs,
-            hidden_layers=self.training.hidden_layers,
-            n_outputs=n_tasks,
-            hidden_activation=self.training.hidden_activation,
-            rng=self.rng,
-            init_range=self.training.init_range,
-        )
+        self.network: Optional[FeedForwardNetwork] = None
         self.scaler = MultiTargetScaler()
 
     def fit(
@@ -68,29 +64,53 @@ class MultiTaskNetwork:
         x_es: np.ndarray,
         y_es: np.ndarray,
     ) -> List[float]:
-        """Train on raw multi-column targets with early stopping on the
-        primary task's percentage error; returns the early-stopping trace.
+        """Train on raw targets with early stopping on the primary
+        task's percentage error; returns the early-stopping trace.
 
-        The fit is one run of the single-network reference trainer,
-        :class:`~repro.core.training.EarlyStoppingTrainer`, on targets
-        scaled to this network's own training rows; this network's
-        generator drives the presentation order.
+        ``y``/``y_es`` have one column per task (a 1-D vector when there
+        is one task).  The fit is a one-task
+        :meth:`~repro.core.training.StackedEnsembleTrainer.fit_folds`
+        run — training rows, then early-stopping rows, no test rows —
+        on targets scaled to the training rows, seeded from this
+        model's generator, with the configured ``max_restarts`` budget.
+        Raises :class:`~repro.core.network.TrainingDiverged` (reason
+        ``"restarts exhausted"``) when every attempt diverged.
         """
-        y = np.atleast_2d(np.asarray(y, dtype=np.float64))
-        y_es = np.atleast_2d(np.asarray(y_es, dtype=np.float64))
+        x = np.asarray(x, dtype=np.float64)
+        x_es = np.asarray(x_es, dtype=np.float64)
+        y = target_columns(y)
+        y_es = target_columns(y_es)
         if y.shape[1] != self.n_tasks or y_es.shape[1] != self.n_tasks:
             raise ValueError(f"targets must have {self.n_tasks} columns")
+        if x.shape[1:] != (self.n_inputs,) or x_es.shape[1:] != (self.n_inputs,):
+            raise ValueError(f"inputs must have shape (n, {self.n_inputs})")
+        if len(x) != len(y):
+            raise ValueError("x and y must have equal length")
+        if len(x_es) != len(y_es):
+            raise ValueError("x_es and y_es must have equal length")
         self.scaler.fit(y)
-        trainer = EarlyStoppingTrainer(
-            self.training, context=RunContext(rng=self.rng)
+        # one training seed, drawn the way fold_tasks draws a fold's
+        seed = int(self.rng.integers(0, 2**63 - 1, size=1)[0])
+        n, n_es = len(x), len(x_es)
+        task = (np.arange(n), np.arange(n, n + n_es), np.arange(0), seed)
+        (result,) = StackedEnsembleTrainer(self.training).fit_folds(
+            np.concatenate([x, x_es]),
+            np.concatenate([y, y_es]),
+            [task],
+            [self.scaler],
+            capture_metrics=METRICS.enabled,
         )
-        history = trainer.train(
-            self.network, x, y, x_es, y_es, self.scaler
-        )
-        return history.es_errors
+        if result.metrics is not None:
+            METRICS.merge(result.metrics)
+        if result.diverged:
+            raise TrainingDiverged(result.error, reason="restarts exhausted")
+        self.network = result.network
+        return result.history.es_errors
 
     def predict_all(self, x: np.ndarray) -> np.ndarray:
         """Denormalized predictions for every task; shape ``(n, n_tasks)``."""
+        if self.network is None:
+            raise RuntimeError("fit() must be called before predicting")
         return self.scaler.inverse_transform(self.network.predict(x))
 
     def predict_primary(self, x: np.ndarray) -> np.ndarray:

@@ -36,12 +36,14 @@ class TrainingDiverged(RuntimeError):
     Raised instead of letting NaN/inf propagate silently into ensemble
     predictions and error estimates: by the finite-guards in
     :meth:`FeedForwardNetwork.forward` / :meth:`~FeedForwardNetwork.gradients`,
-    by the mid-train divergence detection in
-    :class:`~repro.core.training.EarlyStoppingTrainer`, and by
-    :class:`~repro.core.training.RobustTrainer` once its restart budget
-    is exhausted.  ``reason`` names the failure mode ("weight explosion",
-    "dead network", ...) and ``epoch`` where it was detected, so the
-    error is recoverable (restart / quarantine) rather than opaque.
+    by the mid-train divergence detection of
+    :class:`~repro.core.training.StackedEnsembleTrainer` (which restarts
+    or quarantines the fold), and by
+    :meth:`~repro.core.multitask.MultiTaskNetwork.fit` once its restart
+    budget is exhausted (reason ``"restarts exhausted"``).  ``reason``
+    names the failure mode ("weight explosion", "dead network", ...) and
+    ``epoch`` where it was detected, so the error is recoverable
+    (restart / quarantine) rather than opaque.
     """
 
     def __init__(

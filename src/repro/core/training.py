@@ -13,20 +13,19 @@ Implements Section 3.1-3.3's training recipe:
 The recipe can diverge — near-zero targets make the inverse-target
 presentation weights degenerate, a too-large step size explodes the
 weights, saturated units go dead — so every fit runs under *training
-health* supervision: :class:`EarlyStoppingTrainer` checks for
-non-finite/exploding early-stopping error, weight explosion and dead
-(constant-prediction) networks at every check interval and raises
-:class:`~repro.core.network.TrainingDiverged` instead of returning
-garbage, and :class:`RobustTrainer` retries a diverged fit with
-deterministically reseeded weights up to ``max_restarts`` times.
+health* supervision: non-finite/exploding early-stopping error, weight
+explosion and dead (constant-prediction) networks are detected at every
+check interval, and a diverged fit is retried with deterministically
+reseeded weights up to ``max_restarts`` times before it is given up.
 
+:class:`StackedEnsembleTrainer` is the one trainer.  It runs that state
+machine per fold task and trains every active fold's epoch as one
+batched matmul stack: a cross-validation ensemble is ``k`` tasks, and a
+single network (:class:`~repro.core.multitask.MultiTaskNetwork`) is one.
 Targets may be one column or several: a network has one output per
 target, the primary target (column 0) drives presentation frequency
 and early stopping, and :class:`TargetRecipe` holds the two ways a
-multi-target fit departs from the scalar recipe.  Those two trainers
-are the single-network reference; cross-validation ensembles train
-every fold at once through :class:`StackedEnsembleTrainer`, which
-reproduces them exactly.
+multi-target fit departs from the scalar recipe.
 """
 
 from __future__ import annotations
@@ -38,12 +37,11 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..obs.metrics import METRICS, MetricsRegistry
-from ..obs.telemetry import NULL_TELEMETRY, RunTelemetry
-from .context import RunContext, resolve_context
+from ..obs.metrics import MetricsRegistry
+from ..obs.telemetry import RunTelemetry
 from .encoding import MultiTargetScaler, TargetScaler
 from .error import percentage_errors
-from .kernels import EnsembleTrainingKernel, TrainingKernel
+from .kernels import EnsembleTrainingKernel
 from .network import (
     DEFAULT_HIDDEN_UNITS,
     DEFAULT_INIT_RANGE,
@@ -64,10 +62,9 @@ def presentation_probabilities(
 ) -> np.ndarray:
     """Per-point presentation frequency, proportional to 1/target.
 
-    The Section 3.1 percentage-error weighting; shared by the single-network
-    :class:`EarlyStoppingTrainer` and the fold-stacked
-    :class:`StackedEnsembleTrainer` so both paths validate and weight
-    targets identically.
+    The Section 3.1 percentage-error weighting; each fold task of
+    :class:`StackedEnsembleTrainer` computes it once for its fixed
+    training targets.
     """
     targets = np.asarray(targets, dtype=np.float64).reshape(-1)
     finite = np.isfinite(targets)
@@ -117,7 +114,8 @@ class TrainingConfig:
     decay_after: int = 10
     weight_by_inverse_target: bool = True
     # -- training-health supervision ----------------------------------
-    #: restarts a :class:`RobustTrainer` may spend on a diverged fit
+    #: reseeded restarts a fit may spend on divergence before it is
+    #: given up (a quarantined fold, or ``TrainingDiverged``)
     max_restarts: int = 2
     #: early-stopping percentage error above which a fit counts as
     #: diverged (a useful model is within ~tens of percent; 1e6% means
@@ -221,8 +219,8 @@ class TargetRecipe:
 
     A scalar fit (width 1) runs the recipe as configured.  A
     multi-target fit departs from it in exactly two ways, both decided
-    here so that the fold-stacked trainer, the single-network reference
-    and the cross-validation ensemble cannot disagree:
+    here so that the fold-stacked trainer and the cross-validation
+    ensemble cannot disagree:
 
     * **per-fold scaling** — a scalar fit scales its targets with one
       :class:`~repro.core.encoding.TargetScaler` fit on every sampled
@@ -263,347 +261,6 @@ class TargetRecipe:
         return [MultiTargetScaler().fit(y[task[0]]) for task in tasks]
 
 
-class EarlyStoppingTrainer:
-    """Train one network on raw targets with an early-stopping set.
-
-    Parameters
-    ----------
-    config:
-        Hyperparameters.
-    rng:
-        Generator driving weighted presentation order.
-    telemetry:
-        Optional event stream; when enabled the trainer emits one
-        ``train.check`` event per early-stopping evaluation (the
-        percentage-error "loss" the recipe tracks) and one
-        ``train.stop`` event per run.
-    metrics:
-        Registry receiving the ``train.epochs`` counter and the
-        ``train.fit`` timer; defaults to the global registry.
-    context:
-        Alternative to the individual ``rng`` / ``telemetry`` /
-        ``metrics`` parameters: one
-        :class:`~repro.core.context.RunContext` supplying all three
-        (pass either the context or the individual fields, not both).
-    """
-
-    def __init__(
-        self,
-        config: Optional[TrainingConfig] = None,
-        rng: Optional[np.random.Generator] = None,
-        telemetry: Optional[RunTelemetry] = None,
-        metrics: Optional[MetricsRegistry] = None,
-        context: Optional[RunContext] = None,
-    ):
-        ctx = resolve_context(
-            context,
-            rng=rng,
-            telemetry=telemetry,
-            metrics=metrics,
-            owner="EarlyStoppingTrainer",
-        )
-        self.config = config or TrainingConfig()
-        self.rng = ctx.rng
-        self.telemetry = ctx.telemetry
-        self.metrics = ctx.metrics
-
-    def presentation_probabilities(self, targets: np.ndarray) -> np.ndarray:
-        """Per-point presentation frequency, proportional to 1/target."""
-        return presentation_probabilities(
-            targets, self.config.weight_by_inverse_target
-        )
-
-    def _diverged(
-        self,
-        message: str,
-        *,
-        reason: str,
-        epoch: int,
-        history: TrainingHistory,
-        **payload,
-    ) -> None:
-        """Record a divergence and raise :class:`TrainingDiverged`.
-
-        Single choke point for every failure mode the trainer detects:
-        emits one ``train.diverged`` event naming the reason, counts the
-        epochs spent on the doomed fit (so ``train.epochs`` stays an
-        honest work measure across restarts) and raises.
-        """
-        self.metrics.inc("train.epochs", history.epochs_run)
-        self.metrics.inc("train.diverged")
-        self.telemetry.emit(
-            "train.diverged", reason=reason, epoch=epoch, **payload
-        )
-        raise TrainingDiverged(message, reason=reason, epoch=epoch)
-
-    def train(
-        self,
-        network: FeedForwardNetwork,
-        x_train: np.ndarray,
-        y_train: np.ndarray,
-        x_es: np.ndarray,
-        y_es: np.ndarray,
-        scaler: Union[TargetScaler, MultiTargetScaler],
-    ) -> TrainingHistory:
-        """Train ``network`` in place; returns the early-stopping history.
-
-        ``y_train``/``y_es`` are raw (unnormalized) targets, 1-D or one
-        column per network output; ``scaler`` maps them to the
-        network's [0, 1] output range and back.  Presentation frequency
-        and early stopping follow the primary target (column 0), and
-        the :class:`TargetRecipe` of the targets' width applies.
-        """
-        cfg = TargetRecipe.of(y_train).config(self.config)
-        x_train = np.asarray(x_train, dtype=np.float64)
-        y_train = target_columns(y_train)
-        x_es = np.asarray(x_es, dtype=np.float64)
-        y_es = target_columns(y_es)
-        if len(x_train) != len(y_train):
-            raise ValueError("x_train and y_train must have equal length")
-        if len(x_es) != len(y_es):
-            raise ValueError("x_es and y_es must have equal length")
-        if len(x_train) == 0 or len(x_es) == 0:
-            raise ValueError("training and early-stopping sets must be non-empty")
-
-        y_norm = scaler.transform(y_train)
-        primary_scaler = scaler.scalers[0]
-        y_es = y_es[:, 0]
-        # presentation weights depend only on the (fixed) targets: one
-        # computation per fit, reused by every epoch's draw
-        probabilities = self.presentation_probabilities(y_train[:, 0])
-        kernel = TrainingKernel(network, x_train, y_norm)
-        n = len(x_train)
-        fit_start = time.perf_counter()
-        history = TrainingHistory()
-        best_weights = network.get_weights()
-        checks_without_improvement = 0
-        learning_rate = cfg.learning_rate
-        dead_streak = 0
-
-        for epoch in range(1, cfg.max_epochs + 1):
-            # one epoch = n presentations drawn at the weighted frequency
-            order = self.rng.choice(n, size=n, p=probabilities)
-            try:
-                kernel.run_epoch(
-                    order,
-                    cfg.batch_size,
-                    learning_rate=learning_rate,
-                    momentum=cfg.momentum,
-                )
-            except TrainingDiverged as exc:
-                self._diverged(
-                    str(exc), reason=exc.reason, epoch=epoch, history=history
-                )
-            history.epochs_run = epoch
-            if epoch % cfg.check_interval:
-                continue
-
-            health = network.weight_health()
-            if not health.ok(cfg.max_weight):
-                reason = (
-                    "weight explosion" if health.finite
-                    else "non-finite weights"
-                )
-                self._diverged(
-                    f"unhealthy weights at epoch {epoch}: "
-                    f"max |w| = {health.max_abs:g}, "
-                    f"saturation = {health.saturation:.3f}",
-                    reason=reason,
-                    epoch=epoch,
-                    history=history,
-                    max_abs=health.max_abs,
-                    saturation=health.saturation,
-                )
-            try:
-                raw = network.predict(x_es)[:, 0]
-            except TrainingDiverged as exc:
-                self._diverged(
-                    str(exc), reason=exc.reason, epoch=epoch, history=history
-                )
-            predictions = primary_scaler.inverse_transform(raw)
-            es_error = float(np.mean(percentage_errors(predictions, y_es)))
-            if not np.isfinite(es_error) or es_error > cfg.divergence_error:
-                self._diverged(
-                    f"early-stopping error {es_error:g} exceeds the "
-                    f"divergence threshold {cfg.divergence_error:g}",
-                    reason="exploding es_error",
-                    epoch=epoch,
-                    history=history,
-                    es_error=es_error,
-                )
-            # dead-network detection needs >= 2 ES points: spread over a
-            # single prediction is zero by definition, not a collapse
-            if len(raw) >= 2 and float(np.ptp(raw)) < DEAD_PREDICTION_SPREAD:
-                dead_streak += 1
-                if dead_streak >= cfg.dead_checks:
-                    self._diverged(
-                        f"constant predictions for {dead_streak} consecutive "
-                        "checks: the network is dead (zeroed or saturated)",
-                        reason="dead network",
-                        epoch=epoch,
-                        history=history,
-                        dead_streak=dead_streak,
-                    )
-            else:
-                dead_streak = 0
-            history.es_errors.append(es_error)
-            self.telemetry.emit(
-                "train.check",
-                epoch=epoch,
-                es_error=es_error,
-                best_error=min(history.best_error, es_error),
-                learning_rate=learning_rate,
-            )
-            if es_error < history.best_error - 1e-12:
-                history.best_error = es_error
-                history.best_epoch = epoch
-                best_weights = network.get_weights()
-                checks_without_improvement = 0
-            else:
-                checks_without_improvement += 1
-                if (
-                    cfg.lr_decay < 1.0
-                    and checks_without_improvement % cfg.decay_after == 0
-                ):
-                    # plateau: anneal the step size and resume from the
-                    # best weights seen so far
-                    learning_rate *= cfg.lr_decay
-                    network.set_weights(best_weights)
-                    network.reset_momentum()
-                if checks_without_improvement >= cfg.patience:
-                    history.stopped_early = True
-                    break
-
-        network.set_weights(best_weights)
-        self.metrics.inc("train.epochs", history.epochs_run)
-        self.metrics.observe("train.fit", time.perf_counter() - fit_start)
-        self.telemetry.emit(
-            "train.stop",
-            epochs_run=history.epochs_run,
-            best_epoch=history.best_epoch,
-            best_error=history.best_error,
-            stopped_early=history.stopped_early,
-            n_train=n,
-            n_es=len(x_es),
-        )
-        return history
-
-
-class RobustTrainer:
-    """Build-and-train wrapper that retries diverged fits deterministically.
-
-    Owns the whole fit — weight initialization, presentation order and
-    early stopping — from one integer ``seed`` (normally the per-fold
-    seed drawn from the run RNG).  When :class:`EarlyStoppingTrainer`
-    raises :class:`~repro.core.network.TrainingDiverged`, the fit is
-    retried with freshly reseeded weights up to ``max_restarts`` times:
-
-    * attempt 0 uses ``np.random.default_rng(seed)`` for both weight
-      init and presentation order — bit-identical to an unwrapped fit,
-      so healthy runs reproduce pre-robustness trajectories exactly;
-    * restart attempt ``a`` uses ``np.random.default_rng([seed, a])``,
-      a distinct but fully seed-determined stream, so retries are
-      bit-reproducible too.
-
-    Each restart emits a ``train.restart`` event and counter; exhausting
-    the budget re-raises ``TrainingDiverged`` with reason
-    ``"restarts exhausted"`` for the caller (fold quarantine) to handle.
-
-    Together with :class:`EarlyStoppingTrainer` this is the
-    single-network reference: :class:`StackedEnsembleTrainer` must
-    reproduce one ``RobustTrainer`` fit per fold task exactly.
-    """
-
-    def __init__(
-        self,
-        config: Optional[TrainingConfig] = None,
-        *,
-        seed: int = 0,
-        max_restarts: Optional[int] = None,
-        telemetry: Optional[RunTelemetry] = None,
-        metrics: Optional[MetricsRegistry] = None,
-    ):
-        self.config = config or TrainingConfig()
-        self.seed = int(seed)
-        self.max_restarts = (
-            self.config.max_restarts if max_restarts is None else max_restarts
-        )
-        if self.max_restarts < 0:
-            raise ValueError("max_restarts must be non-negative")
-        self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
-        self.metrics = metrics if metrics is not None else METRICS
-
-    def _attempt_rng(self, attempt: int) -> np.random.Generator:
-        if attempt == 0:
-            # bit-identical to the pre-RobustTrainer single-attempt path
-            return np.random.default_rng(self.seed)
-        return np.random.default_rng([self.seed, attempt])
-
-    def build_network(
-        self, n_inputs: int, rng: np.random.Generator, n_outputs: int = 1
-    ) -> FeedForwardNetwork:
-        """A freshly initialized network drawn from ``rng``."""
-        cfg = self.config
-        return FeedForwardNetwork(
-            n_inputs=n_inputs,
-            hidden_layers=cfg.hidden_layers,
-            n_outputs=n_outputs,
-            hidden_activation=cfg.hidden_activation,
-            rng=rng,
-            init_range=cfg.init_range,
-        )
-
-    def fit(
-        self,
-        x_train: np.ndarray,
-        y_train: np.ndarray,
-        x_es: np.ndarray,
-        y_es: np.ndarray,
-        scaler: Union[TargetScaler, MultiTargetScaler],
-    ) -> Tuple[FeedForwardNetwork, TrainingHistory]:
-        """Train a fresh network; returns ``(network, history)``.
-
-        The network has one output per target column.  Raises
-        :class:`~repro.core.network.TrainingDiverged` only after
-        ``max_restarts + 1`` attempts all diverged.
-        """
-        x_train = np.asarray(x_train, dtype=np.float64)
-        n_outputs = target_columns(y_train).shape[1]
-        last: Optional[TrainingDiverged] = None
-        for attempt in range(self.max_restarts + 1):
-            rng = self._attempt_rng(attempt)
-            network = self.build_network(x_train.shape[1], rng, n_outputs)
-            trainer = EarlyStoppingTrainer(
-                self.config,
-                context=RunContext(
-                    rng=rng, telemetry=self.telemetry, metrics=self.metrics
-                ),
-            )
-            try:
-                history = trainer.train(
-                    network, x_train, y_train, x_es, y_es, scaler
-                )
-                return network, history
-            except TrainingDiverged as exc:
-                last = exc
-                if attempt < self.max_restarts:
-                    self.metrics.inc("train.restarts")
-                    self.telemetry.emit(
-                        "train.restart",
-                        attempt=attempt + 1,
-                        max_restarts=self.max_restarts,
-                        seed=self.seed,
-                        reason=exc.reason,
-                    )
-        assert last is not None
-        raise TrainingDiverged(
-            f"training diverged on all {self.max_restarts + 1} attempts "
-            f"(seed {self.seed}; last failure: {last})",
-            reason="restarts exhausted",
-            epoch=last.epoch,
-        )
-
-
 # ----------------------------------------------------------------------
 # fold-stacked ensemble training
 # ----------------------------------------------------------------------
@@ -612,9 +269,10 @@ class FoldResult:
     """One trained fold plus the observability it recorded.
 
     A quarantined fold — training exhausted its restart budget — has
-    ``network=None``, no test errors, ``epochs`` 0 and ``error``
-    describing the last failure.  ``test_errors`` holds the held-out
-    percentage errors as an ``(n_test, n_targets)`` matrix.
+    ``network=None``, no test errors, ``epochs`` 0, no ``history`` and
+    ``error`` describing the last failure.  ``test_errors`` holds the
+    held-out percentage errors as an ``(n_test, n_targets)`` matrix, and
+    ``history`` the early-stopping trace of the attempt that completed.
 
     ``events`` carries the fold's telemetry as ``(name, payload)``
     pairs and ``metrics`` its local registry; the caller ``replay``-s
@@ -629,6 +287,7 @@ class FoldResult:
     events: List[Tuple[str, Dict[str, object]]] = field(default_factory=list)
     metrics: Optional[MetricsRegistry] = None
     error: Optional[str] = None
+    history: Optional[TrainingHistory] = None
 
     @property
     def diverged(self) -> bool:
@@ -646,13 +305,15 @@ class FoldResult:
 class _FoldProgram:
     """The per-fold early-stopping/restart state machine.
 
-    Replicates :meth:`EarlyStoppingTrainer.train` plus
-    :meth:`RobustTrainer.fit` exactly — same rng streams, same check
-    order, same divergence messages, same telemetry and counters — but
-    driven one epoch at a time against one member slice of an
+    One fold task's fit — early stopping, plateau decay, divergence
+    checks and reseeded restarts — driven one epoch at a time against
+    one member slice of an
     :class:`~repro.core.kernels.EnsembleTrainingKernel`, so many folds'
     epochs can share batched matmuls while each fold stops, decays,
-    restarts and quarantines on its own schedule.
+    restarts and quarantines on its own schedule.  It reproduces a
+    single-network fit of the fold exactly (same rng streams, check
+    order, divergence messages, telemetry and counters);
+    ``tests/reference_training.py`` holds that fit as the reference.
     """
 
     def __init__(
@@ -668,10 +329,6 @@ class _FoldProgram:
         telemetry: RunTelemetry,
         metrics: MetricsRegistry,
     ):
-        if len(x_train) != len(y_train):
-            raise ValueError("x_train and y_train must have equal length")
-        if len(x_es) != len(y_es):
-            raise ValueError("x_es and y_es must have equal length")
         if len(x_train) == 0 or len(x_es) == 0:
             raise ValueError(
                 "training and early-stopping sets must be non-empty"
@@ -688,8 +345,7 @@ class _FoldProgram:
         self.telemetry = telemetry
         self.metrics = metrics
         self.n = len(x_train)
-        # fixed targets: one probability computation per fold, like the
-        # once-per-fit hoisting in EarlyStoppingTrainer.train
+        # fixed targets: one probability computation per fold
         self.probabilities = presentation_probabilities(
             y_train[:, 0], config.weight_by_inverse_target
         )
@@ -701,9 +357,10 @@ class _FoldProgram:
         self.attempt_wall = 0.0
         self.start_attempt()
 
-    # -- the RobustTrainer layer ---------------------------------------
+    # -- the restart layer ---------------------------------------------
     def _attempt_rng(self) -> np.random.Generator:
-        # bit-identical to RobustTrainer._attempt_rng
+        # attempt 0 draws from the fold seed itself; restart ``a`` from
+        # the distinct, still seed-determined stream [seed, a]
         if self.attempt == 0:
             return np.random.default_rng(self.seed)
         return np.random.default_rng([self.seed, self.attempt])
@@ -712,9 +369,8 @@ class _FoldProgram:
         """Fresh rng, network and early-stopping state for one attempt."""
         cfg = self.cfg
         self.rng = self._attempt_rng()
-        # network init consumes the rng exactly as RobustTrainer's
-        # build_network does; the same generator then drives this
-        # attempt's presentation draws
+        # network init consumes the rng first; the same generator then
+        # drives this attempt's presentation draws
         self.network = FeedForwardNetwork(
             n_inputs=self.x_train.shape[1],
             hidden_layers=cfg.hidden_layers,
@@ -735,12 +391,13 @@ class _FoldProgram:
         """This attempt's next weighted presentation order."""
         return self.rng.choice(self.n, size=self.n, p=self.probabilities)
 
-    # -- the EarlyStoppingTrainer layer --------------------------------
+    # -- the early-stopping layer --------------------------------------
     def _diverged(
         self, message: str, *, reason: str, epoch: int, **payload
     ) -> None:
-        # mirrors EarlyStoppingTrainer._diverged: count the doomed
-        # epochs, emit one train.diverged event, raise
+        # the one choke point for every detected failure: count the
+        # doomed epochs (train.epochs stays an honest work measure
+        # across restarts), emit one train.diverged event, raise
         self.metrics.inc("train.epochs", self.history.epochs_run)
         self.metrics.inc("train.diverged")
         self.telemetry.emit(
@@ -753,10 +410,10 @@ class _FoldProgram:
     ) -> None:
         """Post-epoch bookkeeping for this fold's member slice.
 
-        One iteration of the EarlyStoppingTrainer.train loop body —
-        finite guard, periodic health/ES check, plateau decay, patience
-        — with divergence handled by the restart/quarantine layer
-        instead of propagating.  ``weights_finite`` is the member's
+        One iteration of the early-stopping loop — finite guard,
+        periodic health/ES check, plateau decay, patience — with
+        divergence handled by the restart/quarantine layer instead of
+        propagating.  ``weights_finite`` is the member's
         entry of a batched :meth:`EnsembleTrainingKernel.members_finite`
         check, so the per-epoch guard costs one reduction per layer for
         the whole group instead of one per fold.
@@ -766,8 +423,7 @@ class _FoldProgram:
         epoch = self.epoch
         try:
             if not weights_finite:
-                # the single-network kernel raises before epochs_run is
-                # set: the failed epoch is not counted
+                # the failed epoch is not counted in epochs_run
                 self._diverged(
                     "training epoch produced non-finite weights",
                     reason="non-finite weights",
@@ -815,6 +471,8 @@ class _FoldProgram:
                 epoch=epoch,
                 es_error=es_error,
             )
+        # dead-network detection needs >= 2 ES points: spread over a
+        # single prediction is zero by definition, not a collapse
         if len(raw) >= 2 and float(np.ptp(raw)) < DEAD_PREDICTION_SPREAD:
             self.dead_streak += 1
             if self.dead_streak >= cfg.dead_checks:
@@ -874,7 +532,8 @@ class _FoldProgram:
     def _restart_or_quarantine(
         self, kernel: EnsembleTrainingKernel, exc: TrainingDiverged
     ) -> None:
-        """The RobustTrainer retry loop, one divergence at a time."""
+        """The retry loop, one divergence at a time: reseed and
+        restart while the budget lasts, then quarantine."""
         if self.attempt < self.cfg.max_restarts:
             self.metrics.inc("train.restarts")
             self.telemetry.emit(
@@ -888,8 +547,8 @@ class _FoldProgram:
             self.start_attempt()
             kernel.reinit_member(self.member, self.network)
         else:
-            # RobustTrainer's restarts-exhausted error, formatted as
-            # "{reason}: {message}" like every quarantine record
+            # formatted as "{reason}: {message}" like every quarantine
+            # record
             self.error = (
                 "restarts exhausted: training diverged on all "
                 f"{self.cfg.max_restarts + 1} attempts "
@@ -901,16 +560,18 @@ class _FoldProgram:
 
 
 class StackedEnsembleTrainer:
-    """Train a whole CV ensemble through one fold-stacked kernel.
+    """Train fold tasks through one fold-stacked kernel.
 
-    The training engine of
+    The package's one trainer: the training engine of
     :class:`~repro.core.crossval.CrossValidationEnsemble`, for scalar
     and multi-target fits alike (the network's output width is the
-    number of target columns).  Given ``(train_idx, es_idx, test_idx,
-    seed)`` fold tasks it produces bit-identical networks, test errors,
-    telemetry events and counters to one :class:`RobustTrainer` fit per
-    task — but runs every still-active fold's epoch as one batched
-    matmul stack instead of ``k`` Python-level fits.  Folds are grouped
+    number of target columns), and of the single-network
+    :class:`~repro.core.multitask.MultiTaskNetwork`, which is a run of
+    one task.  Given ``(train_idx, es_idx, test_idx, seed)`` fold tasks
+    it produces bit-identical networks, test errors, telemetry events
+    and counters to one single-network fit per task — but runs every
+    still-active fold's epoch as one batched matmul stack instead of
+    ``k`` Python-level fits.  Folds are grouped
     by training-set length (``n % k != 0`` makes fold sizes differ by
     at most one, so at most three groups) because stacking requires
     equal GEMM shapes for bit-identity; each group trains through its
@@ -985,23 +646,24 @@ class StackedEnsembleTrainer:
                         for t in range(y.shape[1])
                     ]
                 )
-                epochs = program.history.epochs_run
+                history = program.history
             else:
                 test_errors = np.empty((0, y.shape[1]))
-                epochs = 0
+                history = None
             program.wall_s += time.perf_counter() - started
             results.append(
                 FoldResult(
                     network=program.network,
                     test_errors=test_errors,
                     wall_s=program.wall_s,
-                    epochs=epochs,
+                    epochs=history.epochs_run if history else 0,
                     events=[
                         (event.name, dict(event.payload))
                         for event in program.telemetry.events
                     ],
                     metrics=program.metrics if capture_metrics else None,
                     error=program.error,
+                    history=history,
                 )
             )
         return results

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.training import TrainingConfig
+from repro.core.training import StackedEnsembleTrainer, TrainingConfig
 from repro.cpu.config import MachineConfig
 from repro.designspace import (
     BooleanParameter,
@@ -54,6 +54,33 @@ def fast_training():
         check_interval=10,
         batch_size=32,
     )
+
+
+@pytest.fixture
+def fit_one_task():
+    """Train one network as a one-task ``StackedEnsembleTrainer`` run.
+
+    The returned ``fit(config, x, y, x_es, y_es, scaler, seed=0,
+    capture=False)`` lays the rows out as ``MultiTaskNetwork.fit`` does
+    — training rows, then early-stopping rows, no test rows — and
+    returns the task's ``FoldResult``; ``capture`` records its
+    ``train.*`` events and counters.
+    """
+
+    def fit(config, x, y, x_es, y_es, scaler, seed=0, capture=False):
+        n, n_es = len(x), len(x_es)
+        task = (np.arange(n), np.arange(n, n + n_es), np.arange(0), seed)
+        (result,) = StackedEnsembleTrainer(config).fit_folds(
+            np.concatenate([x, x_es]),
+            np.concatenate([y, y_es]),
+            [task],
+            [scaler],
+            capture_telemetry=capture,
+            capture_metrics=capture,
+        )
+        return result
+
+    return fit
 
 
 @pytest.fixture

@@ -26,14 +26,11 @@ from repro.api import (
 )
 from repro.core.crossapp import CrossApplicationModel
 from repro.core.crossval import CrossValidationEnsemble
-from repro.core.encoding import ParameterEncoder, TargetScaler, design_matrix
+from repro.core.encoding import ParameterEncoder, design_matrix
 from repro.core.explorer import DesignSpaceExplorer
+from repro.core.multitask import MultiTaskNetwork
 from repro.core.resilience import RetryPolicy
-from repro.core.training import (
-    EarlyStoppingTrainer,
-    RobustTrainer,
-    TrainingConfig,
-)
+from repro.core.training import TrainingConfig
 
 
 @pytest.fixture()
@@ -207,17 +204,10 @@ def test_explore_sampler_kwarg_warns(tiny_space, fast_training):
 # ----------------------------------------------------------------------
 # legacy keyword deprecations on component constructors
 # ----------------------------------------------------------------------
-def test_trainer_legacy_rng_kwarg_warns():
-    with pytest.warns(DeprecationWarning, match="EarlyStoppingTrainer"):
-        trainer = EarlyStoppingTrainer(
-            TrainingConfig(), rng=np.random.default_rng(0)
-        )
-    assert trainer.rng is not None
-
-
 def test_crossval_legacy_rng_kwarg_warns():
     with pytest.warns(DeprecationWarning, match="CrossValidationEnsemble"):
-        CrossValidationEnsemble(k=4, rng=np.random.default_rng(0))
+        ensemble = CrossValidationEnsemble(k=4, rng=np.random.default_rng(0))
+    assert ensemble.rng is not None
 
 
 def test_explorer_legacy_rng_kwarg_warns(tiny_space):
@@ -236,11 +226,10 @@ def test_crossapp_legacy_rng_kwarg_warns(tiny_space):
 
 def test_legacy_warning_names_replacement():
     with pytest.warns(DeprecationWarning, match=r"context=RunContext"):
-        EarlyStoppingTrainer(TrainingConfig(), rng=np.random.default_rng(0))
+        CrossValidationEnsemble(k=4, rng=np.random.default_rng(0))
 
 
 def test_context_spelling_is_clean(strict_deprecations):
-    EarlyStoppingTrainer(TrainingConfig(), context=RunContext.seeded(0))
     CrossValidationEnsemble(k=4, context=RunContext.seeded(0))
 
 
@@ -287,17 +276,18 @@ def test_retry_policy_zero_attempts_rejected():
 # ----------------------------------------------------------------------
 # internal paths are warning-free
 # ----------------------------------------------------------------------
-def test_robust_trainer_is_warning_free(strict_deprecations):
+def test_single_network_fit_is_warning_free(strict_deprecations):
     rng = np.random.default_rng(9)
     x = rng.uniform(0, 1, (20, 3))
     y = 0.5 + x.sum(axis=1)
-    scaler = TargetScaler().fit(y)
-    trainer = RobustTrainer(
-        TrainingConfig(
+    model = MultiTaskNetwork(
+        3,
+        1,
+        training=TrainingConfig(
             hidden_layers=(4,), max_epochs=20, check_interval=10, patience=5
         ),
-        seed=4,
+        rng=rng,
     )
-    network, history = trainer.fit(x, y, x[:4], y[:4], scaler)
-    assert history.epochs_run >= 1
-    assert network.predict(x).shape == (20, 1)
+    history = model.fit(x, y, x[:4], y[:4])
+    assert len(history) >= 1
+    assert model.predict_all(x).shape == (20, 1)

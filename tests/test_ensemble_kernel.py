@@ -5,13 +5,16 @@ Two layers of guarantees are locked here:
 * :class:`EnsembleTrainingKernel` — for any schedule of epochs,
   deactivations, weight restores and reseeds, every member's weight and
   velocity trajectory equals (``==``, not approximately) training that
-  member alone through :class:`TrainingKernel` with the same
-  presentation orders;
+  member alone through the reference :class:`TrainingKernel` with the
+  same presentation orders;
 * :class:`StackedEnsembleTrainer` through :class:`CrossValidationEnsemble`
   — a CV fit, scalar or multi-target, reproduces the per-fold reference
   (one :class:`RobustTrainer` fit per fold task) exactly: same networks,
   predictions, error estimate, telemetry, counters and quarantine
-  accounting.
+  accounting.  A one-task run, the path of :class:`MultiTaskNetwork`,
+  reproduces one reference fit the same way.
+
+The reference trainer lives in ``tests/reference_training.py``.
 """
 
 import dataclasses
@@ -19,6 +22,7 @@ import warnings
 
 import numpy as np
 import pytest
+from tests.reference_training import RobustTrainer, TrainingKernel
 
 from repro.core import (
     CrossValidationEnsemble,
@@ -28,11 +32,11 @@ from repro.core import (
     fold_tasks,
     percentage_errors,
 )
-from repro.core.kernels import EnsembleTrainingKernel, TrainingKernel
+from repro.core.encoding import MultiTargetScaler
+from repro.core.kernels import EnsembleTrainingKernel
 from repro.core.network import FeedForwardNetwork, TrainingDiverged
 from repro.core.training import (
     FoldResult,
-    RobustTrainer,
     StackedEnsembleTrainer,
     TargetRecipe,
     TrainingConfig,
@@ -292,6 +296,7 @@ def reference_folds(x, y, tasks, scalers, training):
             FoldResult(
                 network, errors, 0.0, history.epochs_run,
                 [(e.name, dict(e.payload)) for e in events], metrics,
+                history=history,
             )
         )
     return folds
@@ -400,35 +405,55 @@ class TestEngineParity:
     def test_stacked_fit_matches_reference(self, width, hostile, fast_training):
         """Fold by fold and end to end, at output width 1 and 3, on
         healthy data and on data whose folds diverge: same networks,
-        test errors, epochs, quarantine records, events and counters;
-        hence the same ensemble and estimate."""
+        histories, test errors, epochs, quarantine records, events and
+        counters; hence the same ensemble and estimate.  Each task also
+        runs alone in MultiTaskNetwork's layout — one task, every row
+        training or early-stopping, a scaler per column fit on the
+        training rows — and equals one reference fit the same way."""
         x, y = width_problem(width, hostile)
         training = HOSTILE_TRAINING if hostile else fast_training
         names = ("ipc", "hit_rate", "energy_nj") if width == 3 else ()
         tasks = fold_tasks(len(x), 10, np.random.default_rng(3))
         scalers = TargetRecipe.of(y).fold_scalers(y, tasks)
-        stacked = StackedEnsembleTrainer(training).fit_folds(
-            x, y, tasks, scalers, capture_telemetry=True, capture_metrics=True
-        )
-        reference = reference_folds(x, y, tasks, scalers, training)
-        for got, want in zip(stacked, reference):
-            assert got.error == want.error
-            assert got.epochs == want.epochs
-            assert got.events == want.events
-            np.testing.assert_array_equal(got.test_errors, want.test_errors)
-            for counter in ("train.epochs", "train.diverged", "train.restarts"):
-                assert got.metrics.counter(counter) == want.metrics.counter(
-                    counter
-                )
-            if want.network is None:
-                assert got.network is None
-            else:
-                for got_w, want_w in zip(
-                    got.network.weights, want.network.weights
+        single = [
+            (np.concatenate([train_idx, test_idx]), es_idx, np.arange(0), seed)
+            for train_idx, es_idx, test_idx, seed in tasks
+        ]
+        runs = [(tasks, scalers)] + [
+            ([task], [MultiTargetScaler().fit(target_columns(y)[task[0]])])
+            for task in single
+        ]
+        diverged = []
+        for run_tasks, run_scalers in runs:
+            stacked = StackedEnsembleTrainer(training).fit_folds(
+                x, y, run_tasks, run_scalers,
+                capture_telemetry=True, capture_metrics=True,
+            )
+            reference = reference_folds(x, y, run_tasks, run_scalers, training)
+            assert len(stacked) == len(reference)
+            for got, want in zip(stacked, reference):
+                assert got.error == want.error
+                assert got.epochs == want.epochs
+                assert got.history == want.history
+                assert got.events == want.events
+                np.testing.assert_array_equal(got.test_errors, want.test_errors)
+                for counter in (
+                    "train.epochs", "train.diverged", "train.restarts"
                 ):
-                    np.testing.assert_array_equal(got_w, want_w)
-        quarantined = sum(fold.diverged for fold in reference)
+                    assert got.metrics.counter(counter) == (
+                        want.metrics.counter(counter)
+                    )
+                if want.network is None:
+                    assert got.network is None
+                else:
+                    for got_w, want_w in zip(
+                        got.network.weights, want.network.weights
+                    ):
+                        np.testing.assert_array_equal(got_w, want_w)
+            diverged.append(sum(fold.diverged for fold in reference))
+        quarantined = diverged[0]
         assert (quarantined > 0) == hostile
+        assert (sum(diverged[1:]) > 0) == hostile
 
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)

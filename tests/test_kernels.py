@@ -1,13 +1,15 @@
 """Bit-compatibility and equivalence locks for the vectorized kernels.
 
-The fused training kernel and the chunked batch-predict path replaced
+The fused training kernels and the chunked batch-predict path replaced
 per-batch/per-config Python loops; these tests pin the contract that
 made the swap safe:
 
 * any batch size (including 1, the paper's literal per-sample
   presentation) produces a weight trajectory bit-identical to driving
   ``FeedForwardNetwork.train_batch`` directly — the pre-kernel training
-  loop;
+  loop — for the single-network reference kernel the stacked kernel is
+  compared against, and for a whole one-task
+  ``StackedEnsembleTrainer`` fit;
 * chunked full-space ensemble prediction matches per-configuration
   prediction on both studies' design spaces;
 * the cached design matrix is shared, immutable, and row-consistent
@@ -20,12 +22,13 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from tests.reference_training import TrainingKernel
 
+import repro.core.training as training_mod
 from repro.core.encoding import ParameterEncoder, TargetScaler, design_matrix
 from repro.core.ensemble import EnsemblePredictor
-from repro.core.kernels import TrainingKernel
 from repro.core.network import FeedForwardNetwork, TrainingDiverged
-from repro.core.training import EarlyStoppingTrainer, TrainingConfig
+from repro.core.training import TrainingConfig
 from repro.experiments.studies import get_study
 
 
@@ -78,7 +81,7 @@ def test_kernel_epochs_bitwise_match_legacy_loop(batch_size, activation):
 
 
 def _legacy_train(network, x, y, x_es, y_es, scaler, cfg, rng):
-    """The pre-kernel ``EarlyStoppingTrainer.train`` loop, verbatim.
+    """The pre-kernel early-stopping training loop, verbatim.
 
     Valid for configs with ``lr_decay=1.0`` and a patience that never
     fires, so the trainer's rng stream is exactly one ``choice()`` per
@@ -109,10 +112,11 @@ def _legacy_train(network, x, y, x_es, y_es, scaler, cfg, rng):
     network.set_weights(best_weights)
 
 
-def test_trainer_batch1_matches_legacy_per_sample_trajectory():
-    """Full EarlyStoppingTrainer fits with ``batch_size=1`` reproduce a
-    hand-driven per-sample legacy fit exactly (same rng stream),
-    including the early-stopping best-weights restore."""
+def test_trainer_batch1_matches_legacy_per_sample_trajectory(fit_one_task):
+    """Full one-task fits with ``batch_size=1`` reproduce a hand-driven
+    per-sample legacy fit exactly (same rng stream: weight init, then
+    one presentation draw per epoch), including the early-stopping
+    best-weights restore."""
     cfg = TrainingConfig(
         hidden_layers=(6,),
         hidden_activation="sigmoid",
@@ -130,17 +134,19 @@ def test_trainer_batch1_matches_legacy_per_sample_trajectory():
     x_es, y_es = x[:6], y[:6]
     scaler = TargetScaler().fit(y)
 
-    trained_net, legacy_net = _twin_networks(4, seed=11)
-    trainer = EarlyStoppingTrainer(cfg, context=None)
-    trainer.rng = np.random.default_rng(42)
-    history = trainer.train(trained_net, x, y, x_es, y_es, scaler)
-    assert history.epochs_run == cfg.max_epochs  # patience never fired
+    result = fit_one_task(cfg, x, y, x_es, y_es, scaler, seed=42)
+    assert result.history.epochs_run == cfg.max_epochs  # patience never fired
 
-    _legacy_train(
-        legacy_net, x, y, x_es, y_es, scaler, cfg,
-        np.random.default_rng(42),
+    legacy_rng = np.random.default_rng(42)
+    legacy_net = FeedForwardNetwork(
+        n_inputs=4,
+        hidden_layers=cfg.hidden_layers,
+        hidden_activation=cfg.hidden_activation,
+        rng=legacy_rng,
+        init_range=cfg.init_range,
     )
-    for got, want in zip(trained_net.weights, legacy_net.weights):
+    _legacy_train(legacy_net, x, y, x_es, y_es, scaler, cfg, legacy_rng)
+    for got, want in zip(result.network.weights, legacy_net.weights):
         assert np.array_equal(got, want)
 
 
@@ -250,7 +256,9 @@ def test_design_matrix_distinct_per_encoding(tiny_space):
 # ----------------------------------------------------------------------
 # epoch-cost regression: presentation weighting is hoisted out of the loop
 # ----------------------------------------------------------------------
-def test_presentation_probabilities_computed_once_per_fit(monkeypatch):
+def test_presentation_probabilities_computed_once_per_fit(
+    monkeypatch, fit_one_task
+):
     cfg = TrainingConfig(
         hidden_layers=(4,),
         max_epochs=40,
@@ -259,25 +267,18 @@ def test_presentation_probabilities_computed_once_per_fit(monkeypatch):
         lr_decay=1.0,
         batch_size=8,
     )
-    trainer = EarlyStoppingTrainer(cfg, context=None)
-    trainer.rng = np.random.default_rng(0)
     calls = {"n": 0}
-    original = EarlyStoppingTrainer.presentation_probabilities
+    original = training_mod.presentation_probabilities
 
-    def counting(self, targets):
+    def counting(*args, **kwargs):
         calls["n"] += 1
-        return original(self, targets)
+        return original(*args, **kwargs)
 
-    monkeypatch.setattr(
-        EarlyStoppingTrainer, "presentation_probabilities", counting
-    )
+    monkeypatch.setattr(training_mod, "presentation_probabilities", counting)
     rng = np.random.default_rng(3)
     x = rng.uniform(0, 1, (24, 3))
     y = 0.5 + x.sum(axis=1)
     scaler = TargetScaler().fit(y)
-    network = FeedForwardNetwork(
-        n_inputs=3, hidden_layers=(4,), rng=np.random.default_rng(8)
-    )
-    history = trainer.train(network, x, y, x[:5], y[:5], scaler)
-    assert history.epochs_run >= 1
+    result = fit_one_task(cfg, x, y, x[:5], y[:5], scaler)
+    assert result.history.epochs_run == cfg.max_epochs
     assert calls["n"] == 1

@@ -1,10 +1,11 @@
-"""Tests for the early-stopping trainer and its percentage-error recipe."""
+"""Tests for the early-stopping training recipe and its percentage-error
+weighting, driven through one-task ``StackedEnsembleTrainer`` runs."""
 
 import numpy as np
 import pytest
 
-from repro.core import FeedForwardNetwork, RunContext, TargetScaler
-from repro.core.training import EarlyStoppingTrainer, TrainingConfig
+from repro.core import TargetScaler, percentage_errors
+from repro.core.training import TrainingConfig, presentation_probabilities
 
 
 def make_problem(rng, n=300):
@@ -46,52 +47,46 @@ class TestTrainingConfig:
 
 
 class TestPresentationWeighting:
-    def test_inverse_target_frequencies(self, rng):
-        trainer = EarlyStoppingTrainer(TrainingConfig(), context=RunContext(rng=rng))
-        probs = trainer.presentation_probabilities(np.array([1.0, 2.0, 4.0]))
+    def test_inverse_target_frequencies(self):
+        probs = presentation_probabilities(np.array([1.0, 2.0, 4.0]))
         # frequencies proportional to 1/y
         np.testing.assert_allclose(probs, np.array([4, 2, 1]) / 7.0)
 
-    def test_uniform_when_disabled(self, rng):
-        trainer = EarlyStoppingTrainer(
-            TrainingConfig(weight_by_inverse_target=False),
-            context=RunContext(rng=rng),
+    def test_uniform_when_disabled(self):
+        probs = presentation_probabilities(
+            np.array([1.0, 2.0]), weight_by_inverse_target=False
         )
-        probs = trainer.presentation_probabilities(np.array([1.0, 2.0]))
         np.testing.assert_allclose(probs, [0.5, 0.5])
 
-    def test_rejects_nonpositive_targets(self, rng):
-        trainer = EarlyStoppingTrainer(TrainingConfig(), context=RunContext(rng=rng))
+    def test_rejects_nonpositive_targets(self):
         with pytest.raises(ValueError):
-            trainer.presentation_probabilities(np.array([1.0, 0.0]))
+            presentation_probabilities(np.array([1.0, 0.0]))
 
 
 class TestTraining:
-    def test_learns_smooth_function(self, rng, fast_training):
+    def test_learns_smooth_function(self, rng, fast_training, fit_one_task):
         x, y = make_problem(rng)
         scaler = TargetScaler().fit(y)
-        net = FeedForwardNetwork(3, fast_training.hidden_layers, rng=rng)
-        trainer = EarlyStoppingTrainer(fast_training, context=RunContext(rng=rng))
-        history = trainer.train(net, x[:200], y[:200], x[200:], y[200:], scaler)
-        assert history.best_error < 5.0
+        result = fit_one_task(
+            fast_training, x[:200], y[:200], x[200:], y[200:], scaler
+        )
+        assert result.history.best_error < 5.0
 
-    def test_early_stopping_restores_best(self, rng):
+    def test_early_stopping_restores_best(self, rng, fit_one_task):
         x, y = make_problem(rng)
         scaler = TargetScaler().fit(y)
         cfg = TrainingConfig(
             hidden_layers=(8,), max_epochs=100, patience=3, check_interval=5
         )
-        net = FeedForwardNetwork(3, (8,), rng=rng)
-        trainer = EarlyStoppingTrainer(cfg, context=RunContext(rng=rng))
-        history = trainer.train(net, x[:200], y[:200], x[200:], y[200:], scaler)
+        result = fit_one_task(cfg, x[:200], y[:200], x[200:], y[200:], scaler)
         # final network must reproduce the best ES error exactly
-        from repro.core import percentage_errors
-
-        predictions = scaler.inverse_transform(net.predict(x[200:])[:, 0])
+        predictions = scaler.inverse_transform(
+            result.network.predict(x[200:])[:, 0]
+        )
         final = float(np.mean(percentage_errors(predictions, y[200:])))
-        assert final == pytest.approx(history.best_error, rel=1e-9)
+        assert final == pytest.approx(result.history.best_error, rel=1e-9)
 
-    def test_stops_early_on_plateau(self, rng):
+    def test_stops_early_on_plateau(self, rng, fit_one_task):
         x, y = make_problem(rng, n=120)
         scaler = TargetScaler().fit(y)
         cfg = TrainingConfig(
@@ -101,35 +96,28 @@ class TestTraining:
             check_interval=5,
             learning_rate=0.5,  # converges quickly, then plateaus
         )
-        net = FeedForwardNetwork(3, (4,), rng=rng)
-        history = EarlyStoppingTrainer(cfg, context=RunContext(rng=rng)).train(
-            net, x[:100], y[:100], x[100:], y[100:], scaler
-        )
-        assert history.stopped_early
-        assert history.epochs_run < 100
+        result = fit_one_task(cfg, x[:100], y[:100], x[100:], y[100:], scaler)
+        assert result.history.stopped_early
+        assert result.history.epochs_run < 100
 
-    def test_history_records_checks(self, rng, fast_training):
+    def test_history_records_checks(self, rng, fast_training, fit_one_task):
         x, y = make_problem(rng, n=150)
         scaler = TargetScaler().fit(y)
-        net = FeedForwardNetwork(3, fast_training.hidden_layers, rng=rng)
-        trainer = EarlyStoppingTrainer(
-            fast_training, context=RunContext(rng=rng)
-        )
-        history = trainer.train(net, x[:100], y[:100], x[100:], y[100:], scaler)
+        history = fit_one_task(
+            fast_training, x[:100], y[:100], x[100:], y[100:], scaler
+        ).history
         assert len(history.es_errors) >= 1
         assert history.best_epoch % fast_training.check_interval == 0
 
-    def test_validation_errors(self, rng, fast_training):
+    def test_validation_errors(self, rng, fast_training, fit_one_task):
         x, y = make_problem(rng, n=50)
         scaler = TargetScaler().fit(y)
-        net = FeedForwardNetwork(3, fast_training.hidden_layers, rng=rng)
-        trainer = EarlyStoppingTrainer(fast_training, context=RunContext(rng=rng))
-        with pytest.raises(ValueError):
-            trainer.train(net, x, y[:10], x, y, scaler)
-        with pytest.raises(ValueError):
-            trainer.train(net, x[:0], y[:0], x, y, scaler)
+        with pytest.raises(ValueError, match="non-empty"):
+            fit_one_task(fast_training, x[:0], y[:0], x, y, scaler)
+        with pytest.raises(ValueError, match="non-empty"):
+            fit_one_task(fast_training, x, y, x[:0], y[:0], scaler)
 
-    def test_paper_settings_converge_slowly_but_surely(self, rng):
+    def test_paper_settings_converge_slowly_but_surely(self, rng, fit_one_task):
         """The paper's literal hyperparameters on a small problem."""
         x, y = make_problem(rng, n=200)
         scaler = TargetScaler().fit(y)
@@ -142,10 +130,9 @@ class TestTraining:
             patience=100,
             lr_decay=1.0,
         )
-        net = FeedForwardNetwork(3, (16,), rng=rng)
-        history = EarlyStoppingTrainer(cfg, context=RunContext(rng=rng)).train(
-            net, x[:150], y[:150], x[150:], y[150:], scaler
-        )
+        history = fit_one_task(
+            cfg, x[:150], y[:150], x[150:], y[150:], scaler
+        ).history
         # slow but must clearly beat the trivial predict-the-mean model
         trivial = float(
             np.mean(np.abs(y[150:] - y[:150].mean()) / y[150:] * 100)

@@ -1,9 +1,10 @@
 """Tests for the training-health subsystem.
 
-Covers divergence detection (weight health, exploding early-stopping
-error, dead networks), deterministic restarts via ``RobustTrainer``,
+Covers divergence detection (weight health, non-finite weights,
+exploding early-stopping error, dead networks), deterministic restarts,
 fold quarantine in the cross-validation ensemble, the outlier fault
-mode, and the unseeded-generator warning.
+mode, and the unseeded-generator warning.  Single fits run as one-task
+``StackedEnsembleTrainer`` runs (the path of ``MultiTaskNetwork``).
 """
 
 import dataclasses
@@ -11,12 +12,13 @@ import warnings
 
 import numpy as np
 import pytest
+from tests.reference_training import EarlyStoppingTrainer
 
 import repro.core.network as network_mod
 from repro.core import (
     EnsemblePredictor,
     FeedForwardNetwork,
-    RobustTrainer,
+    MultiTaskNetwork,
     TargetScaler,
     TrainingConfig,
     TrainingDiverged,
@@ -24,7 +26,8 @@ from repro.core import (
 from repro.core.context import RunContext
 from repro.core.crossval import CrossValidationEnsemble
 from repro.core.faults import FaultInjectingBackend, FaultPlan
-from repro.core.training import EarlyStoppingTrainer
+from repro.core.kernels import EnsembleTrainingKernel
+from repro.core.training import presentation_probabilities
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.telemetry import RunTelemetry
 
@@ -37,24 +40,28 @@ def linear_data(seed=0, n=30):
     return x, y
 
 
-def fit_once(config, x, y, x_es, y_es, telemetry=None, metrics=None):
-    """One plain (unwrapped) training run with deterministic seeds."""
+def fit_once(fit_one_task, config, x, y, x_es, y_es):
+    """One attempt (no restarts) of a one-task fit with deterministic
+    seeds; its events and counters are captured on the result."""
     scaler = TargetScaler().fit(np.concatenate([y, y_es]))
-    network = FeedForwardNetwork(
-        x.shape[1],
-        config.hidden_layers,
-        hidden_activation=config.hidden_activation,
-        rng=np.random.default_rng(1),
-        init_range=config.init_range,
+    return fit_one_task(
+        dataclasses.replace(config, max_restarts=0),
+        x, y, x_es, y_es, scaler, seed=1, capture=True,
     )
-    trainer = EarlyStoppingTrainer(
-        config,
-        context=RunContext(
-            rng=np.random.default_rng(2), telemetry=telemetry, metrics=metrics
-        ),
-    )
-    history = trainer.train(network, x, y, x_es, y_es, scaler)
-    return network, history
+
+
+def events_named(result, name):
+    """Payloads of one fit's recorded events called ``name``."""
+    return [payload for event, payload in result.events if event == name]
+
+
+def diverged_event(result):
+    """The ``train.diverged`` payload of a single attempt that diverged:
+    with no restart left, the fit is given up."""
+    assert result.diverged
+    assert result.error.startswith("restarts exhausted: ")
+    (event,) = events_named(result, "train.diverged")
+    return event
 
 
 class TestWeightHealth:
@@ -102,21 +109,13 @@ class TestFiniteGuards:
 
 
 class TestPresentationProbabilities:
-    def test_non_finite_targets_named(self, fast_training):
-        trainer = EarlyStoppingTrainer(
-            fast_training, context=RunContext.seeded(0)
-        )
+    def test_non_finite_targets_named(self):
         with pytest.raises(ValueError, match=r"indices \[1, 3\]"):
-            trainer.presentation_probabilities(
-                np.array([1.0, np.nan, 2.0, np.inf])
-            )
+            presentation_probabilities(np.array([1.0, np.nan, 2.0, np.inf]))
 
-    def test_non_positive_targets_rejected(self, fast_training):
-        trainer = EarlyStoppingTrainer(
-            fast_training, context=RunContext.seeded(0)
-        )
+    def test_non_positive_targets_rejected(self):
         with pytest.raises(ValueError, match="positive"):
-            trainer.presentation_probabilities(np.array([1.0, 0.0]))
+            presentation_probabilities(np.array([1.0, 0.0]))
 
 
 class TestConfigValidation:
@@ -135,71 +134,109 @@ class TestConfigValidation:
 
 
 class TestDivergenceDetection:
-    def test_exploding_es_error(self, fast_training):
+    def test_exploding_es_error(self, fast_training, fit_one_task):
         # any real percentage error exceeds a near-zero threshold, so the
         # first early-stopping check must report divergence
         config = dataclasses.replace(fast_training, divergence_error=1e-9)
         x, y = linear_data()
-        telemetry = RunTelemetry()
-        metrics = MetricsRegistry(enabled=True)
-        with pytest.raises(TrainingDiverged) as info:
-            fit_once(config, x[4:], y[4:], x[:4], y[:4], telemetry, metrics)
-        assert info.value.reason == "exploding es_error"
-        assert info.value.epoch == config.check_interval
-        (event,) = telemetry.events_named("train.diverged")
-        assert event.payload["reason"] == "exploding es_error"
-        assert np.isfinite(event.payload["es_error"])
-        assert metrics.counter("train.diverged") == 1
+        result = fit_once(fit_one_task, config, x[4:], y[4:], x[:4], y[:4])
+        event = diverged_event(result)
+        assert event["reason"] == "exploding es_error"
+        assert event["epoch"] == config.check_interval
+        assert np.isfinite(event["es_error"])
+        assert "divergence threshold" in result.error
+        assert result.metrics.counter("train.diverged") == 1
         # the doomed fit's epochs still count as work done
-        assert metrics.counter("train.epochs") == config.check_interval
+        assert result.metrics.counter("train.epochs") == config.check_interval
 
-    def test_weight_explosion(self, fast_training):
+    def test_weight_explosion(self, fast_training, fit_one_task):
         # the init-range weights (~0.01) already exceed a tiny max_weight
         config = dataclasses.replace(fast_training, max_weight=1e-6)
         x, y = linear_data()
-        telemetry = RunTelemetry()
-        with pytest.raises(TrainingDiverged) as info:
-            fit_once(config, x[4:], y[4:], x[:4], y[:4], telemetry)
-        assert info.value.reason == "weight explosion"
-        (event,) = telemetry.events_named("train.diverged")
-        assert event.payload["max_abs"] > 1e-6
+        result = fit_once(fit_one_task, config, x[4:], y[4:], x[:4], y[:4])
+        event = diverged_event(result)
+        assert event["reason"] == "weight explosion"
+        assert event["max_abs"] > 1e-6
 
-    def test_dead_network(self, fast_training):
+    def test_non_finite_weights(self, fast_training, fit_one_task, monkeypatch):
+        # the post-epoch finite guard fails the epoch it ran: that epoch
+        # is not counted as work
+        monkeypatch.setattr(
+            EnsembleTrainingKernel,
+            "members_finite",
+            lambda self: np.zeros(self.n_members, dtype=bool),
+        )
+        x, y = linear_data()
+        result = fit_once(
+            fit_one_task, fast_training, x[4:], y[4:], x[:4], y[:4]
+        )
+        event = diverged_event(result)
+        assert event["reason"] == "non-finite weights"
+        assert event["epoch"] == 1
+        assert result.metrics.counter("train.epochs") == 0
+
+    def test_dead_network(self, fast_training, fit_one_task):
         # two identical ES inputs give bit-identical predictions: zero
         # spread at every check, declared dead after dead_checks checks
         config = dataclasses.replace(fast_training, dead_checks=2)
         x, y = linear_data()
         x_es = np.tile(x[0], (2, 1))
         y_es = np.array([y[0], y[0] * 1.1])
-        with pytest.raises(TrainingDiverged) as info:
-            fit_once(config, x, y, x_es, y_es)
-        assert info.value.reason == "dead network"
-        assert info.value.epoch == 2 * config.check_interval
+        result = fit_once(fit_one_task, config, x, y, x_es, y_es)
+        event = diverged_event(result)
+        assert event["reason"] == "dead network"
+        assert event["epoch"] == 2 * config.check_interval
 
-    def test_single_point_es_is_not_dead(self, fast_training):
+    def test_single_point_es_is_not_dead(self, fast_training, fit_one_task):
         # regression: spread over one prediction is zero by definition;
         # a 1-point early-stopping set must not trip the dead detector
         config = dataclasses.replace(fast_training, dead_checks=1)
         x, y = linear_data()
-        _, history = fit_once(config, x[1:], y[1:], x[:1], y[:1])
-        assert history.epochs_run > 0
+        result = fit_once(fit_one_task, config, x[1:], y[1:], x[:1], y[:1])
+        assert not result.diverged
+        assert result.history.epochs_run > 0
 
-    def test_healthy_fit_completes(self, fast_training):
+    def test_healthy_fit_completes(self, fast_training, fit_one_task):
         x, y = linear_data()
-        network, history = fit_once(fast_training, x[4:], y[4:], x[:4], y[:4])
-        assert np.isfinite(history.best_error)
-        assert network.weight_health().ok(fast_training.max_weight)
+        result = fit_once(
+            fit_one_task, fast_training, x[4:], y[4:], x[:4], y[:4]
+        )
+        assert np.isfinite(result.history.best_error)
+        assert result.network.weight_health().ok(fast_training.max_weight)
+
+
+def fail_first_epochs(monkeypatch, n_failed):
+    """Make the stacked kernel's post-epoch finite guard report every
+    member non-finite for the first ``n_failed`` epochs of the test
+    (``None``: for every epoch); returns the call counter."""
+    original = EnsembleTrainingKernel.members_finite
+    calls = {"n": 0}
+
+    def flaky(self):
+        calls["n"] += 1
+        finite = original(self)
+        if n_failed is None or calls["n"] <= n_failed:
+            finite[:] = False
+        return finite
+
+    monkeypatch.setattr(EnsembleTrainingKernel, "members_finite", flaky)
+    return calls
 
 
 class TestRobustTrainer:
+    """Deterministic restarts of a diverged fit: attempt 0 draws from
+    ``default_rng(seed)``, restart ``a`` from ``default_rng([seed, a])``."""
+
     def _problem(self):
         x, y = linear_data(seed=3, n=36)
         scaler = TargetScaler().fit(y)
         return x[6:], y[6:], x[:6], y[:6], scaler
 
-    def test_attempt_zero_matches_unwrapped_fit(self, fast_training):
-        """A healthy RobustTrainer fit is bit-identical to the plain
-        single-attempt path seeded the same way."""
+    def test_attempt_zero_matches_unwrapped_fit(
+        self, fast_training, fit_one_task
+    ):
+        """A healthy fit with a restart budget is bit-identical to the
+        plain single-attempt reference seeded the same way."""
         x, y, x_es, y_es, scaler = self._problem()
         seed = 7
 
@@ -211,83 +248,66 @@ class TestRobustTrainer:
             rng=rng,
             init_range=fast_training.init_range,
         )
-        manual_history = EarlyStoppingTrainer(
-            fast_training, context=RunContext(rng=rng)
-        ).train(
+        manual_history = EarlyStoppingTrainer(fast_training, rng=rng).train(
             manual, x, y, x_es, y_es, scaler
         )
 
-        robust = RobustTrainer(fast_training, seed=seed)
-        network, history = robust.fit(x, y, x_es, y_es, scaler)
-        assert history.es_errors == manual_history.es_errors
-        for got, want in zip(network.weights, manual.weights):
+        result = fit_one_task(fast_training, x, y, x_es, y_es, scaler, seed)
+        assert result.history == manual_history
+        for got, want in zip(result.network.weights, manual.weights):
             np.testing.assert_array_equal(got, want)
 
-    def test_restarted_fit_is_deterministic(self, fast_training, monkeypatch):
+    def test_restarted_fit_is_deterministic(
+        self, fast_training, fit_one_task, monkeypatch
+    ):
         x, y, x_es, y_es, scaler = self._problem()
-        baseline, _ = RobustTrainer(fast_training, seed=5).fit(
-            x, y, x_es, y_es, scaler
+        baseline = fit_one_task(fast_training, x, y, x_es, y_es, scaler, 5)
+
+        calls = fail_first_epochs(monkeypatch, 1)
+        first = fit_one_task(
+            fast_training, x, y, x_es, y_es, scaler, 5, capture=True
         )
-
-        original = EarlyStoppingTrainer.train
-        calls = {"n": 0}
-
-        def flaky(self, *args, **kwargs):
-            calls["n"] += 1
-            if calls["n"] == 1:
-                raise TrainingDiverged("injected", reason="injected")
-            return original(self, *args, **kwargs)
-
-        monkeypatch.setattr(EarlyStoppingTrainer, "train", flaky)
-
-        telemetry = RunTelemetry()
-        metrics = MetricsRegistry(enabled=True)
-        first, _ = RobustTrainer(
-            fast_training, seed=5, telemetry=telemetry, metrics=metrics
-        ).fit(x, y, x_es, y_es, scaler)
         calls["n"] = 0
-        second, _ = RobustTrainer(fast_training, seed=5).fit(
-            x, y, x_es, y_es, scaler
-        )
+        second = fit_one_task(fast_training, x, y, x_es, y_es, scaler, 5)
 
         # the restart is bit-reproducible...
-        for got, want in zip(first.weights, second.weights):
+        for got, want in zip(first.network.weights, second.network.weights):
             np.testing.assert_array_equal(got, want)
         # ...and uses a genuinely different stream than attempt 0
         assert any(
             not np.array_equal(got, want)
-            for got, want in zip(first.weights, baseline.weights)
+            for got, want in zip(first.network.weights, baseline.network.weights)
         )
-        (event,) = telemetry.events_named("train.restart")
-        assert event.payload["attempt"] == 1
-        assert event.payload["reason"] == "injected"
-        assert event.payload["seed"] == 5
-        assert metrics.counter("train.restarts") == 1
+        (event,) = events_named(first, "train.restart")
+        assert event["attempt"] == 1
+        assert event["reason"] == "non-finite weights"
+        assert event["seed"] == 5
+        assert first.metrics.counter("train.restarts") == 1
 
-    def test_restarts_exhausted(self, fast_training, monkeypatch):
+    def test_restarts_exhausted(self, fast_training, fit_one_task, monkeypatch):
         x, y, x_es, y_es, scaler = self._problem()
+        fail_first_epochs(monkeypatch, None)
+        config = dataclasses.replace(fast_training, max_restarts=2)
+        result = fit_one_task(
+            config, x, y, x_es, y_es, scaler, seed=1, capture=True
+        )
+        assert result.diverged
+        assert result.error.startswith("restarts exhausted: ")
+        assert "on all 3 attempts (seed 1;" in result.error
+        assert "non-finite weights" in result.error
+        assert len(events_named(result, "train.restart")) == 2
+        assert events_named(result, "train.diverged")[-1]["epoch"] == 1
+        assert result.metrics.counter("train.restarts") == 2
 
-        def doomed(self, *args, **kwargs):
-            raise TrainingDiverged("boom", reason="weight explosion", epoch=30)
-
-        monkeypatch.setattr(EarlyStoppingTrainer, "train", doomed)
-        telemetry = RunTelemetry()
-        metrics = MetricsRegistry(enabled=True)
-        robust = RobustTrainer(
-            fast_training, seed=1, max_restarts=2,
-            telemetry=telemetry, metrics=metrics,
+        # a single model surfaces the exhausted budget as an error
+        model = MultiTaskNetwork(
+            3, 1, training=config, rng=np.random.default_rng(0)
         )
         with pytest.raises(TrainingDiverged) as info:
-            robust.fit(x, y, x_es, y_es, scaler)
+            model.fit(x, y, x_es, y_es)
         assert info.value.reason == "restarts exhausted"
-        assert info.value.epoch == 30
-        assert "boom" in str(info.value)
-        assert len(telemetry.events_named("train.restart")) == 2
-        assert metrics.counter("train.restarts") == 2
-
-    def test_negative_restart_budget_rejected(self, fast_training):
-        with pytest.raises(ValueError):
-            RobustTrainer(fast_training, max_restarts=-1)
+        assert "on all 3 attempts" in str(info.value)
+        assert "non-finite weights" in str(info.value)
 
 
 class TestFoldQuarantine:
@@ -362,13 +382,7 @@ class TestFoldQuarantine:
     @pytest.mark.parametrize("width", [1, 3])
     def test_min_folds_raises(self, fast_training, monkeypatch, width):
         # inject total divergence at the stacked kernel's finite guard
-        from repro.core.kernels import EnsembleTrainingKernel
-
-        monkeypatch.setattr(
-            EnsembleTrainingKernel,
-            "members_finite",
-            lambda self: np.zeros(self.n_members, dtype=bool),
-        )
+        fail_first_epochs(monkeypatch, None)
         x, y = linear_data(seed=1, n=12)
         names = ()
         if width == 3:
