@@ -57,7 +57,7 @@ def test_ablation_model_family(once):
     def run():
         study, truth, x_full, idx, heldout = _data()
         results = {}
-        ensemble = CrossValidationEnsemble(rng=np.random.default_rng(SEED))
+        ensemble = CrossValidationEnsemble(context=RunContext.seeded(SEED))
         ensemble.fit(x_full[idx], truth[idx])
         results["ANN ensemble"] = percentage_errors(
             ensemble.predict(x_full[heldout]), truth[heldout]
@@ -95,7 +95,7 @@ def test_ablation_cardinal_encoding(once):
             encoder = ParameterEncoder(study.space, cardinal_encoding=encoding)
             x_full = encoder.encode_space()
             ensemble = CrossValidationEnsemble(
-                rng=np.random.default_rng(SEED)
+                context=RunContext.seeded(SEED)
             )
             ensemble.fit(x_full[idx], truth[idx])
             results[encoding] = percentage_errors(
@@ -119,7 +119,7 @@ def test_ablation_ensemble_vs_single(once):
 
     def run():
         _, truth, x_full, idx, heldout = _data()
-        ensemble = CrossValidationEnsemble(rng=np.random.default_rng(SEED))
+        ensemble = CrossValidationEnsemble(context=RunContext.seeded(SEED))
         ensemble.fit(x_full[idx], truth[idx])
         member_preds = ensemble.predictor.member_predictions(x_full[heldout])
         member_errors = [

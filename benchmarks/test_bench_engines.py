@@ -9,7 +9,7 @@ run.
 
 import numpy as np
 
-from repro.core import CrossValidationEnsemble, TrainingConfig
+from repro.core import CrossValidationEnsemble, RunContext, TrainingConfig
 from repro.cpu import CycleSimulator, MachineConfig, get_interval_simulator
 from repro.cpu.interval import ApplicationProfile
 from repro.memory import ReuseProfile
@@ -92,7 +92,7 @@ def test_ensemble_training_small(benchmark):
 
     def fit():
         ensemble = CrossValidationEnsemble(
-            training=training, rng=np.random.default_rng(1)
+            training=training, context=RunContext.seeded(1)
         )
         return ensemble.fit(x, y).mean
 

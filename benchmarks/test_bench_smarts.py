@@ -11,7 +11,7 @@ noise and confidence reporting.
 import numpy as np
 from bench_utils import emit
 
-from repro.core import CrossValidationEnsemble, percentage_errors
+from repro.core import CrossValidationEnsemble, RunContext, percentage_errors
 from repro.experiments import (
     encoded_space,
     full_space_ground_truth,
@@ -90,7 +90,7 @@ def test_ann_plus_smarts_training(once):
             ("ANN+SMARTS", smarts_targets),
         ):
             ensemble = CrossValidationEnsemble(
-                rng=np.random.default_rng(SEED + 1)
+                context=RunContext.seeded(SEED + 1)
             )
             ensemble.fit(x_full[indices], targets)
             results[label] = percentage_errors(

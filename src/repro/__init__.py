@@ -39,7 +39,6 @@ from .core import (
     MultiTaskNetwork,
     ParameterEncoder,
     ProcessPoolBackend,
-    QueryByCommitteeSampler,
     ResilientBackend,
     RetryPolicy,
     RunContext,
@@ -124,7 +123,6 @@ __all__ = [
     "PlackettBurmanStudy",
     "PredicateConstraint",
     "ProcessPoolBackend",
-    "QueryByCommitteeSampler",
     "ResilientBackend",
     "RetryPolicy",
     "RunContext",

@@ -27,7 +27,7 @@ deprecation policy: anything else may move without notice.
 from __future__ import annotations
 
 import warnings
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -167,7 +167,6 @@ def explore(
     context: Optional[RunContext] = None,
     min_folds: Optional[int] = None,
     agent: Union[str, Agent, None] = None,
-    sampler: Optional[Callable] = None,
     initial_samples: Optional[int] = None,
     checkpoint: Optional[str] = None,
 ) -> ExplorationResult:
@@ -190,8 +189,7 @@ def explore(
     a name from :data:`AGENTS` (``"random"``, ``"committee"``,
     ``"evolutionary"``, ``"annealing"``, ``"bayesopt"``), an agent
     instance (e.g. ``CommitteeAgent(pool_size=500)``), or ``None`` for
-    the paper's uniform random sampling.  The ``sampler`` hook is
-    deprecated in favour of it.
+    the paper's uniform random sampling.
 
     Pass ``seed`` for a reproducible run, or a full ``context``
     (:class:`RunContext`) to also control telemetry, metrics and the
@@ -229,7 +227,6 @@ def explore(
         context=_resolve(seed, context),
         min_folds=min_folds,
         agent=agent,
-        sampler=sampler,
     )
     return explorer.explore(
         target_error=target_error,

@@ -1,7 +1,6 @@
 """The paper's contribution: ANN ensembles for design-space modeling."""
 
 from .activation import Activation, Identity, Sigmoid, Tanh, get_activation
-from .active import QueryByCommitteeSampler
 from .backend import (
     CachingBackend,
     EvaluationBackend,
@@ -132,7 +131,6 @@ __all__ = [
     "ParameterEncoder",
     "PolynomialRegression",
     "ProcessPoolBackend",
-    "QueryByCommitteeSampler",
     "ResilientBackend",
     "RetryPolicy",
     "RunContext",

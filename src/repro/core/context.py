@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import dataclasses
 import os
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -143,46 +142,3 @@ class RunContext:
         """A copy with the given fields replaced (dataclass semantics)."""
         return dataclasses.replace(self, **changes)
 
-
-def resolve_context(
-    context: Optional[RunContext] = None,
-    *,
-    rng: Optional[np.random.Generator] = None,
-    telemetry: Optional[RunTelemetry] = None,
-    metrics: Optional[MetricsRegistry] = None,
-    n_jobs: Optional[int] = None,
-    owner: Optional[str] = None,
-) -> RunContext:
-    """Merge a ``context`` parameter with legacy per-field keywords.
-
-    Constructors that predate :class:`RunContext` keep their ``rng=`` /
-    ``telemetry=`` / ``metrics=`` / ``n_jobs=`` parameters for one more
-    release; this helper enforces one consistent contract for all of
-    them — pass *either* a context *or* the individual fields, never
-    both — and emits a :class:`DeprecationWarning` naming the
-    replacement whenever the legacy fields are used (``owner`` names the
-    constructor in the warning; see ``docs/api.md``).
-    """
-    legacy = {
-        "rng": rng, "telemetry": telemetry, "metrics": metrics,
-        "n_jobs": n_jobs,
-    }
-    given = sorted(name for name, value in legacy.items() if value is not None)
-    if context is not None:
-        if given:
-            raise ValueError(
-                f"pass either context= or {given}, not both"
-            )
-        return context
-    if given:
-        target = owner or "this constructor"
-        warnings.warn(
-            f"passing {', '.join(f'{name}=' for name in given)} to "
-            f"{target} is deprecated and will be removed in the next "
-            f"release; pass context=RunContext(...) instead "
-            f"(see docs/api.md)",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-    return RunContext(rng=rng, telemetry=telemetry, metrics=metrics,
-                      n_jobs=n_jobs)

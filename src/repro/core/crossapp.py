@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..designspace.space import DesignSpace
-from .context import RunContext, resolve_context
+from .context import RunContext
 from .crossval import DEFAULT_FOLDS, CrossValidationEnsemble
 from .encoding import ParameterEncoder
 from .error import ErrorEstimate
@@ -36,8 +36,7 @@ class CrossApplicationModel:
         Passed through to the underlying cross-validation ensemble.
     context:
         :class:`~repro.core.context.RunContext` for the underlying
-        ensemble; the legacy ``rng`` keyword remains supported for one
-        more release (pass either, not both).
+        ensemble.
     """
 
     def __init__(
@@ -45,8 +44,8 @@ class CrossApplicationModel:
         space: DesignSpace,
         benchmarks: Sequence[str],
         training: Optional[TrainingConfig] = None,
+        *,
         k: int = DEFAULT_FOLDS,
-        rng: Optional[np.random.Generator] = None,
         context: Optional[RunContext] = None,
     ):
         benchmarks = tuple(benchmarks)
@@ -59,9 +58,8 @@ class CrossApplicationModel:
         self.space = space
         self.benchmarks = benchmarks
         self.encoder = ParameterEncoder(space)
-        ctx = resolve_context(context, rng=rng, owner="CrossApplicationModel")
         self.ensemble = CrossValidationEnsemble(
-            k=k, training=training, context=ctx
+            k=k, training=training, context=context
         )
         self._app_index = {name: i for i, name in enumerate(benchmarks)}
 

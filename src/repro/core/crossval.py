@@ -35,7 +35,7 @@ import numpy as np
 
 from ..obs.metrics import MetricsRegistry
 from ..obs.telemetry import RunTelemetry
-from .context import RunContext, resolve_context
+from .context import RunContext
 from .ensemble import EnsemblePredictor
 from .error import ErrorEstimate
 from .network import TrainingDiverged
@@ -131,10 +131,7 @@ class CrossValidationEnsemble:
         Each :meth:`fit` emits per-fold ``crossval.fold`` events, the
         folds' replayed ``train.*`` events, and one ``crossval.fit``
         summary; ``train.fold`` timings and ``crossval.*`` counters go
-        to the context's metrics.  The legacy ``rng`` / ``n_jobs`` /
-        ``telemetry`` / ``metrics`` keywords remain supported for
-        callers that predate the context (pass either the context or
-        the individual fields, not both).  Folds always train in this
+        to the context's metrics.  Folds always train in this
         process, whatever the worker budget.
     """
 
@@ -142,10 +139,7 @@ class CrossValidationEnsemble:
         self,
         k: int = DEFAULT_FOLDS,
         training: Optional[TrainingConfig] = None,
-        rng: Optional[np.random.Generator] = None,
-        n_jobs: Optional[int] = None,
-        telemetry: Optional[RunTelemetry] = None,
-        metrics: Optional[MetricsRegistry] = None,
+        *,
         context: Optional[RunContext] = None,
         min_folds: Optional[int] = None,
         target_names: Sequence[str] = (),
@@ -164,10 +158,7 @@ class CrossValidationEnsemble:
                 f"{tuple(target_names)!r}"
             )
         self.target_names = tuple(target_names)
-        self.context = resolve_context(
-            context, rng=rng, telemetry=telemetry, metrics=metrics,
-            n_jobs=n_jobs, owner="CrossValidationEnsemble",
-        )
+        self.context = context if context is not None else RunContext()
         self.predictor: Optional[EnsemblePredictor] = None
         self.estimate: Optional[ErrorEstimate] = None
 

@@ -23,7 +23,6 @@ simulate callables are adapted automatically).
 from __future__ import annotations
 
 import time
-import warnings
 from pathlib import Path
 from typing import Callable, Optional, Union
 
@@ -35,11 +34,11 @@ from ..obs.telemetry import RunTelemetry
 
 # result types and the batch-size default moved to the search layer; they
 # are re-exported here (and resolved here by old pickled checkpoints)
-from ..search.agents import AgentLike, SamplerAgent, make_agent
+from ..search.agents import AgentLike, make_agent
 from ..search.protocol import DEFAULT_BATCH_SIZE
 from ..search.result import ExplorationResult, ExplorationRound
 from .backend import EvaluationBackend, as_backend
-from .context import RunContext, resolve_context
+from .context import RunContext
 from .crossval import DEFAULT_FOLDS
 from .encoding import ParameterEncoder
 from .supervise import poll_shutdown
@@ -96,31 +95,15 @@ class DesignSpaceExplorer:
     context:
         :class:`~repro.core.context.RunContext` carrying the seeded
         generator, telemetry, metrics and the evaluation worker
-        budget; forwarded whole to the ensembles the loop trains.  The
-        legacy ``rng`` / ``telemetry`` / ``metrics`` keywords remain
-        supported (pass either the context or the individual fields,
-        not both).
-    rng:
-        Seeded generator for reproducible sampling and training.
-    sampler:
-        **Deprecated** — the pre-search-layer strategy hook, called as
-        ``sampler(space, n, rng, exclude, state)``.  Pass
-        ``agent=CommitteeAgent(...)`` (or another
-        :mod:`repro.search` agent) instead; a given sampler still runs
-        bit-identically through a
-        :class:`~repro.search.agents.SamplerAgent` adapter.
-    telemetry:
-        Optional event stream.  Each training round emits one
-        ``search.propose`` and one ``explore.round`` event (cumulative
-        simulation count, estimated error mean/SD, round wall time),
+        budget; forwarded whole to the ensembles the loop trains.
+        Each training round emits one ``search.propose`` and one
+        ``explore.round`` event (cumulative simulation count, estimated
+        error mean/SD, round wall time) on the context's telemetry,
         bracketed by ``explore.start`` and ``explore.done``; simulation
         and training wall time accumulate under the
-        ``explore.simulate`` / ``explore.train`` phases.  The stream is
-        forwarded to the cross-validation ensembles the loop trains.
-    metrics:
-        Registry receiving the ``explore.simulations`` /
-        ``search.proposals`` counters and round timers; defaults to the
-        (normally disabled) global one.
+        ``explore.simulate`` / ``explore.train`` phases.  The context's
+        metrics receive the ``explore.simulations`` /
+        ``search.proposals`` counters and round timers.
     """
 
     def __init__(
@@ -130,10 +113,7 @@ class DesignSpaceExplorer:
         batch_size: int = DEFAULT_BATCH_SIZE,
         k: int = DEFAULT_FOLDS,
         training: Optional[TrainingConfig] = None,
-        rng: Optional[np.random.Generator] = None,
-        sampler: Optional[Callable] = None,
-        telemetry: Optional[RunTelemetry] = None,
-        metrics: Optional[MetricsRegistry] = None,
+        *,
         context: Optional[RunContext] = None,
         min_folds: Optional[int] = None,
         agent: AgentLike = None,
@@ -147,26 +127,8 @@ class DesignSpaceExplorer:
         self.k = k
         self.training = training or TrainingConfig()
         self.min_folds = min_folds
-        self.context = resolve_context(
-            context, rng=rng, telemetry=telemetry, metrics=metrics,
-            owner="DesignSpaceExplorer",
-        )
-        if sampler is not None:
-            if agent is not None:
-                raise ValueError(
-                    "pass either agent= or the deprecated sampler=, not both"
-                )
-            warnings.warn(
-                "passing sampler= to DesignSpaceExplorer is deprecated; "
-                "pass agent=CommitteeAgent(...) (or another repro.search "
-                "agent) instead (see docs/api.md)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            self.agent = SamplerAgent(sampler)
-        else:
-            self.agent = make_agent(agent)
-        self.sampler = sampler
+        self.context = context if context is not None else RunContext()
+        self.agent = make_agent(agent)
         self.encoder = ParameterEncoder(space)
 
     # -- context accessors (kept for pre-context call sites) -----------

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import dataclasses
 import time
-import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
@@ -98,22 +97,13 @@ def fit_cv_round(
     A two-dimensional ``y`` with several columns is a *multi-target*
     round: pass the declared ``target_names`` (primary first).  Rows
     where *any* target is non-finite are masked, and the estimate's
-    ``per_target`` carries the per-target breakdown.  A two-dimensional
-    single-column ``y`` is a deprecated scalar spelling: it warns and is
-    flattened (the silent flatten it used to get hid genuinely
-    multi-column mistakes).
+    ``per_target`` carries the per-target breakdown.  A scalar round
+    passes a 1-D ``y``; a single-column matrix is rejected like any
+    other column count that ``target_names`` does not declare.
     """
     started = time.perf_counter()
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    if y.ndim == 2 and y.shape[1] == 1:
-        warnings.warn(
-            "passing a 2-D single-column y to fit_cv_round is deprecated; "
-            "pass a 1-D scalar target vector instead (see docs/api.md)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        y = y.reshape(-1)
     if y.ndim == 2:
         if len(target_names) != y.shape[1]:
             raise ValueError(

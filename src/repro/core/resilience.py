@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import threading
 import time
-import warnings
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Type
 
@@ -79,11 +78,7 @@ class RetryPolicy:
         CLI's ``--max-retries`` spelling, now canonical across the
         library — see ``docs/api.md``).  ``0`` disables retries
         entirely; the default is 2 (three total attempts).
-    max_attempts:
-        Deprecated alias for ``max_retries + 1`` (total attempts, first
-        try included), kept for one release.  After construction both
-        attributes are populated consistently, so existing readers of
-        ``policy.max_attempts`` keep working.
+        :attr:`max_attempts` reads the total, ``max_retries + 1``.
     base_delay_s:
         Backoff before the second attempt; ``0`` (the default) sleeps
         not at all, which is what tests want.
@@ -108,49 +103,19 @@ class RetryPolicy:
         stream, or a recovered run would diverge from a fault-free one.
     """
 
-    max_retries: Optional[int] = None
+    max_retries: int = 2
     base_delay_s: float = 0.0
     backoff: float = 2.0
     max_delay_s: float = 30.0
     jitter: float = 0.5
     retryable: Tuple[Type[BaseException], ...] = (EvaluationError,)
     seed: int = 0
-    max_attempts: Optional[int] = None
-
-    #: total attempts when neither max_retries nor max_attempts is given
-    _DEFAULT_ATTEMPTS = 3
 
     def __post_init__(self) -> None:
-        if self.max_retries is not None and self.max_attempts is not None:
-            # both set happens legitimately via dataclasses.replace on a
-            # constructed policy; require consistency instead of warning
-            if self.max_attempts != self.max_retries + 1:
-                raise ValueError(
-                    f"max_retries={self.max_retries} and "
-                    f"max_attempts={self.max_attempts} disagree; pass only "
-                    f"max_retries (max_attempts = max_retries + 1)"
-                )
-        elif self.max_attempts is not None:
-            warnings.warn(
-                "RetryPolicy(max_attempts=...) is deprecated and will be "
-                "removed in the next release; pass "
-                "max_retries=max_attempts - 1 instead (see docs/api.md)",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-        if self.max_attempts is not None:
-            total = self.max_attempts
-        elif self.max_retries is not None:
-            total = self.max_retries + 1
-        else:
-            total = self._DEFAULT_ATTEMPTS
-        if total < 1:
+        if self.max_retries < 0:
             raise ValueError(
-                f"max_attempts must be >= 1, got {total} "
-                f"(max_retries must be >= 0)"
+                f"max_retries must be >= 0, got {self.max_retries}"
             )
-        self.max_retries = total - 1
-        self.max_attempts = total
         if self.base_delay_s < 0 or self.max_delay_s < 0:
             raise ValueError("delays must be non-negative")
         if self.backoff < 1.0:
@@ -161,6 +126,11 @@ class RetryPolicy:
         if self.jitter < 0:
             raise ValueError(f"jitter must be non-negative, got {self.jitter}")
         self._rng = np.random.default_rng(self.seed)
+
+    @property
+    def max_attempts(self) -> int:
+        """Total attempts per configuration, first try included."""
+        return self.max_retries + 1
 
     def is_retryable(self, exc: BaseException) -> bool:
         """Whether ``exc`` is worth another attempt."""

@@ -16,12 +16,12 @@ import numpy as np
 from .learning_curves import CurveKey, learning_curves
 from .reporting import format_series
 from .runner import LearningCurve
-from .studies import STUDY_NAMES
+from .studies import SCALAR_STUDY_NAMES
 
 
 def estimation_curves(
     benchmarks: Optional[Sequence[str]] = None,
-    studies: Sequence[str] = STUDY_NAMES,
+    studies: Sequence[str] = SCALAR_STUDY_NAMES,
     sizes: Optional[Sequence[int]] = None,
     seed: int = 0,
     training=None,

@@ -15,6 +15,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
+from ..core.context import RunContext
 from ..core.crossval import CrossValidationEnsemble
 from ..core.training import TrainingConfig
 from .reporting import format_series
@@ -66,7 +67,7 @@ def measure_training_times(
             for _ in range(repeats):
                 idx = rng.choice(len(study.space), size=n, replace=False)
                 ensemble = CrossValidationEnsemble(
-                    training=training, rng=np.random.default_rng(seed)
+                    training=training, context=RunContext.seeded(seed)
                 )
                 started = time.perf_counter()
                 ensemble.fit(x_full[idx], truth[idx])

@@ -12,8 +12,9 @@ are validated against each other in the test suite.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Set
+from typing import List, Set
 
 
 @dataclass
@@ -119,32 +120,27 @@ class Cache:
         self.n_sets = n_sets
         self._block_shift = block_bytes.bit_length() - 1
         self._set_mask = n_sets - 1
-        # per set: tags in LRU order (index 0 = most recently used) plus a
-        # parallel dirty flag per resident tag
-        self._tags: List[List[int]] = [[] for _ in range(n_sets)]
-        self._dirty: List[Dict[int, bool]] = [{} for _ in range(n_sets)]
+        # per set: resident tag -> dirty flag, least recently used first
+        # (the representation of repro.memory.policies._LRUSet)
+        self._lines: List["OrderedDict[int, bool]"] = [
+            OrderedDict() for _ in range(n_sets)
+        ]
         self._seen: Set[int] = set()
         self.stats = CacheStats()
 
     # ------------------------------------------------------------------
     def access(self, addr: int, is_write: bool = False) -> AccessResult:
         """Perform one access; updates LRU state and statistics."""
-        block = int(addr) >> self._block_shift
-        set_index = block & self._set_mask
-        tag = block
-
-        tags = self._tags[set_index]
-        dirty = self._dirty[set_index]
+        tag = int(addr) >> self._block_shift
+        lines = self._lines[tag & self._set_mask]
         self.stats.accesses += 1
 
-        if tag in dirty:
-            if tags[0] != tag:
-                tags.remove(tag)
-                tags.insert(0, tag)
+        if tag in lines:
+            lines.move_to_end(tag)
             self.stats.hits += 1
             if is_write:
                 if self.write_policy == "WB":
-                    dirty[tag] = True
+                    lines[tag] = True
                     return AccessResult(hit=True)
                 self.stats.write_throughs += 1
                 return AccessResult(hit=True, write_through=True)
@@ -162,14 +158,13 @@ class Cache:
 
         writeback = False
         victim_addr = -1
-        if len(tags) >= self.associativity:
-            victim = tags.pop()
-            if dirty.pop(victim):
+        if len(lines) >= self.associativity:
+            victim, victim_dirty = lines.popitem(last=False)
+            if victim_dirty:
                 self.stats.writebacks += 1
                 writeback = True
                 victim_addr = victim << self._block_shift
-        tags.insert(0, tag)
-        dirty[tag] = bool(is_write and self.write_policy == "WB")
+        lines[tag] = bool(is_write and self.write_policy == "WB")
         return AccessResult(
             hit=False, fill=True, writeback=writeback, victim_addr=victim_addr
         )
@@ -177,15 +172,14 @@ class Cache:
     def contains(self, addr: int) -> bool:
         """Whether ``addr``'s block is resident (no LRU update)."""
         block = int(addr) >> self._block_shift
-        return block in self._dirty[block & self._set_mask]
+        return block in self._lines[block & self._set_mask]
 
     def flush(self) -> int:
         """Evict everything; returns the number of dirty blocks written back."""
         dirty_count = 0
-        for set_index in range(self.n_sets):
-            dirty_count += sum(self._dirty[set_index].values())
-            self._tags[set_index].clear()
-            self._dirty[set_index].clear()
+        for lines in self._lines:
+            dirty_count += sum(lines.values())
+            lines.clear()
         self.stats.writebacks += dirty_count
         return dirty_count
 

@@ -20,7 +20,6 @@ from .agents import (
     CommitteeAgent,
     EvolutionaryAgent,
     RandomAgent,
-    SamplerAgent,
     SearchAgent,
     SimulatedAnnealingAgent,
     committee_select,
@@ -49,7 +48,6 @@ __all__ = [
     "ExplorationRound",
     "Observation",
     "RandomAgent",
-    "SamplerAgent",
     "SearchAgent",
     "SearchError",
     "SimulatedAnnealingAgent",

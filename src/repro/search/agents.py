@@ -92,9 +92,8 @@ def committee_select(
 ) -> List[int]:
     """Variance-maximizing batch selection over a random candidate pool.
 
-    The query-by-committee core shared by :class:`CommitteeAgent` and
-    the legacy :class:`~repro.core.active.QueryByCommitteeSampler`.
-    Unlike the original sampler it is total over its edge cases:
+    The query-by-committee core of :class:`CommitteeAgent`.  It is
+    total over its edge cases:
 
     * ``n`` is capped to the unsampled remainder of the space, so an
       ``exploration_fraction`` of 1.0 (or a nearly exhausted space) can
@@ -133,15 +132,6 @@ def committee_select(
     return chosen
 
 
-def _validate_committee_params(
-    pool_size: int, exploration_fraction: float
-) -> None:
-    if pool_size <= 0:
-        raise ValueError(f"pool_size must be positive, got {pool_size}")
-    if not 0.0 <= exploration_fraction <= 1.0:
-        raise ValueError("exploration_fraction must be in [0, 1]")
-
-
 class SearchAgent(Agent):
     """Convenience base class for the built-in agents."""
 
@@ -176,8 +166,7 @@ class RandomAgent(SearchAgent):
 
 
 class CommitteeAgent(SearchAgent):
-    """Query-by-committee active learning (the port of
-    :class:`~repro.core.active.QueryByCommitteeSampler`).
+    """Query-by-committee active learning.
 
     Parameters
     ----------
@@ -195,7 +184,10 @@ class CommitteeAgent(SearchAgent):
     def __init__(
         self, pool_size: int = 2000, exploration_fraction: float = 0.25
     ):
-        _validate_committee_params(pool_size, exploration_fraction)
+        if pool_size <= 0:
+            raise ValueError(f"pool_size must be positive, got {pool_size}")
+        if not 0.0 <= exploration_fraction <= 1.0:
+            raise ValueError("exploration_fraction must be in [0, 1]")
         self.pool_size = pool_size
         self.exploration_fraction = exploration_fraction
 
@@ -568,41 +560,6 @@ class BayesOptAgent(SearchAgent):
         return [
             space.config_at(int(pool[int(i)])) for i in ranked[:n]
         ]
-
-
-class SamplerAgent(SearchAgent):
-    """Adapter running a legacy ``sampler=`` callable as an agent.
-
-    Calls ``sampler(space, n, rng, exclude, predictor)`` exactly as the
-    pre-search-layer explorer did, so deprecated call sites keep their
-    bit-identical trajectories until they migrate to a real agent.
-    """
-
-    name = "sampler"
-
-    def __init__(self, sampler: Callable):
-        if not callable(sampler):
-            raise TypeError(
-                f"sampler must be callable, got {type(sampler).__name__}"
-            )
-        self.sampler = sampler
-
-    def propose(
-        self,
-        observation: Observation,
-        batch_size: int,
-        rng: np.random.Generator,
-    ) -> List[Config]:
-        """Delegate to the wrapped legacy sampler callable."""
-        space = observation.space
-        indices = self.sampler(
-            space,
-            batch_size,
-            rng,
-            list(observation.sampled_indices),
-            observation.predictor,
-        )
-        return [space.config_at(int(i)) for i in indices]
 
 
 #: registry behind ``agent="name"`` (api, CLI ``--agent``, benchmarks)

@@ -10,7 +10,6 @@ the predictor/encoder/estimate it holds are duck-typed.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
@@ -72,17 +71,6 @@ class ExplorationResult:
     extra: Dict[str, object] = field(default_factory=dict)
     target_names: Tuple[str, ...] = ()
     target_rows: Optional[List[tuple]] = None
-
-    @property
-    def targets(self) -> List[float]:
-        """Deprecated alias of :attr:`primary_targets`."""
-        warnings.warn(
-            "ExplorationResult.targets is deprecated; use "
-            "primary_targets instead (see docs/api.md)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.primary_targets
 
     @property
     def n_simulations(self) -> int:

@@ -1,11 +1,11 @@
 """The ``repro.api`` facade and the deprecation policy around it.
 
 Covers the consolidated public surface (exports, entry points, the
-``seed``/``context`` convention), the legacy-keyword deprecation
-warnings on component constructors, the ``max_attempts`` →
-``max_retries`` rename on :class:`RetryPolicy`, and — crucially — that
-no *internal* code path emits a DeprecationWarning anymore (the facade
-and everything under it run clean with warnings escalated to errors).
+``seed``/``context`` convention), the removed legacy keywords on
+component constructors (each now fails with ``TypeError``), the
+``max_retries``-only :class:`RetryPolicy`, and — crucially — that no
+*internal* code path emits a DeprecationWarning (the facade and
+everything under it run clean with warnings escalated to errors).
 """
 
 from __future__ import annotations
@@ -183,50 +183,53 @@ def test_explore_agent_name_matches_default(
     assert named.primary_targets == default.primary_targets
 
 
-def test_explore_sampler_kwarg_warns(tiny_space, fast_training):
-    from repro.core import QueryByCommitteeSampler
-    from repro.core.encoding import ParameterEncoder as Encoder
-
-    with pytest.warns(DeprecationWarning, match="agent=CommitteeAgent"):
+def test_explore_sampler_kwarg_removed(tiny_space):
+    with pytest.raises(TypeError, match="sampler"):
         explore(
             tiny_space,
             _simulate_fn(tiny_space),
             target_error=100.0,
             max_simulations=16,
-            batch_size=8,
-            k=4,
-            training=fast_training,
-            seed=7,
-            sampler=QueryByCommitteeSampler(Encoder(tiny_space)),
+            sampler=lambda *args: [],
         )
 
 
 # ----------------------------------------------------------------------
-# legacy keyword deprecations on component constructors
+# removed legacy keywords on component constructors
 # ----------------------------------------------------------------------
-def test_crossval_legacy_rng_kwarg_warns():
-    with pytest.warns(DeprecationWarning, match="CrossValidationEnsemble"):
-        ensemble = CrossValidationEnsemble(k=4, rng=np.random.default_rng(0))
-    assert ensemble.rng is not None
+def test_crossval_legacy_kwargs_removed():
+    for name in ("rng", "telemetry", "metrics", "n_jobs"):
+        with pytest.raises(TypeError, match=name):
+            CrossValidationEnsemble(k=4, **{name: None})
 
 
-def test_explorer_legacy_rng_kwarg_warns(tiny_space):
-    with pytest.warns(DeprecationWarning, match="DesignSpaceExplorer"):
-        DesignSpaceExplorer(
-            tiny_space, _simulate_fn(tiny_space), rng=np.random.default_rng(0)
-        )
+def test_explorer_legacy_kwargs_removed(tiny_space):
+    for name in ("rng", "telemetry", "metrics"):
+        with pytest.raises(TypeError, match=name):
+            DesignSpaceExplorer(
+                tiny_space, _simulate_fn(tiny_space), **{name: None}
+            )
 
 
-def test_crossapp_legacy_rng_kwarg_warns(tiny_space):
-    with pytest.warns(DeprecationWarning, match="CrossApplicationModel"):
+def test_crossapp_legacy_rng_kwarg_removed(tiny_space):
+    with pytest.raises(TypeError, match="rng"):
         CrossApplicationModel(
             tiny_space, ("a", "b"), rng=np.random.default_rng(0)
         )
 
 
-def test_legacy_warning_names_replacement():
-    with pytest.warns(DeprecationWarning, match=r"context=RunContext"):
-        CrossValidationEnsemble(k=4, rng=np.random.default_rng(0))
+def test_stale_positional_rng_raises(tiny_space):
+    """A generator passed where ``rng`` used to sit never binds to
+    ``context``: everything after ``training`` is keyword-only."""
+    rng = np.random.default_rng(0)
+    with pytest.raises(TypeError):
+        CrossValidationEnsemble(4, None, rng)
+    with pytest.raises(TypeError):
+        DesignSpaceExplorer(
+            tiny_space, _simulate_fn(tiny_space), 8, 4, None, rng
+        )
+    with pytest.raises(TypeError):
+        CrossApplicationModel(tiny_space, ("a", "b"), None, 4, rng)
 
 
 def test_context_spelling_is_clean(strict_deprecations):
@@ -234,7 +237,7 @@ def test_context_spelling_is_clean(strict_deprecations):
 
 
 # ----------------------------------------------------------------------
-# RetryPolicy: max_attempts -> max_retries rename
+# RetryPolicy: max_retries is the one field
 # ----------------------------------------------------------------------
 def test_retry_policy_canonical_name(strict_deprecations):
     policy = RetryPolicy(max_retries=2)
@@ -248,11 +251,14 @@ def test_retry_policy_default_unchanged(strict_deprecations):
     assert policy.max_retries == 2
 
 
-def test_retry_policy_alias_warns_and_maps():
-    with pytest.warns(DeprecationWarning, match="max_retries"):
-        policy = RetryPolicy(max_attempts=5)
-    assert policy.max_retries == 4
+def test_retry_policy_max_attempts_kwarg_removed():
+    with pytest.raises(TypeError, match="max_attempts"):
+        RetryPolicy(max_attempts=5)
+    policy = RetryPolicy(max_retries=4)
     assert policy.max_attempts == 5
+    with pytest.raises(AttributeError):
+        policy.max_attempts = 6
+    assert "max_attempts" not in {f.name for f in dataclasses.fields(policy)}
 
 
 def test_retry_policy_replace_roundtrips(strict_deprecations):
@@ -261,15 +267,19 @@ def test_retry_policy_replace_roundtrips(strict_deprecations):
     assert clone.max_retries == 1
     assert clone.max_attempts == 2
     assert clone.base_delay_s == 0.25
+    bumped = dataclasses.replace(policy, max_retries=4)
+    assert bumped.max_retries == 4
+    assert bumped.max_attempts == 5
+    assert bumped.base_delay_s == 0.5
 
 
 def test_retry_policy_inconsistent_pair_rejected():
-    with pytest.raises(ValueError, match="max_retries"):
+    with pytest.raises(TypeError, match="max_attempts"):
         RetryPolicy(max_retries=2, max_attempts=5)
 
 
 def test_retry_policy_zero_attempts_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="max_retries"):
         RetryPolicy(max_retries=-1)
 
 

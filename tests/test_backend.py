@@ -9,6 +9,7 @@ from repro.core import (
     EvaluationBackend,
     EvaluationError,
     ProcessPoolBackend,
+    RunContext,
     SerialBackend,
     as_backend,
 )
@@ -205,7 +206,7 @@ class TestExplorationEquivalence:
         def explore(backend):
             explorer = DesignSpaceExplorer(
                 tiny_space, backend, batch_size=10, k=4,
-                training=fast_training, rng=np.random.default_rng(3),
+                training=fast_training, context=RunContext.seeded(3),
             )
             return explorer.explore(target_error=3.0, max_simulations=30)
 
@@ -225,7 +226,7 @@ class TestExplorationEquivalence:
         cache = CachingBackend(smooth_simulator, tiny_space)
         explorer = DesignSpaceExplorer(
             tiny_space, cache, batch_size=10, k=4,
-            training=fast_training, rng=np.random.default_rng(3),
+            training=fast_training, context=RunContext.seeded(3),
         )
         result = explorer.explore(target_error=3.0, max_simulations=20)
         assert len(cache) == result.n_simulations

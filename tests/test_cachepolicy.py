@@ -3,14 +3,14 @@
 Three layers under test:
 
 * :mod:`repro.memory.policies` — per-set replacement-policy state
-  machines, held against hand-computed hit/miss sequences and the
-  Belady OPT oracle bound;
+  machines, held against hand-computed hit/miss sequences, the
+  Belady OPT oracle bound and the detailed LRU ``Cache``;
 * the phased synthetic workloads and the ``cache-policy`` design space
   (config/index round-trips, one-hot encoding bounds under a
   policy-dominated space);
 * the redesigned multi-target ``Study`` surface: ``explore(study=...)``
   end-to-end with every registered agent, per-target error estimates,
-  the scalar-deprecation shims, and the bit-identity lock on the two
+  the removed scalar spellings, and the bit-identity lock on the two
   pre-existing scalar studies.
 """
 
@@ -33,9 +33,11 @@ from repro.experiments import (
     get_study,
     make_simulate_fn,
 )
+from repro.memory import Cache
 from repro.memory.policies import (
     ORACLE_POLICY,
     POLICY_NAMES,
+    _LRUSet,
     cache_hit_rate,
     simulate_policy,
 )
@@ -154,8 +156,9 @@ class TestOracleBound:
     )
     @settings(max_examples=120, deadline=None)
     def test_no_policy_beats_opt(self, blocks, n_sets, n_ways, policy):
-        """Belady's OPT is optimal: every realizable policy is bounded
-        by the oracle's hit rate on any reference stream."""
+        """Belady's OPT is optimal: every realizable policy, and the
+        detailed :class:`Cache`, is bounded by the oracle's hit rate on
+        any reference stream."""
         stream = np.asarray(blocks, dtype=np.uint64)
         realized = simulate_policy(
             stream, n_sets=n_sets, n_ways=n_ways, policy=policy
@@ -164,6 +167,10 @@ class TestOracleBound:
             stream, n_sets=n_sets, n_ways=n_ways, policy=ORACLE_POLICY
         )
         assert realized <= oracle + 1e-12
+        cache = Cache(n_sets * n_ways * 64, 64, n_ways)
+        for block in blocks:
+            cache.access(block * 64)
+        assert cache.stats.hit_ratio <= oracle + 1e-12
 
     @given(
         blocks=st.lists(st.integers(0, 31), min_size=1, max_size=120),
@@ -176,6 +183,36 @@ class TestOracleBound:
             n_sets=2, n_ways=2, policy=policy,
         )
         assert 0.0 <= rate <= 1.0
+
+
+class TestCacheMatchesLRUSet:
+    @given(
+        blocks=st.lists(st.integers(0, 63), min_size=1, max_size=300),
+        n_sets=st.sampled_from((1, 2, 4, 8)),
+        n_ways=st.sampled_from((1, 2, 4, 8)),
+        block_bytes=st.sampled_from((16, 64)),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_read_stream_matches_policy_lru(
+        self, blocks, n_sets, n_ways, block_bytes
+    ):
+        """The detailed cache and the study's per-set LRU state machine
+        are one replacement policy: identical per-access hit/miss
+        sequences on any read-only stream and geometry, and the same
+        hit rate as ``simulate_policy(..., policy="lru")``."""
+        cache = Cache(n_sets * n_ways * block_bytes, block_bytes, n_ways)
+        set_bits = n_sets.bit_length() - 1
+        sets = {}
+        expected = []
+        for block in blocks:
+            lru = sets.setdefault(block & (n_sets - 1), _LRUSet(n_ways))
+            expected.append(lru.access(block >> set_bits))
+        observed = [cache.access(block * block_bytes).hit for block in blocks]
+        assert observed == expected
+        assert cache.stats.hits / cache.stats.accesses == simulate_policy(
+            np.asarray(blocks, dtype=np.uint64),
+            n_sets=n_sets, n_ways=n_ways, policy="lru",
+        )
 
 
 class TestCacheHitRateOnTraces:
@@ -455,16 +492,17 @@ class TestMultiTargetFit:
                 target_names=("ipc",),
             )
 
-    def test_single_column_y_is_deprecated(self):
+    def test_single_column_y_is_rejected(self):
         x, y = self._data()
-        with pytest.warns(DeprecationWarning, match="1-D scalar target"):
-            outcome = fit_cv_round(
+        with pytest.raises(ValueError, match="1 target columns"):
+            fit_cv_round(
                 x, y[:, :1],
                 k=4,
                 training=_fast(),
                 context=RunContext.seeded(0),
             )
-        assert outcome.estimate.target_names == ()
+        with pytest.raises(ValueError, match="1 target columns"):
+            api.fit_ensemble(x, y[:, :1], k=4, training=_fast(), seed=0)
 
     def test_api_fit_ensemble_passes_target_names(self):
         x, y = self._data()
@@ -525,7 +563,7 @@ class TestPreviousReleaseCheckpoint:
 
 
 class TestScalarDeprecations:
-    def test_result_targets_alias_warns(self, tiny_space, fast_training):
+    def test_result_targets_alias_removed(self, tiny_space, fast_training):
         result = api.explore(
             tiny_space,
             lambda config: 1.0 + config["size"] / 64.0,
@@ -536,9 +574,8 @@ class TestScalarDeprecations:
             seed=2,
             training=fast_training,
         )
-        with pytest.warns(DeprecationWarning, match="primary_targets"):
-            legacy = result.targets
-        assert legacy == result.primary_targets
+        with pytest.raises(AttributeError, match="targets"):
+            result.targets
         # scalar runs carry no multi-target payload
         assert result.target_names == ()
         assert result.target_rows is None

@@ -244,7 +244,7 @@ class TestExplorerCheckpointing:
     def _explorer(self, space, simulate, training, seed=3):
         return DesignSpaceExplorer(
             space, simulate, batch_size=10, k=4,
-            training=training, rng=np.random.default_rng(seed),
+            training=training, context=RunContext.seeded(seed),
         )
 
     def test_kill_and_resume_is_bit_identical(

@@ -1,16 +1,11 @@
-"""Tests for RunContext and the context/legacy-keyword resolution."""
+"""Tests for RunContext."""
 
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.core.context import (
-    RunContext,
-    default_cache_dir,
-    default_n_jobs,
-    resolve_context,
-)
+from repro.core.context import RunContext, default_cache_dir, default_n_jobs
 from repro.obs.metrics import METRICS, MetricsRegistry
 from repro.obs.telemetry import NULL_TELEMETRY, RunTelemetry
 
@@ -82,22 +77,3 @@ class TestSeedingAndForking:
         assert changed.n_jobs == 3
         assert changed.rng is context.rng
 
-
-class TestResolveContext:
-    def test_context_passes_through(self):
-        context = RunContext.seeded(2)
-        assert resolve_context(context) is context
-
-    def test_legacy_fields_build_a_context(self):
-        rng = np.random.default_rng(3)
-        context = resolve_context(rng=rng, n_jobs=2)
-        assert context.rng is rng
-        assert context.n_jobs == 2
-
-    def test_context_plus_legacy_field_rejected(self):
-        with pytest.raises(ValueError, match="not both"):
-            resolve_context(
-                RunContext.seeded(2), rng=np.random.default_rng(3)
-            )
-        with pytest.raises(ValueError, match="n_jobs"):
-            resolve_context(RunContext.seeded(2), n_jobs=2)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import CrossApplicationModel
+from repro.core import CrossApplicationModel, RunContext
 from repro.core.training import TrainingConfig
 
 FAST = TrainingConfig(
@@ -58,7 +58,7 @@ class TestTraining:
     def test_learns_both_applications(self, tiny_space, rng):
         model = CrossApplicationModel(
             tiny_space, ("fast", "slow"), training=FAST, k=4,
-            rng=np.random.default_rng(1),
+            context=RunContext.seeded(1),
         )
         samples = {
             "fast": sample_app(tiny_space, rng, 30, shift=1.0),
@@ -83,7 +83,7 @@ class TestTraining:
 
         model = CrossApplicationModel(
             tiny_space, ("donor", "recipient"), training=FAST, k=4,
-            rng=np.random.default_rng(3),
+            context=RunContext.seeded(3),
         )
         model.fit({"donor": donor, "recipient": recipient})
         truth = np.array([synthetic_target(c, 0.9) for c in tiny_space])
@@ -94,7 +94,8 @@ class TestTraining:
 
     def test_validation(self, tiny_space, rng):
         model = CrossApplicationModel(
-            tiny_space, ("a", "b"), training=FAST, k=4, rng=rng
+            tiny_space, ("a", "b"), training=FAST, k=4,
+            context=RunContext(rng=rng),
         )
         with pytest.raises(ValueError):
             model.fit({"a": ([1, 2], [0.5])})
@@ -104,7 +105,7 @@ class TestTraining:
     def test_predict_config_list(self, tiny_space, rng):
         model = CrossApplicationModel(
             tiny_space, ("a", "b"), training=FAST, k=4,
-            rng=np.random.default_rng(4),
+            context=RunContext.seeded(4),
         )
         model.fit(
             {

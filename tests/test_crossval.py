@@ -142,7 +142,7 @@ class TestCrossValidationEnsemble:
         assert ensemble.fit(x, y).mean > 0
 
     def test_context_excludes_legacy_kwargs(self, fast_training):
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError, match="rng"):
             CrossValidationEnsemble(
                 k=4, training=fast_training,
                 context=RunContext.seeded(7),

@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import DesignSpaceExplorer, QueryByCommitteeSampler
-from repro.core.encoding import ParameterEncoder
+from repro.core import DesignSpaceExplorer, RunContext
 
 
 def smooth_simulator(config):
@@ -35,7 +34,7 @@ class TestExplorer:
             batch_size=10,
             k=4,
             training=fast_training,
-            rng=rng,
+            context=RunContext(rng=rng),
         )
         result = explorer.explore(target_error=5.0, max_simulations=40)
         assert result.rounds
@@ -47,7 +46,7 @@ class TestExplorer:
         simulator = CountingSimulator()
         explorer = DesignSpaceExplorer(
             tiny_space, simulator, batch_size=10, k=4,
-            training=fast_training, rng=rng,
+            training=fast_training, context=RunContext(rng=rng),
         )
         result = explorer.explore(target_error=0.01, max_simulations=40)
         assert simulator.calls == result.n_simulations
@@ -56,7 +55,7 @@ class TestExplorer:
     def test_respects_budget(self, tiny_space, fast_training, rng):
         explorer = DesignSpaceExplorer(
             tiny_space, smooth_simulator, batch_size=10, k=4,
-            training=fast_training, rng=rng,
+            training=fast_training, context=RunContext(rng=rng),
         )
         result = explorer.explore(target_error=0.0001, max_simulations=30)
         assert result.n_simulations <= 30
@@ -64,7 +63,7 @@ class TestExplorer:
     def test_rounds_accumulate_batches(self, tiny_space, fast_training, rng):
         explorer = DesignSpaceExplorer(
             tiny_space, smooth_simulator, batch_size=8, k=4,
-            training=fast_training, rng=rng,
+            training=fast_training, context=RunContext(rng=rng),
         )
         result = explorer.explore(target_error=0.0001, max_simulations=24)
         assert [r.n_samples for r in result.rounds] == [8, 16, 24]
@@ -72,7 +71,7 @@ class TestExplorer:
     def test_predict_config_and_space(self, tiny_space, fast_training, rng):
         explorer = DesignSpaceExplorer(
             tiny_space, smooth_simulator, batch_size=12, k=4,
-            training=fast_training, rng=rng,
+            training=fast_training, context=RunContext(rng=rng),
         )
         result = explorer.explore(target_error=2.0, max_simulations=24)
         prediction = result.predict_config(tiny_space.config_at(0))
@@ -85,7 +84,7 @@ class TestExplorer:
     ):
         explorer = DesignSpaceExplorer(
             tiny_space, smooth_simulator, batch_size=16, k=4,
-            training=fast_training, rng=rng,
+            training=fast_training, context=RunContext(rng=rng),
         )
         result = explorer.explore(target_error=3.0, max_simulations=64)
         truth = np.array([smooth_simulator(c) for c in tiny_space])
@@ -95,7 +94,7 @@ class TestExplorer:
     def test_best_configs(self, tiny_space, fast_training, rng):
         explorer = DesignSpaceExplorer(
             tiny_space, smooth_simulator, batch_size=16, k=4,
-            training=fast_training, rng=rng,
+            training=fast_training, context=RunContext(rng=rng),
         )
         result = explorer.explore(target_error=3.0, max_simulations=48)
         top = result.best_configs(n=3)
@@ -108,7 +107,7 @@ class TestExplorer:
     def test_best_configs_with_constraint(self, tiny_space, fast_training, rng):
         explorer = DesignSpaceExplorer(
             tiny_space, smooth_simulator, batch_size=16, k=4,
-            training=fast_training, rng=rng,
+            training=fast_training, context=RunContext(rng=rng),
         )
         result = explorer.explore(target_error=3.0, max_simulations=48)
         top = result.best_configs(
@@ -119,7 +118,7 @@ class TestExplorer:
     def test_best_configs_minimize(self, tiny_space, fast_training, rng):
         explorer = DesignSpaceExplorer(
             tiny_space, smooth_simulator, batch_size=16, k=4,
-            training=fast_training, rng=rng,
+            training=fast_training, context=RunContext(rng=rng),
         )
         result = explorer.explore(target_error=3.0, max_simulations=32)
         worst = result.best_configs(n=1, maximize=False)[0][1]
@@ -129,7 +128,7 @@ class TestExplorer:
     def test_best_configs_validates_n(self, tiny_space, fast_training, rng):
         explorer = DesignSpaceExplorer(
             tiny_space, smooth_simulator, batch_size=16, k=4,
-            training=fast_training, rng=rng,
+            training=fast_training, context=RunContext(rng=rng),
         )
         result = explorer.explore(target_error=3.0, max_simulations=32)
         with pytest.raises(ValueError):
@@ -137,7 +136,8 @@ class TestExplorer:
 
     def test_validation(self, tiny_space, fast_training, rng):
         explorer = DesignSpaceExplorer(
-            tiny_space, smooth_simulator, training=fast_training, rng=rng
+            tiny_space, smooth_simulator, training=fast_training,
+            context=RunContext(rng=rng),
         )
         with pytest.raises(ValueError):
             explorer.explore(target_error=0.0, max_simulations=100)
@@ -148,47 +148,3 @@ class TestExplorer:
                 tiny_space, smooth_simulator, batch_size=0
             )
 
-
-class TestActiveLearning:
-    def test_sampler_plugs_into_explorer(self, tiny_space, fast_training, rng):
-        encoder = ParameterEncoder(tiny_space)
-        sampler = QueryByCommitteeSampler(encoder, pool_size=30)
-        # the hook still works, but is deprecated in favour of the
-        # repro.search agents (see tests/test_search.py)
-        with pytest.warns(DeprecationWarning, match="agent=CommitteeAgent"):
-            explorer = DesignSpaceExplorer(
-                tiny_space, smooth_simulator, batch_size=10, k=4,
-                training=fast_training, rng=rng, sampler=sampler,
-            )
-        result = explorer.explore(target_error=0.001, max_simulations=30)
-        assert len(set(result.sampled_indices)) == result.n_simulations
-
-    def test_first_round_falls_back_to_random(self, tiny_space, rng):
-        encoder = ParameterEncoder(tiny_space)
-        sampler = QueryByCommitteeSampler(encoder)
-        chosen = sampler(tiny_space, 5, rng, [], None)
-        assert len(set(chosen)) == 5
-
-    def test_later_rounds_use_committee(
-        self, tiny_space, fast_training, rng
-    ):
-        from repro.core import CrossValidationEnsemble
-
-        encoder = ParameterEncoder(tiny_space)
-        x = encoder.encode_many([tiny_space.config_at(i) for i in range(40)])
-        y = np.array([smooth_simulator(tiny_space.config_at(i)) for i in range(40)])
-        ensemble = CrossValidationEnsemble(k=4, training=fast_training, rng=rng)
-        ensemble.fit(x, y)
-        sampler = QueryByCommitteeSampler(
-            encoder, pool_size=20, exploration_fraction=0.0
-        )
-        chosen = sampler(tiny_space, 6, rng, list(range(40)), ensemble.predictor)
-        assert len(set(chosen)) == 6
-        assert not set(chosen) & set(range(40))
-
-    def test_validation(self, tiny_space):
-        encoder = ParameterEncoder(tiny_space)
-        with pytest.raises(ValueError):
-            QueryByCommitteeSampler(encoder, pool_size=0)
-        with pytest.raises(ValueError):
-            QueryByCommitteeSampler(encoder, exploration_fraction=2.0)

@@ -11,6 +11,7 @@ import pytest
 from repro import (
     CrossApplicationModel,
     DesignSpaceExplorer,
+    RunContext,
     get_study,
     make_simulate_fn,
 )
@@ -32,7 +33,7 @@ class TestExplorerOnRealStudy:
             make_simulate_fn(study, "gzip"),
             batch_size=100,
             training=FAST,
-            rng=np.random.default_rng(17),
+            context=RunContext.seeded(17),
         )
         result = explorer.explore(target_error=6.0, max_simulations=400)
         assert result.final_estimate.mean < 12.0
@@ -54,7 +55,7 @@ class TestExplorerOnRealStudy:
             make_simulate_fn(study, "mesa"),
             batch_size=150,
             training=FAST,
-            rng=np.random.default_rng(19),
+            context=RunContext.seeded(19),
         )
         result = explorer.explore(target_error=1.0, max_simulations=300)
         best_predicted = int(np.argmax(result.predict_space()))
@@ -77,7 +78,7 @@ class TestExplorerOnRealStudy:
         for benchmark in ("gzip", "twolf"):
             truth = full_space_ground_truth(study, benchmark)
             ensemble = CrossValidationEnsemble(
-                training=FAST, rng=np.random.default_rng(29)
+                training=FAST, context=RunContext.seeded(29)
             )
             ensemble.fit(x_full[idx], truth[idx])
             heldout = np.ones(len(truth), dtype=bool)
@@ -97,7 +98,7 @@ class TestCrossApplicationOnRealStudy:
             study.space,
             ("gzip", "mesa"),
             training=FAST,
-            rng=np.random.default_rng(37),
+            context=RunContext.seeded(37),
         )
         samples = {}
         for benchmark in ("gzip", "mesa"):

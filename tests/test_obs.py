@@ -4,7 +4,7 @@ import json
 import time
 
 from repro.cli import main
-from repro.core import DesignSpaceExplorer
+from repro.core import DesignSpaceExplorer, RunContext
 from repro.obs import (
     METRICS,
     MetricsRegistry,
@@ -153,8 +153,10 @@ class TestExplorerTelemetry:
         telemetry = RunTelemetry(metrics=registry)
         explorer = DesignSpaceExplorer(
             tiny_space, smooth_simulator, batch_size=8, k=4,
-            training=fast_training, rng=rng,
-            telemetry=telemetry, metrics=registry,
+            training=fast_training,
+            context=RunContext(
+                rng=rng, telemetry=telemetry, metrics=registry
+            ),
         )
         result = explorer.explore(target_error=0.0001, max_simulations=24)
 

@@ -19,6 +19,7 @@ from repro.core import (
     ProcessPoolBackend,
     ResilientBackend,
     RetryPolicy,
+    RunContext,
     SerialBackend,
     validate_targets,
 )
@@ -65,8 +66,8 @@ class TestValidation:
 
 class TestRetryPolicy:
     def test_validates_attempts(self):
-        with pytest.raises(ValueError):
-            RetryPolicy(max_attempts=0)
+        with pytest.raises(ValueError, match="max_retries"):
+            RetryPolicy(max_retries=-1)
 
     def test_validates_delays(self):
         with pytest.raises(ValueError):
@@ -85,7 +86,7 @@ class TestRetryPolicy:
 
     def test_exponential_backoff_is_capped(self):
         policy = RetryPolicy(
-            max_attempts=10, base_delay_s=1.0, backoff=10.0,
+            max_retries=9, base_delay_s=1.0, backoff=10.0,
             max_delay_s=5.0, jitter=0.0,
         )
         assert policy.delay_s(1) == 1.0
@@ -134,7 +135,7 @@ class TestResilientBackend:
         metrics = MetricsRegistry(enabled=True)
         telemetry = RunTelemetry()
         backend = ResilientBackend(
-            flaky, policy=RetryPolicy(max_attempts=4),
+            flaky, policy=RetryPolicy(max_retries=3),
             telemetry=telemetry, metrics=metrics,
         )
         values = backend.evaluate([{"a": 1}])
@@ -153,7 +154,7 @@ class TestResilientBackend:
         metrics = MetricsRegistry(enabled=True)
         telemetry = RunTelemetry()
         backend = ResilientBackend(
-            always_broken, policy=RetryPolicy(max_attempts=3),
+            always_broken, policy=RetryPolicy(max_retries=2),
             telemetry=telemetry, metrics=metrics,
         )
         values = backend.evaluate([{"a": 1}, {"a": 2}])
@@ -207,7 +208,7 @@ class TestResilientBackend:
 
         metrics = MetricsRegistry(enabled=True)
         backend = ResilientBackend(
-            slow_once, policy=RetryPolicy(max_attempts=3),
+            slow_once, policy=RetryPolicy(max_retries=2),
             timeout_s=0.05, metrics=metrics,
         )
         values = backend.evaluate([{"a": 1}])
@@ -220,7 +221,7 @@ class TestResilientBackend:
             return 1.0  # pragma: no cover - never reached in time
 
         backend = ResilientBackend(
-            always_hung, policy=RetryPolicy(max_attempts=2),
+            always_hung, policy=RetryPolicy(max_retries=1),
             timeout_s=0.02,
         )
         values = backend.evaluate([{"a": 1}])
@@ -235,7 +236,7 @@ class TestResilientBackend:
         config = {"a": 2.0, "flag": str(flag)}
         with ProcessPoolBackend(exit_if_flag, n_jobs=1) as pool:
             backend = ResilientBackend(
-                pool, policy=RetryPolicy(max_attempts=3), metrics=metrics
+                pool, policy=RetryPolicy(max_retries=2), metrics=metrics
             )
             values = backend.evaluate([config])
         np.testing.assert_array_equal(values, [2.0])
@@ -262,7 +263,7 @@ class TestResilientBackend:
         inner = HungPool(constant_fn)
         metrics = MetricsRegistry(enabled=True)
         backend = ResilientBackend(
-            inner, policy=RetryPolicy(max_attempts=3),
+            inner, policy=RetryPolicy(max_retries=2),
             timeout_s=0.05, metrics=metrics,
         )
         values = backend.evaluate([{"a": 1}])
@@ -363,7 +364,7 @@ class TestChaosEquivalence:
         def explore(backend):
             explorer = DesignSpaceExplorer(
                 tiny_space, backend, batch_size=10, k=4,
-                training=fast_training, rng=np.random.default_rng(3),
+                training=fast_training, context=RunContext.seeded(3),
             )
             return explorer.explore(target_error=3.0, max_simulations=30)
 
@@ -372,7 +373,7 @@ class TestChaosEquivalence:
         plan = FaultPlan(crash=0.15, nan=0.1, slow=0.05, slow_s=0.0)
         chaotic_backend = ResilientBackend(
             FaultInjectingBackend(smooth_simulator, plan, seed=7),
-            policy=RetryPolicy(max_attempts=10),
+            policy=RetryPolicy(max_retries=9),
         )
         chaotic = explore(chaotic_backend)
 

@@ -3,14 +3,14 @@
 Three families of guarantees:
 
 * **Refactor lock** — the default ``RandomAgent`` explorer reproduces the
-  pre-search-layer loop (reimplemented inline here) bit-for-bit, and the
-  deprecated ``sampler=`` hook is exactly ``CommitteeAgent`` in disguise.
+  pre-search-layer loop (reimplemented inline here) bit-for-bit.
 * **Protocol correctness** — every agent proposes only valid, unsampled,
   distinct points; the environment rejects protocol violations loudly;
   stateful agents round-trip through the versioned checkpoint slot.
-* **Edge cases** — the query-by-committee core no longer crashes on
+* **Edge cases** — the query-by-committee core does not crash on
   ``exploration_fraction`` extremes, tiny candidate pools, or a nearly
-  exhausted space (regression tests for the pre-port bugs).
+  exhausted space, and ``CommitteeAgent`` falls back to random draws
+  before a committee exists.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 import repro.api as api
-from repro.core import CrossValidationEnsemble, QueryByCommitteeSampler
+from repro.core import CrossValidationEnsemble
 from repro.core.backend import as_backend
 from repro.core.checkpoint import CheckpointError
 from repro.core.context import RunContext
@@ -122,54 +122,13 @@ class TestRefactorLock:
             predictor.predict(ParameterEncoder(tiny_space).encode_space()),
         )
 
-    def test_sampler_deprecation_names_replacement(
-        self, tiny_space, fast_training
-    ):
-        sampler = QueryByCommitteeSampler(
-            ParameterEncoder(tiny_space), pool_size=12
-        )
-        with pytest.warns(DeprecationWarning, match="agent=CommitteeAgent"):
+    def test_sampler_kwarg_removed(self, tiny_space):
+        """The pre-search-layer ``sampler=`` hook is gone;
+        ``agent=CommitteeAgent(...)`` replaces it."""
+        with pytest.raises(TypeError, match="sampler"):
             DesignSpaceExplorer(
-                tiny_space, smooth_simulator, batch_size=8, k=4,
-                training=fast_training, sampler=sampler,
+                tiny_space, smooth_simulator, sampler=lambda *args: [],
             )
-
-    def test_sampler_and_agent_are_exclusive(self, tiny_space):
-        sampler = QueryByCommitteeSampler(ParameterEncoder(tiny_space))
-        with pytest.raises(ValueError, match="not both"):
-            DesignSpaceExplorer(
-                tiny_space, smooth_simulator,
-                agent="committee", sampler=sampler,
-            )
-
-    def test_committee_agent_matches_legacy_sampler(
-        self, tiny_space, fast_training
-    ):
-        """``agent=CommitteeAgent(...)`` is the ported ``sampler=`` path:
-        identical trajectories at equal seeds and parameters."""
-        def run(**kwargs):
-            explorer = DesignSpaceExplorer(
-                tiny_space, smooth_simulator, batch_size=8, k=4,
-                training=fast_training, context=RunContext.seeded(5),
-                **kwargs,
-            )
-            return explorer.explore(target_error=0.001, max_simulations=24)
-
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            legacy = run(
-                sampler=QueryByCommitteeSampler(
-                    ParameterEncoder(tiny_space),
-                    pool_size=12, exploration_fraction=0.25,
-                )
-            )
-        ported = run(
-            agent=CommitteeAgent(pool_size=12, exploration_fraction=0.25)
-        )
-        assert ported.sampled_indices == legacy.sampled_indices
-        assert ported.primary_targets == legacy.primary_targets
-        assert [r.estimate.mean for r in ported.rounds] == [
-            r.estimate.mean for r in legacy.rounds
-        ]
 
 
 # ----------------------------------------------------------------------
@@ -430,6 +389,43 @@ class TestCommitteeSelect:
             predictor,
         )
         assert chosen == []
+
+
+class TestCommitteeAgent:
+    def test_first_round_falls_back_to_random(
+        self, tiny_space, fast_training, rng
+    ):
+        env = Environment(
+            tiny_space, smooth_simulator, target_error=1.0,
+            max_simulations=24, k=4, training=fast_training,
+        )
+        configs = CommitteeAgent().propose(env.observe(), 5, rng)
+        assert len({tiny_space.index_of(config) for config in configs}) == 5
+        chosen = committee_select(
+            tiny_space, ParameterEncoder(tiny_space), 5, rng, [], None,
+        )
+        assert len(set(chosen)) == 5
+
+    def test_later_rounds_use_committee(self, tiny_space, fast_training, rng):
+        env = Environment(
+            tiny_space, smooth_simulator, target_error=0.001,
+            max_simulations=64, k=4, training=fast_training,
+            context=RunContext(rng=rng),
+        )
+        env.step([tiny_space.config_at(i) for i in range(40)])
+        agent = CommitteeAgent(pool_size=20, exploration_fraction=0.0)
+        configs = agent.propose(env.observe(), 6, rng)
+        chosen = {tiny_space.index_of(config) for config in configs}
+        assert len(chosen) == 6
+        assert not chosen & set(range(40))
+
+    def test_validation(self):
+        with pytest.raises(ValueError, match="pool_size"):
+            CommitteeAgent(pool_size=0)
+        with pytest.raises(ValueError, match="exploration_fraction"):
+            CommitteeAgent(exploration_fraction=2.0)
+        with pytest.raises(ValueError, match="exploration_fraction"):
+            CommitteeAgent(exploration_fraction=-0.1)
 
 
 # ----------------------------------------------------------------------
