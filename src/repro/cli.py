@@ -413,12 +413,13 @@ def cmd_profile(args: argparse.Namespace) -> int:
     seconds and, unless ``--no-alloc``, tracemalloc peak/net allocations.
     """
     study = get_study(args.study)
+    benchmark = _resolve_benchmark(study, args.benchmark)
     telemetry = args.telemetry
     profiler = PhaseProfiler(trace_allocations=not args.no_alloc)
     context = _run_context(args)
     with profiler:
         with profiler.phase("workload.profile"):
-            get_interval_simulator(args.benchmark)
+            get_interval_simulator(benchmark)
         with profiler.phase("design.matrix"):
             design_matrix(study.space)
         with _evaluation_backend(args, context) as backend:
@@ -438,7 +439,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
             result.predict_space()
 
     print(
-        f"profile: {study.name} study, {args.benchmark}, "
+        f"profile: {study.name} study, {benchmark}, "
         f"{result.n_simulations} simulations, "
         f"{len(result.rounds)} rounds, "
         f"final estimate {result.final_estimate.mean:.2f}%"
@@ -770,9 +771,12 @@ def build_parser() -> argparse.ArgumentParser:
     profile = sub.add_parser(
         "profile", help="phase-by-phase time/allocation breakdown"
     )
-    profile.add_argument("--study", choices=SCALAR_STUDY_NAMES,
+    profile.add_argument("--study", choices=STUDY_NAMES,
                          default="memory-system")
-    profile.add_argument("--benchmark", default="mcf")
+    profile.add_argument(
+        "--benchmark", default=None,
+        help="workload to model (default: as for explore)",
+    )
     profile.add_argument("--target-error", type=float, default=2.0)
     profile.add_argument("--max-simulations", type=int, default=100)
     profile.add_argument("--batch-size", type=int, default=50)

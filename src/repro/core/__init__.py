@@ -30,12 +30,7 @@ from .crossval import (
     fold_tasks,
     make_folds,
 )
-from .encoding import (
-    MultiTargetScaler,
-    ParameterEncoder,
-    TargetScaler,
-    design_matrix,
-)
+from .encoding import ParameterEncoder, TargetScaler, design_matrix
 from .ensemble import EnsemblePredictor
 from .error import ErrorEstimate, ErrorStatistics, percentage_errors
 from .explorer import (
@@ -52,14 +47,7 @@ from .faults import (
     InjectedFault,
 )
 from .fitting import FitOutcome, evaluate_batch, fit_cv_round
-from .kernels import (
-    DEFAULT_PREDICT_CHUNK,
-    EnsembleTrainingKernel,
-    ensemble_predict,
-    ensemble_predict_all,
-    ensemble_variance,
-    member_predictions,
-)
+from .kernels import DEFAULT_PREDICT_CHUNK, EnsembleTrainingKernel
 from .multitask import MultiTaskNetwork, auxiliary_target_names
 from .network import (
     DEFAULT_HIDDEN_UNITS,
@@ -126,7 +114,6 @@ __all__ = [
     "InjectedFault",
     "KNNRegressor",
     "LinearRegression",
-    "MultiTargetScaler",
     "MultiTaskNetwork",
     "ParameterEncoder",
     "PolynomialRegression",
@@ -151,13 +138,9 @@ __all__ = [
     "default_cache_dir",
     "default_n_jobs",
     "design_matrix",
-    "ensemble_predict",
-    "ensemble_predict_all",
-    "ensemble_variance",
     "evaluate_batch",
     "fit_cv_round",
     "fold_tasks",
-    "member_predictions",
     "get_activation",
     "load_checkpoint",
     "load_predictor",

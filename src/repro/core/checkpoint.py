@@ -19,7 +19,7 @@ state to resume *bit-identically*:
   checkpoint → kill → resume reproduces the uninterrupted
   :class:`~repro.core.explorer.ExplorationResult` exactly (tested).
 
-Checkpoints are *self-healing* (format v2): the payload pickle is
+Checkpoints are *self-healing* (since format v2): the payload pickle is
 wrapped in an envelope carrying its sha256 checksum, every save rotates
 the previous good checkpoint to ``<path>.prev``, and
 :func:`load_checkpoint` falls back to the previous round when the
@@ -47,8 +47,9 @@ from ..obs.metrics import METRICS, MetricsRegistry
 from ..obs.telemetry import NULL_TELEMETRY, RunTelemetry
 
 #: bump when the checkpoint layout changes incompatibly
-#: (v2: checksummed envelope + ``.prev`` rotation)
-CHECKPOINT_VERSION = 2
+#: (v2: checksummed envelope + ``.prev`` rotation; v3: predictors
+#: hold column-wise :class:`~repro.core.encoding.TargetScaler` lists)
+CHECKPOINT_VERSION = 3
 
 #: magic marking a file as one of ours, whatever pickle says
 CHECKPOINT_FORMAT = "repro-checkpoint"
@@ -129,9 +130,9 @@ def save_checkpoint(
 ) -> None:
     """Persist ``payload`` to ``path`` atomically, narrating the save.
 
-    The payload pickle travels inside a checksummed envelope (format
-    v2) and an existing checkpoint is rotated to ``<path>.prev`` first,
-    so one corrupted file costs one round, never the run.
+    The payload pickle travels inside a checksummed envelope and an
+    existing checkpoint is rotated to ``<path>.prev`` first, so one
+    corrupted file costs one round, never the run.
     """
     telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
     metrics = metrics if metrics is not None else METRICS

@@ -251,11 +251,7 @@ class CrossValidationEnsemble:
 
         self.predictor = EnsemblePredictor(
             networks=[results[i].network for i in healthy],
-            scaler=(
-                [scalers[i] for i in healthy]
-                if recipe.per_fold_scaling
-                else scalers[0]
-            ),
+            scaler=[scalers[i] for i in healthy],
             target_names=self.target_names,
         )
         self.estimate = self._estimate(

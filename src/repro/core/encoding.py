@@ -165,36 +165,53 @@ def design_matrix(
 
 
 class TargetScaler:
-    """Minimax scaling of prediction targets, with inverse transform."""
+    """Minimax scaling of prediction targets, column by column, with
+    inverse transform.
+
+    A 1-D target vector is one column and an ``(n, T)`` matrix is ``T``
+    columns, each scaled over its own range; ``low`` and ``high`` hold
+    one entry per column.  :meth:`transform` and
+    :meth:`inverse_transform` return as many dimensions as they are
+    given.
+    """
 
     def __init__(self):
-        self.low: float = 0.0
-        self.high: float = 1.0
+        self.low = np.zeros(1)
+        self.high = np.ones(1)
         self._fitted = False
 
     def fit(self, targets: np.ndarray) -> "TargetScaler":
-        """Record the min/max of ``targets``.
+        """Record the min/max of every column of ``targets``.
 
         Degenerate target sets fail here with a clear error rather than
         poisoning training downstream: non-finite values would seep into
-        the scaled range, and an all-equal set has zero span — minimax
+        the scaled range, and an all-equal column has zero span — minimax
         scaling cannot represent it and the inverse-target presentation
         weighting would train on pure noise.
         """
-        targets = np.asarray(targets, dtype=np.float64)
+        targets = np.atleast_1d(np.asarray(targets, dtype=np.float64))
+        if targets.ndim > 2:
+            raise ValueError(
+                f"targets must be 1-D or 2-D, got shape {targets.shape}"
+            )
         if targets.size == 0:
             raise ValueError("cannot fit a scaler on no targets")
-        if not np.isfinite(targets).all():
-            bad = np.flatnonzero(~np.isfinite(targets.reshape(-1))).tolist()
+        finite = np.isfinite(targets)
+        if not finite.all():
+            # row indices for a vector, [row, column] pairs for a matrix
+            bad = np.argwhere(~finite)
+            bad = (bad[:, 0] if targets.ndim == 1 else bad).tolist()
             raise ValueError(
                 f"cannot fit a scaler on non-finite targets (indices {bad})"
             )
-        low = float(targets.min())
-        high = float(targets.max())
-        if high == low:
+        columns = targets.reshape(len(targets), -1)
+        low = columns.min(axis=0)
+        high = columns.max(axis=0)
+        for column in np.flatnonzero(high == low):
             raise ValueError(
                 f"cannot fit a scaler on a degenerate target set: all "
-                f"{targets.size} values equal {low!r} (zero range)"
+                f"{len(columns)} values of column {column} equal "
+                f"{float(low[column])!r} (zero range)"
             )
         self.low = low
         self.high = high
@@ -202,72 +219,32 @@ class TargetScaler:
         return self
 
     @property
-    def span(self) -> float:
+    def span(self) -> np.ndarray:
         return self.high - self.low
 
-    @property
-    def scalers(self) -> List["TargetScaler"]:
-        """Per-column scalers, as on :class:`MultiTargetScaler`: a
-        scalar target is its own single column."""
-        return [self]
-
     def transform(self, targets: np.ndarray) -> np.ndarray:
-        """Map raw targets into [0, 1] (degenerate ranges map to 0.5)."""
-        if not self._fitted:
-            raise RuntimeError("scaler must be fitted before transform")
-        targets = np.asarray(targets, dtype=np.float64)
-        if self.span == 0.0:
-            return np.full_like(targets, 0.5)
-        return (targets - self.low) / self.span
+        """Map raw targets into [0, 1], column by column."""
+        targets, low, span = self._columns(targets, "transform")
+        return (targets - low) / span
 
     def inverse_transform(self, scaled: np.ndarray) -> np.ndarray:
         """Map normalized predictions back to the actual range."""
+        scaled, low, span = self._columns(scaled, "inverse_transform")
+        return scaled * span + low
+
+    def _columns(self, values: np.ndarray, operation: str):
+        """``values`` as float64 with the ``low``/``span`` to apply:
+        per-column arrays for a matrix, the one column's scalars for a
+        vector or a single value."""
         if not self._fitted:
-            raise RuntimeError("scaler must be fitted before inverse_transform")
-        scaled = np.asarray(scaled, dtype=np.float64)
-        if self.span == 0.0:
-            return np.full_like(scaled, self.low)
-        return scaled * self.span + self.low
-
-
-class MultiTargetScaler:
-    """Independent :class:`TargetScaler` per output column (multi-task)."""
-
-    def __init__(self):
-        self.scalers: List[TargetScaler] = []
-
-    def fit(self, targets: np.ndarray) -> "MultiTargetScaler":
-        """Fit one scaler per target column."""
-        targets = np.atleast_2d(np.asarray(targets, dtype=np.float64))
-        self.scalers = [
-            TargetScaler().fit(targets[:, j]) for j in range(targets.shape[1])
-        ]
-        return self
-
-    def transform(self, targets: np.ndarray) -> np.ndarray:
-        """Scale every column into [0, 1]."""
-        targets = np.atleast_2d(np.asarray(targets, dtype=np.float64))
-        self._check_width(targets)
-        return np.column_stack(
-            [s.transform(targets[:, j]) for j, s in enumerate(self.scalers)]
-        )
-
-    def inverse_transform(self, scaled: np.ndarray) -> np.ndarray:
-        """Map normalized columns back to their ranges."""
-        scaled = np.atleast_2d(np.asarray(scaled, dtype=np.float64))
-        self._check_width(scaled)
-        return np.column_stack(
-            [
-                s.inverse_transform(scaled[:, j])
-                for j, s in enumerate(self.scalers)
-            ]
-        )
-
-    def _check_width(self, matrix: np.ndarray) -> None:
-        if not self.scalers:
-            raise RuntimeError("scaler must be fitted first")
-        if matrix.shape[1] != len(self.scalers):
+            raise RuntimeError(f"scaler must be fitted before {operation}")
+        values = np.asarray(values, dtype=np.float64)
+        width = values.shape[1] if values.ndim == 2 else 1
+        if values.ndim > 2 or width != len(self.low):
             raise ValueError(
-                f"expected {len(self.scalers)} target columns, got "
-                f"{matrix.shape[1]}"
+                f"expected {len(self.low)} target columns, got values "
+                f"of shape {values.shape}"
             )
+        if values.ndim == 2:
+            return values, self.low, self.span
+        return values, self.low[0], self.span[0]

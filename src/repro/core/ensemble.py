@@ -4,40 +4,41 @@ Averaging the k cross-validation networks usually beats any single member
 (Section 3.2) — the same reason cross validation's per-member error
 estimate is slightly conservative.
 
-Prediction runs through the chunked batch kernels of
-:mod:`repro.core.kernels`: arbitrarily large point sets (the full
-~20k-point design space) are evaluated a few matmuls per member per
-chunk, with bounded peak memory and results identical to per-point
-calls.
+Prediction runs through one chunked loop over
+:func:`~repro.core.kernels.forward_raw`: arbitrarily large point sets
+(the full ~20k-point design space) are evaluated a few matmuls per
+member per chunk, with bounded peak memory.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass, field
+from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .kernels import (
-    DEFAULT_PREDICT_CHUNK,
-    Scaler,
-    ensemble_predict,
-    ensemble_predict_all,
-    ensemble_variance,
-    member_predictions,
-    per_member_scalers,
-)
-from .network import FeedForwardNetwork
+from .encoding import TargetScaler
+from .kernels import DEFAULT_PREDICT_CHUNK, forward_raw
+from .network import FeedForwardNetwork, TrainingDiverged
+
+
+def _chunk_bounds(n: int, chunk_size: Optional[int]):
+    if chunk_size is None or chunk_size <= 0 or chunk_size >= n:
+        yield 0, n
+        return
+    for start in range(0, n, chunk_size):
+        yield start, min(start + chunk_size, n)
 
 
 @dataclass
 class EnsemblePredictor:
     """A trained ensemble: member networks plus their target scaling.
 
-    ``scaler`` is either one scaler shared by every member (a scalar fit
-    scales all folds with one :class:`TargetScaler`) or a sequence with
-    one scaler per member (each multi-target fold scales its own
-    training rows; see :class:`~repro.core.training.TargetRecipe`).
+    ``scaler`` is either one :class:`TargetScaler` shared by every
+    member (a scalar fit scales all folds alike) or a sequence with one
+    per member (each multi-target fold scales its own training rows;
+    see :class:`~repro.core.training.TargetRecipe`);
+    ``member_scalers`` holds it as the per-member list.
     ``target_names`` names the output columns of a multi-target
     ensemble, primary first, and is empty for a scalar one.
 
@@ -48,8 +49,9 @@ class EnsemblePredictor:
     """
 
     networks: List[FeedForwardNetwork]
-    scaler: Union[Scaler, Sequence[Scaler]]
+    scaler: Union[TargetScaler, Sequence[TargetScaler]]
     target_names: Tuple[str, ...] = ()
+    member_scalers: List[TargetScaler] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.networks:
@@ -61,8 +63,15 @@ class EnsemblePredictor:
                 "ensemble members must be trained networks, got None "
                 "(quarantined folds cannot join an ensemble)"
             )
-        # raises when a scaler list does not match the members
-        per_member_scalers(self.scaler, self.networks)
+        if isinstance(self.scaler, (list, tuple)):
+            if len(self.scaler) != len(self.networks):
+                raise ValueError(
+                    f"got {len(self.scaler)} scalers for "
+                    f"{len(self.networks)} networks"
+                )
+            self.member_scalers = list(self.scaler)
+        else:
+            self.member_scalers = [self.scaler] * len(self.networks)
         self.target_names = tuple(self.target_names)
         n_outputs = self.networks[0].n_outputs
         if self.target_names and len(self.target_names) != n_outputs:
@@ -75,10 +84,46 @@ class EnsemblePredictor:
     def size(self) -> int:
         return len(self.networks)
 
-    @property
-    def member_scalers(self) -> List[Scaler]:
-        """The scaler of each member, in member order."""
-        return per_member_scalers(self.scaler, self.networks)
+    def _inputs(self, x: np.ndarray) -> np.ndarray:
+        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+        n_inputs = self.networks[0].n_inputs
+        if x.shape[1] != n_inputs:
+            raise ValueError(
+                f"expected {n_inputs} input features, got {x.shape[1]}"
+            )
+        return x
+
+    def _chunks(
+        self, x: np.ndarray, chunk_size: Optional[int], primary: bool
+    ) -> Iterator[Tuple[slice, np.ndarray]]:
+        """The one prediction loop: ``(rows, block)`` per chunk of
+        ``x``, ``block`` holding every member's denormalized outputs on
+        ``x[rows]`` — ``(k, c)`` of the primary target when ``primary``
+        is set, else ``(k, c, n_targets)``.
+
+        Chunking splits the point axis only, so the working set is one
+        block whatever ``len(x)``.
+        """
+        for start, stop in _chunk_bounds(len(x), chunk_size):
+            chunk = x[start:stop]
+            block = np.stack(
+                [
+                    scaler.inverse_transform(forward_raw(network, chunk))
+                    for network, scaler in zip(
+                        self.networks, self.member_scalers
+                    )
+                ]
+            )
+            if primary:
+                # a contiguous copy: mean/var over the strided column
+                # slice may accumulate in another order
+                block = np.ascontiguousarray(block[:, :, 0])
+            if not np.isfinite(block).all():
+                raise TrainingDiverged(
+                    "network output contains non-finite values",
+                    reason="non-finite output",
+                )
+            yield slice(start, stop), block
 
     def member_predictions(
         self,
@@ -87,9 +132,11 @@ class EnsemblePredictor:
     ) -> np.ndarray:
         """Denormalized primary-target predictions of every member;
         shape ``(k, n)``."""
-        return member_predictions(
-            self.networks, self.scaler, x, chunk_size=chunk_size
-        )
+        x = self._inputs(x)
+        out = np.empty((self.size, len(x)))
+        for rows, block in self._chunks(x, chunk_size, primary=True):
+            out[:, rows] = block
+        return out
 
     def predict(
         self,
@@ -101,11 +148,13 @@ class EnsemblePredictor:
 
         ``x`` may be the full design matrix; it is evaluated
         ``chunk_size`` points at a time (pass ``None`` to disable
-        chunking) with results identical to per-point prediction.
+        chunking) with bounded peak memory.
         """
-        return ensemble_predict(
-            self.networks, self.scaler, x, chunk_size=chunk_size
-        )
+        x = self._inputs(x)
+        out = np.empty(len(x))
+        for rows, block in self._chunks(x, chunk_size, primary=True):
+            out[rows] = block.mean(axis=0)
+        return out
 
     def predict_all(
         self,
@@ -114,18 +163,22 @@ class EnsemblePredictor:
     ) -> np.ndarray:
         """Mean denormalized prediction of every target; shape ``(n,
         n_targets)`` (one column for a scalar ensemble)."""
-        return ensemble_predict_all(
-            self.networks, self.scaler, x, chunk_size=chunk_size
-        )
+        x = self._inputs(x)
+        out = np.empty((len(x), self.networks[0].n_outputs))
+        for rows, block in self._chunks(x, chunk_size, primary=False):
+            out[rows] = block.mean(axis=0)
+        return out
 
     def prediction_variance(
         self,
         x: np.ndarray,
         chunk_size: Optional[int] = DEFAULT_PREDICT_CHUNK,
     ) -> np.ndarray:
-        """Disagreement among members on the primary target; the
-        active-learning extension uses this as its query-by-committee
-        acquisition signal."""
-        return ensemble_variance(
-            self.networks, self.scaler, x, chunk_size=chunk_size
-        )
+        """Disagreement among members on the primary target (population
+        variance per point); the active-learning extension uses this as
+        its query-by-committee acquisition signal."""
+        x = self._inputs(x)
+        out = np.empty(len(x))
+        for rows, block in self._chunks(x, chunk_size, primary=True):
+            out[rows] = block.var(axis=0, ddof=0)
+        return out

@@ -22,12 +22,10 @@ both as fused numpy kernels:
   stopping, restarts and quarantine become per-member active masks: a
   stopped or diverged member's slice is excluded from the batched epoch
   (frozen in place), and a restart reseeds only that slice.
-* :func:`ensemble_predict` / :func:`member_predictions` /
-  :func:`ensemble_variance` / :func:`ensemble_predict_all` evaluate
-  every ensemble member over a large point set in fixed-size chunks (a
-  handful of matmuls per member per chunk), bounding peak memory while
-  keeping the reduction over members bit-identical to the unchunked
-  ``vstack(...).mean(axis=0)`` path.
+* :func:`forward_raw` is the inference kernel under
+  :class:`~repro.core.ensemble.EnsemblePredictor`'s chunked prediction
+  loop: one network's outputs on a pre-validated point chunk, a handful
+  of matmuls with no per-call checks.
 
 The kernels compute *exactly* the same floating-point operations, in the
 same order, as the per-network paths they replace: with any
@@ -44,20 +42,16 @@ asserted per-op by the tests.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Union
+from typing import List, Sequence
 
 import numpy as np
 
-from .encoding import MultiTargetScaler, TargetScaler
 from .network import (
     SATURATION_THRESHOLD,
     FeedForwardNetwork,
     TrainingDiverged,
     WeightHealth,
 )
-
-#: a target scaler: one column, or one :class:`TargetScaler` per column
-Scaler = Union[TargetScaler, MultiTargetScaler]
 
 #: rows per chunk for batched full-space prediction; large enough that
 #: BLAS dominates, small enough that the (k, chunk) member block and the
@@ -458,154 +452,3 @@ def forward_raw(network: FeedForwardNetwork, x: np.ndarray) -> np.ndarray:
         net = a @ w[1:] + w[0]
         a = output.forward(net) if layer == last else hidden.forward(net)
     return a
-
-
-def _chunk_bounds(n: int, chunk_size: Optional[int]):
-    if chunk_size is None or chunk_size <= 0 or chunk_size >= n:
-        yield 0, n
-        return
-    for start in range(0, n, chunk_size):
-        yield start, min(start + chunk_size, n)
-
-
-def per_member_scalers(
-    scaler, networks: Sequence[FeedForwardNetwork]
-) -> list:
-    """``scaler`` as one scaler per member: a list or tuple holds one
-    per member already, anything else is shared by every member."""
-    if isinstance(scaler, (list, tuple)):
-        if len(scaler) != len(networks):
-            raise ValueError(
-                f"got {len(scaler)} scalers for {len(networks)} networks"
-            )
-        return list(scaler)
-    return [scaler] * len(networks)
-
-
-def _finite(block: np.ndarray) -> np.ndarray:
-    if not np.isfinite(block).all():
-        raise TrainingDiverged(
-            "network output contains non-finite values",
-            reason="non-finite output",
-        )
-    return block
-
-
-def _member_block(
-    networks: Sequence[FeedForwardNetwork],
-    scalers: Sequence[Scaler],
-    x: np.ndarray,
-) -> np.ndarray:
-    """Denormalized primary-output predictions of every member on one
-    chunk; ``(k, c)``."""
-    block = np.empty((len(networks), len(x)))
-    for i, (network, scaler) in enumerate(zip(networks, scalers)):
-        block[i] = scaler.scalers[0].inverse_transform(
-            forward_raw(network, x)[:, 0]
-        )
-    return _finite(block)
-
-
-def _validated(
-    networks: Sequence[FeedForwardNetwork], x: np.ndarray
-) -> np.ndarray:
-    if not networks:
-        raise ValueError("need at least one network")
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    n_inputs = networks[0].n_inputs
-    if x.shape[1] != n_inputs:
-        raise ValueError(
-            f"expected {n_inputs} input features, got {x.shape[1]}"
-        )
-    return x
-
-
-def member_predictions(
-    networks: Sequence[FeedForwardNetwork],
-    scaler: Union[Scaler, Sequence[Scaler]],
-    x: np.ndarray,
-    chunk_size: Optional[int] = DEFAULT_PREDICT_CHUNK,
-) -> np.ndarray:
-    """Denormalized predictions of every member; shape ``(k, n)``.
-
-    Reads each network's first (primary) output; ``scaler`` is one
-    target scaler shared by every member or a sequence with one per
-    member.  Evaluates
-    ``chunk_size`` points at a time so the peak working set is ``O(k *
-    chunk)`` regardless of ``n``; the result is identical to the
-    unchunked computation (chunking splits the point axis only).
-    """
-    x = _validated(networks, x)
-    scalers = per_member_scalers(scaler, networks)
-    out = np.empty((len(networks), len(x)))
-    for start, stop in _chunk_bounds(len(x), chunk_size):
-        out[:, start:stop] = _member_block(networks, scalers, x[start:stop])
-    return out
-
-
-def ensemble_predict(
-    networks: Sequence[FeedForwardNetwork],
-    scaler: Union[Scaler, Sequence[Scaler]],
-    x: np.ndarray,
-    chunk_size: Optional[int] = DEFAULT_PREDICT_CHUNK,
-) -> np.ndarray:
-    """Mean of the members' denormalized predictions; shape ``(n,)``.
-
-    The member reduction is per point, so computing it chunk by chunk is
-    bit-identical to ``member_predictions(...).mean(axis=0)`` while only
-    ever materializing one ``(k, chunk)`` block.
-    """
-    x = _validated(networks, x)
-    scalers = per_member_scalers(scaler, networks)
-    out = np.empty(len(x))
-    for start, stop in _chunk_bounds(len(x), chunk_size):
-        out[start:stop] = _member_block(
-            networks, scalers, x[start:stop]
-        ).mean(axis=0)
-    return out
-
-
-def ensemble_variance(
-    networks: Sequence[FeedForwardNetwork],
-    scaler: Union[Scaler, Sequence[Scaler]],
-    x: np.ndarray,
-    chunk_size: Optional[int] = DEFAULT_PREDICT_CHUNK,
-) -> np.ndarray:
-    """Population variance of member predictions per point; shape ``(n,)``."""
-    x = _validated(networks, x)
-    scalers = per_member_scalers(scaler, networks)
-    out = np.empty(len(x))
-    for start, stop in _chunk_bounds(len(x), chunk_size):
-        out[start:stop] = _member_block(
-            networks, scalers, x[start:stop]
-        ).var(axis=0, ddof=0)
-    return out
-
-
-def ensemble_predict_all(
-    networks: Sequence[FeedForwardNetwork],
-    scaler: Union[Scaler, Sequence[Scaler]],
-    x: np.ndarray,
-    chunk_size: Optional[int] = DEFAULT_PREDICT_CHUNK,
-) -> np.ndarray:
-    """Mean of the members' denormalized predictions of every output;
-    shape ``(n, n_outputs)``.
-
-    ``scaler`` is one target scaler shared by every member or a
-    sequence with one per member; each maps a member's whole output
-    matrix back to target units.  Chunking is bit-identical for the
-    same reason as in :func:`ensemble_predict`.
-    """
-    x = _validated(networks, x)
-    scalers = per_member_scalers(scaler, networks)
-    out = np.empty((len(x), networks[0].n_outputs))
-    for start, stop in _chunk_bounds(len(x), chunk_size):
-        chunk = x[start:stop]
-        block = np.stack(
-            [
-                scaler.inverse_transform(forward_raw(network, chunk))
-                for network, scaler in zip(networks, scalers)
-            ]
-        )
-        out[start:stop] = _finite(block).mean(axis=0)
-    return out

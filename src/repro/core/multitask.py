@@ -15,7 +15,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from ..obs.metrics import METRICS
-from .encoding import MultiTargetScaler
+from .encoding import TargetScaler
 from .network import FeedForwardNetwork, TrainingDiverged, warn_unseeded
 from .training import StackedEnsembleTrainer, TrainingConfig, target_columns
 
@@ -55,7 +55,7 @@ class MultiTaskNetwork:
         self.n_inputs = n_inputs
         self.n_tasks = n_tasks
         self.network: Optional[FeedForwardNetwork] = None
-        self.scaler = MultiTargetScaler()
+        self.scaler = TargetScaler()
 
     def fit(
         self,

@@ -7,10 +7,11 @@ activations, target names and target scaling — with a format version
 for forward compatibility.  No pickle is involved, so files are safe to
 share.
 
-Format v2 adds ``target_names`` and lets ``scaler_low``/``scaler_high``
-hold one ``(n_networks, n_targets)`` row of column ranges per member
-(multi-target ensembles, whose folds scale their own rows) instead of
-the one shared scalar range of v1.  v1 files still load.
+Format v2 adds ``target_names`` and writes ``scaler_low``/``scaler_high``
+as ``(n_networks, n_targets)`` arrays: one row of column ranges per
+member, whether the members share one scaler or each fold scaled its
+own rows.  Files holding the one shared scalar (0-d) range of v1 and of
+earlier v2 writers still load.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Dict
 
 import numpy as np
 
-from .encoding import MultiTargetScaler, TargetScaler
+from .encoding import TargetScaler
 from .ensemble import EnsemblePredictor
 from .network import FeedForwardNetwork
 
@@ -29,19 +30,12 @@ FORMAT_VERSION = 2
 
 def save_predictor(predictor: EnsemblePredictor, path: str) -> None:
     """Write ``predictor`` to ``path`` (``.npz``)."""
-    if isinstance(predictor.scaler, TargetScaler):
-        low = np.array(predictor.scaler.low)
-        high = np.array(predictor.scaler.high)
-    else:
-        columns = [scaler.scalers for scaler in predictor.member_scalers]
-        low = np.array([[s.low for s in row] for row in columns])
-        high = np.array([[s.high for s in row] for row in columns])
     arrays: Dict[str, np.ndarray] = {
         "format_version": np.array(FORMAT_VERSION),
         "n_networks": np.array(predictor.size),
         "target_names": np.array(predictor.target_names, dtype=str),
-        "scaler_low": low,
-        "scaler_high": high,
+        "scaler_low": np.array([s.low for s in predictor.member_scalers]),
+        "scaler_high": np.array([s.high for s in predictor.member_scalers]),
     }
     for i, network in enumerate(predictor.networks):
         arrays[f"net{i}_n_layers"] = np.array(network.n_layers)
@@ -76,17 +70,11 @@ def _rebuild_network(data, index: int) -> FeedForwardNetwork:
     return network
 
 
-def _target_scaler(low: float, high: float) -> TargetScaler:
+def _target_scaler(low: np.ndarray, high: np.ndarray) -> TargetScaler:
     scaler = TargetScaler()
-    scaler.low = float(low)
-    scaler.high = float(high)
+    scaler.low = np.atleast_1d(np.asarray(low, dtype=np.float64))
+    scaler.high = np.atleast_1d(np.asarray(high, dtype=np.float64))
     scaler._fitted = True
-    return scaler
-
-
-def _member_scaler(lows: np.ndarray, highs: np.ndarray) -> MultiTargetScaler:
-    scaler = MultiTargetScaler()
-    scaler.scalers = [_target_scaler(lo, hi) for lo, hi in zip(lows, highs)]
     return scaler
 
 
@@ -104,7 +92,7 @@ def load_predictor(path: str) -> EnsemblePredictor:
         if low.ndim == 0:
             scaler = _target_scaler(low, high)
         else:
-            scaler = [_member_scaler(lo, hi) for lo, hi in zip(low, high)]
+            scaler = [_target_scaler(lo, hi) for lo, hi in zip(low, high)]
         target_names = (
             tuple(str(name) for name in data["target_names"])
             if "target_names" in data

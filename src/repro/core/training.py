@@ -33,13 +33,13 @@ from __future__ import annotations
 import dataclasses
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..obs.metrics import MetricsRegistry
 from ..obs.telemetry import RunTelemetry
-from .encoding import MultiTargetScaler, TargetScaler
+from .encoding import TargetScaler
 from .error import percentage_errors
 from .kernels import EnsembleTrainingKernel
 from .network import (
@@ -225,10 +225,9 @@ class TargetRecipe:
     * **per-fold scaling** — a scalar fit scales its targets with one
       :class:`~repro.core.encoding.TargetScaler` fit on every sampled
       row and shared by all folds, while each multi-target fold fits
-      its own :class:`~repro.core.encoding.MultiTargetScaler` on its
-      training rows.  One shared scaler measured worse on the
-      cache-policy ``osc-tight`` exploration at seed 17 (final error
-      4.08 -> 5.15 %, simulations to target 100 -> 150);
+      its own on its training rows.  One shared scaler measured worse
+      on the cache-policy ``osc-tight`` exploration at seed 17 (final
+      error 4.08 -> 5.15 %, simulations to target 100 -> 150);
     * **no plateau decay** — multi-target fits keep the learning rate
       fixed (``lr_decay`` 1.0); the scalar recipe's decay measured
       8.56 % final error on the same run.
@@ -252,13 +251,15 @@ class TargetRecipe:
             return dataclasses.replace(config, lr_decay=1.0)
         return config
 
-    def fold_scalers(self, y: np.ndarray, tasks: Sequence) -> List:
+    def fold_scalers(
+        self, y: np.ndarray, tasks: Sequence
+    ) -> List[TargetScaler]:
         """One fitted target scaler per ``(train_idx, ...)`` fold task."""
         if not self.per_fold_scaling:
             shared = TargetScaler().fit(y)
             return [shared] * len(tasks)
         y = target_columns(y)
-        return [MultiTargetScaler().fit(y[task[0]]) for task in tasks]
+        return [TargetScaler().fit(y[task[0]]) for task in tasks]
 
 
 # ----------------------------------------------------------------------
@@ -323,7 +324,7 @@ class _FoldProgram:
         y_train: np.ndarray,
         x_es: np.ndarray,
         y_es: np.ndarray,
-        scaler: Union[TargetScaler, MultiTargetScaler],
+        scaler: TargetScaler,
         config: TrainingConfig,
         seed: int,
         telemetry: RunTelemetry,
@@ -338,7 +339,7 @@ class _FoldProgram:
         self.y_norm = scaler.transform(y_train)
         self.x_es = x_es
         self.y_es = y_es[:, 0]
-        self.primary_scaler = scaler.scalers[0]
+        self.scaler = scaler
         self.n_outputs = y_train.shape[1]
         self.cfg = TargetRecipe(self.n_outputs).config(config)
         self.seed = int(seed)
@@ -458,10 +459,11 @@ class _FoldProgram:
                 saturation=health.saturation,
             )
         try:
-            raw = kernel.predict_member(self.member, self.x_es)[:, 0]
+            outputs = kernel.predict_member(self.member, self.x_es)
         except TrainingDiverged as exc:
             self._diverged(str(exc), reason=exc.reason, epoch=epoch)
-        predictions = self.primary_scaler.inverse_transform(raw)
+        raw = outputs[:, 0]
+        predictions = self.scaler.inverse_transform(outputs)[:, 0]
         es_error = float(np.mean(percentage_errors(predictions, self.y_es)))
         if not np.isfinite(es_error) or es_error > cfg.divergence_error:
             self._diverged(
@@ -591,7 +593,7 @@ class StackedEnsembleTrainer:
         x: np.ndarray,
         y: np.ndarray,
         tasks: Sequence,
-        scalers: Sequence[Union[TargetScaler, MultiTargetScaler]],
+        scalers: Sequence[TargetScaler],
         capture_telemetry: bool = False,
         capture_metrics: bool = False,
     ) -> List[FoldResult]:

@@ -28,11 +28,11 @@ calls would raise ``"non-finite output"`` mid-epoch instead.
 from __future__ import annotations
 
 import time
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.encoding import MultiTargetScaler, TargetScaler
+from repro.core.encoding import TargetScaler
 from repro.core.error import percentage_errors
 from repro.core.network import FeedForwardNetwork, TrainingDiverged
 from repro.core.training import (
@@ -45,8 +45,6 @@ from repro.core.training import (
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.telemetry import NULL_TELEMETRY, RunTelemetry
-
-Scaler = Union[TargetScaler, MultiTargetScaler]
 
 
 class TrainingKernel:
@@ -203,7 +201,7 @@ class EarlyStoppingTrainer:
         y_train: np.ndarray,
         x_es: np.ndarray,
         y_es: np.ndarray,
-        scaler: Scaler,
+        scaler: TargetScaler,
     ) -> TrainingHistory:
         """Train ``network`` in place; returns the early-stopping history.
 
@@ -225,7 +223,6 @@ class EarlyStoppingTrainer:
             raise ValueError("training and early-stopping sets must be non-empty")
 
         y_norm = scaler.transform(y_train)
-        primary_scaler = scaler.scalers[0]
         y_es = y_es[:, 0]
         probabilities = presentation_probabilities(
             y_train[:, 0], cfg.weight_by_inverse_target
@@ -278,7 +275,9 @@ class EarlyStoppingTrainer:
                 self._diverged(
                     str(exc), reason=exc.reason, epoch=epoch, history=history
                 )
-            predictions = primary_scaler.inverse_transform(raw)
+            # column 0 denormalized by hand, independently of the
+            # scaler's own broadcasting
+            predictions = raw * scaler.span[0] + scaler.low[0]
             es_error = float(np.mean(percentage_errors(predictions, y_es)))
             if not np.isfinite(es_error) or es_error > cfg.divergence_error:
                 self._diverged(
@@ -382,7 +381,7 @@ class RobustTrainer:
         y_train: np.ndarray,
         x_es: np.ndarray,
         y_es: np.ndarray,
-        scaler: Scaler,
+        scaler: TargetScaler,
     ) -> Tuple[FeedForwardNetwork, TrainingHistory]:
         """Train a fresh network; returns ``(network, history)``."""
         cfg = self.config

@@ -14,6 +14,9 @@ Three layers under test:
   pre-existing scalar studies.
 """
 
+import functools
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -725,16 +728,7 @@ class TestScalarTrajectoryLock:
     @pytest.mark.parametrize("study_name,bench", sorted(GOLDEN))
     def test_trajectory_matches_golden(self, study_name, bench):
         golden = self.GOLDEN[(study_name, bench)]
-        study = get_study(study_name)
-        result = api.explore(
-            study.space,
-            make_simulate_fn(study, bench),
-            target_error=1.0,
-            max_simulations=40,
-            batch_size=20,
-            seed=7,
-            training=TrainingConfig.fast_settings(),
-        )
+        result = _golden_run(study_name, bench)
         assert result.sampled_indices == golden["sampled"]
         np.testing.assert_allclose(
             result.primary_targets[:3], golden["targets3"], rtol=1e-9
@@ -754,3 +748,125 @@ class TestScalarTrajectoryLock:
             list(per_target.values()),
             rtol=1e-9,
         )
+
+
+@functools.lru_cache(maxsize=None)
+def _golden_run(study_name, bench):
+    """One golden exploration, shared by the trajectory and prediction
+    locks."""
+    study = get_study(study_name)
+    return api.explore(
+        study.space,
+        make_simulate_fn(study, bench),
+        target_error=1.0,
+        max_simulations=40,
+        batch_size=20,
+        seed=7,
+        training=TrainingConfig.fast_settings(),
+    )
+
+
+def _float_digest(values):
+    return hashlib.sha256(
+        np.ascontiguousarray(values, dtype=np.float64).tobytes()
+    ).hexdigest()
+
+
+class TestPredictionDigestLock:
+    """The golden runs' predictors, predicting their whole design space,
+    must reproduce these sha256 digests of the float64 result bytes:
+    ``predict_space``, ``predict_all``, ``prediction_variance`` and
+    ``member_predictions``, in that order.  ``"bulk"`` holds for
+    ``chunk_size`` ``None`` and 8192 (one or a few large chunks),
+    ``"7"`` for seven-row chunks, whose matmuls may round differently.
+    Recorded on x86-64 with numpy 2.4 and its bundled OpenBLAS, before
+    the two target scalers and four prediction kernels were merged; a
+    change to scaling or prediction must leave every byte in place.
+    """
+
+    DIGESTS = {
+        ("memory-system", "mesa"): {
+            "bulk": (
+                "d50d2643f572100749d02e955aa28ed5"
+                "5b09a8ce75926cdd9993a601c373a7b8",
+                "d50d2643f572100749d02e955aa28ed5"
+                "5b09a8ce75926cdd9993a601c373a7b8",
+                "ed2d7f08a5c8918804940cfe44944fc1"
+                "c868462d8e5cf744fa30404a4b2ef275",
+                "93ad217ce34c92be01ac02a425ed9330"
+                "977207b5878bb294db51e6671de30f65",
+            ),
+            "7": (
+                "a635009b7ac287906d66d3ca7de85915"
+                "aa5f6e5a76de6e981ca748f5b0adbaa0",
+                "a635009b7ac287906d66d3ca7de85915"
+                "aa5f6e5a76de6e981ca748f5b0adbaa0",
+                "11e8150691111b41dc0cb10544d8e5fe"
+                "fcbe326415a7e05cd67f03e3fa7c496b",
+                "87c06db4bb73b266f55e37fd754b6e44"
+                "18598f3a3c18db60951981b931a705d9",
+            ),
+        },
+        ("processor", "mcf"): {
+            "bulk": (
+                "b96d1dab441905df3698daab111b249d"
+                "c2dfba3d4fad78e40b93685abea43d60",
+                "b96d1dab441905df3698daab111b249d"
+                "c2dfba3d4fad78e40b93685abea43d60",
+                "ae72b8d342b123fde60e26267fed0156"
+                "3f3c4ee147516f7b0df0845adc602068",
+                "be4cb1236ac318ca8e3c0f73d71a4fb0"
+                "a492c67daf46fbad2660a8cc08936535",
+            ),
+            "7": (
+                "14a4a3d5998cadab9ce0de56ed9c32ca"
+                "f56fd9c829f9bd7c23f93a2d86ae3ebb",
+                "14a4a3d5998cadab9ce0de56ed9c32ca"
+                "f56fd9c829f9bd7c23f93a2d86ae3ebb",
+                "b2352ccca2303f935700e0d56837f605"
+                "bf726eec74ab6cf9777c4df4f184f901",
+                "d309e91a8089b87c21e85b4a63f72a0b"
+                "2e7ec6d8aabd398293064d3cc3e4ef10",
+            ),
+        },
+        ("cache-policy", "osc-tight"): {
+            "bulk": (
+                "003b3f40bfbe6b121dff198bfa3fa10f"
+                "b4e36571d3bfc866243c00356f310868",
+                "e09b8251e0e9459be8ed8ffe15cc86a3"
+                "3cbec398b0c6bd19eb59474ab2f3c0cd",
+                "779d098c49e6b9e40a1c357bd5f923e6"
+                "14c047c2814d5e3264bda95d239cb694",
+                "558f7de61ea90083a469e153cbddfe6b"
+                "777723e9c8c974f527eab120eac31cd8",
+            ),
+            "7": (
+                "5c6eff48b9c72921fb025a1a9931af94"
+                "d0a6374fb290e883e75d04463bcf92b3",
+                "a7b8af872c9cd41807e5eb259e8b4162"
+                "aa0fe5472e2c85aa7bda742446c062fc",
+                "dd38fa7c76b481126461619e19f54c0f"
+                "c70c6a696e8941e5f29cc381320f1a65",
+                "918ea9278532a41ff5745a6927abf29c"
+                "90b96c5862c577d8c150d829735d1d45",
+            ),
+        },
+    }
+
+    @pytest.mark.parametrize("chunk_size", [None, 7, 8192])
+    @pytest.mark.parametrize("study_name,bench", sorted(DIGESTS))
+    def test_predictions_match_digests(self, study_name, bench, chunk_size):
+        study = get_study(study_name)
+        predictor = _golden_run(study_name, bench).predictor
+        x = api.design_matrix(study.space)
+        got = tuple(
+            _float_digest(values)
+            for values in (
+                api.predict_space(predictor, study.space, chunk_size=chunk_size),
+                predictor.predict_all(x, chunk_size=chunk_size),
+                predictor.prediction_variance(x, chunk_size=chunk_size),
+                predictor.member_predictions(x, chunk_size=chunk_size),
+            )
+        )
+        label = "7" if chunk_size == 7 else "bulk"
+        assert got == self.DIGESTS[(study_name, bench)][label]

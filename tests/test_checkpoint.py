@@ -378,6 +378,39 @@ class TestExplorerCheckpointing:
                 tiny_space, smooth_simulator, fast_training
             ).explore(target_error=3.0, max_simulations=30, checkpoint=path)
 
+    def test_version_two_round_checkpoint_rejected(
+        self, tiny_space, fast_training, tmp_path
+    ):
+        """A round checkpoint written before predictors held
+        column-wise scalers (envelope version 2) fails loudly, naming
+        its version, instead of resuming from a migrated predictor."""
+        path = tmp_path / "old.ckpt"
+        blob = pickle.dumps(
+            ExplorerCheckpoint(
+                version=2,
+                space_name=tiny_space.name,
+                space_size=len(tiny_space),
+                batch_size=10,
+                k=4,
+                target_error=3.0,
+                max_simulations=30,
+            )
+        )
+        atomic_write_pickle(
+            path,
+            {
+                "format": CHECKPOINT_FORMAT,
+                "version": 2,
+                "sha256": hashlib.sha256(blob).hexdigest(),
+                "payload": blob,
+            },
+        )
+        assert CHECKPOINT_VERSION == 3
+        with pytest.raises(CheckpointError, match="version 2"):
+            self._explorer(
+                tiny_space, smooth_simulator, fast_training
+            ).explore(target_error=3.0, max_simulations=30, checkpoint=path)
+
     def test_foreign_payload_fails_loudly(
         self, tiny_space, fast_training, tmp_path
     ):

@@ -140,6 +140,20 @@ class TestCommands:
             "workload.profile", "design.matrix", "explore", "predict.space"
         ]
 
+    def test_profile_runs_every_registered_study(self, capsys):
+        """``cache-policy`` profiles its first registered workload."""
+        assert main(
+            ["profile", "--study", "cache-policy", "--batch-size", "20",
+             "--max-simulations", "20", "--no-alloc"]
+        ) == 0
+        out = capsys.readouterr().out
+        assert "profile: cache-policy study, osc-tight, 20 simulations" in out
+        table = out[out.index("phase "):out.index("\ntotal ")]
+        phases = [line.split()[0] for line in table.splitlines()[2:]]
+        assert phases == [
+            "workload.profile", "design.matrix", "explore", "predict.space"
+        ]
+
     def test_unknown_figure(self):
         with pytest.raises(SystemExit):
             main(["figure", "9.9"])

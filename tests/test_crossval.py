@@ -234,7 +234,7 @@ class TestMultiTarget:
         ensemble.fit(x, y)
         scalers = ensemble.predictor.member_scalers
         assert len({id(scaler) for scaler in scalers}) == ensemble.k
-        assert len({scaler.scalers[0].high for scaler in scalers}) > 1
+        assert len({scaler.high[0] for scaler in scalers}) > 1
 
     def test_fit_event_reports_targets(self, fast_training):
         x, y = make_multi_problem()

@@ -4,13 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from repro.core import (
-    MultiTargetScaler,
-    ParameterEncoder,
-    TargetScaler,
-    design_matrix,
-)
+from repro.core import ParameterEncoder, TargetScaler, design_matrix
 from repro.designspace import (
     BooleanParameter,
     CardinalParameter,
@@ -228,20 +224,80 @@ class TestTargetScaler:
         )
 
 
-class TestMultiTargetScaler:
+class TestTargetScalerColumns:
+    """A matrix scales column by column; a vector is one column."""
+
     def test_independent_columns(self, rng):
         y = np.column_stack([rng.random(20), rng.random(20) * 100])
-        scaler = MultiTargetScaler().fit(y)
+        scaler = TargetScaler().fit(y)
         scaled = scaler.transform(y)
         assert scaled[:, 0].max() == pytest.approx(1.0)
         assert scaled[:, 1].max() == pytest.approx(1.0)
         np.testing.assert_allclose(scaler.inverse_transform(scaled), y)
 
     def test_width_checked(self, rng):
-        scaler = MultiTargetScaler().fit(rng.random((10, 2)))
-        with pytest.raises(ValueError):
+        scaler = TargetScaler().fit(rng.random((10, 2)))
+        with pytest.raises(ValueError, match="expected 2 target columns"):
             scaler.transform(rng.random((10, 3)))
+        with pytest.raises(ValueError, match="expected 2 target columns"):
+            scaler.inverse_transform(rng.random(10))
 
     def test_requires_fit(self, rng):
         with pytest.raises(RuntimeError):
-            MultiTargetScaler().transform(rng.random((5, 2)))
+            TargetScaler().transform(rng.random((5, 2)))
+
+    def test_degenerate_column_named(self, rng):
+        y = np.column_stack([rng.random(6), np.full(6, 3.0)])
+        with pytest.raises(ValueError, match="column 1 equal 3.0"):
+            TargetScaler().fit(y)
+
+    def test_non_finite_cells_reported_by_row_and_column(self, rng):
+        y = rng.random((4, 2))
+        y[2, 1] = np.nan
+        with pytest.raises(ValueError, match=r"\[\[2, 1\]\]"):
+            TargetScaler().fit(y)
+
+    def test_three_dimensional_targets_rejected(self, rng):
+        with pytest.raises(ValueError, match="1-D or 2-D"):
+            TargetScaler().fit(rng.random((4, 2, 2)))
+
+    @given(
+        hnp.arrays(
+            np.float64,
+            st.tuples(st.integers(2, 30), st.integers(1, 4)),
+            elements=st.floats(-1e6, 1e6, allow_nan=False),
+        )
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_columns_scale_alone_and_a_vector_is_one_column(self, y):
+        """Byte for byte: column ``j`` of a width-``T`` fit transforms
+        and inverts as a width-1 fit on column ``j`` alone, and a 1-D
+        vector as its one-column matrix (keeping its one dimension)."""
+        assume((y.max(axis=0) > y.min(axis=0)).all())
+        wide = TargetScaler().fit(y)
+        scaled = wide.transform(y)
+        restored = wide.inverse_transform(scaled)
+        for j in range(y.shape[1]):
+            column = y[:, j : j + 1]
+            alone = TargetScaler().fit(column)
+            assert scaled[:, j].tobytes() == alone.transform(column).tobytes()
+            assert restored[:, j].tobytes() == (
+                alone.inverse_transform(scaled[:, j : j + 1]).tobytes()
+            )
+
+        vector = y[:, 0].copy()
+        one_d = TargetScaler().fit(vector)
+        two_d = TargetScaler().fit(vector[:, None])
+        assert one_d.low.tobytes() == two_d.low.tobytes()
+        assert one_d.high.tobytes() == two_d.high.tobytes()
+        for scaler in (one_d, two_d):
+            scaled_vector = scaler.transform(vector)
+            assert scaled_vector.ndim == 1
+            assert scaled_vector.tobytes() == (
+                scaler.transform(vector[:, None]).tobytes()
+            )
+            inverted = scaler.inverse_transform(scaled_vector)
+            assert inverted.ndim == 1
+            assert inverted.tobytes() == (
+                scaler.inverse_transform(scaled_vector[:, None]).tobytes()
+            )

@@ -41,6 +41,42 @@ class TestEnsemblePredictor:
         with pytest.raises(ValueError):
             EnsemblePredictor(networks=[], scaler=TargetScaler())
 
+    def test_scaler_list_must_match_members(self, rng):
+        networks = [FeedForwardNetwork(2, (4,), rng=rng) for _ in range(3)]
+        scaler = TargetScaler().fit(np.array([0.0, 2.0]))
+        with pytest.raises(ValueError, match="2 scalers for 3 networks"):
+            EnsemblePredictor(networks=networks, scaler=[scaler, scaler])
+
+    @pytest.mark.parametrize("chunk_size", [None, 1, 3])
+    def test_primary_reductions_reduce_contiguous_member_blocks(
+        self, rng, chunk_size
+    ):
+        """On a multi-target ensemble with a scaler per member, each
+        chunk of ``predict``/``prediction_variance`` is the mean/variance
+        of that chunk's contiguous ``(k, c)`` block of
+        ``member_predictions``, byte for byte.  Reducing the whole
+        ``(k, c, n_targets)`` block and reading column 0 rounds
+        differently at eight members and one-row chunks, so the
+        reduction order is part of the contract."""
+        networks = [
+            FeedForwardNetwork(2, (4,), n_outputs=3, rng=rng) for _ in range(8)
+        ]
+        scalers = [TargetScaler().fit(rng.random((6, 3))) for _ in networks]
+        ensemble = EnsemblePredictor(networks=networks, scaler=scalers)
+        x = rng.random((7, 2))
+        members = ensemble.member_predictions(x, chunk_size=chunk_size)
+        predict = ensemble.predict(x, chunk_size=chunk_size)
+        variance = ensemble.prediction_variance(x, chunk_size=chunk_size)
+        step = chunk_size or len(x)
+        for start in range(0, len(x), step):
+            rows = slice(start, start + step)
+            block = np.ascontiguousarray(members[:, rows])
+            assert predict[rows].tobytes() == block.mean(axis=0).tobytes()
+            assert variance[rows].tobytes() == block.var(axis=0).tobytes()
+        every = ensemble.predict_all(x, chunk_size=chunk_size)
+        assert every.shape == (7, 3)
+        np.testing.assert_allclose(every[:, 0], predict, rtol=1e-12)
+
 
 class TestLinearRegression:
     def test_recovers_linear_function(self, rng):

@@ -32,7 +32,7 @@ from repro.core import (
     fold_tasks,
     percentage_errors,
 )
-from repro.core.encoding import MultiTargetScaler
+from repro.core.encoding import TargetScaler
 from repro.core.kernels import EnsembleTrainingKernel
 from repro.core.network import FeedForwardNetwork, TrainingDiverged
 from repro.core.training import (
@@ -420,7 +420,7 @@ class TestEngineParity:
             for train_idx, es_idx, test_idx, seed in tasks
         ]
         runs = [(tasks, scalers)] + [
-            ([task], [MultiTargetScaler().fit(target_columns(y)[task[0]])])
+            ([task], [TargetScaler().fit(target_columns(y)[task[0]])])
             for task in single
         ]
         diverged = []

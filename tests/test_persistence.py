@@ -51,8 +51,9 @@ class TestRoundTrip:
         save_predictor(predictor, str(path))
         restored = load_predictor(str(path))
         assert restored.size == predictor.size
-        assert restored.scaler.low == predictor.scaler.low
-        assert restored.scaler.high == predictor.scaler.high
+        for got, want in zip(restored.member_scalers, predictor.member_scalers):
+            np.testing.assert_array_equal(got.low, want.low)
+            np.testing.assert_array_equal(got.high, want.high)
         for a, b in zip(restored.networks, predictor.networks):
             assert a.hidden_layers == b.hidden_layers
             assert a.hidden_activation.name == b.hidden_activation.name
@@ -97,6 +98,28 @@ class TestRoundTrip:
 
 
 class TestMultiTargetRoundTrip:
+    def test_per_member_ranges_round_trip(self, rng, tmp_path):
+        x = rng.random((80, 3))
+        y = np.column_stack(
+            [0.5 + x[:, 0], 0.2 + 0.5 * x[:, 1], 1.0 + x[:, 2] * x[:, 0]]
+        )
+        ensemble = CrossValidationEnsemble(
+            k=4, training=FAST, context=RunContext(rng=rng),
+            target_names=("a", "b", "c"),
+        )
+        ensemble.fit(x, y)
+        predictor = ensemble.predictor
+        path = tmp_path / "multi.npz"
+        save_predictor(predictor, str(path))
+        with np.load(str(path), allow_pickle=False) as data:
+            assert data["scaler_low"].shape == (4, 3)
+        restored = load_predictor(str(path))
+        assert restored.target_names == ("a", "b", "c")
+        for got, want in zip(restored.member_scalers, predictor.member_scalers):
+            assert got.low.tobytes() == want.low.tobytes()
+            assert got.high.tobytes() == want.high.tobytes()
+        assert _outputs(restored, x) == _outputs(predictor, x)
+
     def test_cache_policy_exploration_predictor_saves(self, tmp_path):
         """The predictor of a multi-target exploration saves and loads
         with every target, member scaler and disagreement intact."""
@@ -122,6 +145,57 @@ class TestMultiTargetRoundTrip:
             restored.prediction_variance(x),
             result.predictor.prediction_variance(x),
         )
+
+
+def _outputs(predictor, x):
+    """Every prediction a predictor serves, as raw bytes."""
+    return [
+        predictor.predict(x).tobytes(),
+        predictor.predict_all(x).tobytes(),
+        predictor.prediction_variance(x).tobytes(),
+        predictor.member_predictions(x).tobytes(),
+    ]
+
+
+class TestScalerLayout:
+    def test_writes_one_row_of_ranges_per_member(self, trained, tmp_path):
+        predictor, _ = trained
+        path = tmp_path / "model.npz"
+        save_predictor(predictor, str(path))
+        with np.load(str(path), allow_pickle=False) as data:
+            assert data["scaler_low"].shape == (predictor.size, 1)
+            assert data["scaler_high"].shape == (predictor.size, 1)
+
+    def test_shared_scalar_layout_loads_byte_identically(
+        self, trained, tmp_path
+    ):
+        """A v2 file holding one shared 0-d scalar range, written the
+        way earlier releases wrote every scalar ensemble, loads and
+        predicts to the byte."""
+        predictor, x = trained
+        shared = predictor.member_scalers[0]
+        assert all(s is shared for s in predictor.member_scalers)
+        arrays = {
+            "format_version": np.array(2),
+            "n_networks": np.array(predictor.size),
+            "target_names": np.array(predictor.target_names, dtype=str),
+            "scaler_low": np.array(float(shared.low[0])),
+            "scaler_high": np.array(float(shared.high[0])),
+        }
+        for i, network in enumerate(predictor.networks):
+            arrays[f"net{i}_n_layers"] = np.array(network.n_layers)
+            arrays[f"net{i}_hidden_activation"] = np.array(
+                network.hidden_activation.name
+            )
+            arrays[f"net{i}_output_activation"] = np.array(
+                network.output_activation.name
+            )
+            for layer, weights in enumerate(network.weights):
+                arrays[f"net{i}_w{layer}"] = weights
+        path = tmp_path / "shared.npz"
+        np.savez_compressed(str(path), **arrays)
+        restored = load_predictor(str(path))
+        assert _outputs(restored, x) == _outputs(predictor, x)
 
 
 class TestVersionOneFiles:
