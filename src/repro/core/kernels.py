@@ -7,49 +7,56 @@ full-design-space prediction (20,736-23,040 points per benchmark) inside
 :class:`~repro.core.ensemble.EnsemblePredictor`.  This module implements
 both as fused numpy kernels:
 
-* :class:`EnsembleTrainingKernel` stacks the weight and velocity
-  matrices of many identically shaped member networks — the k
-  cross-validation folds of an ensemble, or the one network of a single
-  fit — into one set of 3-D tensors ``(members, fan_in + 1, fan_out)``
-  per layer, and runs a whole epoch of presentation-sampled mini-batch
-  gradient descent with momentum for every *active* member as one
-  batched matmul per layer per batch.  The epoch's presentations are
-  gathered with a single fancy-index, and the per-batch finite-guards
-  of :meth:`FeedForwardNetwork.gradients` are hoisted to one weight
-  finiteness check per epoch — non-finite values cannot "un-diverge"
-  under gradient descent with momentum, so checking after the epoch
-  detects the failure in the same epoch per-batch guards would.  Early
-  stopping, restarts and quarantine become per-member active masks: a
-  stopped or diverged member's slice is excluded from the batched epoch
-  (frozen in place), and a restart reseeds only that slice.
+* :class:`EnsembleTrainingKernel` keeps the parameters of many
+  identically shaped member networks — the k cross-validation folds of
+  an ensemble, or the one network of a single fit — as flat rows: one
+  contiguous ``(members, P)`` array each for weights, velocity and a
+  reusable gradient buffer, with every layer's
+  ``(members, fan_in + 1, fan_out)`` matrix a view into its row block.
+  It runs a whole epoch of presentation-sampled mini-batch gradient
+  descent with momentum for every *active* member as one batched matmul
+  per layer per batch; backward writes each layer's gradient into its
+  view of the buffer, and the Equation 3.2 momentum update is then five
+  whole-buffer operations per batch, whatever the depth.  The epoch's
+  presentations are gathered with a single fancy-index, and the
+  per-batch finite-guards of :meth:`FeedForwardNetwork.gradients` are
+  hoisted to one weight finiteness reduction per epoch — non-finite
+  values cannot "un-diverge" under gradient descent with momentum, so
+  checking after the epoch detects the failure in the same epoch
+  per-batch guards would.  Early stopping, restarts and quarantine
+  become per-member active masks: a stopped or diverged member's row is
+  excluded from the batched epoch (frozen in place), and a restart
+  reseeds only that row.  The periodic early-stopping check is batched
+  the same way (:meth:`~EnsembleTrainingKernel.check_members`).
 * :func:`forward_raw` is the inference kernel under
   :class:`~repro.core.ensemble.EnsemblePredictor`'s chunked prediction
   loop: one network's outputs on a pre-validated point chunk, a handful
   of matmuls with no per-call checks.
 
-The kernels compute *exactly* the same floating-point operations, in the
-same order, as the per-network paths they replace: with any
-``batch_size`` (including 1, the paper's literal per-sample
-presentation) each member's weight trajectory is bit-identical to
-training it alone, which ``tests/test_kernels.py`` and
-``tests/test_ensemble_kernel.py`` lock in against the single-network
-reference in ``tests/reference_training.py``.  This relies on numpy
-evaluating an ``(m, a, b) @ (m, b, c)`` matmul as the same BLAS GEMM per
-2-D slice it would run for one member alone, and on row-sum reductions
-over the batch axis preserving the 2-D accumulation order — both
-asserted per-op by the tests.
+The kernels compute *exactly* the same floating-point values as the
+per-network paths they replace: with any ``batch_size`` (including 1,
+the paper's literal per-sample presentation) each member's weight
+trajectory is bit-identical to training it alone, which
+``tests/test_kernels.py`` and ``tests/test_ensemble_kernel.py`` lock in
+against the single-network reference in ``tests/reference_training.py``.
+This relies on numpy evaluating an ``(m, a, b) @ (m, b, c)`` matmul as
+the same BLAS GEMM per 2-D slice it would run for one member alone
+(whatever the batch and output strides), on row-sum reductions over the
+batch axis preserving the 2-D accumulation order, and on the update
+being elementwise — deferring every layer's update to the end of the
+batch changes no value, because backprop reads only pre-update weights.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .activation import Identity
 from .network import (
     SATURATION_THRESHOLD,
     FeedForwardNetwork,
-    TrainingDiverged,
     WeightHealth,
 )
 
@@ -62,25 +69,28 @@ DEFAULT_PREDICT_CHUNK = 8192
 class EnsembleTrainingKernel:
     """Fold-stacked SGD+momentum epochs over many same-shape networks.
 
-    Stacks the weight and velocity matrices of ``m`` identically shaped
-    member networks into one 3-D tensor ``(m, fan_in + 1, fan_out)``
-    per layer, together with each member's own training set, and runs
-    whole epochs for every *active* member as batched matmuls: one
-    ``(m, batch, fan_in) @ (m, fan_in, fan_out)`` forward GEMM stack
-    per layer, the mirrored backward GEMMs, then the Equation 3.2
-    momentum update with a per-member learning rate.
+    Each member's parameters are one row of ``P`` floats — every layer's
+    ``(fan_in + 1) * fan_out`` weights back to back, bias row first — so
+    the weights, the velocity and the gradient buffer of all ``m``
+    members are three contiguous ``(m, P)`` arrays.  :attr:`weights` and
+    :attr:`velocity` hold per-layer ``(m, fan_in + 1, fan_out)`` views
+    into them.  An epoch runs every *active* member as batched matmuls:
+    one ``(m, batch, fan_in) @ (m, fan_in, fan_out)`` forward GEMM stack
+    per layer, the mirrored backward GEMMs writing straight into the
+    gradient views, then one Equation 3.2 momentum update over the
+    whole flat rows with a per-member learning rate.
 
     Members are the unit of control, not the unit of work:
 
-    * :meth:`deactivate` freezes a member's slice (early stop, or
+    * :meth:`deactivate` freezes a member's row (early stop, or
       quarantine after restarts are exhausted) — it simply stops being
       gathered into the batched epoch, so its weights stay exactly
       where the caller left them;
-    * :meth:`reinit_member` reseeds one slice from a freshly
-      initialized network (the divergence-restart path) without
-      touching any other member;
-    * per-member reads (:meth:`member_weight_health`,
-      :meth:`predict_member`, :meth:`get_member_weights`) and writes
+    * :meth:`reinit_member` reseeds one row from a freshly initialized
+      network (the divergence-restart path) without touching any other
+      member;
+    * reads (:meth:`members_finite`, :meth:`check_members`,
+      :meth:`get_member_weights`) and writes
       (:meth:`set_member_weights`, :meth:`reset_member_velocity`)
       mirror the corresponding :class:`FeedForwardNetwork` operations
       bit-for-bit, so the early-stopping bookkeeping built on top of
@@ -157,21 +167,58 @@ class EnsembleTrainingKernel:
         # (m, n, F) / (m, n, O): each member's own dataset, stacked
         self.x = np.stack(xs)
         self.y = np.stack(ys)
-        # one (m, fan_in + 1, fan_out) tensor per layer; row 0 of the
-        # fan_in axis is the bias, exactly as in FeedForwardNetwork
-        self.weights: List[np.ndarray] = [
-            np.stack([network.weights[layer] for network in networks])
-            for layer in range(len(shapes))
-        ]
-        self.velocity: List[np.ndarray] = [
-            np.stack([network._velocity[layer] for network in networks])
-            for layer in range(len(shapes))
-        ]
+        # layer l occupies columns [bounds[l], bounds[l + 1]) of a row;
+        # row 0 of its (fan_in + 1, fan_out) view is the bias, exactly
+        # as in FeedForwardNetwork
+        self._shapes = shapes
+        self._bounds = np.cumsum([0] + [r * c for r, c in shapes]).tolist()
+        self._flat_weights = np.empty((self.n_members, self._bounds[-1]))
+        self._flat_velocity = np.empty_like(self._flat_weights)
+        self._flat_grads = np.empty_like(self._flat_weights)
+        self.weights = self._layer_views(self._flat_weights)
+        self.velocity = self._layer_views(self._flat_velocity)
+        for member, network in enumerate(networks):
+            for layer in range(len(shapes)):
+                self.weights[layer][member] = network.weights[layer]
+                self.velocity[layer][member] = network._velocity[layer]
+        # the full-active epoch's views, built once
+        self._full_views = self._epoch_views(
+            self._flat_weights, self._flat_grads
+        )
         self._active = np.ones(self.n_members, dtype=bool)
         self._hidden_forward = first.hidden_activation.forward
         self._hidden_deriv = first.hidden_activation.derivative_from_output
         self._output_forward = first.output_activation.forward
-        self._output_deriv = first.output_activation.derivative_from_output
+        # the identity's derivative is all ones: multiplying by it
+        # changes no value, so the epoch skips it
+        self._output_deriv = (
+            None
+            if isinstance(first.output_activation, Identity)
+            else first.output_activation.derivative_from_output
+        )
+
+    def _layer_views(self, flat: np.ndarray) -> List[np.ndarray]:
+        """Per-layer ``(rows, fan_in + 1, fan_out)`` views of ``flat``."""
+        return [
+            flat[:, start:stop].reshape(len(flat), *shape)
+            for start, stop, shape in zip(
+                self._bounds, self._bounds[1:], self._shapes
+            )
+        ]
+
+    def _epoch_views(self, flat_weights: np.ndarray, flat_grads: np.ndarray):
+        """The batch loop's per-layer views: linear weights, their
+        transposes and bias rows of ``flat_weights``; linear and bias
+        gradient rows of ``flat_grads``."""
+        weights = self._layer_views(flat_weights)
+        grads = self._layer_views(flat_grads)
+        return (
+            [w[:, 1:] for w in weights],
+            [w[:, 1:].transpose(0, 2, 1) for w in weights],
+            [w[:, 0][:, None, :] for w in weights],
+            [g[:, 1:] for g in grads],
+            [g[:, 0] for g in grads],
+        )
 
     # -- active-mask control -------------------------------------------
     @property
@@ -180,7 +227,7 @@ class EnsembleTrainingKernel:
         return np.flatnonzero(self._active)
 
     def deactivate(self, member: int) -> None:
-        """Freeze ``member``: exclude its slice from batched epochs."""
+        """Freeze ``member``: exclude its row from batched epochs."""
         self._active[member] = False
 
     # -- per-member views and writes -----------------------------------
@@ -209,21 +256,18 @@ class EnsembleTrainingKernel:
     def reset_member_velocity(self, member: int) -> None:
         """Zero one member's momentum (used after weight restores);
         mirrors :meth:`FeedForwardNetwork.reset_momentum`."""
-        for velocity in self.velocity:
-            velocity[member] = 0.0
+        self._flat_velocity[member] = 0.0
 
     def reinit_member(
         self, member: int, network: FeedForwardNetwork
     ) -> None:
-        """Reseed one slice from a freshly initialized ``network``.
+        """Reseed one row from a freshly initialized ``network``.
 
         The divergence-restart path: only this member's weights,
-        velocity and backing network are replaced; every other slice is
+        velocity and backing network are replaced; every other row is
         untouched.  The member is reactivated.
         """
-        if [w.shape for w in network.weights] != [
-            w[member].shape for w in self.weights
-        ]:
+        if [w.shape for w in network.weights] != self._shapes:
             raise ValueError(
                 "replacement network does not match the stacked architecture"
             )
@@ -234,7 +278,7 @@ class EnsembleTrainingKernel:
         self._active[member] = True
 
     def sync_member(self, member: int) -> FeedForwardNetwork:
-        """Copy one member's stacked slices back into its network object
+        """Copy one member's stacked rows back into its network object
         (weights and momentum) and return the network."""
         network = self.networks[member]
         for layer in range(len(self.weights)):
@@ -242,76 +286,76 @@ class EnsembleTrainingKernel:
             network._velocity[layer][...] = self.velocity[layer][member]
         return network
 
-    # -- per-member health and inference -------------------------------
-    def member_weights_finite(self, member: int) -> bool:
-        """Whether one member's weights are free of NaN/inf (cheap: the
-        weight arrays are tiny next to one batch of activations)."""
-        return all(np.isfinite(w[member]).all() for w in self.weights)
-
+    # -- batched health and inference ----------------------------------
     def members_finite(self) -> np.ndarray:
         """Weight finiteness for every member at once: one bool per
-        member, equal to :meth:`member_weights_finite` element-wise but
-        computed as one reduction per layer instead of one per member
-        (the post-epoch guard runs every epoch, so this is on the hot
-        path)."""
-        finite = np.ones(self.n_members, dtype=bool)
-        for weight in self.weights:
-            finite &= np.isfinite(weight).all(axis=(1, 2))
-        return finite
+        member, from one reduction over the flat rows (the post-epoch
+        guard runs every epoch, so this is on the hot path)."""
+        return np.isfinite(self._flat_weights).all(axis=1)
 
-    def member_weight_health(self, member: int) -> WeightHealth:
-        """One member's :class:`~repro.core.network.WeightHealth`;
-        the same arithmetic as :meth:`FeedForwardNetwork.weight_health`
-        applied to the member's slices."""
-        max_abs = 0.0
-        saturated = 0
-        total = 0
-        finite = True
-        for weight in self.weights:
-            magnitudes = np.abs(weight[member])
-            layer_max = float(magnitudes.max())
-            if not np.isfinite(layer_max):
-                finite = False
-            max_abs = max(max_abs, layer_max)
-            with np.errstate(invalid="ignore"):
-                saturated += int(
-                    (magnitudes > SATURATION_THRESHOLD).sum()
-                )
-            total += weight[member].size
-        return WeightHealth(
-            finite=finite,
-            max_abs=max_abs,
-            saturation=saturated / total if total else 0.0,
-        )
+    def check_members(
+        self,
+        members: Sequence[int],
+        xs: Sequence[np.ndarray],
+        max_weight: float,
+    ) -> List[Tuple[WeightHealth, Optional[np.ndarray]]]:
+        """The early-stopping check of several members at once.
 
-    def predict_member(self, member: int, x: np.ndarray) -> np.ndarray:
-        """One member's outputs for ``x``; shape ``(n, n_outputs)``.
-
-        Mirrors :meth:`FeedForwardNetwork.predict` bit-for-bit,
-        including the validation and the non-finite output guard, so
-        early-stopping checks evaluated here match per-fold checks
-        exactly.
+        Returns one ``(health, outputs)`` pair per entry of ``members``:
+        the member's :class:`~repro.core.network.WeightHealth`, equal to
+        :meth:`FeedForwardNetwork.weight_health` of its network, and its
+        outputs on ``xs[j]``, shape ``(len(xs[j]), n_outputs)`` and equal
+        to :meth:`FeedForwardNetwork.predict` — or ``None`` when the
+        health is not ``ok(max_weight)``, since a single-network check
+        stops there and never predicts.  Outputs are returned as
+        computed, NaN/inf included; the caller applies ``predict``'s
+        non-finite guard.  Members whose ``xs`` have equal length share
+        one stacked forward pass.
         """
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        if x.shape[1] != self.n_inputs:
-            raise ValueError(
-                f"expected {self.n_inputs} input features, got {x.shape[1]}"
+        members = np.asarray(members, dtype=np.intp)
+        for x in xs:
+            if x.ndim != 2 or x.shape[1] != self.n_inputs:
+                raise ValueError(
+                    f"expected {self.n_inputs} input features, got shape "
+                    f"{x.shape}"
+                )
+        rows = self._flat_weights[members]
+        magnitudes = np.abs(rows)
+        finite = np.isfinite(rows).all(axis=1)
+        max_abs = np.zeros(len(members))
+        with np.errstate(invalid="ignore"):
+            saturated = (magnitudes > SATURATION_THRESHOLD).sum(axis=1)
+            for start, stop in zip(self._bounds, self._bounds[1:]):
+                layer_max = magnitudes[:, start:stop].max(axis=1)
+                # the running max of FeedForwardNetwork.weight_health is
+                # Python's max(): a NaN layer maximum never replaces it
+                max_abs = np.where(layer_max > max_abs, layer_max, max_abs)
+        total = self._bounds[-1]
+        healths = [
+            WeightHealth(
+                finite=bool(finite[j]),
+                max_abs=float(max_abs[j]),
+                saturation=int(saturated[j]) / total,
             )
-        a = x
-        last = len(self.weights) - 1
-        for layer, weight in enumerate(self.weights):
-            w = weight[member]
-            net = a @ w[1:] + w[0]
-            a = (
-                self._output_forward(net) if layer == last
-                else self._hidden_forward(net)
-            )
-        if not np.isfinite(a).all():
-            raise TrainingDiverged(
-                "network output contains non-finite values",
-                reason="non-finite output",
-            )
-        return a
+            for j in range(len(members))
+        ]
+        outputs: List[Optional[np.ndarray]] = [None] * len(members)
+        by_length: dict = {}
+        for j, health in enumerate(healths):
+            if health.ok(max_weight):
+                by_length.setdefault(len(xs[j]), []).append(j)
+        last = len(self._shapes) - 1
+        for group in by_length.values():
+            a = np.stack([xs[j] for j in group])
+            for layer, w in enumerate(self._layer_views(rows[group])):
+                net = a @ w[:, 1:] + w[:, 0][:, None, :]
+                a = (
+                    self._output_forward(net) if layer == last
+                    else self._hidden_forward(net)
+                )
+            for row, j in enumerate(group):
+                outputs[j] = a[row]
+        return list(zip(healths, outputs))
 
     # -- the batched epoch ---------------------------------------------
     def run_epoch(
@@ -340,9 +384,10 @@ class EnsembleTrainingKernel:
             Shared momentum coefficient.
 
         This does not raise on non-finite weights: one member diverging
-        must not abort its siblings' epoch.  Callers check :meth:`member_weights_finite`
-        per member afterwards and quarantine or reseed the failed slice
-        — the same epoch-granularity detection the per-fold guard gave.
+        must not abort its siblings' epoch.  Callers read
+        :meth:`members_finite` afterwards and quarantine or reseed the
+        failed rows — the same epoch-granularity detection the
+        per-fold guard gave.
         """
         idx = self.active_members
         n_active = len(idx)
@@ -365,32 +410,29 @@ class EnsembleTrainingKernel:
         x_ep = self.x[idx[:, None], orders]
         y_ep = self.y[idx[:, None], orders]
         full = n_active == self.n_members
-        # full-active epochs update the master tensors in place; partial
-        # epochs gather the active slices, train the copies, and scatter
-        # them back (the gather is a few KB per member — negligible next
-        # to one batch of activations)
+        # full-active epochs update the master rows in place through the
+        # prebuilt views; partial epochs gather the active rows as one
+        # block, train the copy, and scatter it back (a few KB per
+        # member — negligible next to one batch of activations)
         if full:
-            weights = self.weights
-            velocity = self.velocity
+            weights = self._flat_weights
+            velocity = self._flat_velocity
+            grads = self._flat_grads
+            views = self._full_views
         else:
-            weights = [w[idx] for w in self.weights]
-            velocity = [v[idx] for v in self.velocity]
-        n_layers = len(weights)
+            weights = self._flat_weights[idx]
+            velocity = self._flat_velocity[idx]
+            grads = self._flat_grads[:n_active]
+            views = self._epoch_views(weights, grads)
+        w_lin, w_lin_t, w_bias, g_lin, g_bias = views
+        n_layers = len(w_lin)
         last = n_layers - 1
         hidden_forward = self._hidden_forward
         hidden_deriv = self._hidden_deriv
         output_forward = self._output_forward
         output_deriv = self._output_deriv
-        lr_bias = learning_rates[:, None]
-        lr_weight = learning_rates[:, None, None]
+        lr = learning_rates[:, None]
         n = orders.shape[1]
-        # per-layer views, hoisted out of the batch loop: all updates
-        # below are in-place, so the views track every weight change
-        w_lin = [w[:, 1:] for w in weights]
-        w_lin_t = [w[:, 1:].transpose(0, 2, 1) for w in weights]
-        w_bias = [w[:, 0][:, None, :] for w in weights]
-        v_lin = [v[:, 1:] for v in velocity]
-        v_bias = [v[:, 0] for v in velocity]
 
         for start in range(0, n, batch_size):
             stop = start + batch_size
@@ -409,28 +451,34 @@ class EnsembleTrainingKernel:
                 )
                 activations.append(a)
 
-            # -- backward + momentum update, output layer first ---------
-            delta = (a - yb) * output_deriv(a)
+            # -- backward into the gradient rows, output layer first ----
+            delta = a - yb
+            if output_deriv is not None:
+                delta *= output_deriv(a)
             for layer in range(last, -1, -1):
                 previous = activations[layer]
-                v = velocity[layer]
-                grad_bias = delta.sum(axis=1) / m
-                grad = np.matmul(previous.transpose(0, 2, 1), delta) / m
+                delta.sum(axis=1, out=g_bias[layer])
+                np.matmul(
+                    previous.transpose(0, 2, 1), delta, out=g_lin[layer]
+                )
                 if layer > 0:
-                    # propagate before updating: backprop must see the
-                    # pre-update weights, exactly as the per-fold path
+                    # every update waits for the end of the batch, so
+                    # backprop sees the pre-update weights, exactly as
+                    # the per-fold path
                     delta = np.matmul(
                         delta, w_lin_t[layer]
                     ) * hidden_deriv(previous)
-                v *= momentum
-                v_bias[layer] -= lr_bias * grad_bias
-                v_lin[layer] -= lr_weight * grad
-                weights[layer] += v
+
+            # -- Equation 3.2 over the whole rows -----------------------
+            grads /= m
+            velocity *= momentum
+            grads *= lr
+            velocity -= grads
+            weights += velocity
 
         if not full:
-            for layer in range(n_layers):
-                self.weights[layer][idx] = weights[layer]
-                self.velocity[layer][idx] = velocity[layer]
+            self._flat_weights[idx] = weights
+            self._flat_velocity[idx] = velocity
 
 
 # ----------------------------------------------------------------------

@@ -49,6 +49,7 @@ from .network import (
     DEFAULT_MOMENTUM,
     FeedForwardNetwork,
     TrainingDiverged,
+    WeightHealth,
 )
 
 #: prediction spread below which an early-stopping check counts as
@@ -83,6 +84,29 @@ def presentation_probabilities(
         return np.full(len(targets), 1.0 / len(targets))
     inverse = 1.0 / targets
     return inverse / inverse.sum()
+
+
+class PresentationSampler:
+    """Weighted presentation draws with replacement from a fixed
+    distribution, equal in values and dtype to
+    ``rng.choice(n, size=n, p=probabilities)``.
+
+    ``Generator.choice`` validates ``p`` and rebuilds its normalised
+    cumulative distribution on every call, then inverts it with
+    ``cdf.searchsorted(rng.random(n), side="right")``.  A fold's
+    presentation probabilities never change, so this builds the CDF once
+    and runs only the inversion per epoch, consuming the generator
+    exactly as ``choice`` does.
+    """
+
+    def __init__(self, probabilities: np.ndarray):
+        cdf = np.asarray(probabilities, dtype=np.float64).cumsum()
+        cdf /= cdf[-1]
+        self.cdf = cdf
+
+    def draw(self, rng: np.random.Generator) -> np.ndarray:
+        """One presentation order of ``len(probabilities)`` indices."""
+        return self.cdf.searchsorted(rng.random(len(self.cdf)), side="right")
 
 
 @dataclass(frozen=True)
@@ -346,9 +370,11 @@ class _FoldProgram:
         self.telemetry = telemetry
         self.metrics = metrics
         self.n = len(x_train)
-        # fixed targets: one probability computation per fold
-        self.probabilities = presentation_probabilities(
-            y_train[:, 0], config.weight_by_inverse_target
+        # fixed targets: one probability computation and one CDF per fold
+        self.sampler = PresentationSampler(
+            presentation_probabilities(
+                y_train[:, 0], config.weight_by_inverse_target
+            )
         )
         self.attempt = 0
         self.done = False
@@ -390,7 +416,7 @@ class _FoldProgram:
 
     def draw_order(self) -> np.ndarray:
         """This attempt's next weighted presentation order."""
-        return self.rng.choice(self.n, size=self.n, p=self.probabilities)
+        return self.sampler.draw(self.rng)
 
     # -- the early-stopping layer --------------------------------------
     def _diverged(
@@ -406,18 +432,28 @@ class _FoldProgram:
         )
         raise TrainingDiverged(message, reason=reason, epoch=epoch)
 
+    def check_due(self, weights_finite: bool) -> bool:
+        """Whether the epoch just run ends in an early-stopping check
+        (a non-finite epoch fails before its check)."""
+        return weights_finite and (self.epoch + 1) % self.cfg.check_interval == 0
+
     def after_epoch(
-        self, kernel: EnsembleTrainingKernel, weights_finite: bool
+        self,
+        kernel: EnsembleTrainingKernel,
+        weights_finite: bool,
+        check: Optional[Tuple[WeightHealth, Optional[np.ndarray]]] = None,
     ) -> None:
-        """Post-epoch bookkeeping for this fold's member slice.
+        """Post-epoch bookkeeping for this fold's member row.
 
         One iteration of the early-stopping loop — finite guard,
         periodic health/ES check, plateau decay, patience — with
         divergence handled by the restart/quarantine layer instead of
-        propagating.  ``weights_finite`` is the member's
-        entry of a batched :meth:`EnsembleTrainingKernel.members_finite`
-        check, so the per-epoch guard costs one reduction per layer for
-        the whole group instead of one per fold.
+        propagating.  ``weights_finite`` is the member's entry of the
+        group's :meth:`EnsembleTrainingKernel.members_finite`, and
+        ``check`` — given when :meth:`check_due` — its entry of the
+        group's :meth:`EnsembleTrainingKernel.check_members`, so the
+        guard and the check cost one batched computation per group
+        instead of one per fold.
         """
         cfg = self.cfg
         self.epoch += 1
@@ -432,7 +468,7 @@ class _FoldProgram:
                 )
             self.history.epochs_run = epoch
             if epoch % cfg.check_interval == 0:
-                self._run_check(kernel, epoch)
+                self._run_check(kernel, epoch, *check)
         except TrainingDiverged as exc:
             self._restart_or_quarantine(kernel, exc)
             return
@@ -440,11 +476,14 @@ class _FoldProgram:
             self._complete(kernel)
 
     def _run_check(
-        self, kernel: EnsembleTrainingKernel, epoch: int
+        self,
+        kernel: EnsembleTrainingKernel,
+        epoch: int,
+        health: WeightHealth,
+        outputs: Optional[np.ndarray],
     ) -> None:
         cfg = self.cfg
         history = self.history
-        health = kernel.member_weight_health(self.member)
         if not health.ok(cfg.max_weight):
             reason = (
                 "weight explosion" if health.finite else "non-finite weights"
@@ -458,10 +497,13 @@ class _FoldProgram:
                 max_abs=health.max_abs,
                 saturation=health.saturation,
             )
-        try:
-            outputs = kernel.predict_member(self.member, self.x_es)
-        except TrainingDiverged as exc:
-            self._diverged(str(exc), reason=exc.reason, epoch=epoch)
+        if not np.isfinite(outputs).all():
+            # FeedForwardNetwork.predict's non-finite output guard
+            self._diverged(
+                "network output contains non-finite values",
+                reason="non-finite output",
+                epoch=epoch,
+            )
         raw = outputs[:, 0]
         predictions = self.scaler.inverse_transform(outputs)[:, 0]
         es_error = float(np.mean(percentage_errors(predictions, self.y_es)))
@@ -678,6 +720,7 @@ class StackedEnsembleTrainer:
             [program.x_train for program in group],
             [program.y_norm for program in group],
         )
+        orders = np.empty((len(group), kernel.n_samples), dtype=np.intp)
         while True:
             active = [program for program in group if not program.done]
             if not active:
@@ -686,16 +729,41 @@ class StackedEnsembleTrainer:
             # one weighted presentation draw per active fold, from that
             # fold's own attempt rng — the same stream order as a
             # single-network fit
-            orders = np.stack([program.draw_order() for program in active])
+            for row, program in enumerate(active):
+                orders[row] = program.draw_order()
             learning_rates = np.array(
                 [program.learning_rate for program in active]
             )
             kernel.run_epoch(
-                orders, cfg.batch_size, learning_rates, cfg.momentum
+                orders[: len(active)],
+                cfg.batch_size,
+                learning_rates,
+                cfg.momentum,
             )
-            finite = kernel.members_finite()
+            finite = kernel.members_finite().tolist()
+            due = [
+                program for program in active
+                if program.check_due(finite[program.member])
+            ]
+            checks = {}
+            if due:
+                members = [program.member for program in due]
+                checks = dict(
+                    zip(
+                        members,
+                        kernel.check_members(
+                            members,
+                            [program.x_es for program in due],
+                            cfg.max_weight,
+                        ),
+                    )
+                )
             for program in active:
-                program.after_epoch(kernel, bool(finite[program.member]))
+                program.after_epoch(
+                    kernel,
+                    finite[program.member],
+                    checks.get(program.member),
+                )
             # attribute the step's wall time equally across the folds it
             # advanced, keeping per-fold wall_s an honest work share
             share = (time.perf_counter() - step_start) / len(active)

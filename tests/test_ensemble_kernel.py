@@ -55,7 +55,7 @@ def make_problem(rng, n=250):
     return x, y
 
 
-def _member(seed, hidden, activation, n_outputs):
+def _member(seed, hidden, activation, n_outputs, output="identity"):
     """One member's (network, x, y); same seed -> bit-identical twin."""
     data_rng = np.random.default_rng(1000 + seed)
     x = data_rng.random((N_SAMPLES, N_FEATURES))
@@ -65,6 +65,7 @@ def _member(seed, hidden, activation, n_outputs):
         hidden_layers=hidden,
         n_outputs=n_outputs,
         hidden_activation=activation,
+        output_activation=output,
         rng=np.random.default_rng(seed),
     )
     return network, x, y
@@ -77,20 +78,33 @@ def _orders(seed, epochs):
 
 class TestEnsembleTrainingKernel:
     @pytest.mark.parametrize(
-        "hidden,activation,n_outputs,batch_size",
+        "hidden,activation,n_outputs,batch_size,output",
         [
-            ((6,), "sigmoid", 1, 7),
-            ((6,), "tanh", 1, 1),
-            ((8, 5), "sigmoid", 3, 32),
-            ((8, 5), "tanh", 3, 8),
+            ((6,), "sigmoid", 1, 7, "identity"),
+            ((6,), "tanh", 1, 1, "identity"),
+            ((8, 5), "sigmoid", 3, 32, "identity"),
+            ((8, 5), "tanh", 3, 8, "identity"),
+            # a non-identity output keeps its derivative multiply in the
+            # epoch; 40 presentations in batches of 7 end on a batch of 5
+            ((8, 5), "tanh", 2, 7, "sigmoid"),
+        ],
+        ids=[
+            "hidden0-sigmoid-1-7",
+            "hidden1-tanh-1-1",
+            "hidden2-sigmoid-3-32",
+            "hidden3-tanh-3-8",
+            "hidden4-tanh-2-7-sigmoid_output",
         ],
     )
     def test_trajectories_match_solo_kernel(
-        self, hidden, activation, n_outputs, batch_size
+        self, hidden, activation, n_outputs, batch_size, output
     ):
         epochs, members, lr, momentum = 6, 3, 0.05, 0.9
         stacked = EnsembleTrainingKernel(
-            *zip(*[_member(i, hidden, activation, n_outputs) for i in range(members)])
+            *zip(*[
+                _member(i, hidden, activation, n_outputs, output)
+                for i in range(members)
+            ])
         )
         for epoch in range(epochs):
             stacked.run_epoch(
@@ -100,7 +114,7 @@ class TestEnsembleTrainingKernel:
                 momentum,
             )
         for i in range(members):
-            network, x, y = _member(i, hidden, activation, n_outputs)
+            network, x, y = _member(i, hidden, activation, n_outputs, output)
             solo = TrainingKernel(network, x, y)
             for order in _orders(i, epochs):
                 solo.run_epoch(
@@ -190,53 +204,88 @@ class TestEnsembleTrainingKernel:
             np.testing.assert_array_equal(got, want)
 
     def test_predict_member_matches_network(self):
+        """The batched check's outputs equal each member's own
+        ``predict``, with early-stopping sets of unequal length (the
+        ``n=123, k=10`` layout: 12- and 13-row sets) in one call."""
+        members = 4
         stacked = EnsembleTrainingKernel(
-            *zip(*[_member(i, (6,), "sigmoid", 1) for i in range(2)])
+            *zip(*[_member(i, (6,), "sigmoid", 1) for i in range(members)])
         )
         stacked.run_epoch(
-            np.stack([_orders(i, 1)[0] for i in range(2)]),
+            np.stack([_orders(i, 1)[0] for i in range(members)]),
             7,
-            np.full(2, 0.05),
+            np.full(members, 0.05),
             0.9,
         )
-        probe = np.random.default_rng(5).random((9, N_FEATURES))
-        for i in range(2):
+        probe_rng = np.random.default_rng(5)
+        probes = [
+            probe_rng.random((rows, N_FEATURES)) for rows in (12, 13, 12, 13)
+        ]
+        due = [3, 0, 1]
+        checks = stacked.check_members(due, [probes[i] for i in due], 1e6)
+        assert len(checks) == len(due)
+        for i, (health, outputs) in zip(due, checks):
             network = stacked.sync_member(i)
-            np.testing.assert_array_equal(
-                stacked.predict_member(i, probe), network.predict(probe)
-            )
+            assert health == network.weight_health()
+            np.testing.assert_array_equal(outputs, network.predict(probes[i]))
 
     def test_members_finite_flags_only_broken_member(self):
         stacked = EnsembleTrainingKernel(
-            *zip(*[_member(i, (6,), "sigmoid", 1) for i in range(3)])
+            *zip(*[_member(i, (6,), "sigmoid", 1) for i in range(4)])
         )
         assert stacked.members_finite().all()
-        bad = stacked.get_member_weights(1)
-        bad[0][2, 1] = np.nan
-        stacked.set_member_weights(1, bad)
-        np.testing.assert_array_equal(
-            stacked.members_finite(), [True, False, True]
-        )
-        assert stacked.member_weights_finite(0)
-        assert not stacked.member_weights_finite(1)
+        for member, layer, value in ((1, 0, np.nan), (3, 1, -np.inf)):
+            bad = stacked.get_member_weights(member)
+            bad[layer][2, 0] = value
+            stacked.set_member_weights(member, bad)
+        finite = stacked.members_finite()
+        np.testing.assert_array_equal(finite, [True, False, True, False])
+        for member in range(4):
+            network = stacked.sync_member(member)
+            assert finite[member] == all(
+                np.isfinite(w).all() for w in network.weights
+            )
 
     def test_member_weight_health_matches_network(self):
+        """The batched check's weight health equals
+        ``FeedForwardNetwork.weight_health`` member by member — healthy,
+        saturated, NaN and exploded (``inf``) — and a member whose
+        health fails is not evaluated."""
         stacked = EnsembleTrainingKernel(
-            *zip(*[_member(i, (6,), "tanh", 1) for i in range(2)])
+            *zip(*[_member(i, (8, 5), "tanh", 1) for i in range(5)])
         )
-        weights = stacked.get_member_weights(0)
-        weights[0][1, 2] = 7.5  # saturated but finite
-        stacked.set_member_weights(0, weights)
-        for i in range(2):
-            network = stacked.sync_member(i)
-            got = stacked.member_weight_health(i)
+        edits = {
+            1: [(0, (1, 2), 7.5)],  # saturated but finite
+            # NaN hides its layer's maximum, as Python's max() does
+            2: [(0, (3, 1), np.nan), (0, (2, 2), 50.0), (1, (1, 1), 9.0)],
+            3: [(1, (0, 0), np.inf), (2, (1, 0), -5.0)],  # exploded
+            4: [(2, (0, 0), 2e6)],  # finite, above max_weight
+        }
+        for member, changes in edits.items():
+            weights = stacked.get_member_weights(member)
+            for layer, at, value in changes:
+                weights[layer][at] = value
+            stacked.set_member_weights(member, weights)
+        probe = np.random.default_rng(6).random((12, N_FEATURES))
+        members = list(range(5))
+        checks = stacked.check_members(members, [probe] * 5, 1e6)
+        for member, (got, outputs) in zip(members, checks):
+            network = stacked.sync_member(member)
             want = network.weight_health()
             assert (got.finite, got.max_abs, got.saturation) == (
                 want.finite,
                 want.max_abs,
                 want.saturation,
             )
-        assert stacked.member_weight_health(0).saturation > 0
+            assert (outputs is None) == (not want.ok(1e6))
+        healths = [health for health, _ in checks]
+        assert healths[1].saturation > 0
+        assert not healths[2].finite and healths[2].max_abs == 9.0
+        assert not healths[3].finite and healths[3].max_abs == np.inf
+        assert healths[4].finite and healths[4].max_abs == 2e6
+        assert [outputs is None for _, outputs in checks] == [
+            False, False, True, True, True
+        ]
 
     def test_ragged_training_sets_rejected(self):
         (net_a, x_a, y_a), (net_b, x_b, y_b) = (

@@ -15,13 +15,16 @@ made the swap safe:
 * the cached design matrix is shared, immutable, and row-consistent
   with per-config encoding;
 * ``presentation_probabilities`` is computed once per fit, not once per
-  epoch.
+  epoch, and the cached-CDF ``PresentationSampler`` that draws from it
+  equals ``Generator.choice`` draw for draw.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from tests.reference_training import TrainingKernel
 
 import repro.core.training as training_mod
@@ -282,3 +285,49 @@ def test_presentation_probabilities_computed_once_per_fit(
     result = fit_one_task(cfg, x, y, x[:5], y[:5], scaler)
     assert result.history.epochs_run == cfg.max_epochs
     assert calls["n"] == 1
+
+
+# ----------------------------------------------------------------------
+# presentation draws: the cached-CDF sampler against Generator.choice
+# ----------------------------------------------------------------------
+def _advanced_rng(seed, attempt):
+    """A fold attempt's generator after network init has drawn from it:
+    ``default_rng(seed)`` for attempt 0, ``default_rng([seed, a])`` for
+    restart ``a``."""
+    rng = np.random.default_rng(seed if attempt == 0 else [seed, attempt])
+    FeedForwardNetwork(n_inputs=4, hidden_layers=(16, 16), rng=rng)
+    return rng
+
+
+@given(
+    n=st.integers(min_value=1, max_value=400),
+    inverse=st.booleans(),
+    hostile=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    attempt=st.integers(min_value=0, max_value=3),
+)
+@example(n=20, inverse=True, hostile=False, seed=17, attempt=0)
+@example(n=45, inverse=True, hostile=True, seed=3, attempt=1)
+@example(n=180, inverse=False, hostile=False, seed=7, attempt=0)
+@example(n=181, inverse=True, hostile=False, seed=11, attempt=2)
+@settings(max_examples=150, deadline=None)
+def test_presentation_sampler_matches_generator_choice(
+    n, inverse, hostile, seed, attempt
+):
+    """Draw for draw, values and dtype, the sampler equals
+    ``rng.choice(n, size=n, p=p)`` and leaves the generator in the same
+    state, for uniform and inverse-target probabilities (one near-zero
+    target when ``hostile``) on attempt-0 and restart generators."""
+    targets = np.random.default_rng(seed ^ 0x5EED).uniform(0.05, 5.0, n)
+    if hostile:
+        targets[0] = 1e-9
+    p = training_mod.presentation_probabilities(targets, inverse)
+    sampler = training_mod.PresentationSampler(p)
+    ours = _advanced_rng(seed, attempt)
+    theirs = _advanced_rng(seed, attempt)
+    for _ in range(3):
+        got = sampler.draw(ours)
+        want = theirs.choice(n, size=n, p=p)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+    assert ours.random() == theirs.random()
