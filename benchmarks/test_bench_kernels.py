@@ -24,7 +24,10 @@ the committed baseline in ``benchmarks/baselines/``, failing on a >25%
 regression, plus hard floors of 3x on full-space prediction and 3x on
 the paper-recipe ensemble fit.  Ratios of two measurements taken on
 the same machine in the same process are stable across hardware
-generations in a way raw seconds are not.
+generations in a way raw seconds are not.  Each gated speedup is the
+median of per-repetition ratios: every repetition times the two paths
+back to back, alternating which goes first, so load that a busy host
+puts on one repetition falls on both sides of its ratio.
 """
 
 from __future__ import annotations
@@ -69,14 +72,36 @@ ENSEMBLE_FIT_FLOOR = 3.0
 ENSEMBLE_STUDIES = ("memory-system", "processor")
 
 
-def _best_of(fn, repeats):
-    """Minimum wall time over ``repeats`` runs (noise-robust estimator)."""
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
+def _wall(fn):
+    """Wall seconds of one ``fn()`` call."""
+    start = time.perf_counter()
+    fn()
+    return time.perf_counter() - start
+
+
+def _paired(slow, fast, repeats):
+    """Time two paths back to back, ``repeats`` pairs, alternating order.
+
+    Both runs of a pair see the same host load, and which path goes
+    first alternates, so a load spike lands on both paths instead of on
+    all runs of one.  One untimed call of each path first pays the
+    one-off costs (allocations, BLAS thread start-up) that the median
+    would otherwise count.  Returns the best wall time of each path
+    (the recorded seconds) and the median of the per-pair ratios
+    ``slow / fast`` (the gated speedup).
+    """
+    slow()
+    fast()
+    slow_s, fast_s = [], []
+    for rep in range(repeats):
+        if rep % 2:
+            fast_s.append(_wall(fast))
+            slow_s.append(_wall(slow))
+        else:
+            slow_s.append(_wall(slow))
+            fast_s.append(_wall(fast))
+    ratio = float(np.median(np.divide(slow_s, fast_s)))
+    return min(slow_s), min(fast_s), ratio
 
 
 def _bench_predict_space(repeats):
@@ -107,20 +132,20 @@ def _bench_predict_space(repeats):
         for config in configs:
             predictor.predict(encoder.encode(config)[None, :])
 
-    per_config_s = _best_of(per_config, repeats)
-    per_point_s = per_config_s / n_sample
-    full_equiv_s = per_point_s * len(space)
-
     # kernel path, cold: one encoding pass into the cached design matrix
     # plus the chunked batch predict
     encoding._SPACE_MATRICES.pop(space, None)
     start = time.perf_counter()
     matrix = design_matrix(space)
     matrix_build_s = time.perf_counter() - start
-    chunked_warm_s = _best_of(
+    per_config_s, chunked_warm_s, sample_ratio = _paired(
+        per_config,
         lambda: predictor.predict(matrix, chunk_size=DEFAULT_PREDICT_CHUNK),
         repeats,
     )
+    scale = len(space) / n_sample
+    per_point_s = per_config_s / n_sample
+    full_equiv_s = per_point_s * len(space)
     chunked_cold_s = matrix_build_s + chunked_warm_s
     return {
         "study": "memory-system",
@@ -132,7 +157,7 @@ def _bench_predict_space(repeats):
         "matrix_build_s": matrix_build_s,
         "chunked_warm_s": chunked_warm_s,
         "chunked_cold_s": chunked_cold_s,
-        "speedup_warm": full_equiv_s / chunked_warm_s,
+        "speedup_warm": scale * sample_ratio,
         "speedup_cold": full_equiv_s / chunked_cold_s,
     }
 
@@ -210,14 +235,15 @@ def _bench_ensemble_fit(study_name, repeats):
 
     out = {"study": study_name, "n_points": n, "k": 10}
     for key, cfg in _ensemble_fit_configs().items():
-        stacked_s = _best_of(lambda: stacked(cfg), repeats)
-        perfold_s = _best_of(lambda: perfold(cfg), repeats)
+        perfold_s, stacked_s, speedup = _paired(
+            lambda: perfold(cfg), lambda: stacked(cfg), repeats
+        )
         out[key] = {
             "batch_size": cfg.batch_size,
             "max_epochs": cfg.max_epochs,
             "stacked_s": stacked_s,
             "perfold_s": perfold_s,
-            "speedup": perfold_s / stacked_s,
+            "speedup": speedup,
         }
     return out
 

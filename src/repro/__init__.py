@@ -20,7 +20,6 @@ Quick start (the stable public surface lives in :mod:`repro.api`)::
 """
 
 from .core import (
-    CachingBackend,
     CheckpointError,
     CrossApplicationModel,
     CrossValidationEnsemble,
@@ -38,7 +37,6 @@ from .core import (
     FeedForwardNetwork,
     MultiTaskNetwork,
     ParameterEncoder,
-    ProcessPoolBackend,
     ResilientBackend,
     RetryPolicy,
     RunContext,
@@ -91,7 +89,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "BooleanParameter",
-    "CachingBackend",
     "CardinalParameter",
     "CheckpointError",
     "ContinuousParameter",
@@ -122,7 +119,6 @@ __all__ = [
     "PhaseProfiler",
     "PlackettBurmanStudy",
     "PredicateConstraint",
-    "ProcessPoolBackend",
     "ResilientBackend",
     "RetryPolicy",
     "RunContext",

@@ -5,7 +5,7 @@ exploration procedure, fitting standalone ensembles, predicting a whole
 design space, resuming from checkpoints — is importable from this one
 module, with keyword names that follow the conventions of
 ``docs/api.md`` (``seed`` for entry points, ``context`` for shared
-plumbing, ``n_jobs``, ``max_retries``):
+plumbing, ``max_retries``):
 
     from repro.api import RunContext, explore, get_study, make_simulate_fn
 

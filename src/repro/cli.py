@@ -47,7 +47,6 @@ from .core import (
     DesignSpaceExplorer,
     FaultInjectingBackend,
     FaultPlan,
-    ProcessPoolBackend,
     ResilientBackend,
     RetryPolicy,
     RunContext,
@@ -148,21 +147,17 @@ def _run_context(args: argparse.Namespace) -> RunContext:
 def _evaluation_backend(args: argparse.Namespace, context: RunContext):
     """Compose the evaluation stack a subcommand runs against.
 
-    Bottom to top: a serial or persistent process-pool backend over the
-    study's simulate function; an optional seeded fault injector
-    (``--inject-faults``, the chaos harness); an optional resilience
-    wrapper (``--max-retries`` / ``--eval-timeout``) that retries
-    per-configuration failures and NaN-marks the irrecoverable ones
-    instead of aborting.  Callers own the composed backend's lifetime —
-    always use it as a context manager so worker pools are released
-    even when the run raises.
+    Bottom to top: a serial backend over the study's simulate function;
+    an optional seeded fault injector (``--inject-faults``, the chaos
+    harness); an optional resilience wrapper (``--max-retries`` /
+    ``--eval-timeout``) that retries per-configuration failures and
+    NaN-marks the irrecoverable ones instead of aborting.  Callers own the composed backend's lifetime —
+    always use it as a context manager so it is closed even when the
+    run raises.
     """
     study = get_study(args.study)
     simulate = make_simulate_fn(study, _resolve_benchmark(study, args.benchmark))
-    if context.n_jobs > 1:
-        backend = ProcessPoolBackend(simulate, n_jobs=context.n_jobs)
-    else:
-        backend = SerialBackend(simulate)
+    backend = SerialBackend(simulate)
     inject = getattr(args, "inject_faults", None)
     if inject:
         backend = FaultInjectingBackend(
@@ -221,8 +216,6 @@ def _validate_explore_args(args: argparse.Namespace) -> None:
         )
     if args.batch_size < 1:
         raise SystemExit(f"--batch-size must be >= 1, got {args.batch_size}")
-    if args.n_jobs is not None and args.n_jobs < 1:
-        raise SystemExit(f"--n-jobs must be >= 1, got {args.n_jobs}")
     if args.max_retries < 0:
         raise SystemExit(
             f"--max-retries must be >= 0, got {args.max_retries}"
@@ -680,9 +673,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     explore.add_argument(
         "--n-jobs", type=int, default=None, metavar="N",
-        help="worker processes for batch simulation; folds always train "
-        "in this process (default: REPRO_N_JOBS or 1; >1 evaluates "
-        "batches through a persistent process-pool backend)",
+        help="deprecated and ignored: batches are always simulated in "
+        "this process (the simulation process pool was removed)",
     )
     explore.add_argument(
         "--checkpoint", metavar="PATH", default=None,
@@ -791,8 +783,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     profile.add_argument(
         "--n-jobs", type=int, default=None, metavar="N",
-        help="worker processes for batch simulation; folds always train "
-        "in this process (default: REPRO_N_JOBS or 1)",
+        help="deprecated and ignored: batches are always simulated in "
+        "this process (the simulation process pool was removed)",
     )
     profile.set_defaults(func=cmd_profile)
 

@@ -2,10 +2,8 @@
 
 from .activation import Activation, Identity, Sigmoid, Tanh, get_activation
 from .backend import (
-    CachingBackend,
     EvaluationBackend,
     EvaluationError,
-    ProcessPoolBackend,
     SerialBackend,
     as_backend,
     validate_targets,
@@ -20,7 +18,7 @@ from .checkpoint import (
     previous_path,
     save_checkpoint,
 )
-from .context import RunContext, default_cache_dir, default_n_jobs
+from .context import RunContext, default_cache_dir
 from .crossapp import CrossApplicationModel
 from .crossval import (
     DEFAULT_FOLDS,
@@ -78,7 +76,6 @@ from .training import (
 __all__ = [
     "Activation",
     "CHECKPOINT_VERSION",
-    "CachingBackend",
     "CheckpointError",
     "CrossApplicationModel",
     "CrossValidationEnsemble",
@@ -117,7 +114,6 @@ __all__ = [
     "MultiTaskNetwork",
     "ParameterEncoder",
     "PolynomialRegression",
-    "ProcessPoolBackend",
     "ResilientBackend",
     "RetryPolicy",
     "RunContext",
@@ -136,7 +132,6 @@ __all__ = [
     "auxiliary_target_names",
     "clear_checkpoint",
     "default_cache_dir",
-    "default_n_jobs",
     "design_matrix",
     "evaluate_batch",
     "fit_cv_round",

@@ -1,43 +1,29 @@
 """Batch-first evaluation backends.
 
-The paper's premise is that simulation is the expensive resource: it
-collects results in batches of 50 (Section 3.3) and farms work out to a
-cluster (Section 5.4).  This module makes batching a property of the
-architecture rather than of any one loop: everything that consumes
+The paper collects simulation results in batches of 50 (Section 3.3)
+and farms each batch out to a cluster (Section 5.4), because one of its
+simulations costs minutes.  This module keeps batching a property of
+the architecture rather than of any one loop: everything that consumes
 simulation results — the exploration loop, the learning-curve runner,
 the CLI — evaluates design points through an :class:`EvaluationBackend`
 whose single operation is *evaluate a batch of configurations*.
 
-Backends compose:
-
-* :class:`SerialBackend` — evaluate in-process, one configuration at a
-  time (the adapter :func:`as_backend` wraps any plain
-  ``Callable[[Config], float]`` in one, so existing simulate functions
-  keep working unchanged);
-* :class:`ProcessPoolBackend` — evaluate across a *persistent* worker
-  pool.  The pool outlives individual batches, so exploration rounds
-  reuse warm workers, and the evaluation function is shipped once per
-  worker (via the pool initializer) instead of being pickled into every
-  task; a ``factory`` callable defers expensive simulator construction
-  into the workers themselves.
-* :class:`CachingBackend` — memoize results by design-space index in
-  front of any inner backend, with hit/miss accounting.
-
-All backends return results in input order as a float64 array, so a
-seeded run produces bit-identical targets regardless of which backend
-evaluated them.
+Here a simulation costs microseconds, so a batch is evaluated
+in-process by :class:`SerialBackend` (the adapter :func:`as_backend`
+wraps any plain ``Callable[[Config], float]`` in one).  Wrappers such
+as :class:`~repro.core.resilience.ResilientBackend` and the fault
+injectors of :mod:`repro.core.faults` compose around it; the unit of
+process-level parallelism is the campaign cell or service job
+(:mod:`repro.core.supervise`), not the batch.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
-from typing import Callable, Dict, List, Optional, Protocol, Sequence, runtime_checkable
+from typing import Callable, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
-from ..designspace.space import Config, DesignSpace
-from ..obs.metrics import MetricsRegistry
-from .context import default_n_jobs
+from ..designspace.space import Config
 
 SimulateFn = Callable[[Config], float]
 
@@ -45,14 +31,11 @@ SimulateFn = Callable[[Config], float]
 class EvaluationError(RuntimeError):
     """A backend failed to evaluate a batch.
 
-    Raised by :class:`ProcessPoolBackend` when a worker raises (the
-    original exception is chained as ``__cause__``) or when the pool
-    breaks; the pool is shut down before this propagates, so a failed
-    batch never leaks worker processes.  Also raised by
-    :func:`validate_targets` when a simulator hands back a non-finite
-    or non-positive value.  The resilience layer
-    (:mod:`repro.core.resilience`) treats this class (and subclasses)
-    as retryable.
+    Raised by :func:`validate_targets` when a simulator hands back a
+    non-finite or non-positive value; its subclasses mark an evaluation
+    timeout (:mod:`repro.core.resilience`) and an injected crash
+    (:mod:`repro.core.faults`).  The resilience layer treats this class
+    (and subclasses) as retryable.
     """
 
 
@@ -92,8 +75,8 @@ class EvaluationBackend(Protocol):
     """Anything that can evaluate a batch of configurations.
 
     ``evaluate`` must return one float per configuration, in input
-    order.  ``close`` releases whatever resources the backend holds
-    (worker processes, caches); calling it twice is harmless.
+    order.  ``close`` releases whatever resources the backend holds;
+    calling it twice is harmless.
     """
 
     def evaluate(self, configs: Sequence[Config]) -> np.ndarray:
@@ -121,8 +104,8 @@ class _BaseBackend:
 class SerialBackend(_BaseBackend):
     """Evaluate a batch in-process, one configuration at a time.
 
-    This is the reference implementation every other backend must match
-    bit-for-bit; :func:`as_backend` wraps plain callables in one.
+    The one evaluation path; :func:`as_backend` wraps plain callables
+    in one.
     """
 
     def __init__(self, fn: SimulateFn):
@@ -141,204 +124,6 @@ class SerialBackend(_BaseBackend):
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SerialBackend({getattr(self.fn, '__name__', self.fn)!r})"
-
-
-# ----------------------------------------------------------------------
-# process-pool backend
-# ----------------------------------------------------------------------
-#: per-worker evaluation function, installed once by the pool initializer
-_WORKER_FN: Optional[SimulateFn] = None
-
-
-def _init_eval_worker(
-    fn: Optional[SimulateFn], factory: Optional[Callable[[], SimulateFn]]
-) -> None:
-    """Pool initializer: build/install the evaluation function once.
-
-    Runs once per worker process.  When a ``factory`` is given the
-    (possibly expensive) simulator state is constructed *here*, in the
-    worker, rather than pickled from the parent per task.
-    """
-    global _WORKER_FN
-    _WORKER_FN = factory() if factory is not None else fn
-
-
-def _eval_one(config: Config) -> float:
-    """Worker task: evaluate one configuration with the installed fn."""
-    assert _WORKER_FN is not None, "pool initializer did not run"
-    return float(_WORKER_FN(config))
-
-
-class ProcessPoolBackend(_BaseBackend):
-    """Evaluate batches across a persistent pool of worker processes.
-
-    Parameters
-    ----------
-    fn:
-        Picklable ``Callable[[Config], float]``; shipped to each worker
-        once, at pool start, not per task.
-    factory:
-        Alternative to ``fn``: a picklable zero-argument callable run
-        *inside* each worker to build the evaluation function, so heavy
-        simulator state (profiles, traces) is constructed per worker
-        instead of serialized from the parent.  Exactly one of ``fn``
-        and ``factory`` must be given.
-    n_jobs:
-        Worker count (``REPRO_N_JOBS`` / 1 when omitted).
-    chunk_size:
-        Configurations per task message; defaults to an even split of
-        the batch across workers.
-
-    The pool is created lazily on first :meth:`evaluate` and reused for
-    every subsequent batch until :meth:`close` (exploration rounds keep
-    their warm workers).  A worker exception aborts the batch, shuts
-    the pool down and surfaces as :class:`EvaluationError` with the
-    worker's exception chained.
-    """
-
-    def __init__(
-        self,
-        fn: Optional[SimulateFn] = None,
-        *,
-        factory: Optional[Callable[[], SimulateFn]] = None,
-        n_jobs: Optional[int] = None,
-        chunk_size: Optional[int] = None,
-    ):
-        if (fn is None) == (factory is None):
-            raise ValueError("pass exactly one of fn= and factory=")
-        if chunk_size is not None and chunk_size <= 0:
-            raise ValueError(f"chunk_size must be positive, got {chunk_size}")
-        self.fn = fn
-        self.factory = factory
-        self.n_jobs = n_jobs if n_jobs is not None else default_n_jobs()
-        if self.n_jobs < 1:
-            raise ValueError(f"n_jobs must be >= 1, got {self.n_jobs}")
-        self.chunk_size = chunk_size
-        self._pool: Optional[ProcessPoolExecutor] = None
-
-    def _ensure_pool(self) -> ProcessPoolExecutor:
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.n_jobs,
-                initializer=_init_eval_worker,
-                initargs=(self.fn, self.factory),
-            )
-        return self._pool
-
-    def evaluate(self, configs: Sequence[Config]) -> np.ndarray:
-        """Fan the batch out across the (lazily started) worker pool."""
-        if not configs:
-            return np.empty(0, dtype=np.float64)
-        pool = self._ensure_pool()
-        chunk = self.chunk_size or max(1, len(configs) // self.n_jobs)
-        try:
-            values = list(pool.map(_eval_one, configs, chunksize=chunk))
-        except Exception as exc:
-            # a broken pool cannot be reused; tear it down before
-            # surfacing the failure so no worker processes leak
-            self.close()
-            raise EvaluationError(
-                f"worker evaluation failed: {exc!r}"
-            ) from exc
-        return validate_targets(
-            np.asarray(values, dtype=np.float64), configs
-        )
-
-    def close(self) -> None:
-        """Shut the worker pool down (idempotent)."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=True, cancel_futures=True)
-            self._pool = None
-
-    def terminate(self) -> None:
-        """Kill worker processes without waiting for them (idempotent).
-
-        ``close`` joins workers, which never returns while one is hung;
-        this is the recovery path the resilience layer takes after an
-        evaluation timeout: SIGTERM every worker, drop the pool, and let
-        the next :meth:`evaluate` lazily build a fresh one.
-        """
-        if self._pool is None:
-            return
-        pool, self._pool = self._pool, None
-        for process in list(getattr(pool, "_processes", {}).values()):
-            process.terminate()
-        pool.shutdown(wait=False, cancel_futures=True)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        target = self.fn if self.fn is not None else self.factory
-        return (
-            f"ProcessPoolBackend({getattr(target, '__name__', target)!r}, "
-            f"n_jobs={self.n_jobs})"
-        )
-
-
-class CachingBackend(_BaseBackend):
-    """Memoize an inner backend's results by design-space index.
-
-    Within one batch, duplicate configurations are evaluated once; across
-    batches (and across consumers sharing the backend) every design
-    point is evaluated at most once.  ``hits``/``misses`` count lookups;
-    when a ``metrics`` registry is attached they are mirrored as the
-    ``backend.cache.hits`` / ``backend.cache.misses`` counters.
-    """
-
-    def __init__(
-        self,
-        inner: object,
-        space: DesignSpace,
-        metrics: Optional[MetricsRegistry] = None,
-    ):
-        self.inner = as_backend(inner)
-        self.space = space
-        self.metrics = metrics
-        self._cache: Dict[int, float] = {}
-        self.hits = 0
-        self.misses = 0
-
-    def evaluate(self, configs: Sequence[Config]) -> np.ndarray:
-        """Serve cached values; evaluate only never-seen design points."""
-        keys = [self.space.index_of(config) for config in configs]
-        missing: List[int] = []
-        missing_configs: List[Config] = []
-        seen = set()
-        batch_hits = 0
-        for key, config in zip(keys, configs):
-            if key in self._cache:
-                batch_hits += 1
-            elif key not in seen:
-                seen.add(key)
-                missing.append(key)
-                missing_configs.append(config)
-        batch_misses = len(configs) - batch_hits
-        self.hits += batch_hits
-        self.misses += batch_misses
-        if self.metrics is not None:
-            self.metrics.inc("backend.cache.hits", batch_hits)
-            self.metrics.inc("backend.cache.misses", batch_misses)
-        if missing_configs:
-            values = self.inner.evaluate(missing_configs)
-            for key, value in zip(missing, values):
-                self._cache[key] = float(value)
-        return np.fromiter(
-            (self._cache[key] for key in keys),
-            dtype=np.float64,
-            count=len(keys),
-        )
-
-    def close(self) -> None:
-        """Close the inner backend (the cache itself holds no resources)."""
-        self.inner.close()
-
-    def __len__(self) -> int:
-        """Number of memoized design points."""
-        return len(self._cache)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"CachingBackend({self.inner!r}, {self.space.name!r}, "
-            f"{len(self._cache)} cached)"
-        )
 
 
 def as_backend(target: object) -> EvaluationBackend:

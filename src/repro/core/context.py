@@ -1,23 +1,20 @@
 """One context object carrying a run's cross-cutting plumbing.
 
 Before this module existed, every layer that wanted reproducible
-sampling, telemetry, metrics or parallelism grew the same 3-4 optional
-constructor parameters (``rng=``, ``telemetry=``, ``metrics=``,
-``n_jobs=``) and threaded them by hand into whatever it constructed
-next.  :class:`RunContext` collapses that plumbing into a single value:
-the explorer, cross-validation ensembles, trainers and the experiment
-runner all accept one ``context`` and hand it (or a reseeded fork of
-it) down, so observability and parallelism behave identically in every
-layer (see ``docs/architecture.md``).
+sampling, telemetry or metrics grew the same optional constructor
+parameters (``rng=``, ``telemetry=``, ``metrics=``) and threaded them
+by hand into whatever it constructed next.  :class:`RunContext`
+collapses that plumbing into a single value: the explorer,
+cross-validation ensembles, trainers and the experiment runner all
+accept one ``context`` and hand it (or a reseeded fork of it) down, so
+observability behaves identically in every layer (see
+``docs/architecture.md``).
 
 The context deliberately holds only *run-wide* concerns:
 
 * ``rng`` — the seeded generator driving sampling and training;
 * ``telemetry`` / ``metrics`` — the observability hooks of
   :mod:`repro.obs` (disabled defaults cost one branch per call);
-* ``n_jobs`` — worker-process budget for process-pool evaluation
-  backends (``REPRO_N_JOBS`` by default); cross-validation folds always
-  train in-process, side by side through the fold-stacked kernel;
 * ``cache_dir`` — root of the on-disk artifact cache
   (``REPRO_CACHE_DIR``; ``None`` disables disk caching).
 
@@ -30,7 +27,8 @@ from __future__ import annotations
 
 import dataclasses
 import os
-from dataclasses import dataclass
+import warnings
+from dataclasses import InitVar, dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -38,20 +36,6 @@ import numpy as np
 
 from ..obs.metrics import METRICS, MetricsRegistry
 from ..obs.telemetry import NULL_TELEMETRY, RunTelemetry
-
-
-def default_n_jobs() -> int:
-    """Worker processes for parallel work: ``REPRO_N_JOBS`` env var, or 1.
-
-    Batch evaluation is embarrassingly parallel.  The paper also
-    trains its 10 folds in parallel on a 10-node cluster (Section
-    5.4); here the folds train side by side in one process through the
-    fold-stacked kernel instead.
-    """
-    env = os.environ.get("REPRO_N_JOBS", "")
-    if env:
-        return max(1, int(env))
-    return 1
 
 
 def default_cache_dir() -> Optional[Path]:
@@ -74,10 +58,10 @@ def default_cache_dir() -> Optional[Path]:
 
 @dataclass
 class RunContext:
-    """Seeded randomness, observability hooks and resource budgets.
+    """Seeded randomness, observability hooks and the cache location.
 
     Every field has a usable default, so ``RunContext()`` is a valid
-    quiet, serial context; :meth:`seeded` is the common entry point for
+    quiet context; :meth:`seeded` is the common entry point for
     reproducible runs.
 
     Parameters
@@ -93,8 +77,11 @@ class RunContext:
         Counter/timer registry (the module-global, normally disabled,
         :data:`~repro.obs.metrics.METRICS` when omitted).
     n_jobs:
-        Worker-process budget for process-pool evaluation
-        backends (:func:`default_n_jobs` when omitted).
+        Deprecated and ignored (one DeprecationWarning, at construction;
+        :meth:`fork` and :meth:`replace` copies do not repeat it).  It
+        sized the simulation process pool, which evaluated every batch
+        bit-identically to the serial path and has been removed: a batch
+        is always evaluated in-process.
     cache_dir:
         Root for on-disk caches (:func:`default_cache_dir` when
         omitted; ``None`` after resolution disables disk caching).
@@ -103,20 +90,24 @@ class RunContext:
     rng: Optional[np.random.Generator] = None
     telemetry: Optional[RunTelemetry] = None
     metrics: Optional[MetricsRegistry] = None
-    n_jobs: Optional[int] = None
+    n_jobs: InitVar[Optional[int]] = None
     cache_dir: Optional[Path] = None
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, n_jobs: Optional[int]) -> None:
+        if n_jobs is not None:
+            warnings.warn(
+                "passing n_jobs= to RunContext is deprecated and ignored; "
+                "the simulation process pool was removed and every batch "
+                "is evaluated in-process (see docs/api.md)",
+                DeprecationWarning,
+                stacklevel=3,
+            )
         if self.rng is None:
             self.rng = np.random.default_rng()
         if self.telemetry is None:
             self.telemetry = NULL_TELEMETRY
         if self.metrics is None:
             self.metrics = METRICS
-        if self.n_jobs is None:
-            self.n_jobs = default_n_jobs()
-        if self.n_jobs < 1:
-            raise ValueError(f"n_jobs must be >= 1, got {self.n_jobs}")
         if self.cache_dir is None:
             self.cache_dir = default_cache_dir()
         elif not isinstance(self.cache_dir, Path):
@@ -131,7 +122,7 @@ class RunContext:
     def fork(self, seed: int) -> "RunContext":
         """A sibling context with a fresh ``seed``-ed generator.
 
-        Telemetry, metrics and resource budgets are shared (same
+        Telemetry, metrics and the cache location are shared (same
         objects); only the randomness is replaced.  Used where a
         sub-experiment needs its own deterministic stream, e.g. one per
         training-set size in the learning-curve runner.

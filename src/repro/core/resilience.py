@@ -2,25 +2,24 @@
 
 The paper's premise is that simulation is the scarce resource — days per
 design point at full scale (Section 5, Table 5.1) — so a production
-deployment of the explorer must survive simulator crashes, hung workers
-and flaky hosts *without losing already-simulated points*.  This module
-wraps any :class:`~repro.core.backend.EvaluationBackend` in that
-discipline:
+deployment of the explorer must survive simulator crashes, hung
+evaluations and flaky hosts *without losing already-simulated points*.
+This module wraps any :class:`~repro.core.backend.EvaluationBackend` in
+that discipline:
 
 * :class:`RetryPolicy` — how many attempts a configuration gets, which
   exception classes are worth retrying, and how long to back off
   between attempts (exponential, with jitter drawn from a *seeded*
   generator so delay sequences are reproducible);
 * :class:`ResilientBackend` — the wrapper itself.  A batch is first
-  attempted whole (keeping the inner backend's parallelism); on a
-  retryable failure it degrades to per-configuration evaluation with
-  retries, enforces an optional per-evaluation timeout, transparently
-  rebuilds a broken/hung ``ProcessPoolExecutor``, and on exhausted
-  retries marks the configuration *failed* (NaN target) instead of
-  aborting the run.  Downstream, :func:`repro.core.fitting.fit_cv_round`
-  masks NaN rows before training and the error estimate reports
-  coverage, so one irrecoverable design point costs exactly one design
-  point, not the whole run.
+  attempted whole; on a retryable failure it degrades to
+  per-configuration evaluation with retries, enforces an optional
+  per-evaluation timeout, and on exhausted retries marks the
+  configuration *failed* (NaN target) instead of aborting the run.
+  Downstream, :func:`repro.core.fitting.fit_cv_round` masks NaN rows
+  before training and the error estimate reports coverage, so one
+  irrecoverable design point costs exactly one design point, not the
+  whole run.
 
 Everything the wrapper does is narrated through the run's telemetry
 (``retry.*`` events) and metrics (``retry.*`` counters); see
@@ -94,9 +93,8 @@ class RetryPolicy:
     retryable:
         Exception classes worth retrying.  Defaults to
         :class:`~repro.core.backend.EvaluationError` (which covers
-        worker crashes, broken pools, invalid simulator outputs,
-        timeouts and injected faults); anything else propagates
-        immediately.
+        invalid simulator outputs, timeouts and injected faults);
+        anything else propagates immediately.
     seed:
         Seed for the jitter generator.  Deliberately *not* the run
         context's generator: retries must never perturb the sampling
@@ -211,11 +209,13 @@ class ResilientBackend(_BaseBackend):
         :class:`RetryPolicy`; defaults to three attempts, no sleep.
     timeout_s:
         Optional wall-clock budget per ``inner.evaluate`` call.  When
-        set, evaluations run on a watchdog thread; exceeding the budget
-        raises :class:`EvaluationTimeout` internally (retryable) and —
-        if the inner backend exposes ``terminate()`` (as
-        :class:`~repro.core.backend.ProcessPoolBackend` does) — kills
-        the hung workers so the next attempt starts on a fresh pool.
+        set, evaluations run on a daemon watchdog thread; exceeding the
+        budget raises :class:`EvaluationTimeout` internally (retryable).
+        A thread cannot be killed, so the hung evaluation is abandoned,
+        not stopped: it keeps its thread until it returns or the
+        process exits.  The boundary that kills hung work is the
+        campaign-cell / service-job worker process
+        (:mod:`repro.core.supervise`).
     deadline:
         Optional **absolute** ``time.monotonic()`` deadline for the
         whole exploration this backend serves (how the service
@@ -225,18 +225,18 @@ class ResilientBackend(_BaseBackend):
         :class:`DeadlineExceeded` — which is *not* retryable — instead
         of consuming simulator time nobody is waiting for.
     telemetry / metrics:
-        Observability hooks; every retry, recovery, rebuild and
-        exhausted budget is emitted as a ``retry.*`` event and counted
-        under a ``retry.*`` counter.
+        Observability hooks; every retry, recovery and exhausted budget
+        is emitted as a ``retry.*`` event and counted under a
+        ``retry.*`` counter.
 
     Semantics
     ---------
     ``evaluate`` first attempts the whole batch through the inner
-    backend (preserving its parallelism).  On a retryable failure, or
-    when the batch comes back with invalid values (NaN/inf/<= 0), it
-    falls back to per-configuration evaluation: each affected
-    configuration gets up to ``policy.max_attempts`` total attempts
-    (the batch attempt counts as the first).  A configuration that
+    backend.  On a retryable failure, or when the batch comes back with
+    invalid values (NaN/inf/<= 0), it falls back to per-configuration
+    evaluation: each affected configuration gets up to
+    ``policy.max_attempts`` total attempts (the batch attempt counts as
+    the first).  A configuration that
     exhausts its budget is marked **failed** — its slot in the returned
     array is NaN, it is recorded in :attr:`failures`, and the run
     continues — rather than aborting the whole exploration.
@@ -314,23 +314,6 @@ class ResilientBackend(_BaseBackend):
         assert outcome.value is not None
         return outcome.value
 
-    def _recover_inner(self, exc: BaseException) -> None:
-        """Put the inner backend back into a usable state after ``exc``.
-
-        A hung pool (timeout) is force-killed via ``terminate()`` when
-        available; a broken pool has already torn itself down inside
-        :class:`~repro.core.backend.ProcessPoolBackend` and rebuilds
-        lazily on the next evaluate call.
-        """
-        if isinstance(exc, EvaluationTimeout):
-            terminate = getattr(self.inner, "terminate", None)
-            if callable(terminate):
-                terminate()
-                self.telemetry.emit(
-                    "retry.pool_rebuild", reason="timeout"
-                )
-                self.metrics.inc("retry.pool_rebuilds")
-
     def _sleep(self, attempt: int) -> None:
         delay = self.policy.delay_s(attempt)
         if delay > 0:
@@ -352,7 +335,6 @@ class ResilientBackend(_BaseBackend):
                 value = float(self._call_inner([config])[0])
             except self.policy.retryable as exc:
                 last_error = exc
-                self._recover_inner(exc)
                 self.telemetry.emit(
                     "retry.attempt",
                     attempt=attempt,
@@ -410,7 +392,6 @@ class ResilientBackend(_BaseBackend):
         except BaseException as exc:
             if not self.policy.is_retryable(exc):
                 raise
-            self._recover_inner(exc)
             self.telemetry.emit(
                 "retry.batch_failure",
                 n_configs=len(configs),

@@ -36,7 +36,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.backend import ProcessPoolBackend, as_backend
+from ..core.backend import SerialBackend
 from ..core.checkpoint import (
     clear_checkpoint,
     load_checkpoint,
@@ -250,19 +250,6 @@ def _load_curve_progress(
     return partial
 
 
-def _target_backend(study: Study, benchmark: str, context: RunContext):
-    """The backend that produces SimPoint training targets.
-
-    Serial below the parallel threshold; above it, a process pool whose
-    workers each build the SimPoint state once (selection + interval
-    profiles) and then evaluate their share of the batch.
-    """
-    fn = SimPointStudySimulator(study.name, benchmark)
-    if context.n_jobs > 1:
-        return ProcessPoolBackend(fn, n_jobs=context.n_jobs)
-    return as_backend(fn)
-
-
 def run_learning_curve(
     study_name: str,
     benchmark: str,
@@ -315,7 +302,8 @@ def run_learning_curve(
     rng = np.random.default_rng(seed)
     order = rng.choice(len(study.space), size=max(sizes), replace=False)
     if source == "simpoint":
-        with _target_backend(study, benchmark, context) as backend:
+        simulate = SimPointStudySimulator(study.name, benchmark)
+        with SerialBackend(simulate) as backend:
             targets = evaluate_batch(
                 backend,
                 [study.space.config_at(int(i)) for i in order],

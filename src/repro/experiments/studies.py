@@ -363,8 +363,9 @@ def make_simulate_fn(
 ) -> Callable[[Config], float]:
     """The ``SIM(p, A)`` callable the explorer drives for one benchmark.
 
-    The returned callable is picklable, so it can back a
-    :class:`~repro.core.backend.ProcessPoolBackend` directly.
+    Wrap it in a :class:`~repro.core.backend.SerialBackend` (or pass
+    it anywhere a backend is accepted; :func:`~repro.core.backend.as_backend`
+    wraps it) to evaluate batches.
 
     Studies that register a ``simulator_factory`` (the multi-target
     cache-policy study) construct their simulator through it; the

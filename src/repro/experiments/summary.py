@@ -191,8 +191,9 @@ def _training_time_section(lines: List[str], seed: int) -> None:
     lines.append(
         "Paper: 30s to ~4 minutes as the sample grows 1%..9% (10 "
         "Pentium-4 nodes, folds in parallel); linear in training-set "
-        "size, negligible vs simulation.  Ours (single host, serial "
-        "folds unless REPRO_N_JOBS is set):\n"
+        "size, negligible vs simulation.  Ours (single host, one "
+        "process; the folds train side by side through the "
+        "fold-stacked kernel):\n"
     )
     points = measure_training_times(seed=seed)
     lines.append("| study | % of space | samples | minutes |")

@@ -57,9 +57,8 @@ def resolve_multi_target_simulator(backend: object) -> Optional[object]:
     """Find a multi-target simulator inside a composed backend chain.
 
     Walks the wrapper chain every backend composition uses —
-    ``ResilientBackend.inner`` / ``FaultInjectingBackend.inner`` /
-    ``CachingBackend.inner``, then ``SerialBackend.fn`` /
-    ``ProcessPoolBackend.fn`` — looking for an object that declares
+    ``ResilientBackend.inner`` / ``FaultInjectingBackend.inner``, then
+    ``SerialBackend.fn`` — looking for an object that declares
     ``target_names`` (more than one) and a ``targets_at`` accessor, the
     duck-typed contract of a multi-target ``SIM(p, A)`` such as
     :class:`repro.experiments.cachepolicy.CachePolicySimulator`.

@@ -114,9 +114,7 @@ def execute_exploration(spec: JobSpec, checkpoint: str) -> Dict[str, object]:
             batch_size=spec.batch_size,
             k=spec.k if spec.k is not None else DEFAULT_FOLDS,
             training=TrainingConfig.from_preset(spec.training),
-            # n_jobs=1: the worker process IS the unit of parallelism —
-            # nested evaluation pools would oversubscribe the host
-            context=RunContext.seeded(spec.seed, n_jobs=1),
+            context=RunContext.seeded(spec.seed),
             min_folds=spec.min_folds,
             agent=spec.agent,
         )

@@ -35,7 +35,7 @@ from repro.obs import (
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.telemetry import RunTelemetry
 
-from .test_backend import smooth_simulator
+from .test_explorer import smooth_simulator
 
 
 class TestAtomicWrites:

@@ -188,12 +188,43 @@ class TestRobustnessFlags:
             (["--batch-size", "0"], "--batch-size"),
             (["--max-simulations", "0"], "--max-simulations"),
             (["--target-error", "-1"], "--target-error"),
-            (["--n-jobs", "0"], "--n-jobs"),
         ],
     )
     def test_out_of_range_explore_flags_fail_fast(self, argv, message):
         with pytest.raises(SystemExit, match=message):
             main(["explore", *argv])
+
+    def test_deprecated_n_jobs_runs_serially(self, tmp_path):
+        """``--n-jobs`` still parses for one release; it warns (through
+        ``RunContext``) and the run evaluates in-process, identically to
+        a run without it."""
+
+        def explore(*extra):
+            telemetry_out = tmp_path / f"run{len(extra)}.json"
+            argv = [
+                "explore", "--benchmark", "gzip", "--training", "fast",
+                "--batch-size", "15", "--max-simulations", "15",
+                "--target-error", "50", "--seed", "1",
+                "--telemetry-out", str(telemetry_out), *extra,
+            ]
+            assert main(argv) == 0
+            return json.loads(telemetry_out.read_text())
+
+        plain = explore()
+        with pytest.deprecated_call(match="n_jobs"):
+            legacy = explore("--n-jobs", "2")
+        def trajectory(report):
+            return [
+                (row["n_simulations"], row["error_mean"], row["error_std"])
+                for row in report["iterations"]
+            ]
+
+        assert trajectory(legacy) == trajectory(plain)
+        start = [
+            event for event in legacy["telemetry"]["events"]
+            if event["name"] == "explore.start"
+        ]
+        assert start[0]["payload"]["backend"] == "SerialBackend"
 
 
 class TestCampaignCommands:

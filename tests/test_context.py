@@ -1,38 +1,31 @@
 """Tests for RunContext."""
 
+import dataclasses
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.core.context import RunContext, default_cache_dir, default_n_jobs
+from repro.core.context import RunContext, default_cache_dir
 from repro.obs.metrics import METRICS, MetricsRegistry
 from repro.obs.telemetry import NULL_TELEMETRY, RunTelemetry
 
 
 class TestDefaults:
     def test_env_free_defaults(self, monkeypatch):
-        monkeypatch.delenv("REPRO_N_JOBS", raising=False)
         monkeypatch.setenv("REPRO_CACHE_DIR", "")
         context = RunContext()
         assert context.telemetry is NULL_TELEMETRY
         assert context.metrics is METRICS
-        assert context.n_jobs == 1
         assert context.cache_dir is None
         assert isinstance(context.rng, np.random.Generator)
 
-    def test_n_jobs_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_N_JOBS", "4")
-        assert default_n_jobs() == 4
-        assert RunContext().n_jobs == 4
-
-    def test_n_jobs_env_clamped(self, monkeypatch):
-        monkeypatch.setenv("REPRO_N_JOBS", "0")
-        assert default_n_jobs() == 1
-
-    def test_invalid_n_jobs_rejected(self):
-        with pytest.raises(ValueError):
-            RunContext(n_jobs=0)
+    def test_n_jobs_env(self, monkeypatch, recwarn):
+        """``REPRO_N_JOBS`` is no longer read: even a malformed value
+        neither raises nor warns."""
+        monkeypatch.setenv("REPRO_N_JOBS", "not-a-number")
+        RunContext()
+        assert len(recwarn) == 0
 
     def test_cache_dir_env(self, monkeypatch, tmp_path):
         target = tmp_path / "cache"
@@ -59,21 +52,40 @@ class TestSeedingAndForking:
     def test_fork_shares_hooks_but_not_randomness(self):
         telemetry = RunTelemetry()
         metrics = MetricsRegistry(enabled=True)
-        parent = RunContext.seeded(
-            1, telemetry=telemetry, metrics=metrics, n_jobs=2,
-        )
+        parent = RunContext.seeded(1, telemetry=telemetry, metrics=metrics)
         child = parent.fork(99)
         assert child.telemetry is telemetry
         assert child.metrics is metrics
-        assert child.n_jobs == 2
         assert child.rng is not parent.rng
         np.testing.assert_array_equal(
             child.rng.random(3), np.random.default_rng(99).random(3)
         )
 
-    def test_replace(self):
-        context = RunContext.seeded(1, n_jobs=1)
-        changed = context.replace(n_jobs=3)
-        assert changed.n_jobs == 3
+    def test_replace(self, tmp_path):
+        context = RunContext.seeded(1)
+        changed = context.replace(cache_dir=tmp_path)
+        assert changed.cache_dir == tmp_path
         assert changed.rng is context.rng
 
+
+class TestDeprecatedNJobs:
+    """``n_jobs`` sized the removed simulation process pool; it is
+    accepted and ignored for one release."""
+
+    def test_warns_once_at_construction(self):
+        with pytest.warns(DeprecationWarning, match="n_jobs") as record:
+            RunContext(n_jobs=2)
+        assert len(record) == 1
+        assert record[0].filename == __file__
+        with pytest.warns(DeprecationWarning, match="n_jobs") as record:
+            RunContext.seeded(1, n_jobs=2)
+        assert len(record) == 1
+
+    def test_copies_do_not_warn_again(self, recwarn):
+        with pytest.deprecated_call():
+            context = RunContext.seeded(1, n_jobs=2)
+        recwarn.clear()
+        context.fork(2)
+        context.replace(cache_dir=None)
+        dataclasses.replace(context)
+        assert len(recwarn) == 0

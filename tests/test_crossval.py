@@ -1,5 +1,7 @@
 """Tests for k-fold cross-validation ensembles."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -120,17 +122,18 @@ class TestCrossValidationEnsemble:
         assert abs(estimate.mean - true_error) < max(2.0, true_error)
 
     def test_parallel_jobs_equivalent(self, fast_training):
-        """The worker budget is for evaluation backends; folds train
-        in-process and identically whatever it is."""
+        """The deprecated ``n_jobs`` is ignored: a fit under
+        ``RunContext(n_jobs=2)`` equals one without it, bit for bit."""
         x, y = make_problem(np.random.default_rng(5), n=120)
 
-        def fit(n_jobs):
-            context = RunContext.seeded(7, n_jobs=n_jobs)
+        def fit(context):
             return CrossValidationEnsemble(
                 k=4, training=fast_training, context=context
             ).fit(x, y)
 
-        assert fit(1) == fit(2)
+        with pytest.deprecated_call():
+            legacy = RunContext.seeded(7, n_jobs=2)
+        assert fit(RunContext.seeded(7)) == fit(legacy)
 
     def test_accepts_context(self, fast_training):
         x, y = make_problem(np.random.default_rng(5), n=120)
@@ -151,18 +154,20 @@ class TestCrossValidationEnsemble:
 
 
 class TestParallelObservability:
-    """A context with a larger worker budget changes neither the fit nor
-    its observability: folds record their training events into their
-    own buffers and the ensemble replays them in fold order."""
+    """The deprecated ``n_jobs`` changes neither the fit nor its
+    observability: the folds train side by side in this process and
+    emit the same events and counters whether it is passed or not."""
 
     @staticmethod
     def _fit(n_jobs, training):
         metrics = MetricsRegistry(enabled=True)
         telemetry = RunTelemetry(metrics=metrics)
-        context = RunContext(
-            rng=np.random.default_rng(7), telemetry=telemetry,
-            metrics=metrics, n_jobs=n_jobs,
-        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)
+            context = RunContext(
+                rng=np.random.default_rng(7), telemetry=telemetry,
+                metrics=metrics, n_jobs=n_jobs,
+            )
         x, y = make_problem(np.random.default_rng(5), n=120)
         ensemble = CrossValidationEnsemble(
             k=4, training=training, context=context
@@ -171,12 +176,12 @@ class TestParallelObservability:
         return ensemble.predict(x[:16]), telemetry, metrics
 
     def test_predictions_bit_identical(self, fast_training):
-        serial, _, _ = self._fit(1, fast_training)
+        serial, _, _ = self._fit(None, fast_training)
         parallel, _, _ = self._fit(2, fast_training)
         np.testing.assert_array_equal(serial, parallel)
 
     def test_telemetry_streams_identical(self, fast_training):
-        _, serial, _ = self._fit(1, fast_training)
+        _, serial, _ = self._fit(None, fast_training)
         _, parallel, _ = self._fit(2, fast_training)
         assert [e.name for e in serial.events] == [
             e.name for e in parallel.events
@@ -189,7 +194,7 @@ class TestParallelObservability:
             ]
 
     def test_metrics_counters_identical(self, fast_training):
-        _, _, serial = self._fit(1, fast_training)
+        _, _, serial = self._fit(None, fast_training)
         _, _, parallel = self._fit(2, fast_training)
         assert serial.counter("train.epochs") == parallel.counter(
             "train.epochs"
@@ -205,7 +210,7 @@ class TestParallelObservability:
         x, y = make_problem(np.random.default_rng(5), n=120)
         telemetry = RunTelemetry(enabled=False)
         context = RunContext(
-            rng=np.random.default_rng(7), telemetry=telemetry, n_jobs=2,
+            rng=np.random.default_rng(7), telemetry=telemetry,
         )
         CrossValidationEnsemble(
             k=4, training=fast_training, context=context

@@ -1,6 +1,6 @@
 """Tests for the fault-tolerance layer (resilience, faults, validation)."""
 
-import os
+import threading
 import time
 
 import numpy as np
@@ -16,7 +16,6 @@ from repro.core import (
     FaultInjectingBackend,
     FaultPlan,
     InjectedFault,
-    ProcessPoolBackend,
     ResilientBackend,
     RetryPolicy,
     RunContext,
@@ -27,20 +26,11 @@ from repro.core.backend import invalid_target_mask
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.telemetry import RunTelemetry
 
-from .test_backend import smooth_simulator
+from .test_explorer import smooth_simulator
 
 
 def constant_fn(config):
     return 1.5
-
-
-def exit_if_flag(config):
-    """Picklable worker fn that kills its process while a flag file exists."""
-    flag = config["flag"]
-    if os.path.exists(flag):
-        os.remove(flag)
-        os._exit(3)
-    return float(config["a"])
 
 
 class TestValidation:
@@ -229,47 +219,33 @@ class TestResilientBackend:
         assert backend.failures[0].attempts == 2
         assert "EvaluationTimeout" in backend.failures[0].error
 
-    def test_broken_pool_is_rebuilt(self, tmp_path):
-        flag = tmp_path / "crash-once"
-        flag.touch()
-        metrics = MetricsRegistry(enabled=True)
-        config = {"a": 2.0, "flag": str(flag)}
-        with ProcessPoolBackend(exit_if_flag, n_jobs=1) as pool:
-            backend = ResilientBackend(
-                pool, policy=RetryPolicy(max_retries=2), metrics=metrics
-            )
-            values = backend.evaluate([config])
-        np.testing.assert_array_equal(values, [2.0])
-        assert backend.failures == []
-        assert metrics.counter("retry.batch_failures") == 1
-        assert metrics.counter("retry.recovered") == 1
+    def test_hung_evaluation_is_abandoned_and_retried(self):
+        """A timed-out evaluation is left on its daemon watchdog thread
+        (a thread cannot be killed) and the retry runs on a fresh one."""
+        release = threading.Event()
+        calls = []
 
-    def test_hung_pool_is_terminated(self):
-        class HungPool(SerialBackend):
-            def __init__(self, fn):
-                super().__init__(fn)
-                self.terminated = 0
-                self.calls = 0
+        def hang_first(config):
+            calls.append(threading.current_thread())
+            if len(calls) == 1:
+                release.wait(5.0)
+            return 1.5
 
-            def evaluate(self, configs):
-                self.calls += 1
-                if self.calls == 1:
-                    time.sleep(0.5)
-                return super().evaluate(configs)
-
-            def terminate(self):
-                self.terminated += 1
-
-        inner = HungPool(constant_fn)
         metrics = MetricsRegistry(enabled=True)
         backend = ResilientBackend(
-            inner, policy=RetryPolicy(max_retries=2),
+            hang_first, policy=RetryPolicy(max_retries=2),
             timeout_s=0.05, metrics=metrics,
         )
-        values = backend.evaluate([{"a": 1}])
+        try:
+            values = backend.evaluate([{"a": 1}])
+            abandoned = calls[0]
+            assert abandoned.is_alive() and abandoned.daemon
+        finally:
+            release.set()
         np.testing.assert_array_equal(values, [1.5])
-        assert inner.terminated == 1
-        assert metrics.counter("retry.pool_rebuilds") == 1
+        assert len(calls) == 2 and calls[1] is not abandoned
+        assert metrics.counter("retry.batch_failures") == 1
+        assert metrics.counter("retry.recovered") == 1
 
     def test_close_closes_inner(self):
         class Closeable(SerialBackend):

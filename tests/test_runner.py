@@ -114,23 +114,6 @@ class TestRunLearningCurve:
         assert curve.source == "simpoint"
         assert curve.points[0].true_mean > 0
 
-    def test_simpoint_parallel_targets_identical(self):
-        """With n_jobs > 1 the SimPoint targets come from a process-pool
-        backend whose workers rebuild the simulator locally; the curve
-        must be bit-identical to the serial one."""
-        serial = run_learning_curve(
-            "processor", "mesa", sizes=(50,), source="simpoint",
-            seed=14, training=FAST, use_cache=False,
-            context=RunContext.seeded(14, n_jobs=1),
-        )
-        parallel = run_learning_curve(
-            "processor", "mesa", sizes=(50,), source="simpoint",
-            seed=14, training=FAST, use_cache=False,
-            context=RunContext.seeded(14, n_jobs=2),
-        )
-        assert serial.points[0].true_mean == parallel.points[0].true_mean
-        assert serial.points[0].estimated_mean == parallel.points[0].estimated_mean
-
 
 def _observed_context(cache_dir):
     metrics = MetricsRegistry(enabled=True)
