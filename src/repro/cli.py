@@ -30,6 +30,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
+import warnings
 from pathlib import Path
 from typing import List, Optional
 
@@ -136,11 +137,20 @@ def _resolve_benchmark(study, benchmark: Optional[str]) -> str:
 
 def _run_context(args: argparse.Namespace) -> RunContext:
     """The RunContext a subcommand threads through every layer."""
+    if getattr(args, "n_jobs", None) is not None:
+        # FutureWarning: shown by default to an application's users,
+        # where a DeprecationWarning raised outside __main__ is hidden
+        warnings.warn(
+            "--n-jobs is deprecated and ignored: batches are always "
+            "simulated in this process (the simulation process pool was "
+            "removed)",
+            FutureWarning,
+            stacklevel=2,
+        )
     return RunContext(
         rng=np.random.default_rng(args.seed),
         telemetry=args.telemetry,
         metrics=args.metrics,
-        n_jobs=getattr(args, "n_jobs", None),
     )
 
 

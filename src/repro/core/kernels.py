@@ -60,10 +60,11 @@ from .network import (
     WeightHealth,
 )
 
-#: rows per chunk for batched full-space prediction; large enough that
-#: BLAS dominates, small enough that the (k, chunk) member block and the
-#: per-layer activations stay cache- and memory-friendly
-DEFAULT_PREDICT_CHUNK = 8192
+#: rows per chunk for batched full-space prediction: below the size at
+#: which OpenBLAS's threaded GEMM slows processes predicting side by
+#: side; chunking splits only the point axis, so any size gives the
+#: same bytes
+DEFAULT_PREDICT_CHUNK = 2048
 
 
 class EnsembleTrainingKernel:

@@ -26,6 +26,7 @@ from repro import api
 from repro.core import ParameterEncoder
 from repro.core.context import RunContext
 from repro.core.fitting import fit_cv_round
+from repro.core.kernels import DEFAULT_PREDICT_CHUNK
 from repro.core.training import TrainingConfig
 from repro.experiments import (
     CACHE_POLICY_TARGETS,
@@ -777,8 +778,9 @@ class TestPredictionDigestLock:
     must reproduce these sha256 digests of the float64 result bytes:
     ``predict_space``, ``predict_all``, ``prediction_variance`` and
     ``member_predictions``, in that order.  ``"bulk"`` holds for
-    ``chunk_size`` ``None`` and 8192 (one or a few large chunks),
-    ``"7"`` for seven-row chunks, whose matmuls may round differently.
+    ``chunk_size`` ``None``, 8192 and ``DEFAULT_PREDICT_CHUNK`` (one
+    chunk or a few large ones), ``"7"`` for seven-row chunks, whose
+    matmuls may round differently.
     Recorded on x86-64 with numpy 2.4 and its bundled OpenBLAS, before
     the two target scalers and four prediction kernels were merged; a
     change to scaling or prediction must leave every byte in place.
@@ -853,7 +855,9 @@ class TestPredictionDigestLock:
         },
     }
 
-    @pytest.mark.parametrize("chunk_size", [None, 7, 8192])
+    @pytest.mark.parametrize(
+        "chunk_size", [None, 7, DEFAULT_PREDICT_CHUNK, 8192]
+    )
     @pytest.mark.parametrize("study_name,bench", sorted(DIGESTS))
     def test_predictions_match_digests(self, study_name, bench, chunk_size):
         study = get_study(study_name)

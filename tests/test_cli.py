@@ -1,6 +1,10 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -195,9 +199,9 @@ class TestRobustnessFlags:
             main(["explore", *argv])
 
     def test_deprecated_n_jobs_runs_serially(self, tmp_path):
-        """``--n-jobs`` still parses for one release; it warns (through
-        ``RunContext``) and the run evaluates in-process, identically to
-        a run without it."""
+        """``--n-jobs`` still parses for one release; the CLI warns with
+        a ``FutureWarning`` and the run evaluates in-process, identically
+        to a run without it."""
 
         def explore(*extra):
             telemetry_out = tmp_path / f"run{len(extra)}.json"
@@ -211,7 +215,7 @@ class TestRobustnessFlags:
             return json.loads(telemetry_out.read_text())
 
         plain = explore()
-        with pytest.deprecated_call(match="n_jobs"):
+        with pytest.warns(FutureWarning, match="--n-jobs"):
             legacy = explore("--n-jobs", "2")
         def trajectory(report):
             return [
@@ -225,6 +229,36 @@ class TestRobustnessFlags:
             if event["name"] == "explore.start"
         ]
         assert start[0]["payload"]["backend"] == "SerialBackend"
+
+    @pytest.mark.parametrize("entry", [
+        ["-m", "repro.cli"],
+        # the shape of the ``repro`` console script: ``main`` is called
+        # from outside ``repro.cli``, which is then not ``__main__``
+        ["-c", "import sys; from repro.cli import main; sys.exit(main())"],
+    ], ids=["python-m", "console-script"])
+    @pytest.mark.parametrize("command", ["explore", "profile"])
+    def test_deprecated_n_jobs_notice_shown_once(self, tmp_path, entry,
+                                                 command):
+        """Under Python's default warning filters (no ``-W``, no
+        ``PYTHONWARNINGS``), ``--n-jobs`` prints its notice exactly once
+        on stderr, however the CLI is started."""
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")])
+        )
+        proc = subprocess.run(
+            [
+                sys.executable, *entry, command, "--benchmark", "gzip",
+                "--training", "fast", "--batch-size", "15",
+                "--max-simulations", "15", "--target-error", "50",
+                "--n-jobs", "2",
+            ],
+            capture_output=True, text=True, cwd=tmp_path, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.count("--n-jobs is deprecated") == 1, proc.stderr
+        assert proc.stderr.count("Warning:") == 1, proc.stderr
 
 
 class TestCampaignCommands:
