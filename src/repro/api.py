@@ -26,7 +26,6 @@ deprecation policy: anything else may move without notice.
 
 from __future__ import annotations
 
-import warnings
 from typing import Optional, Union
 
 import numpy as np
@@ -245,7 +244,6 @@ def fit_ensemble(
     seed: Optional[int] = None,
     context: Optional[RunContext] = None,
     min_folds: Optional[int] = None,
-    engine: Optional[str] = None,
     target_names: tuple = (),
 ) -> FitOutcome:
     """Fit one k-fold cross-validation ensemble on encoded samples.
@@ -260,19 +258,7 @@ def fit_ensemble(
     Returns a :class:`FitOutcome` whose ``ensemble.predictor`` is the
     trained :class:`EnsemblePredictor` and whose ``estimate`` is the
     cross-validation :class:`ErrorEstimate`.
-
-    ``engine`` is deprecated and ignored: every fit trains its folds
-    through the one fold-stacked engine, which the former engine
-    choices all matched bit for bit.
     """
-    if engine is not None:
-        warnings.warn(
-            "passing engine= to fit_ensemble is deprecated and ignored; "
-            "every fit trains its folds through the fold-stacked engine "
-            "(see docs/api.md)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
     return fit_cv_round(
         x,
         y,

@@ -705,9 +705,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     explore.add_argument(
         "--eval-timeout", type=float, default=None, metavar="SECONDS",
-        help="wall-clock budget per evaluation call; hung worker pools "
-        "are killed and rebuilt, and the evaluation is retried under "
-        "the --max-retries budget",
+        help="wall-clock budget per evaluation call; a watchdog thread "
+        "abandons a hung call, which raises a retryable timeout and is "
+        "retried under the --max-retries budget",
     )
     explore.add_argument(
         "--max-restarts", type=int, default=None, metavar="N",

@@ -48,8 +48,9 @@ from ..obs.telemetry import NULL_TELEMETRY, RunTelemetry
 
 #: bump when the checkpoint layout changes incompatibly
 #: (v2: checksummed envelope + ``.prev`` rotation; v3: predictors
-#: hold column-wise :class:`~repro.core.encoding.TargetScaler` lists)
-CHECKPOINT_VERSION = 3
+#: hold column-wise :class:`~repro.core.encoding.TargetScaler` lists;
+#: v4: networks pickle weights only, no momentum state)
+CHECKPOINT_VERSION = 4
 
 #: magic marking a file as one of ours, whatever pickle says
 CHECKPOINT_FORMAT = "repro-checkpoint"

@@ -5,7 +5,7 @@ Averaging the k cross-validation networks usually beats any single member
 estimate is slightly conservative.
 
 Prediction runs through one chunked loop over
-:func:`~repro.core.kernels.forward_raw`: arbitrarily large point sets
+:func:`~repro.core.network.forward_raw`: arbitrarily large point sets
 (the full ~20k-point design space) are evaluated a few matmuls per
 member per chunk, with bounded peak memory.
 """
@@ -18,8 +18,8 @@ from typing import Iterator, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .encoding import TargetScaler
-from .kernels import DEFAULT_PREDICT_CHUNK, forward_raw
-from .network import FeedForwardNetwork, TrainingDiverged
+from .kernels import DEFAULT_PREDICT_CHUNK
+from .network import FeedForwardNetwork, TrainingDiverged, forward_raw
 
 
 def _chunk_bounds(n: int, chunk_size: Optional[int]):

@@ -1,50 +1,49 @@
-"""Vectorized training and inference kernels (the modeling hot paths).
+"""The fold-stacked training kernel (the modeling hot path).
 
-Two loops dominate the cost of the paper's procedure once simulation is
-cheap: the per-epoch mini-batch backpropagation inside
-:class:`~repro.core.training.StackedEnsembleTrainer`, and
-full-design-space prediction (20,736-23,040 points per benchmark) inside
-:class:`~repro.core.ensemble.EnsemblePredictor`.  This module implements
-both as fused numpy kernels:
+Once simulation is cheap, the per-epoch mini-batch backpropagation
+inside :class:`~repro.core.training.StackedEnsembleTrainer` dominates
+the cost of the paper's procedure.  :class:`EnsembleTrainingKernel`
+implements it as one fused numpy kernel:
 
-* :class:`EnsembleTrainingKernel` keeps the parameters of many
-  identically shaped member networks — the k cross-validation folds of
-  an ensemble, or the one network of a single fit — as flat rows: one
-  contiguous ``(members, P)`` array each for weights, velocity and a
-  reusable gradient buffer, with every layer's
-  ``(members, fan_in + 1, fan_out)`` matrix a view into its row block.
-  It runs a whole epoch of presentation-sampled mini-batch gradient
+* It keeps the parameters of many identically shaped member networks —
+  the k cross-validation folds of an ensemble, or the one network of a
+  single fit — as flat rows: one contiguous ``(members, P)`` array each
+  for weights, velocity and a reusable gradient buffer, with every
+  layer's ``(members, fan_in + 1, fan_out)`` matrix a view into its row
+  block.  This is the only place training state lives: a
+  :class:`~repro.core.network.FeedForwardNetwork` holds weights only.
+* It runs a whole epoch of presentation-sampled mini-batch gradient
   descent with momentum for every *active* member as one batched matmul
   per layer per batch; backward writes each layer's gradient into its
   view of the buffer, and the Equation 3.2 momentum update is then five
   whole-buffer operations per batch, whatever the depth.  The epoch's
-  presentations are gathered with a single fancy-index, and the
-  per-batch finite-guards of :meth:`FeedForwardNetwork.gradients` are
-  hoisted to one weight finiteness reduction per epoch — non-finite
+  presentations are gathered with a single fancy-index, and finiteness
+  is checked once per epoch with one weight reduction — non-finite
   values cannot "un-diverge" under gradient descent with momentum, so
-  checking after the epoch detects the failure in the same epoch
-  per-batch guards would.  Early stopping, restarts and quarantine
-  become per-member active masks: a stopped or diverged member's row is
-  excluded from the batched epoch (frozen in place), and a restart
-  reseeds only that row.  The periodic early-stopping check is batched
-  the same way (:meth:`~EnsembleTrainingKernel.check_members`).
-* :func:`forward_raw` is the inference kernel under
-  :class:`~repro.core.ensemble.EnsemblePredictor`'s chunked prediction
-  loop: one network's outputs on a pre-validated point chunk, a handful
-  of matmuls with no per-call checks.
+  checking after the epoch detects the failure in the same epoch a
+  per-batch guard would.
+* Early stopping, restarts and quarantine become per-member active
+  masks: a stopped or diverged member's row is excluded from the
+  batched epoch (frozen in place), and a restart reseeds only that row.
+  The periodic early-stopping check is batched the same way
+  (:meth:`~EnsembleTrainingKernel.check_members`).
 
-The kernels compute *exactly* the same floating-point values as the
-per-network paths they replace: with any ``batch_size`` (including 1,
-the paper's literal per-sample presentation) each member's weight
-trajectory is bit-identical to training it alone, which
-``tests/test_kernels.py`` and ``tests/test_ensemble_kernel.py`` lock in
-against the single-network reference in ``tests/reference_training.py``.
-This relies on numpy evaluating an ``(m, a, b) @ (m, b, c)`` matmul as
-the same BLAS GEMM per 2-D slice it would run for one member alone
-(whatever the batch and output strides), on row-sum reductions over the
-batch axis preserving the 2-D accumulation order, and on the update
-being elementwise — deferring every layer's update to the end of the
-batch changes no value, because backprop reads only pre-update weights.
+Inference is :func:`~repro.core.network.forward_raw`, under both
+:meth:`~repro.core.network.FeedForwardNetwork.predict` and
+:class:`~repro.core.ensemble.EnsemblePredictor`'s chunked prediction
+loop, whose default chunk is :data:`DEFAULT_PREDICT_CHUNK` here.
+
+With any ``batch_size`` (including 1, the paper's literal per-sample
+presentation) each member's weight and velocity trajectory is
+bit-identical to training it alone, which ``tests/test_kernels.py`` and
+``tests/test_ensemble_kernel.py`` lock in against the single-network
+reference in ``tests/reference_training.py``.  This relies on numpy
+evaluating an ``(m, a, b) @ (m, b, c)`` matmul as the same BLAS GEMM per
+2-D slice it would run for one member alone (whatever the batch and
+output strides), on row-sum reductions over the batch axis preserving
+the 2-D accumulation order, and on the update being elementwise —
+deferring every layer's update to the end of the batch changes no
+value, because backprop reads only pre-update weights.
 """
 
 from __future__ import annotations
@@ -93,9 +92,10 @@ class EnsembleTrainingKernel:
     * reads (:meth:`members_finite`, :meth:`check_members`,
       :meth:`get_member_weights`) and writes
       (:meth:`set_member_weights`, :meth:`reset_member_velocity`)
-      mirror the corresponding :class:`FeedForwardNetwork` operations
-      bit-for-bit, so the early-stopping bookkeeping built on top of
-      them reproduces per-fold trajectories exactly.
+      mirror the single-network reference's operations bit-for-bit
+      (``tests/reference_training.py``), so the early-stopping
+      bookkeeping built on top of them reproduces per-fold
+      trajectories exactly.
 
     Every member must share one architecture and one training-set
     length; callers with ragged fold sizes (``n % k != 0``) group folds
@@ -174,14 +174,15 @@ class EnsembleTrainingKernel:
         self._shapes = shapes
         self._bounds = np.cumsum([0] + [r * c for r, c in shapes]).tolist()
         self._flat_weights = np.empty((self.n_members, self._bounds[-1]))
-        self._flat_velocity = np.empty_like(self._flat_weights)
+        # every member starts from rest: fresh networks carry no
+        # training state, and a restart zeroes its row again
+        self._flat_velocity = np.zeros_like(self._flat_weights)
         self._flat_grads = np.empty_like(self._flat_weights)
         self.weights = self._layer_views(self._flat_weights)
         self.velocity = self._layer_views(self._flat_velocity)
         for member, network in enumerate(networks):
             for layer in range(len(shapes)):
                 self.weights[layer][member] = network.weights[layer]
-                self.velocity[layer][member] = network._velocity[layer]
         # the full-active epoch's views, built once
         self._full_views = self._epoch_views(
             self._flat_weights, self._flat_grads
@@ -255,8 +256,7 @@ class EnsembleTrainingKernel:
             own[member] = new
 
     def reset_member_velocity(self, member: int) -> None:
-        """Zero one member's momentum (used after weight restores);
-        mirrors :meth:`FeedForwardNetwork.reset_momentum`."""
+        """Zero one member's momentum (used after weight restores)."""
         self._flat_velocity[member] = 0.0
 
     def reinit_member(
@@ -279,12 +279,11 @@ class EnsembleTrainingKernel:
         self._active[member] = True
 
     def sync_member(self, member: int) -> FeedForwardNetwork:
-        """Copy one member's stacked rows back into its network object
-        (weights and momentum) and return the network."""
+        """Copy one member's stacked weights back into its network
+        object and return the network (the velocity stays here)."""
         network = self.networks[member]
         for layer in range(len(self.weights)):
             network.weights[layer][...] = self.weights[layer][member]
-            network._velocity[layer][...] = self.velocity[layer][member]
         return network
 
     # -- batched health and inference ----------------------------------
@@ -303,8 +302,8 @@ class EnsembleTrainingKernel:
         """The early-stopping check of several members at once.
 
         Returns one ``(health, outputs)`` pair per entry of ``members``:
-        the member's :class:`~repro.core.network.WeightHealth`, equal to
-        :meth:`FeedForwardNetwork.weight_health` of its network, and its
+        the member's :class:`~repro.core.network.WeightHealth` (finite /
+        max-|w| / fraction above :data:`SATURATION_THRESHOLD`), and its
         outputs on ``xs[j]``, shape ``(len(xs[j]), n_outputs)`` and equal
         to :meth:`FeedForwardNetwork.predict` — or ``None`` when the
         health is not ``ok(max_weight)``, since a single-network check
@@ -328,8 +327,8 @@ class EnsembleTrainingKernel:
             saturated = (magnitudes > SATURATION_THRESHOLD).sum(axis=1)
             for start, stop in zip(self._bounds, self._bounds[1:]):
                 layer_max = magnitudes[:, start:stop].max(axis=1)
-                # the running max of FeedForwardNetwork.weight_health is
-                # Python's max(): a NaN layer maximum never replaces it
+                # the reference weight_health takes a running Python
+                # max() over layers: a NaN layer maximum never wins
                 max_abs = np.where(layer_max > max_abs, layer_max, max_abs)
         total = self._bounds[-1]
         healths = [
@@ -376,8 +375,9 @@ class EnsembleTrainingKernel:
             of :attr:`active_members`).  Each row is that member's own
             weighted presentation draw.
         batch_size:
-            Updates happen every ``batch_size`` presentations, with the
-            arithmetic of :meth:`FeedForwardNetwork.train_batch`.
+            Updates happen every ``batch_size`` presentations: the mean
+            gradient of half squared error over the batch, then one
+            momentum step.
         learning_rates:
             One step size per active member, same order as ``orders``
             (plateau decay is per member).
@@ -481,23 +481,3 @@ class EnsembleTrainingKernel:
             self._flat_weights[idx] = weights
             self._flat_velocity[idx] = velocity
 
-
-# ----------------------------------------------------------------------
-# batched inference
-# ----------------------------------------------------------------------
-def forward_raw(network: FeedForwardNetwork, x: np.ndarray) -> np.ndarray:
-    """Network outputs for a pre-validated float64 matrix ``x``.
-
-    The arithmetic of :meth:`FeedForwardNetwork.forward` without the
-    per-call conversion, shape checks and finite-guard; callers are
-    expected to validate once per point set, not once per chunk.
-    """
-    a = x
-    weights = network.weights
-    last = len(weights) - 1
-    hidden = network.hidden_activation
-    output = network.output_activation
-    for layer, w in enumerate(weights):
-        net = a @ w[1:] + w[0]
-        a = output.forward(net) if layer == last else hidden.forward(net)
-    return a

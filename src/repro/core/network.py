@@ -1,10 +1,16 @@
-"""Fully connected feed-forward neural networks trained by backpropagation.
+"""Fully connected feed-forward neural networks: weights and a forward pass.
 
 Implements the model of Chapter 3: one or more hidden layers of sigmoid
-units, weighted edges between consecutive layers, gradient descent on
-squared error with a momentum term (Equations 3.1/3.2), and near-zero
-uniform weight initialization so the network starts out as an almost-linear
+units, weighted edges between consecutive layers, and near-zero uniform
+weight initialization so the network starts out as an almost-linear
 model and grows non-linear as weights grow.
+
+A :class:`FeedForwardNetwork` holds no training state.  Backpropagation
+with momentum (Equations 3.1/3.2) runs in
+:class:`~repro.core.kernels.EnsembleTrainingKernel`, which owns the
+velocity and writes trained weights back into the networks; the
+single-network reference it is tested against lives in
+``tests/reference_training.py``.
 
 The implementation is batch-vectorized numpy; no ML library is used.
 """
@@ -26,7 +32,8 @@ DEFAULT_MOMENTUM = 0.5
 DEFAULT_INIT_RANGE = 0.01
 
 #: |weight| above which a sigmoid/tanh unit fed unit-range inputs is
-#: effectively saturated (gradient ~ 0); used by :meth:`weight_health`
+#: effectively saturated (gradient ~ 0); used by
+#: :meth:`~repro.core.kernels.EnsembleTrainingKernel.check_members`
 SATURATION_THRESHOLD = 4.0
 
 
@@ -34,9 +41,10 @@ class TrainingDiverged(RuntimeError):
     """A training run produced a numerically unusable network.
 
     Raised instead of letting NaN/inf propagate silently into ensemble
-    predictions and error estimates: by the finite-guards in
-    :meth:`FeedForwardNetwork.forward` / :meth:`~FeedForwardNetwork.gradients`,
-    by the mid-train divergence detection of
+    predictions and error estimates: by the non-finite output guards of
+    :meth:`FeedForwardNetwork.predict` and
+    :class:`~repro.core.ensemble.EnsemblePredictor`, by the mid-train
+    divergence detection of
     :class:`~repro.core.training.StackedEnsembleTrainer` (which restarts
     or quarantines the fold), and by
     :meth:`~repro.core.multitask.MultiTaskNetwork.fit` once its restart
@@ -157,39 +165,14 @@ class FeedForwardNetwork:
             rng.uniform(-init_range, init_range, (fan_in + 1, fan_out))
             for fan_in, fan_out in zip(sizes, sizes[1:])
         ]
-        self._velocity = [np.zeros_like(w) for w in self.weights]
 
     # ------------------------------------------------------------------
     @property
     def n_layers(self) -> int:
         return len(self.weights)
 
-    def weight_health(self) -> WeightHealth:
-        """Numeric health of the current weights (finite / max-|w| /
-        saturation fraction); cheap enough to run every early-stopping
-        check."""
-        max_abs = 0.0
-        saturated = 0
-        total = 0
-        finite = True
-        for weight in self.weights:
-            magnitudes = np.abs(weight)
-            layer_max = float(magnitudes.max())
-            if not np.isfinite(layer_max):
-                finite = False
-            max_abs = max(max_abs, layer_max)
-            with np.errstate(invalid="ignore"):
-                saturated += int((magnitudes > SATURATION_THRESHOLD).sum())
-            total += weight.size
-        return WeightHealth(
-            finite=finite,
-            max_abs=max_abs,
-            saturation=saturated / total if total else 0.0,
-        )
-
-    def forward(self, x: np.ndarray) -> List[np.ndarray]:
-        """Run the network; returns the activations of every layer
-        (including the input as element 0).
+    def predict(self, x: np.ndarray) -> np.ndarray:
+        """Network outputs for ``x``; shape ``(n, n_outputs)``.
 
         Raises :class:`TrainingDiverged` when the output contains
         NaN/inf — diverged weights fail here, loudly, instead of
@@ -200,99 +183,13 @@ class FeedForwardNetwork:
             raise ValueError(
                 f"expected {self.n_inputs} input features, got {x.shape[1]}"
             )
-        activations = [x]
-        for layer, weight in enumerate(self.weights):
-            previous = activations[-1]
-            net = previous @ weight[1:] + weight[0]
-            if layer == self.n_layers - 1:
-                activations.append(self.output_activation.forward(net))
-            else:
-                activations.append(self.hidden_activation.forward(net))
-        if not np.isfinite(activations[-1]).all():
+        output = forward_raw(self, x)
+        if not np.isfinite(output).all():
             raise TrainingDiverged(
                 "network output contains non-finite values",
                 reason="non-finite output",
             )
-        return activations
-
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        """Network outputs for ``x``; shape ``(n, n_outputs)``."""
-        return self.forward(x)[-1]
-
-    # ------------------------------------------------------------------
-    def gradients(
-        self,
-        x: np.ndarray,
-        y: np.ndarray,
-        sample_weights: Optional[np.ndarray] = None,
-    ) -> List[np.ndarray]:
-        """Backpropagation: gradients of (weighted) half squared error."""
-        y = np.atleast_2d(np.asarray(y, dtype=np.float64))
-        if y.shape[1] != self.n_outputs:
-            raise ValueError(
-                f"expected {self.n_outputs} targets, got {y.shape[1]}"
-            )
-        activations = self.forward(x)
-        n = len(activations[0])
-        if y.shape[0] != n:
-            raise ValueError("x and y must have the same number of rows")
-
-        output = activations[-1]
-        delta = (output - y) * self.output_activation.derivative_from_output(
-            output
-        )
-        if sample_weights is not None:
-            sample_weights = np.asarray(sample_weights, dtype=np.float64)
-            if sample_weights.shape != (n,):
-                raise ValueError(
-                    f"sample_weights must have shape ({n},), got "
-                    f"{sample_weights.shape}"
-                )
-            delta = delta * sample_weights[:, None]
-
-        grads: List[np.ndarray] = [np.empty(0)] * self.n_layers
-        for layer in range(self.n_layers - 1, -1, -1):
-            previous = activations[layer]
-            grad = np.empty_like(self.weights[layer])
-            grad[0] = delta.sum(axis=0)
-            grad[1:] = previous.T @ delta
-            grads[layer] = grad / n
-            if layer > 0:
-                delta = (
-                    delta @ self.weights[layer][1:].T
-                ) * self.hidden_activation.derivative_from_output(previous)
-        for grad in grads:
-            if not np.isfinite(grad).all():
-                raise TrainingDiverged(
-                    "backpropagation produced non-finite gradients",
-                    reason="non-finite gradients",
-                )
-        return grads
-
-    def apply_gradients(
-        self,
-        grads: Sequence[np.ndarray],
-        learning_rate: float = DEFAULT_LEARNING_RATE,
-        momentum: float = DEFAULT_MOMENTUM,
-    ) -> None:
-        """One gradient-descent-with-momentum update (Equation 3.2)."""
-        for weight, velocity, grad in zip(self.weights, self._velocity, grads):
-            velocity *= momentum
-            velocity -= learning_rate * grad
-            weight += velocity
-
-    def train_batch(
-        self,
-        x: np.ndarray,
-        y: np.ndarray,
-        sample_weights: Optional[np.ndarray] = None,
-        learning_rate: float = DEFAULT_LEARNING_RATE,
-        momentum: float = DEFAULT_MOMENTUM,
-    ) -> None:
-        """Compute gradients on a batch and take one update step."""
-        self.apply_gradients(
-            self.gradients(x, y, sample_weights), learning_rate, momentum
-        )
+        return output
 
     # ------------------------------------------------------------------
     def get_weights(self) -> List[np.ndarray]:
@@ -312,7 +209,22 @@ class FeedForwardNetwork:
                 )
             own[...] = new
 
-    def reset_momentum(self) -> None:
-        """Zero the momentum state (used after weight restores)."""
-        for velocity in self._velocity:
-            velocity[...] = 0.0
+
+def forward_raw(network: FeedForwardNetwork, x: np.ndarray) -> np.ndarray:
+    """Network outputs for a pre-validated float64 matrix ``x``.
+
+    The forward pass without per-call conversion, shape checks or
+    finite-guard: :meth:`FeedForwardNetwork.predict` validates around
+    it once per call, and
+    :class:`~repro.core.ensemble.EnsemblePredictor` once per point set
+    rather than once per chunk.
+    """
+    a = x
+    weights = network.weights
+    last = len(weights) - 1
+    hidden = network.hidden_activation
+    output = network.output_activation
+    for layer, w in enumerate(weights):
+        net = a @ w[1:] + w[0]
+        a = output.forward(net) if layer == last else hidden.forward(net)
+    return a

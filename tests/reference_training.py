@@ -19,22 +19,39 @@ per-network loops, and the tests assert that the two agree bit for bit:
   ``TestEngineParity`` and the per-fold side of the ``ensemble_fit``
   bench in ``benchmarks/test_bench_kernels.py``).
 
+Below the kernel sit plain functions over one network, the training
+half a :class:`~repro.core.network.FeedForwardNetwork` does not carry:
+:func:`forward` (every layer's activations), :func:`gradients`
+(backpropagation, checked against finite differences in
+``tests/test_network.py``), :func:`train_batch` (one Equation 3.2 step
+with an explicit velocity) and :func:`weight_health`.  The chain
+numerical gradient -> :func:`gradients` -> :func:`train_batch` ->
+:class:`TrainingKernel` -> stacked kernel is what anchors the stacked
+engine's arithmetic.
+
 The kernel keeps the fused end-of-epoch finiteness check: a diverging
 epoch reports ``"non-finite weights"`` exactly as the stacked kernel's
-post-epoch guard does, where per-batch ``FeedForwardNetwork.train_batch``
-calls would raise ``"non-finite output"`` mid-epoch instead.
+post-epoch guard does, where per-batch :func:`train_batch` calls would
+raise ``"non-finite output"`` mid-epoch instead.
 """
 
 from __future__ import annotations
 
 import time
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.encoding import TargetScaler
 from repro.core.error import percentage_errors
-from repro.core.network import FeedForwardNetwork, TrainingDiverged
+from repro.core.network import (
+    DEFAULT_LEARNING_RATE,
+    DEFAULT_MOMENTUM,
+    SATURATION_THRESHOLD,
+    FeedForwardNetwork,
+    TrainingDiverged,
+    WeightHealth,
+)
 from repro.core.training import (
     DEAD_PREDICTION_SPREAD,
     TargetRecipe,
@@ -47,13 +64,135 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.telemetry import NULL_TELEMETRY, RunTelemetry
 
 
+def forward(network: FeedForwardNetwork, x: np.ndarray) -> List[np.ndarray]:
+    """Every layer's activations on ``x``, the input first.
+
+    The last element equals ``network.predict(x)``, including its
+    non-finite output guard.
+    """
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    if x.shape[1] != network.n_inputs:
+        raise ValueError(
+            f"expected {network.n_inputs} input features, got {x.shape[1]}"
+        )
+    activations = [x]
+    for layer, weight in enumerate(network.weights):
+        net = activations[-1] @ weight[1:] + weight[0]
+        if layer == network.n_layers - 1:
+            activations.append(network.output_activation.forward(net))
+        else:
+            activations.append(network.hidden_activation.forward(net))
+    if not np.isfinite(activations[-1]).all():
+        raise TrainingDiverged(
+            "network output contains non-finite values",
+            reason="non-finite output",
+        )
+    return activations
+
+
+def gradients(
+    network: FeedForwardNetwork,
+    x: np.ndarray,
+    y: np.ndarray,
+    sample_weights: Optional[np.ndarray] = None,
+) -> List[np.ndarray]:
+    """Backpropagation: gradients of (weighted) half squared error,
+    one array per weight matrix."""
+    y = np.atleast_2d(np.asarray(y, dtype=np.float64))
+    if y.shape[1] != network.n_outputs:
+        raise ValueError(
+            f"expected {network.n_outputs} targets, got {y.shape[1]}"
+        )
+    activations = forward(network, x)
+    n = len(activations[0])
+    if y.shape[0] != n:
+        raise ValueError("x and y must have the same number of rows")
+
+    output = activations[-1]
+    delta = (output - y) * network.output_activation.derivative_from_output(
+        output
+    )
+    if sample_weights is not None:
+        sample_weights = np.asarray(sample_weights, dtype=np.float64)
+        if sample_weights.shape != (n,):
+            raise ValueError(
+                f"sample_weights must have shape ({n},), got "
+                f"{sample_weights.shape}"
+            )
+        delta = delta * sample_weights[:, None]
+
+    grads: List[np.ndarray] = [np.empty(0)] * network.n_layers
+    for layer in range(network.n_layers - 1, -1, -1):
+        previous = activations[layer]
+        grad = np.empty_like(network.weights[layer])
+        grad[0] = delta.sum(axis=0)
+        grad[1:] = previous.T @ delta
+        grads[layer] = grad / n
+        if layer > 0:
+            delta = (
+                delta @ network.weights[layer][1:].T
+            ) * network.hidden_activation.derivative_from_output(previous)
+    for grad in grads:
+        if not np.isfinite(grad).all():
+            raise TrainingDiverged(
+                "backpropagation produced non-finite gradients",
+                reason="non-finite gradients",
+            )
+    return grads
+
+
+def train_batch(
+    network: FeedForwardNetwork,
+    velocity: Sequence[np.ndarray],
+    x: np.ndarray,
+    y: np.ndarray,
+    sample_weights: Optional[np.ndarray] = None,
+    learning_rate: float = DEFAULT_LEARNING_RATE,
+    momentum: float = DEFAULT_MOMENTUM,
+) -> None:
+    """One gradient-descent-with-momentum step on a batch (Equation
+    3.2), updating ``network``'s weights and ``velocity`` (one array per
+    weight matrix, e.g. ``[np.zeros_like(w) for w in network.weights]``)
+    in place."""
+    grads = gradients(network, x, y, sample_weights)
+    for weight, v, grad in zip(network.weights, velocity, grads):
+        v *= momentum
+        v -= learning_rate * grad
+        weight += v
+
+
+def weight_health(network: FeedForwardNetwork) -> WeightHealth:
+    """Numeric health of ``network``'s weights (finite / max-|w| /
+    saturation fraction), one layer at a time: the reference for
+    :meth:`~repro.core.kernels.EnsembleTrainingKernel.check_members`."""
+    max_abs = 0.0
+    saturated = 0
+    total = 0
+    finite = True
+    for weight in network.weights:
+        magnitudes = np.abs(weight)
+        layer_max = float(magnitudes.max())
+        if not np.isfinite(layer_max):
+            finite = False
+        max_abs = max(max_abs, layer_max)
+        with np.errstate(invalid="ignore"):
+            saturated += int((magnitudes > SATURATION_THRESHOLD).sum())
+        total += weight.size
+    return WeightHealth(
+        finite=finite,
+        max_abs=max_abs,
+        saturation=saturated / total if total else 0.0,
+    )
+
+
 class TrainingKernel:
     """Fused mini-batch SGD+momentum epochs over one network and dataset.
 
-    Holds references to the network's weight and velocity arrays, so the
-    in-place restores of :meth:`FeedForwardNetwork.set_weights` /
-    :meth:`~FeedForwardNetwork.reset_momentum` are picked up.  ``x`` is
-    ``(n, F)`` and ``y`` the normalized targets ``(n, O)``.
+    Holds references to the network's weight arrays, so the in-place
+    restores of :meth:`FeedForwardNetwork.set_weights` are picked up,
+    and owns the momentum: :attr:`velocity` starts at zero and
+    :meth:`reset_velocity` zeroes it again.  ``x`` is ``(n, F)`` and
+    ``y`` the normalized targets ``(n, O)``.
     """
 
     def __init__(
@@ -77,11 +216,16 @@ class TrainingKernel:
         self.x = x
         self.y = y
         self._weights = network.weights
-        self._velocity = network._velocity
+        self.velocity = [np.zeros_like(w) for w in network.weights]
         self._hidden_forward = network.hidden_activation.forward
         self._hidden_deriv = network.hidden_activation.derivative_from_output
         self._output_forward = network.output_activation.forward
         self._output_deriv = network.output_activation.derivative_from_output
+
+    def reset_velocity(self) -> None:
+        """Zero the momentum (used after weight restores)."""
+        for v in self.velocity:
+            v[...] = 0.0
 
     def weights_finite(self) -> bool:
         """Whether every weight matrix is free of NaN/inf."""
@@ -96,8 +240,8 @@ class TrainingKernel:
     ) -> None:
         """One epoch: presentations ``order``, updates every ``batch_size``.
 
-        The arithmetic of :meth:`FeedForwardNetwork.train_batch` on each
-        slice of ``order``, with the per-batch finite-guards replaced by
+        The arithmetic of :func:`train_batch` on each slice of
+        ``order``, with the per-batch finite-guards replaced by
         one check after the epoch.  Raises
         :class:`~repro.core.network.TrainingDiverged` (reason
         ``"non-finite weights"``) when the epoch left any weight
@@ -106,7 +250,7 @@ class TrainingKernel:
         x_ep = self.x[order]
         y_ep = self.y[order]
         weights = self._weights
-        velocity = self._velocity
+        velocity = self.velocity
         n_layers = len(weights)
         last = n_layers - 1
         hidden_forward = self._hidden_forward
@@ -253,7 +397,7 @@ class EarlyStoppingTrainer:
             if epoch % cfg.check_interval:
                 continue
 
-            health = network.weight_health()
+            health = weight_health(network)
             if not health.ok(cfg.max_weight):
                 reason = (
                     "weight explosion" if health.finite
@@ -323,7 +467,7 @@ class EarlyStoppingTrainer:
                 ):
                     learning_rate *= cfg.lr_decay
                     network.set_weights(best_weights)
-                    network.reset_momentum()
+                    kernel.reset_velocity()
                 if checks_without_improvement >= cfg.patience:
                     history.stopped_early = True
                     break

@@ -134,19 +134,15 @@ def test_fit_ensemble_and_predict_space(
     )
 
 
-def test_fit_ensemble_engine_kwarg_warns_and_is_ignored(
-    tiny_space, fast_training
-):
+def test_fit_ensemble_engine_kwarg_removed(tiny_space, fast_training):
+    """``engine=`` is past its deprecation window: it fails loudly."""
     matrix = design_matrix(tiny_space)
-    idx = np.random.default_rng(0).choice(len(matrix), 16, replace=False)
-    x = matrix[idx]
+    x = matrix[:16]
     y = 1.0 + x.sum(axis=1)
-    with pytest.warns(DeprecationWarning, match="engine="):
-        legacy = fit_ensemble(
+    with pytest.raises(TypeError, match="engine"):
+        fit_ensemble(
             x, y, k=4, training=fast_training, seed=3, engine="perfold"
         )
-    plain = fit_ensemble(x, y, k=4, training=fast_training, seed=3)
-    assert legacy.estimate == plain.estimate
 
 
 def test_get_study_and_simulate_fn_importable_from_api():

@@ -378,16 +378,19 @@ class TestExplorerCheckpointing:
                 tiny_space, smooth_simulator, fast_training
             ).explore(target_error=3.0, max_simulations=30, checkpoint=path)
 
-    def test_version_two_round_checkpoint_rejected(
-        self, tiny_space, fast_training, tmp_path
+    @pytest.mark.parametrize("version", [2, 3])
+    def test_old_round_checkpoint_version_rejected(
+        self, tiny_space, fast_training, tmp_path, version
     ):
         """A round checkpoint written before predictors held
-        column-wise scalers (envelope version 2) fails loudly, naming
-        its version, instead of resuming from a migrated predictor."""
+        column-wise scalers (envelope version 2), or while networks
+        still pickled their momentum state (version 3), fails loudly,
+        naming its version, instead of resuming from a migrated
+        predictor."""
         path = tmp_path / "old.ckpt"
         blob = pickle.dumps(
             ExplorerCheckpoint(
-                version=2,
+                version=version,
                 space_name=tiny_space.name,
                 space_size=len(tiny_space),
                 batch_size=10,
@@ -400,13 +403,13 @@ class TestExplorerCheckpointing:
             path,
             {
                 "format": CHECKPOINT_FORMAT,
-                "version": 2,
+                "version": version,
                 "sha256": hashlib.sha256(blob).hexdigest(),
                 "payload": blob,
             },
         )
-        assert CHECKPOINT_VERSION == 3
-        with pytest.raises(CheckpointError, match="version 2"):
+        assert CHECKPOINT_VERSION == 4
+        with pytest.raises(CheckpointError, match=f"version {version}"):
             self._explorer(
                 tiny_space, smooth_simulator, fast_training
             ).explore(target_error=3.0, max_simulations=30, checkpoint=path)

