@@ -75,6 +75,23 @@ def run_cli(*argv: str, check: bool = True) -> subprocess.CompletedProcess:
     return proc
 
 
+def records_a_terminal_cell(manifest: Path) -> bool:
+    """Whether the manifest holds a done or quarantined cell.
+
+    The manifest records every cell ``accepted`` from the start, so the
+    kill keys on a terminal record.  A save rotates the file away for an
+    instant; a missing file simply means "not yet".
+    """
+    try:
+        records = json.loads(manifest.read_text())["payload"]["records"]
+    except FileNotFoundError:
+        return False
+    return any(
+        record["status"] in ("done", "quarantined")
+        for record in records.values()
+    )
+
+
 def killed_campaign_run(spec_path: Path, campaign_dir: Path) -> None:
     """Start ``campaign run`` and SIGKILL it at the first terminal cell."""
     cmd = [
@@ -93,7 +110,7 @@ def killed_campaign_run(spec_path: Path, campaign_dir: Path) -> None:
                 "campaign driver finished before it could be killed -- "
                 "matrix too small or machine too fast for this smoke"
             )
-        if manifest.exists() and '"status"' in manifest.read_text():
+        if records_a_terminal_cell(manifest):
             os.kill(proc.pid, signal.SIGKILL)
             proc.wait()
             return

@@ -10,9 +10,10 @@ module          contents
 ==============  ======================================================
 ``spec``        :class:`CampaignSpec` + TOML parsing/validation
 ``matrix``      :class:`CampaignCell` and deterministic expansion
-``manifest``    the checksummed, atomically rewritten progress ledger
 ``runner``      the driver: each cell runs as a job on the serve
-                layer's lifecycle engine (watchdog, retry, quarantine)
+                layer's lifecycle engine (watchdog, retry, quarantine),
+                recorded in ``MANIFEST.json`` by the same checksummed,
+                atomically rewritten ledger the service keeps
 ``report``      deterministic ``report.json`` + accounting + markdown
 ==============  ======================================================
 
@@ -22,7 +23,6 @@ byte-identical to an uninterrupted run — asserted continuously by CI's
 chaos smoke.
 """
 
-from .manifest import CampaignError, CampaignManifest, manifest_path
 from .matrix import CampaignCell, expand_matrix
 from .report import (
     REPORT_KIND,
@@ -34,9 +34,11 @@ from .report import (
     write_reports,
 )
 from .runner import (
+    CampaignError,
     CampaignResult,
     CampaignRunner,
     campaign_status,
+    manifest_path,
     resume_campaign,
     run_campaign,
 )
@@ -52,7 +54,6 @@ __all__ = [
     "REPORT_SCHEMA",
     "CampaignCell",
     "CampaignError",
-    "CampaignManifest",
     "CampaignResult",
     "CampaignRunner",
     "CampaignSpec",

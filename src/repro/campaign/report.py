@@ -23,7 +23,12 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
 from ..obs.atomicio import atomic_write_text
-from .manifest import STATUS_DONE, STATUS_QUARANTINED, CampaignManifest
+from ..serve.registry import (
+    STATUS_DONE,
+    STATUS_QUARANTINED,
+    TERMINAL,
+    StudyRegistry,
+)
 from .matrix import CampaignCell
 
 #: bump when the report layout changes incompatibly
@@ -59,20 +64,22 @@ def _cell_row(
 
 
 def build_report(
-    manifest: CampaignManifest, cells: Tuple[CampaignCell, ...]
+    manifest: StudyRegistry, cells: Tuple[CampaignCell, ...]
 ) -> Dict[str, object]:
     """The deterministic aggregate of every terminal cell.
 
     ``cells`` is the expanded matrix (defines which rows exist);
-    pending cells (possible only while a campaign is still running) are
-    reported with status ``"pending"`` so a status probe can render the
-    same document shape.
+    non-terminal cells (``accepted`` or ``running``: possible only while
+    a campaign is still running or after its driver died) are reported
+    with status ``"pending"`` so a status probe can render the same
+    document shape.
     """
     rows: List[Dict[str, object]] = []
     n_done = n_quarantined = n_converged = 0
+    header = manifest.header
     for cell in sorted(cells, key=lambda c: c.cell_id):
-        record = manifest.cells.get(cell.cell_id)
-        if record is None:
+        record = manifest.records.get(cell.cell_id)
+        if record is None or record["status"] not in TERMINAL:
             row = dict(cell.to_dict())
             row["cell_id"] = cell.cell_id
             row["status"] = "pending"
@@ -88,9 +95,9 @@ def build_report(
     return {
         "schema": REPORT_SCHEMA,
         "kind": REPORT_KIND,
-        "name": manifest.spec.get("name"),
-        "spec_digest": manifest.spec_digest,
-        "cell_faults": manifest.cell_faults,
+        "name": header["spec"].get("name"),  # type: ignore[union-attr]
+        "spec_digest": header["spec_digest"],
+        "cell_faults": header.get("cell_faults"),
         "summary": {
             "n_cells": len(cells),
             "n_completed": n_done,
@@ -102,13 +109,14 @@ def build_report(
     }
 
 
-def build_resources(manifest: CampaignManifest) -> Dict[str, object]:
+def build_resources(manifest: StudyRegistry) -> Dict[str, object]:
     """Per-cell resource accounting plus campaign totals."""
     per_cell: Dict[str, Dict[str, object]] = {}
     total_wall = total_user = total_system = 0.0
     max_rss = 0
-    for cell_id in sorted(manifest.completed):
-        record = manifest.completed[cell_id]
+    completed = manifest.by_status(STATUS_DONE)
+    for cell_id in sorted(completed):
+        record = completed[cell_id]
         resources = dict(record.get("resources") or {})
         resources["attempts"] = record.get("attempts", 1)
         per_cell[cell_id] = resources
@@ -119,7 +127,7 @@ def build_resources(manifest: CampaignManifest) -> Dict[str, object]:
     return {
         "schema": REPORT_SCHEMA,
         "kind": "campaign-resources",
-        "spec_digest": manifest.spec_digest,
+        "spec_digest": manifest.header["spec_digest"],
         "cells": per_cell,
         "total": {
             "wall_s": total_wall,
@@ -233,7 +241,7 @@ def render_markdown(
 
 def write_reports(
     directory: PathLike,
-    manifest: CampaignManifest,
+    manifest: StudyRegistry,
     cells: Tuple[CampaignCell, ...],
 ) -> Dict[str, Path]:
     """Write report.json / resources.json / report.md atomically.

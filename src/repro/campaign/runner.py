@@ -10,14 +10,20 @@ seeded-backoff retries that resume from the cell's round checkpoint
 under ``cells/``, and quarantine — the campaign completes degraded and
 the report enumerates the quarantined cells.
 
-The checksummed :class:`~repro.campaign.manifest.CampaignManifest` is
-the engine's ledger here, rewritten atomically after every terminal
-cell, so ``kill -9`` of the *driver* loses at most in-flight cells:
-``resume`` replays the recorded ones and produces a byte-identical
-aggregated report.  Every cell is an independently seeded exploration
-whose result does not depend on scheduling, worker count, retries or
-resume, and the :class:`~repro.core.faults.CellFaultPlan` decides by
-cell id, so a resumed driver faces the identical chaos.
+The engine's ledger is the campaign directory's ``MANIFEST.json``, a
+:class:`~repro.serve.registry.StudyRegistry` like the service's
+registry: ``run`` records every cell ``accepted`` in one save, then
+every transition is rewritten atomically before the engine moves on.
+Its header holds the spec, the spec's digest (resuming with a
+different spec fails loudly) and the campaign-scoped fault plan (a
+resumed driver re-applies the identical chaos).  ``kill -9`` of the
+*driver* therefore loses at most the in-flight attempts: ``resume``
+demotes cells caught ``running`` back to ``accepted``, replays the
+terminal ones and produces a byte-identical aggregated report.  Every
+cell is an independently seeded exploration whose result does not
+depend on scheduling, worker count, retries or resume, and the
+:class:`~repro.core.faults.CellFaultPlan` decides by cell id, so a
+resumed driver faces the identical chaos.
 """
 
 from __future__ import annotations
@@ -30,9 +36,14 @@ from typing import Dict, List, Optional, Tuple, Union
 from ..core.faults import CellFaultPlan
 from ..obs.metrics import METRICS, MetricsRegistry
 from ..obs.telemetry import NULL_TELEMETRY, RunTelemetry
-from ..serve.registry import JobSpec
+from ..serve.registry import (
+    STATUS_DONE,
+    STATUS_QUARANTINED,
+    TERMINAL,
+    JobSpec,
+    StudyRegistry,
+)
 from ..serve.supervisor import POLL_S, JobEngine
-from .manifest import CampaignError, CampaignManifest, manifest_exists
 from .matrix import CampaignCell, expand_matrix
 from .report import build_report, write_reports
 from .spec import CampaignSpec
@@ -41,6 +52,50 @@ PathLike = Union[str, Path]
 
 #: subdirectory of a campaign directory holding per-cell checkpoints
 CELLS_DIR = "cells"
+
+#: file name of the ledger inside a campaign directory
+MANIFEST_NAME = "MANIFEST.json"
+
+
+class CampaignError(RuntimeError):
+    """A campaign cannot run/resume as asked (the message says why)."""
+
+
+def manifest_path(directory: PathLike) -> Path:
+    """Where a campaign directory keeps its ledger."""
+    return Path(directory) / MANIFEST_NAME
+
+
+def _load_manifest(
+    directory: PathLike,
+    telemetry: Optional[RunTelemetry] = None,
+    metrics: Optional[MetricsRegistry] = None,
+) -> StudyRegistry:
+    """Load a campaign directory's ledger; loud on every failure mode.
+
+    Self-healing like every checkpoint: a corrupt (or, mid-rotation,
+    missing) primary falls back to ``MANIFEST.json.prev``, costing at
+    most one recorded transition, which resume simply redoes.
+    """
+    path = manifest_path(directory)
+    if not StudyRegistry.exists(path):
+        raise CampaignError(
+            f"no campaign manifest at {path}; run `repro campaign run` first"
+        )
+    ledger = StudyRegistry.load(
+        path, error=CampaignError, telemetry=telemetry, metrics=metrics
+    )
+    header = ledger.header
+    if not isinstance(header.get("spec"), dict) \
+            or not isinstance(header.get("spec_digest"), str):
+        raise CampaignError(
+            f"campaign manifest {path} is missing its spec / spec_digest"
+        )
+    if not isinstance(header.get("cell_faults"), (dict, type(None))):
+        raise CampaignError(
+            f"campaign manifest {path} cell_faults must be an object or null"
+        )
+    return ledger
 
 
 # ----------------------------------------------------------------------
@@ -52,23 +107,23 @@ class CampaignResult:
 
     spec: CampaignSpec
     directory: Path
-    manifest: CampaignManifest
+    manifest: StudyRegistry
     cells: Tuple[CampaignCell, ...]
     report_paths: Dict[str, Path] = field(default_factory=dict)
     n_replayed: int = 0
 
     @property
     def n_completed(self) -> int:
-        return len(self.manifest.completed)
+        return len(self.manifest.by_status(STATUS_DONE))
 
     @property
     def n_quarantined(self) -> int:
-        return len(self.manifest.quarantined)
+        return len(self.manifest.by_status(STATUS_QUARANTINED))
 
     @property
     def quarantined_cells(self) -> List[str]:
         """Identifiers of quarantined cells, sorted."""
-        return sorted(self.manifest.quarantined)
+        return sorted(self.manifest.by_status(STATUS_QUARANTINED))
 
     @property
     def degraded(self) -> bool:
@@ -122,22 +177,25 @@ class CampaignRunner:
         self.cells = expand_matrix(spec)
 
     # -- manifest lifecycle ---------------------------------------------
-    def _load_manifest(self) -> CampaignManifest:
-        manifest = CampaignManifest.load(
-            self.directory, self.telemetry, self.metrics
-        )
-        if manifest.spec_digest != self.spec.digest():
+    def _adopt(self, manifest: StudyRegistry) -> None:
+        """Check a recorded manifest belongs to this spec; take its faults."""
+        digest = str(manifest.header["spec_digest"])
+        if digest != self.spec.digest():
             raise CampaignError(
                 f"campaign directory {self.directory} belongs to a "
-                f"different spec (manifest digest "
-                f"{manifest.spec_digest[:12]}..., this spec "
-                f"{self.spec.digest()[:12]}...); use a fresh directory"
+                f"different spec (manifest digest {digest[:12]}..., this "
+                f"spec {self.spec.digest()[:12]}...); use a fresh directory"
             )
-        if manifest.cell_faults is not None:
+        if set(manifest.records) != {cell.cell_id for cell in self.cells}:
+            raise CampaignError(
+                f"campaign manifest {manifest.path} does not record "
+                f"exactly the cells of its spec's matrix"
+            )
+        faults = manifest.header.get("cell_faults")
+        if faults is not None:
             # the killed driver's chaos plan wins over whatever (if
             # anything) was passed to resume — same faults, same report
-            self.cell_faults = CellFaultPlan.from_dict(manifest.cell_faults)
-        return manifest
+            self.cell_faults = CellFaultPlan.from_dict(faults)  # type: ignore[arg-type]
 
     def _job_spec(self, cell: CampaignCell) -> JobSpec:
         """The service job a matrix cell runs as (its id is the cell's)."""
@@ -157,43 +215,53 @@ class CampaignRunner:
     def run(self, resume: bool = False) -> CampaignResult:
         """Execute the matrix; returns once every cell is terminal.
 
-        With ``resume=True`` an existing manifest is loaded and its
-        terminal cells are replayed instead of re-run; without it, an
-        existing manifest is a loud error (clobbering recorded progress
-        must be an explicit decision — pick a fresh directory).  A
-        manifest caught mid-rotation (only ``.prev`` on disk after a
-        crash) counts as existing for both checks.
+        With ``resume=True`` an existing manifest is loaded, cells it
+        caught ``running`` are demoted to ``accepted`` and its terminal
+        cells are replayed instead of re-run; without it, an existing
+        manifest is a loud error (clobbering recorded progress must be
+        an explicit decision — pick a fresh directory).  A manifest
+        caught mid-rotation (only ``.prev`` on disk after a crash)
+        counts as existing for both checks.
         """
-        has_manifest = manifest_exists(self.directory)
         if resume:
-            if not has_manifest:
-                raise CampaignError(
-                    f"nothing to resume: no campaign manifest in "
-                    f"{self.directory}"
-                )
-            manifest = self._load_manifest()
-        else:
-            if has_manifest:
-                raise CampaignError(
-                    f"campaign directory {self.directory} already has a "
-                    f"manifest; use resume to continue it or pick a "
-                    f"fresh directory"
-                )
-            self.directory.mkdir(parents=True, exist_ok=True)
-            manifest = CampaignManifest(
-                spec=self.spec.to_dict(),
-                spec_digest=self.spec.digest(),
-                cell_faults=(
+            return self._run(
+                _load_manifest(self.directory, self.telemetry, self.metrics),
+                resume=True,
+            )
+        path = manifest_path(self.directory)
+        if StudyRegistry.exists(path):
+            raise CampaignError(
+                f"campaign directory {self.directory} already has a "
+                f"manifest; use resume to continue it or pick a "
+                f"fresh directory"
+            )
+        self.directory.mkdir(parents=True, exist_ok=True)
+        manifest = StudyRegistry(
+            path,
+            {
+                "spec": self.spec.to_dict(),
+                "spec_digest": self.spec.digest(),
+                "cell_faults": (
                     self.cell_faults.to_dict() if self.cell_faults else None
                 ),
-            )
-            manifest.save(self.directory, self.telemetry, self.metrics)
-        manifest.persist_to(self.directory, self.telemetry, self.metrics)
+            },
+            error=CampaignError,
+            telemetry=self.telemetry,
+            metrics=self.metrics,
+        )
+        manifest.admit({cell.cell_id: {} for cell in self.cells})
+        return self._run(manifest, resume=False)
+
+    def _run(self, manifest: StudyRegistry, resume: bool) -> CampaignResult:
+        """Drive every non-terminal cell of ``manifest`` to a terminal state."""
+        if resume:
+            self._adopt(manifest)
+            manifest.recover()
         (self.directory / CELLS_DIR).mkdir(exist_ok=True)
 
         todo = [
             cell for cell in self.cells
-            if manifest.status_of(cell.cell_id) is None
+            if manifest.status_of(cell.cell_id) not in TERMINAL
         ]
         n_replayed = len(self.cells) - len(todo)
         if n_replayed:
@@ -236,8 +304,8 @@ class CampaignRunner:
         self.telemetry.emit(
             "campaign.done",
             campaign=self.spec.name,
-            n_completed=len(manifest.completed),
-            n_quarantined=len(manifest.quarantined),
+            n_completed=len(manifest.by_status(STATUS_DONE)),
+            n_quarantined=len(manifest.by_status(STATUS_QUARANTINED)),
             n_replayed=n_replayed,
         )
         return CampaignResult(
@@ -287,8 +355,8 @@ def resume_campaign(
     — resuming needs nothing but the directory, which is exactly what a
     ``kill -9``'d driver leaves behind.
     """
-    manifest = CampaignManifest.load(directory)
-    spec = CampaignSpec.from_dict(manifest.spec)  # type: ignore[arg-type]
+    manifest = _load_manifest(directory, telemetry, metrics)
+    spec = CampaignSpec.from_dict(manifest.header["spec"])  # type: ignore[arg-type]
     runner = CampaignRunner(
         spec,
         directory,
@@ -296,7 +364,7 @@ def resume_campaign(
         telemetry=telemetry,
         metrics=metrics,
     )
-    return runner.run(resume=True)
+    return runner._run(manifest, resume=True)
 
 
 def campaign_status(directory: PathLike) -> Dict[str, object]:
@@ -304,8 +372,8 @@ def campaign_status(directory: PathLike) -> Dict[str, object]:
 
     Works on live, killed, completed *and mid-rotation* campaign
     directories alike — the report shape is identical, with unfinished
-    cells ``pending``.
+    (``accepted`` or ``running``) cells ``pending``.
     """
-    manifest = CampaignManifest.load(directory)
-    spec = CampaignSpec.from_dict(manifest.spec)  # type: ignore[arg-type]
+    manifest = _load_manifest(directory)
+    spec = CampaignSpec.from_dict(manifest.header["spec"])  # type: ignore[arg-type]
     return build_report(manifest, expand_matrix(spec))

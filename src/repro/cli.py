@@ -482,7 +482,7 @@ def _print_campaign_result(result) -> None:
             f"{spec.cell_retries} retr{'y' if spec.cell_retries == 1 else 'ies'}:"
         )
         for cell_id in result.quarantined_cells:
-            record = result.manifest.quarantined[cell_id]
+            record = result.manifest.records[cell_id]
             print(f"  {cell_id}: {record['kind']} ({record['error']})")
     print(f"wrote {result.report_paths['report']}")
     print(f"wrote {result.report_paths['markdown']}")

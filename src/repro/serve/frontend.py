@@ -111,11 +111,11 @@ class ServeFrontend:
             return 200, {
                 "jobs": {
                     job_id: {
-                        "status": record.status,
-                        "tenant": record.tenant,
+                        "status": record["status"],
+                        "tenant": record["tenant"],
                     }
                     for job_id, record in sorted(
-                        self.service.registry.jobs.items()
+                        self.service.registry.records.items()
                     )
                 }
             }
@@ -225,7 +225,7 @@ class ServeFrontend:
             while not self._shutdown_requested:
                 progressed = self.service.poll()
                 if drain_on_idle and self.service.idle \
-                        and self.service.registry.jobs:
+                        and self.service.registry.records:
                     # idle AND has seen work: a fresh empty service
                     # stays up to take submissions rather than exiting
                     # the instant it binds

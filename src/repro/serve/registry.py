@@ -1,16 +1,18 @@
-"""The crash-safe study registry: the service's durable job ledger.
+"""The crash-safe job ledger of campaigns and the service, and job specs.
 
-Every job the service *accepts* is recorded here before the submitter
-hears "accepted", and every state transition (running, done,
-quarantined) is persisted atomically before the service acts on it —
-via the same checksummed JSON-checkpoint envelope (sha256 + ``.prev``
-rotation, :func:`repro.core.checkpoint.save_json_checkpoint`) that
-makes campaign manifests SIGKILL-safe.  At any instant the file on
-disk describes a consistent prefix of the service's history, so a
-killed-and-restarted service re-opens the registry, demotes jobs
+:class:`StudyRegistry` is the one durable ledger both drivers of the
+:class:`~repro.serve.supervisor.JobEngine` record through: the service
+in a service directory's ``REGISTRY.json``, a campaign in a campaign
+directory's ``MANIFEST.json``.  Every job is recorded ``accepted``
+before its driver acts on it, and every transition (running, done,
+quarantined, a retry's demotion back to accepted) is persisted
+atomically before the engine moves on — via the checksummed
+JSON-checkpoint envelope (sha256 + ``.prev`` rotation,
+:func:`repro.core.checkpoint.save_json_checkpoint`).  At any instant
+the file on disk describes a consistent prefix of the driver's
+history, so a killed-and-restarted driver re-opens it, demotes jobs
 caught ``running`` back to ``accepted`` (their exploration checkpoints
-survive under ``jobs/``), and finishes every accepted job
-bit-identically.
+survive), and finishes every job bit-identically.
 
 :class:`JobSpec` is the validated unit of submission — one seeded
 exploration, the same coordinates as a campaign cell plus service-only
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, Tuple, Type, Union
 
 from ..core.checkpoint import (
     CheckpointError,
@@ -37,8 +39,9 @@ from ..obs.telemetry import NULL_TELEMETRY, RunTelemetry
 
 PathLike = Union[str, Path]
 
-#: bump when the registry payload layout changes incompatibly
-REGISTRY_VERSION = 1
+#: bump when the ledger payload layout changes incompatibly (one
+#: version for campaign manifests and service registries alike)
+LEDGER_VERSION = 2
 
 #: file name of the registry inside a service directory
 REGISTRY_NAME = "REGISTRY.json"
@@ -46,11 +49,21 @@ REGISTRY_NAME = "REGISTRY.json"
 #: subdirectory of a service directory holding per-job checkpoints
 JOBS_DIR = "jobs"
 
-#: job lifecycle states the registry records
+#: job lifecycle states the ledger records
 STATUS_ACCEPTED = "accepted"
 STATUS_RUNNING = "running"
 STATUS_DONE = "done"
 STATUS_QUARANTINED = "quarantined"
+STATUSES = (STATUS_ACCEPTED, STATUS_RUNNING, STATUS_DONE, STATUS_QUARANTINED)
+
+#: the states a job never leaves
+TERMINAL = (STATUS_DONE, STATUS_QUARANTINED)
+
+#: fields of every ledger record
+RECORD_FIELDS = ("status", "attempts", "result", "resources", "kind", "error")
+
+#: the extra fields of a service job's record
+JOB_FIELDS = ("tenant", "seq", "spec")
 
 #: default admission-control RSS estimate per job (256 MiB) — what a
 #: default-sized exploration worker peaks at, with headroom
@@ -68,12 +81,6 @@ class JobSpecError(ServeError, ValueError):
 def registry_path(directory: PathLike) -> Path:
     """Where a service directory keeps its registry."""
     return Path(directory) / REGISTRY_NAME
-
-
-def registry_exists(directory: PathLike) -> bool:
-    """Whether ``directory`` holds a (possibly mid-rotation) registry."""
-    path = registry_path(directory)
-    return path.exists() or previous_path(path).exists()
 
 
 @dataclass(frozen=True)
@@ -228,134 +235,128 @@ def sanitize_tenant(tenant: str) -> str:
     return tenant
 
 
-@dataclass
-class JobRecord:
-    """One job's registry entry across its lifecycle."""
-
-    job_id: str
-    tenant: str
-    seq: int
-    spec: Dict[str, object]
-    status: str = STATUS_ACCEPTED
-    attempts: int = 0
-    result: Optional[Dict[str, object]] = None
-    resources: Optional[Dict[str, float]] = None
-    kind: Optional[str] = None
-    error: Optional[str] = None
-
-    def to_payload(self) -> Dict[str, object]:
-        """This record as the JSON object the registry persists."""
-        return {
-            "job_id": self.job_id,
-            "tenant": self.tenant,
-            "seq": self.seq,
-            "spec": self.spec,
-            "status": self.status,
-            "attempts": self.attempts,
-            "result": self.result,
-            "resources": self.resources,
-            "kind": self.kind,
-            "error": self.error,
-        }
-
-    @classmethod
-    def from_payload(cls, payload: object) -> "JobRecord":
-        """Rebuild a record from a persisted ledger object (validated)."""
-        if not isinstance(payload, dict):
-            raise ServeError(
-                f"registry job record must be an object, "
-                f"got {type(payload).__name__}"
-            )
-        status = str(payload.get("status", ""))
-        if status not in (
-            STATUS_ACCEPTED, STATUS_RUNNING, STATUS_DONE, STATUS_QUARANTINED
-        ):
-            raise ServeError(f"registry job has unknown status {status!r}")
-        return cls(
-            job_id=str(payload["job_id"]),
-            tenant=str(payload["tenant"]),
-            seq=int(payload["seq"]),
-            spec=dict(payload["spec"]),
-            status=status,
-            attempts=int(payload.get("attempts", 0)),
-            result=payload.get("result"),
-            resources=payload.get("resources"),
-            kind=payload.get("kind"),
-            error=payload.get("error"),
-        )
-
-
 class StudyRegistry:
-    """The persisted job ledger of one service directory.
+    """The durable job ledger: one record per job id, every state saved.
 
-    Every mutating method rewrites the registry atomically *before*
-    returning, so callers may treat a returned transition as durable.
+    The one ledger of the :class:`~repro.serve.supervisor.JobEngine`,
+    whichever driver pumps it: the service keeps its jobs in a service
+    directory's ``REGISTRY.json`` (:meth:`open`), a campaign its cells
+    in a campaign directory's ``MANIFEST.json``, with the spec, its
+    digest and the fault plan in :attr:`header`.  A record is a plain
+    JSON object holding :data:`RECORD_FIELDS`; service records add
+    :data:`JOB_FIELDS`.  Every mutating method rewrites the file
+    atomically *before* returning, so callers may treat a returned
+    transition as durable.  ``error`` is the exception class every
+    failure raises (:class:`ServeError`, or the campaign's
+    ``CampaignError``).
     """
 
     def __init__(
         self,
-        directory: PathLike,
+        path: PathLike,
+        header: Optional[Dict[str, object]] = None,
+        *,
+        error: Type[Exception] = ServeError,
         telemetry: Optional[RunTelemetry] = None,
         metrics: Optional[MetricsRegistry] = None,
     ):
-        self.directory = Path(directory)
+        self.path = Path(path)
+        self.header: Dict[str, object] = dict(header or {})
+        self.records: Dict[str, Dict[str, object]] = {}
+        self.error = error
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
         self.metrics = metrics if metrics is not None else METRICS
-        self.jobs: Dict[str, JobRecord] = {}
-        self.next_seq = 1
+
+    @property
+    def cells(self) -> Dict[str, Dict[str, object]]:
+        """Read-only name of :attr:`records` for a campaign's cells
+        (``CampaignResult.manifest.cells[cell_id]``)."""
+        return self.records
 
     # -- persistence ----------------------------------------------------
-    def to_payload(self) -> Dict[str, object]:
-        """The whole ledger as the JSON object ``save`` persists."""
-        return {
-            "version": REGISTRY_VERSION,
-            "next_seq": self.next_seq,
-            "jobs": {
-                job_id: record.to_payload()
-                for job_id, record in sorted(self.jobs.items())
-            },
-        }
+    @staticmethod
+    def exists(path: PathLike) -> bool:
+        """Whether ``path`` holds a (possibly mid-rotation) ledger.
+
+        A crash between the rotation and the rewrite of a save leaves
+        only ``<path>.prev`` on disk; :meth:`load` recovers from it, so
+        it still counts as recorded progress.
+        """
+        path = Path(path)
+        return path.exists() or previous_path(path).exists()
 
     def save(self) -> Path:
         """Atomically persist the ledger (checksummed, ``.prev``-rotated)."""
-        path = registry_path(self.directory)
-        save_json_checkpoint(
-            path, self.to_payload(), self.telemetry, self.metrics
-        )
-        return path
+        payload = {
+            "version": LEDGER_VERSION,
+            "header": self.header,
+            "records": self.records,
+        }
+        save_json_checkpoint(self.path, payload, self.telemetry, self.metrics)
+        return self.path
 
-    def load(self) -> None:
-        """Load the on-disk ledger into this instance; loud on failure.
+    @classmethod
+    def load(
+        cls,
+        path: PathLike,
+        *,
+        error: Type[Exception] = ServeError,
+        required: Tuple[str, ...] = RECORD_FIELDS,
+        telemetry: Optional[RunTelemetry] = None,
+        metrics: Optional[MetricsRegistry] = None,
+    ) -> "StudyRegistry":
+        """Load the ledger at ``path``; raises ``error`` on every failure.
 
         Self-healing like every checkpoint: a corrupt primary falls back
         to the rotated ``.prev``, costing at most one recorded
-        transition — which recovery then simply redoes.
+        transition, which the driver's recovery then simply redoes.
+        Every record must be an object holding the ``required`` fields
+        and a known status.
         """
-        path = registry_path(self.directory)
+        ledger = cls(path, error=error, telemetry=telemetry, metrics=metrics)
+        path = ledger.path
         try:
             payload = load_json_checkpoint(
-                path, self.telemetry, self.metrics, strict=True
+                path, ledger.telemetry, ledger.metrics, strict=True
             )
         except CheckpointError as exc:
-            raise ServeError(
-                f"service registry {path} is unusable: {exc}"
-            ) from exc
+            raise error(f"ledger {path} is unusable: {exc}") from exc
         if payload is None:
-            raise ServeError(f"no service registry at {path}")
-        if not isinstance(payload, dict) \
-                or payload.get("version") != REGISTRY_VERSION:
-            raise ServeError(
-                f"service registry {path} has unsupported layout "
-                f"(version {payload.get('version')!r} if it is one at all)"
+            raise error(f"no ledger at {path}")
+        if not isinstance(payload, dict):
+            raise error(
+                f"ledger {path} must hold an object, "
+                f"got {type(payload).__name__}"
             )
-        jobs_payload = payload.get("jobs") or {}
-        if not isinstance(jobs_payload, dict):
-            raise ServeError("service registry jobs must be an object")
-        self.jobs = {
-            job_id: JobRecord.from_payload(record)
-            for job_id, record in jobs_payload.items()
-        }
-        self.next_seq = int(payload.get("next_seq", len(self.jobs) + 1))
+        version = payload.get("version")
+        if version != LEDGER_VERSION:
+            raise error(
+                f"ledger {path} has version {version!r}, expected "
+                f"{LEDGER_VERSION}; older ledgers are not migrated — "
+                f"finish it with the release that wrote it"
+            )
+        header, records = payload.get("header"), payload.get("records")
+        if not isinstance(header, dict) or not isinstance(records, dict):
+            raise error(f"ledger {path} needs a 'header' and 'records' object")
+        for key, record in records.items():
+            if not isinstance(record, dict):
+                raise error(
+                    f"ledger {path} record {key!r} must be an object, "
+                    f"got {type(record).__name__}"
+                )
+            missing = [name for name in required if name not in record]
+            if missing:
+                raise error(
+                    f"ledger {path} record {key!r} is missing field(s) "
+                    f"{', '.join(map(repr, missing))}"
+                )
+            if record["status"] not in STATUSES:
+                raise error(
+                    f"ledger {path} record {key!r} has unknown status "
+                    f"{record['status']!r}"
+                )
+        ledger.header, ledger.records = header, records
+        return ledger
 
     @classmethod
     def open(
@@ -364,140 +365,105 @@ class StudyRegistry:
         telemetry: Optional[RunTelemetry] = None,
         metrics: Optional[MetricsRegistry] = None,
     ) -> "StudyRegistry":
-        """Open (or create) the registry of ``directory``."""
-        registry = cls(directory, telemetry, metrics)
-        if registry_exists(directory):
-            registry.load()
+        """Open (or create) the registry of service ``directory``."""
+        path = registry_path(directory)
+        if cls.exists(path):
+            registry = cls.load(
+                path, required=RECORD_FIELDS + JOB_FIELDS,
+                telemetry=telemetry, metrics=metrics,
+            )
         else:
-            registry.directory.mkdir(parents=True, exist_ok=True)
+            path.parent.mkdir(parents=True, exist_ok=True)
+            registry = cls(path, telemetry=telemetry, metrics=metrics)
             registry.save()
-        (registry.directory / JOBS_DIR).mkdir(exist_ok=True)
+        (path.parent / JOBS_DIR).mkdir(exist_ok=True)
         return registry
 
     # -- transitions ----------------------------------------------------
-    def admit(self, spec: JobSpec, tenant: str) -> JobRecord:
-        """Record a newly accepted job; durable before it returns."""
-        tenant = sanitize_tenant(tenant)
-        seq = self.next_seq
-        self.next_seq += 1
-        job_id = f"j{seq:06d}-{tenant}"
-        record = JobRecord(
-            job_id=job_id,
-            tenant=tenant,
-            seq=seq,
-            spec=spec.to_dict(),
-        )
-        self.jobs[job_id] = record
+    def admit(self, entries: Dict[str, Dict[str, object]]) -> None:
+        """Record each new key of ``entries`` as ``accepted``, with its
+        extra fields, in one save; durable before it returns."""
+        clash = [key for key in entries if key in self.records]
+        if clash:
+            raise self.error(
+                f"{', '.join(map(repr, clash))} already in {self.path.name}"
+            )
+        for key, extra in entries.items():
+            self.records[key] = {
+                **extra, "status": STATUS_ACCEPTED, "attempts": 0,
+                "result": None, "resources": None, "kind": None,
+                "error": None,
+            }
         self.save()
-        return record
 
-    def _require(self, job_id: str) -> JobRecord:
-        record = self.jobs.get(job_id)
+    def _update(self, key: str, **fields: object) -> None:
+        record = self.records.get(key)
         if record is None:
-            raise ServeError(f"unknown job {job_id!r}")
-        return record
-
-    def mark_running(self, job_id: str, attempt: int) -> None:
-        """Record that attempt ``attempt`` of the job has a live worker."""
-        record = self._require(job_id)
-        record.status = STATUS_RUNNING
-        record.attempts = attempt
+            raise self.error(f"unknown job {key!r} in {self.path.name}")
+        record.update(fields)
         self.save()
 
-    def mark_accepted(self, job_id: str) -> None:
-        """Demote a job back to the queueable state (retry / recovery)."""
-        record = self._require(job_id)
-        record.status = STATUS_ACCEPTED
-        self.save()
+    def mark_running(self, key: str, attempt: int) -> None:
+        """Record that attempt ``attempt`` of ``key`` has a live worker."""
+        self._update(key, status=STATUS_RUNNING, attempts=attempt)
+
+    def mark_accepted(self, key: str) -> None:
+        """Demote ``key`` back to the queueable state (retry, requeue)."""
+        self._update(key, status=STATUS_ACCEPTED)
 
     def mark_done(
         self,
-        job_id: str,
+        key: str,
         result: Dict[str, object],
         resources: Dict[str, float],
         attempts: int,
     ) -> None:
-        """Record the job's terminal success (result + resource bill)."""
-        record = self._require(job_id)
-        record.status = STATUS_DONE
-        record.attempts = attempts
-        record.result = result
-        record.resources = resources
-        record.kind = None
-        record.error = None
-        self.save()
+        """Record ``key``'s terminal success (result + resource bill)."""
+        self._update(
+            key, status=STATUS_DONE, attempts=attempts, result=result,
+            resources=resources, kind=None, error=None,
+        )
 
     def mark_quarantined(
-        self, job_id: str, kind: str, error: str, attempts: int
+        self, key: str, kind: str, error: str, attempts: int
     ) -> None:
-        """Record the job's terminal failure with its kind and reason."""
-        record = self._require(job_id)
-        record.status = STATUS_QUARANTINED
-        record.attempts = attempts
-        record.kind = kind
-        record.error = error
-        self.save()
+        """Record ``key``'s terminal failure with its kind and reason."""
+        self._update(
+            key, status=STATUS_QUARANTINED, attempts=attempts, kind=kind,
+            error=error,
+        )
 
     def recover(self) -> List[str]:
-        """Demote every ``running`` job to ``accepted`` after a restart.
+        """Demote every ``running`` record to ``accepted`` after a restart.
 
-        A job the previous service instance had in flight when it died
-        is simply not-yet-finished: its exploration checkpoint under
-        ``jobs/`` holds every completed round, so re-running it resumes
-        bit-identically.  Returns the demoted ids (seq order).
+        A job the previous driver had in flight when it died is simply
+        not-yet-finished: its exploration checkpoint holds every
+        completed round, so re-running it resumes bit-identically.
+        Returns the demoted keys in record order.
         """
-        demoted = [
-            record.job_id
-            for record in sorted(self.jobs.values(), key=lambda r: r.seq)
-            if record.status == STATUS_RUNNING
-        ]
-        for job_id in demoted:
-            self.jobs[job_id].status = STATUS_ACCEPTED
+        demoted = list(self.by_status(STATUS_RUNNING))
+        for key in demoted:
+            self.records[key]["status"] = STATUS_ACCEPTED
         if demoted:
             self.save()
         return demoted
 
     # -- queries --------------------------------------------------------
-    def by_status(self, status: str) -> List[JobRecord]:
-        """Records in ``status``, in submission (seq) order."""
-        return sorted(
-            (r for r in self.jobs.values() if r.status == status),
-            key=lambda r: r.seq,
-        )
+    def status_of(self, key: str) -> Optional[str]:
+        """The recorded status of ``key``, or ``None``."""
+        record = self.records.get(key)
+        return None if record is None else str(record["status"])
+
+    def by_status(self, *statuses: str) -> Dict[str, Dict[str, object]]:
+        """The records in any of ``statuses``, in record order."""
+        return {
+            key: record for key, record in self.records.items()
+            if record["status"] in statuses
+        }
 
     def counts(self) -> Dict[str, int]:
-        """Job counts by lifecycle state (all four keys always present)."""
-        counts = {
-            STATUS_ACCEPTED: 0,
-            STATUS_RUNNING: 0,
-            STATUS_DONE: 0,
-            STATUS_QUARANTINED: 0,
-        }
-        for record in self.jobs.values():
-            counts[record.status] += 1
+        """Record counts by lifecycle state (all four keys always present)."""
+        counts = dict.fromkeys(STATUSES, 0)
+        for record in self.records.values():
+            counts[str(record["status"])] += 1
         return counts
-
-    def report(self) -> Dict[str, object]:
-        """The deterministic per-job outcome map.
-
-        Only fields that are deterministic functions of (spec, fault
-        plan) appear — results and quarantine reasons, never resource
-        accounting or attempt counts — so two services that accepted the
-        same jobs produce byte-identical reports regardless of crashes,
-        retries, restarts or scheduling.  This is what the chaos smoke
-        byte-compares.
-        """
-        out: Dict[str, object] = {}
-        for job_id, record in sorted(self.jobs.items()):
-            entry: Dict[str, object] = {
-                "tenant": record.tenant,
-                "spec": dict(record.spec),
-                "status": record.status,
-            }
-            if record.status == STATUS_DONE:
-                entry["result"] = record.result
-            elif record.status == STATUS_QUARANTINED:
-                entry["kind"] = record.kind
-                entry["error"] = record.error
-            out[job_id] = entry
-        return out

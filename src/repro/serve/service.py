@@ -21,12 +21,16 @@ the full job lifecycle:
   of that and *still* recovers: :meth:`open` replays the registry,
   demotes ``running`` jobs and re-enqueues every accepted one.
 
+The registry is the same :class:`~repro.serve.registry.StudyRegistry`
+a campaign keeps its cells in; a service record adds the job's tenant,
+submission sequence number and spec.
+
 Determinism: a job's result is a pure function of its spec (and the
 seeded fault plan, under chaos) — never of queue order, worker count,
-retries, restarts or which service instance ran it.  The registry's
-:meth:`~repro.serve.registry.StudyRegistry.report` exposes exactly the
-deterministic subset, which the chaos smoke byte-compares across a
-fault-free run and a crashed-and-restarted one.
+retries, restarts or which service instance ran it.
+:meth:`ExplorationService.report` exposes exactly the deterministic
+subset, which the chaos smoke byte-compares across a fault-free run
+and a crashed-and-restarted one.
 """
 
 from __future__ import annotations
@@ -48,8 +52,9 @@ from .queue import (
 from .registry import (
     JOBS_DIR,
     STATUS_ACCEPTED,
+    STATUS_DONE,
+    STATUS_QUARANTINED,
     STATUS_RUNNING,
-    JobRecord,
     JobSpec,
     StudyRegistry,
     sanitize_tenant,
@@ -151,15 +156,17 @@ class ExplorationService:
         demoted = self.registry.recover()
         if demoted:
             self.metrics.inc("serve.jobs_recovered", len(demoted))
-        for record in self.registry.by_status(STATUS_ACCEPTED):
+        accepted = self.registry.by_status(STATUS_ACCEPTED)
+        for job_id in sorted(accepted, key=lambda j: accepted[j]["seq"]):
+            record = accepted[job_id]
             self.engine.push(
-                record.job_id, JobSpec.from_dict(record.spec),
-                tenant=record.tenant,
+                job_id, JobSpec.from_dict(record["spec"]),
+                tenant=record["tenant"],
             )
         self.telemetry.emit(
             "serve.start",
             directory=str(self.directory),
-            n_jobs=len(self.registry.jobs),
+            n_jobs=len(self.registry.records),
             n_recovered=len(demoted),
             n_queued=self.engine.n_queued,
             chaos=self.engine.faults is not None,
@@ -167,17 +174,16 @@ class ExplorationService:
         self._update_gauges()
 
     # -- accounting helpers ---------------------------------------------
-    def _unfinished(self) -> List[JobRecord]:
+    def _unfinished(self) -> List[Dict[str, object]]:
         """Accepted-but-unfinished jobs (queued, waiting and running)."""
-        return [
-            record for record in self.registry.jobs.values()
-            if record.status in (STATUS_ACCEPTED, STATUS_RUNNING)
-        ]
+        return list(
+            self.registry.by_status(STATUS_ACCEPTED, STATUS_RUNNING).values()
+        )
 
     def _committed_rss_kb(self) -> int:
         """Summed RSS estimates of every unfinished job."""
         return sum(
-            int(record.spec.get("rss_estimate_kb", 0))
+            int(record["spec"].get("rss_estimate_kb", 0))  # type: ignore[union-attr]
             for record in self._unfinished()
         )
 
@@ -218,7 +224,7 @@ class ExplorationService:
             job_rss_kb=spec.rss_estimate_kb,
             tenant=tenant,
             tenant_depth=sum(
-                record.tenant == tenant for record in self._unfinished()
+                record["tenant"] == tenant for record in self._unfinished()
             ),
         )
         if rejection is not None:
@@ -236,20 +242,25 @@ class ExplorationService:
                 detail=rejection.detail,
             )
             return SubmitResult(accepted=False, rejection=rejection)
-        record = self.registry.admit(spec, tenant)
-        self.engine.push(record.job_id, spec, tenant=tenant)
+        # jobs are never deleted, so the record count numbers them
+        seq = len(self.registry.records) + 1
+        job_id = f"j{seq:06d}-{tenant}"
+        self.registry.admit({
+            job_id: {"tenant": tenant, "seq": seq, "spec": spec.to_dict()}
+        })
+        self.engine.push(job_id, spec, tenant=tenant)
         self.n_submitted += 1
         self.tenants.note_accepted(tenant)
         self.metrics.inc("serve.submitted")
         self.telemetry.emit(
             "serve.submit",
-            job_id=record.job_id,
+            job_id=job_id,
             tenant=tenant,
             study=spec.study,
             workload=spec.workload,
         )
         self._update_gauges()
-        return SubmitResult(accepted=True, job_id=record.job_id)
+        return SubmitResult(accepted=True, job_id=job_id)
 
     # -- the pump -------------------------------------------------------
     def poll(self) -> bool:
@@ -319,10 +330,10 @@ class ExplorationService:
     # -- introspection --------------------------------------------------
     def job_status(self, job_id: str) -> Optional[Dict[str, object]]:
         """One job's public status record (``None`` for unknown ids)."""
-        record = self.registry.jobs.get(job_id)
+        record = self.registry.records.get(job_id)
         if record is None:
             return None
-        payload = record.to_payload()
+        payload = {"job_id": job_id, **record}
         # live worker pid, for operators (and the chaos smoke's aim):
         # explicitly non-deterministic, never part of the report
         pid = self.engine.supervisor.pids().get(job_id)
@@ -350,5 +361,26 @@ class ExplorationService:
         }
 
     def report(self) -> Dict[str, object]:
-        """The deterministic per-job outcome map (see the registry)."""
-        return self.registry.report()
+        """The deterministic per-job outcome map.
+
+        Only fields that are deterministic functions of (spec, fault
+        plan) appear — results and quarantine reasons, never resource
+        accounting or attempt counts — so two services that accepted the
+        same jobs produce byte-identical reports regardless of crashes,
+        retries, restarts or scheduling.  This is what the chaos smoke
+        byte-compares.
+        """
+        out: Dict[str, object] = {}
+        for job_id, record in sorted(self.registry.records.items()):
+            entry: Dict[str, object] = {
+                "tenant": record["tenant"],
+                "spec": dict(record["spec"]),  # type: ignore[call-overload]
+                "status": record["status"],
+            }
+            if record["status"] == STATUS_DONE:
+                entry["result"] = record["result"]
+            elif record["status"] == STATUS_QUARANTINED:
+                entry["kind"] = record["kind"]
+                entry["error"] = record["error"]
+            out[job_id] = entry
+        return out

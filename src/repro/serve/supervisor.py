@@ -21,9 +21,10 @@ classifies every terminal one:
   the job outliving its own budget, not an infrastructure fault, and
   gets the kind :data:`KIND_DEADLINE`.
 
-Every transition goes through the driver's :class:`Ledger`: the
-service's registry persists all four states, the campaign's manifest
-only the terminal two — each keeps its own file format.  Event and
+Every transition is recorded, durably, in the driver's
+:class:`~repro.serve.registry.StudyRegistry` — one ledger class and one
+file format for both drivers, the service's ``REGISTRY.json`` and the
+campaign's ``MANIFEST.json``, each holding all four states.  Event and
 counter names are built from ``(namespace, unit)``, ``("serve",
 "job")`` or ``("campaign", "cell")``, e.g. ``serve.job_retry`` and
 ``campaign.cells_completed``.
@@ -39,7 +40,7 @@ from __future__ import annotations
 
 import time
 from pathlib import Path
-from typing import Dict, List, Optional, Protocol, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..core.faults import CellFaultPlan
 from ..core.resilience import RetryPolicy
@@ -54,7 +55,7 @@ from ..core.supervise import (
 from ..obs.metrics import MetricsRegistry
 from ..obs.telemetry import RunTelemetry
 from .queue import JobQueue
-from .registry import JobSpec
+from .registry import JobSpec, StudyRegistry
 
 #: pump poll interval of the synchronous drive loops
 POLL_S = 0.02
@@ -173,30 +174,6 @@ def _job_entry(conn: object, payload: Dict[str, object]) -> None:
 # ----------------------------------------------------------------------
 # driver side
 # ----------------------------------------------------------------------
-class Ledger(Protocol):
-    """The four transitions :class:`JobEngine` records, by job id."""
-
-    def mark_running(self, key: str, attempt: int) -> None:
-        """Attempt ``attempt`` of ``key`` got a live worker."""
-
-    def mark_accepted(self, key: str) -> None:
-        """``key`` is queueable again (a retry, or a SIGTERM requeue)."""
-
-    def mark_done(
-        self,
-        key: str,
-        result: Dict[str, object],
-        resources: Dict[str, float],
-        attempts: int,
-    ) -> None:
-        """``key`` finished with its result and resource bill."""
-
-    def mark_quarantined(
-        self, key: str, kind: str, error: str, attempts: int
-    ) -> None:
-        """``key`` spent its retry budget; ``kind``/``error`` say why."""
-
-
 class JobEngine:
     """Queue, launch, reap, retry and quarantine seeded explorations.
 
@@ -204,7 +181,7 @@ class JobEngine:
     ----------
     ledger:
         Where every transition is recorded (the service's registry, the
-        campaign's manifest).
+        campaign's manifest: both a :class:`StudyRegistry`).
     checkpoint_dir:
         Directory of the per-job exploration checkpoints
         (``<id>.ckpt``), so retried, requeued and recovered attempts
@@ -235,7 +212,7 @@ class JobEngine:
 
     def __init__(
         self,
-        ledger: Ledger,
+        ledger: StudyRegistry,
         checkpoint_dir: Path,
         *,
         namespace: str,

@@ -14,7 +14,6 @@ import pytest
 from repro.campaign import (
     CampaignCell,
     CampaignError,
-    CampaignManifest,
     CampaignRunner,
     CampaignSpec,
     CampaignSpecError,
@@ -28,6 +27,7 @@ from repro.campaign import (
 from repro.core.faults import CellFaultPlan
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.telemetry import RunTelemetry
+from repro.serve import StudyRegistry
 
 
 def tiny_spec(**overrides):
@@ -47,6 +47,39 @@ def tiny_spec(**overrides):
     )
     kwargs.update(overrides)
     return CampaignSpec(**kwargs)
+
+
+def admitted_manifest(directory, spec):
+    """The manifest ``campaign run`` saves before any cell starts: every
+    cell of the matrix recorded ``accepted``."""
+    Path(directory).mkdir(parents=True, exist_ok=True)
+    manifest = StudyRegistry(
+        manifest_path(directory),
+        {"spec": spec.to_dict(), "spec_digest": spec.digest(),
+         "cell_faults": None},
+        error=CampaignError,
+    )
+    manifest.admit({cell.cell_id: {} for cell in expand_matrix(spec)})
+    return manifest
+
+
+def load_manifest(directory):
+    return StudyRegistry.load(manifest_path(directory), error=CampaignError)
+
+
+def records_a_terminal_cell(path):
+    """Whether the manifest at ``path`` holds a done or quarantined cell.
+
+    Tolerates the file being absent for the instant a save rotates it.
+    """
+    try:
+        records = json.loads(path.read_text())["payload"]["records"]
+    except FileNotFoundError:
+        return False
+    return any(
+        record["status"] in ("done", "quarantined")
+        for record in records.values()
+    )
 
 
 VALID_TOML = """
@@ -171,47 +204,66 @@ class TestMatrix:
 
 
 class TestManifest:
-    def make_manifest(self):
-        spec = tiny_spec()
-        return CampaignManifest(spec=spec.to_dict(), spec_digest=spec.digest())
+    """A campaign's MANIFEST.json is the service's ledger class."""
 
     def test_roundtrip(self, tmp_path):
-        manifest = self.make_manifest()
+        manifest = admitted_manifest(tmp_path, tiny_spec())
+        done, bad = sorted(manifest.records)
         manifest.mark_done(
-            "a", result={"converged": True}, resources={"wall_s": 1.0},
+            done, result={"converged": True}, resources={"wall_s": 1.0},
             attempts=1,
         )
-        manifest.mark_quarantined("b", kind="crash", error="boom", attempts=3)
-        manifest.save(tmp_path)
-        loaded = CampaignManifest.load(tmp_path)
-        assert loaded.cells == manifest.cells
-        assert loaded.spec_digest == manifest.spec_digest
-        assert set(loaded.completed) == {"a"}
-        assert set(loaded.quarantined) == {"b"}
-        assert loaded.status_of("a") == "done"
+        manifest.mark_quarantined(bad, kind="crash", error="boom", attempts=3)
+        loaded = load_manifest(tmp_path)
+        assert loaded.records == manifest.records
+        assert loaded.header == manifest.header
+        assert set(loaded.by_status("done")) == {done}
+        assert set(loaded.by_status("quarantined")) == {bad}
+        assert loaded.status_of(done) == "done"
         assert loaded.status_of("missing") is None
 
+    def test_every_state_is_durable(self, tmp_path):
+        manifest = admitted_manifest(tmp_path, tiny_spec())
+        first, second = sorted(manifest.records)
+        assert load_manifest(tmp_path).counts()["accepted"] == 2
+        manifest.mark_running(first, attempt=1)
+        loaded = load_manifest(tmp_path)
+        assert loaded.status_of(first) == "running"
+        assert loaded.records[first]["attempts"] == 1
+        assert loaded.status_of(second) == "accepted"
+        assert loaded.recover() == [first]
+        assert load_manifest(tmp_path).counts()["accepted"] == 2
+
     def test_corrupt_primary_falls_back_to_previous(self, tmp_path):
-        manifest = self.make_manifest()
-        manifest.save(tmp_path)  # becomes .prev on the next save
-        manifest.mark_done("a", result={}, resources={}, attempts=1)
-        manifest.save(tmp_path)
+        # the admitting save becomes .prev on the next save
+        manifest = admitted_manifest(tmp_path, tiny_spec())
+        cell = sorted(manifest.records)[0]
+        manifest.mark_done(cell, result={}, resources={}, attempts=1)
         path = manifest_path(tmp_path)
         path.write_text(path.read_text()[:40])  # truncate: checksum fails
-        loaded = CampaignManifest.load(tmp_path)
-        # the fallback is the older snapshot: one recorded cell lost,
-        # which resume simply re-runs
-        assert loaded.cells == {}
+        loaded = load_manifest(tmp_path)
+        # the fallback is the older snapshot: one recorded transition
+        # lost, which resume simply redoes
+        assert loaded.status_of(cell) == "accepted"
 
     def test_missing_manifest_is_loud(self, tmp_path):
         with pytest.raises(CampaignError, match="no campaign manifest"):
-            CampaignManifest.load(tmp_path)
+            campaign_status(tmp_path)
 
-    def test_rejects_foreign_payloads(self):
-        with pytest.raises(CampaignError, match="version"):
-            CampaignManifest.from_payload({"version": 99})
-        with pytest.raises(CampaignError, match="object"):
-            CampaignManifest.from_payload([1, 2])
+    def test_rejects_foreign_payloads(self, tmp_path):
+        manifest = admitted_manifest(tmp_path, tiny_spec())
+        manifest.header = {"spec": "not-a-spec"}
+        manifest.save()
+        with pytest.raises(CampaignError, match="spec / spec_digest"):
+            campaign_status(tmp_path)
+        manifest.header = {
+            "spec": tiny_spec().to_dict(),
+            "spec_digest": tiny_spec().digest(),
+            "cell_faults": [1, 2],
+        }
+        manifest.save()
+        with pytest.raises(CampaignError, match="cell_faults"):
+            campaign_status(tmp_path)
 
 
 class TestRunnerEndToEnd:
@@ -261,13 +313,16 @@ class TestRunnerEndToEnd:
         telemetry = RunTelemetry()
         metrics = MetricsRegistry(enabled=True)
         full = run_campaign(spec, tmp_path / "full", n_jobs=2)
-        # rebuild a partial manifest: drop one recorded cell, as if the
-        # driver had been killed before it finished
-        partial = CampaignManifest.from_payload(full.manifest.to_payload())
-        dropped = sorted(partial.cells)[0]
-        del partial.cells[dropped]
+        # rebuild a partial manifest: one cell back to accepted, as if
+        # the driver had been killed before it started
+        partial = load_manifest(tmp_path / "full")
+        dropped = sorted(partial.records)[0]
+        partial.records[dropped].update(
+            status="accepted", attempts=0, result=None, resources=None
+        )
         (tmp_path / "partial").mkdir()
-        partial.save(tmp_path / "partial")
+        partial.path = manifest_path(tmp_path / "partial")
+        partial.save()
         resumed = resume_campaign(
             tmp_path / "partial", telemetry=telemetry, metrics=metrics,
         )
@@ -281,25 +336,44 @@ class TestRunnerEndToEnd:
         assert events and events[0].payload["n_replayed"] == 1
 
     def test_status_reports_pending_cells(self, tmp_path):
-        spec = tiny_spec()
-        manifest = CampaignManifest(
-            spec=spec.to_dict(), spec_digest=spec.digest()
-        )
-        tmp_path.joinpath("camp").mkdir()
-        manifest.save(tmp_path / "camp")
+        admitted_manifest(tmp_path / "camp", tiny_spec())
         report = campaign_status(tmp_path / "camp")
         assert report["summary"]["n_pending"] == 2
         assert all(row["status"] == "pending" for row in report["cells"])
+
+    def test_running_and_accepted_cells_resume_byte_identically(
+        self, tmp_path
+    ):
+        """What a SIGKILL of the driver mid-cell leaves behind: one cell
+        recorded running, one accepted.  Both report pending, and the
+        resume matches an uninterrupted run byte for byte."""
+        spec = tiny_spec()
+        run_campaign(spec, tmp_path / "full")
+        manifest = admitted_manifest(tmp_path / "killed", spec)
+        running, accepted = sorted(manifest.records)
+        manifest.mark_running(running, attempt=1)
+        report = campaign_status(tmp_path / "killed")
+        assert report["summary"]["n_pending"] == 2
+        assert [row["status"] for row in report["cells"]] == ["pending"] * 2
+        metrics = MetricsRegistry(enabled=True)
+        resumed = resume_campaign(tmp_path / "killed", metrics=metrics)
+        assert resumed.n_replayed == 0
+        assert metrics.counter("campaign.cells_completed") == 2
+        assert resumed.manifest.records[running]["attempts"] == 1
+        assert (tmp_path / "full" / "report.json").read_bytes() == \
+            (tmp_path / "killed" / "report.json").read_bytes()
+
+    def test_resume_rejects_cells_outside_the_matrix(self, tmp_path):
+        admitted_manifest(tmp_path, tiny_spec()).admit({"stray": {}})
+        with pytest.raises(CampaignError, match="matrix"):
+            resume_campaign(tmp_path)
 
     def test_min_folds_one_and_negative_seed_still_run(self, tmp_path):
         """A campaign accepts what the core accepts: ``min_folds=1`` runs
         and a negative seed's cell is quarantined by its worker, so a
         directory recorded with either resumes and reports."""
         spec = tiny_spec(seeds=(-1, 0), min_folds=1, cell_retries=0)
-        manifest = CampaignManifest(
-            spec=spec.to_dict(), spec_digest=spec.digest()
-        )
-        manifest.save(tmp_path)
+        admitted_manifest(tmp_path, spec)
         result = resume_campaign(tmp_path)
         statuses = {
             cell.seed: result.manifest.status_of(cell.cell_id)
@@ -329,7 +403,7 @@ class TestChaosCells:
         assert result.degraded
         assert result.n_completed == 1
         assert result.n_quarantined == 1
-        record = result.manifest.quarantined[result.quarantined_cells[0]]
+        record = result.manifest.records[result.quarantined_cells[0]]
         assert record["kind"] == "crash"
         assert record["attempts"] == 2  # first try + one retry
         assert "exited with code 13" in record["error"]
@@ -357,7 +431,7 @@ class TestChaosCells:
         )
         assert time.monotonic() - start < 30.0, "watchdog never fired"
         assert result.n_quarantined == 1
-        record = result.manifest.quarantined[result.quarantined_cells[0]]
+        record = result.manifest.records[result.quarantined_cells[0]]
         assert record["kind"] == "hang"
         assert "watchdog" in record["error"]
         assert metrics.counter("campaign.watchdog_kills") == 1
@@ -367,8 +441,9 @@ class TestChaosCells:
         spec = tiny_spec(seeds=(0,), cell_retries=0)
         faults = CellFaultPlan(crash=1.0, seed=5)
         run_campaign(spec, tmp_path, cell_faults=faults)
-        manifest = CampaignManifest.load(tmp_path)
-        assert CellFaultPlan.from_dict(manifest.cell_faults) == faults
+        manifest = load_manifest(tmp_path)
+        assert CellFaultPlan.from_dict(manifest.header["cell_faults"]) \
+            == faults
 
 
 class TestDriverKill:
@@ -403,7 +478,7 @@ class TestDriverKill:
         while time.monotonic() < deadline:
             if driver.poll() is not None:
                 break
-            if manifest_file.exists() and '"status"' in manifest_file.read_text():
+            if records_a_terminal_cell(manifest_file):
                 os.kill(driver.pid, signal.SIGKILL)
                 killed = True
                 break

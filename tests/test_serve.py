@@ -11,8 +11,14 @@ from pathlib import Path
 
 import pytest
 
-from repro.campaign import CampaignSpec, run_campaign
-from repro.core.checkpoint import canonical_json
+from repro.campaign import (
+    CampaignError,
+    CampaignSpec,
+    campaign_status,
+    manifest_path,
+    run_campaign,
+)
+from repro.core.checkpoint import canonical_json, save_json_checkpoint
 from repro.core.faults import CellFaultPlan
 from repro.core.supervise import (
     ProcessSupervisor,
@@ -30,6 +36,7 @@ from repro.serve import (
     JobQueue,
     JobSpec,
     JobSpecError,
+    ServeError,
     ServeFrontend,
     StudyRegistry,
 )
@@ -131,7 +138,7 @@ class TestJobSpec:
         service = make_service(tmp_path)
         with pytest.raises(JobSpecError, match=field):
             service.submit(spec, tenant="t")
-        assert not service.registry.jobs
+        assert not service.registry.records
 
 
 class TestAdmission:
@@ -201,63 +208,154 @@ class TestAdmission:
 
 class TestRegistry:
     def test_admission_is_durable_before_it_returns(self, tmp_path):
-        registry = StudyRegistry.open(tmp_path)
-        record = registry.admit(fast_spec(), "alice")
-        assert record.job_id == "j000001-alice"
+        service = make_service(tmp_path)
+        job = service.submit(fast_spec(), tenant="alice").job_id
+        assert job == "j000001-alice"
         reopened = StudyRegistry.open(tmp_path)
-        assert reopened.jobs[record.job_id].spec == fast_spec().to_dict()
-        assert reopened.next_seq == 2
+        assert reopened.records[job]["spec"] == fast_spec().to_dict()
+        assert reopened.records[job]["status"] == STATUS_ACCEPTED
+        # jobs are never deleted: the record count numbers the next one
+        assert make_service(tmp_path).submit(
+            fast_spec(seed=1), tenant="bob"
+        ).job_id == "j000002-bob"
 
     def test_transitions_persist(self, tmp_path):
-        registry = StudyRegistry.open(tmp_path)
-        job = registry.admit(fast_spec(), "t").job_id
-        registry.mark_running(job, attempt=1)
-        registry.mark_done(job, result={"n": 1}, resources={}, attempts=1)
-        reopened = StudyRegistry.open(tmp_path)
-        record = reopened.jobs[job]
-        assert record.status == STATUS_DONE
-        assert record.result == {"n": 1}
+        service = make_service(tmp_path)
+        job = service.submit(fast_spec(), tenant="t").job_id
+        service.registry.mark_running(job, attempt=1)
+        assert StudyRegistry.open(tmp_path).status_of(job) == STATUS_RUNNING
+        service.registry.mark_done(
+            job, result={"n": 1}, resources={}, attempts=1
+        )
+        record = StudyRegistry.open(tmp_path).records[job]
+        assert record["status"] == STATUS_DONE
+        assert record["result"] == {"n": 1}
 
     def test_recover_demotes_running_jobs_in_seq_order(self, tmp_path):
-        registry = StudyRegistry.open(tmp_path)
-        first = registry.admit(fast_spec(seed=0), "t").job_id
-        second = registry.admit(fast_spec(seed=1), "t").job_id
-        registry.mark_running(second, attempt=1)
-        registry.mark_running(first, attempt=1)
+        service = make_service(tmp_path)
+        first = service.submit(fast_spec(seed=0), tenant="t").job_id
+        second = service.submit(fast_spec(seed=1), tenant="t").job_id
+        service.registry.mark_running(second, attempt=1)
+        service.registry.mark_running(first, attempt=1)
         reopened = StudyRegistry.open(tmp_path)
         assert reopened.recover() == [first, second]
-        assert all(
-            r.status == STATUS_ACCEPTED for r in reopened.jobs.values()
-        )
+        assert reopened.counts()[STATUS_ACCEPTED] == 2
 
     def test_mid_rotation_registry_still_opens(self, tmp_path):
         """SIGKILL between rotation and write leaves only ``.prev``."""
-        registry = StudyRegistry.open(tmp_path)
-        job = registry.admit(fast_spec(), "t").job_id
+        job = make_service(tmp_path).submit(fast_spec(), tenant="t").job_id
         path = registry_path(tmp_path)
         os.replace(path, str(path) + ".prev")
         reopened = StudyRegistry.open(tmp_path)
-        assert job in reopened.jobs
+        assert job in reopened.records
+
+    def test_admit_never_overwrites_a_record(self, tmp_path):
+        service = make_service(tmp_path)
+        job = service.submit(fast_spec(), tenant="t").job_id
+        with pytest.raises(ServeError, match="already in REGISTRY.json"):
+            service.registry.admit({job: {}})
+        assert service.registry.records[job]["tenant"] == "t"
 
     def test_rejects_bad_tenant(self, tmp_path):
-        registry = StudyRegistry.open(tmp_path)
+        service = make_service(tmp_path)
         with pytest.raises(JobSpecError, match="tenant"):
-            registry.admit(fast_spec(), "../escape")
+            service.submit(fast_spec(), tenant="../escape")
+        assert not StudyRegistry.open(tmp_path).records
 
     def test_report_holds_only_deterministic_fields(self, tmp_path):
-        registry = StudyRegistry.open(tmp_path)
-        done = registry.admit(fast_spec(seed=0), "t").job_id
-        bad = registry.admit(fast_spec(seed=1), "t").job_id
-        registry.mark_done(
+        service = make_service(tmp_path)
+        done = service.submit(fast_spec(seed=0), tenant="t").job_id
+        bad = service.submit(fast_spec(seed=1), tenant="t").job_id
+        service.registry.mark_done(
             done, result={"n": 1}, resources={"wall_s": 9.9}, attempts=3
         )
-        registry.mark_quarantined(bad, kind="crash", error="boom", attempts=2)
-        report = registry.report()
+        service.registry.mark_quarantined(
+            bad, kind="crash", error="boom", attempts=2
+        )
+        report = service.report()
         assert report[done]["result"] == {"n": 1}
         assert "resources" not in report[done]
         assert "attempts" not in report[done]
         assert report[bad]["kind"] == "crash"
         assert report[bad]["error"] == "boom"
+
+
+def campaign_opens(directory):
+    campaign_status(directory)
+
+
+def service_opens(directory):
+    ExplorationService(directory)
+
+
+LEDGER_FILES = {
+    "manifest": (manifest_path, campaign_opens, CampaignError),
+    "registry": (registry_path, service_opens, ServeError),
+}
+
+ACCEPTED_RECORD = {
+    "status": "accepted", "attempts": 0, "result": None, "resources": None,
+    "kind": None, "error": None, "tenant": "t", "seq": 1,
+    "spec": fast_spec().to_dict(),
+}
+
+
+class TestLedgerFiles:
+    """One loader for ``MANIFEST.json`` and ``REGISTRY.json``: every
+    malformed file is the driver's own error, naming the problem."""
+
+    @pytest.mark.parametrize("which", sorted(LEDGER_FILES))
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ([1, 2], "must hold an object, got list"),
+            ({"version": 2, "header": {}, "records": {"x": [1]}},
+             "record 'x' must be an object"),
+            ({"version": 2, "header": {},
+              "records": {"x": {"status": "done"}}},
+             "record 'x' is missing field.*'attempts'"),
+            ({"version": 2, "header": {},
+              "records": {"x": dict(ACCEPTED_RECORD, status="lost")}},
+             "record 'x' has unknown status 'lost'"),
+            ({"version": 2, "header": [], "records": {}},
+             "'header' and 'records'"),
+        ],
+    )
+    def test_malformed_ledger_names_the_problem(
+        self, tmp_path, which, payload, message
+    ):
+        path_of, opens, error = LEDGER_FILES[which]
+        save_json_checkpoint(path_of(tmp_path), payload)
+        with pytest.raises(error, match=message):
+            opens(tmp_path)
+
+    def test_service_record_needs_its_job_fields(self, tmp_path):
+        record = dict(ACCEPTED_RECORD)
+        del record["tenant"]
+        save_json_checkpoint(registry_path(tmp_path), {
+            "version": 2, "header": {}, "records": {"j000001-t": record},
+        })
+        with pytest.raises(ServeError, match="missing field.*'tenant'"):
+            StudyRegistry.open(tmp_path)
+
+    @pytest.mark.parametrize("which", sorted(LEDGER_FILES))
+    def test_version_1_is_rejected_not_migrated(self, tmp_path, which):
+        path_of, opens, error = LEDGER_FILES[which]
+        spec = CampaignSpec(
+            name="v1", studies=("memory-system",), workloads=("mcf",),
+            seeds=(0,), budgets=(40,),
+        )
+        save_json_checkpoint(path_of(tmp_path), {
+            # the version-1 layouts of both files
+            "manifest": {
+                "version": 1, "spec": spec.to_dict(),
+                "spec_digest": spec.digest(), "cell_faults": None,
+                "cells": {},
+            },
+            "registry": {"version": 1, "next_seq": 1, "jobs": {}},
+        }[which])
+        with pytest.raises(error, match="version 1, expected 2"):
+            opens(tmp_path)
 
 
 class TestServiceLifecycle:
@@ -300,7 +398,7 @@ class TestServiceLifecycle:
         assert not shed.accepted
         assert shed.rejection.reason == REJECT_QUEUE_FULL
         # shedding load must not add load: no registry write happened
-        assert len(service.registry.jobs) == 1
+        assert len(service.registry.records) == 1
         assert service.metrics.counter("serve.rejected") == 1
         assert service.metrics.counter("serve.rejected.queue-full") == 1
         events = service.telemetry.events_named("serve.rejected")
@@ -369,11 +467,11 @@ class TestServiceChaos:
         )
         job = service.submit(fast_spec(), tenant="t").job_id
         service.run_until_idle()
-        record = service.registry.jobs[job]
-        assert record.status == STATUS_QUARANTINED
-        assert record.kind == "crash"
-        assert "exited with code 13" in record.error
-        assert record.attempts == 2  # first try + one retry
+        record = service.registry.records[job]
+        assert record["status"] == STATUS_QUARANTINED
+        assert record["kind"] == "crash"
+        assert "exited with code 13" in record["error"]
+        assert record["attempts"] == 2  # first try + one retry
         assert service.metrics.counter("serve.jobs_quarantined") == 1
         assert service.metrics.counter("serve.job_retries") == 1
         assert service.telemetry.events_named("serve.job_quarantined")
@@ -388,10 +486,10 @@ class TestServiceChaos:
         start = time.monotonic()
         service.run_until_idle()
         assert time.monotonic() - start < 30.0, "watchdog never fired"
-        record = service.registry.jobs[job]
-        assert record.status == STATUS_QUARANTINED
-        assert record.kind == "hang"
-        assert "watchdog" in record.error
+        record = service.registry.records[job]
+        assert record["status"] == STATUS_QUARANTINED
+        assert record["kind"] == "hang"
+        assert "watchdog" in record["error"]
         assert service.metrics.counter("serve.watchdog_kills") == 1
 
     def test_deadline_exceeded_gets_its_own_kind(self, tmp_path):
@@ -400,10 +498,10 @@ class TestServiceChaos:
             fast_spec(deadline_s=0.005, max_retries=2), tenant="t"
         ).job_id
         service.run_until_idle()
-        record = service.registry.jobs[job]
-        assert record.status == STATUS_QUARANTINED
-        assert record.kind == KIND_DEADLINE
-        assert "deadline expired" in record.error
+        record = service.registry.records[job]
+        assert record["status"] == STATUS_QUARANTINED
+        assert record["kind"] == KIND_DEADLINE
+        assert "deadline expired" in record["error"]
 
     def test_chaos_report_is_deterministic(self, tmp_path):
         faults = CellFaultPlan(crash=0.5, seed=0)
@@ -458,8 +556,8 @@ class TestServiceRecovery:
         else:
             pytest.fail("worker never launched")
         service.run_until_idle()
-        record = service.registry.jobs[job]
-        assert record.status == STATUS_DONE
+        record = service.registry.records[job]
+        assert record["status"] == STATUS_DONE
         assert canonical_json(service.report()) == \
             canonical_json(clean.report())
 
@@ -479,13 +577,13 @@ class TestServiceRecovery:
                 break
             time.sleep(0.005)
         service.shutdown(grace_s=60.0)
-        record = service.registry.jobs[job]
-        assert record.status in (STATUS_ACCEPTED, STATUS_DONE)
-        assert record.status != STATUS_RUNNING
+        record = service.registry.records[job]
+        assert record["status"] in (STATUS_ACCEPTED, STATUS_DONE)
+        assert record["status"] != STATUS_RUNNING
 
         restarted = make_service(tmp_path / "stopped")
         restarted.run_until_idle()
-        assert restarted.registry.jobs[job].status == STATUS_DONE
+        assert restarted.registry.records[job]["status"] == STATUS_DONE
         assert canonical_json(restarted.report()) == \
             canonical_json(clean.report())
 
@@ -543,7 +641,7 @@ class TestOneEngineTwoDrivers:
             )
             job = service.submit(fast_spec(), tenant="t").job_id
             service.run_until_idle()
-            record = service.registry.jobs[job].to_payload()
+            record = service.registry.records[job]
         events = [
             (
                 event.name[len(ns) + 1:].replace(f"{unit}_", "unit_"),
