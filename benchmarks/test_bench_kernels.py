@@ -14,15 +14,20 @@ Times the two hot paths the vectorized kernels replaced:
   learning rate 0.001, momentum 0.5, per-sample presentation), where
   per-epoch Python dispatch dominates and stacking pays off most; the
   batch-32 default config is recorded alongside it and gated only
-  against its own committed baseline.
+  against its own committed baseline;
+* the branch passes of a cold profile build — the tournament predictor
+  at every ``PREDICTOR_SIZES`` entry count and the BTB at every
+  ``BTB_SETS`` set count, on mesa's default-length branch stream —
+  through the flat loops of ``repro.cpu.branch`` versus the
+  class-stepped reference of ``tests/reference_branch.py``.
 
 Results are written to ``BENCH_kernels.json`` at the repo root — via
 ``repro.obs.atomicio``, so an interrupted bench never leaves a torn
 artifact — and the CI bench-smoke job uploads it.  The gate compares
 the *dimensionless speedup ratios* — not wall-clock seconds — against
 the committed baseline in ``benchmarks/baselines/``, failing on a >25%
-regression, plus hard floors of 3x on full-space prediction and 3x on
-the paper-recipe ensemble fit.  Ratios of two measurements taken on
+regression, plus hard floors of 3x on full-space prediction, 3x on
+the paper-recipe ensemble fit and 3x on each branch pass.  Ratios of two measurements taken on
 the same machine in the same process are stable across hardware
 generations in a way raw seconds are not.  Each gated speedup is the
 median of per-repetition ratios: every repetition times the two paths
@@ -40,6 +45,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 from bench_utils import emit
+from tests.reference_branch import (
+    reference_btb_miss_flags,
+    reference_misprediction_flags,
+)
 from tests.reference_training import RobustTrainer
 
 from repro.core import encoding
@@ -51,10 +60,13 @@ from repro.core.error import percentage_errors
 from repro.core.kernels import DEFAULT_PREDICT_CHUNK
 from repro.core.network import FeedForwardNetwork
 from repro.core.training import TargetRecipe, TrainingConfig
+from repro.cpu.branch import btb_miss_flags, misprediction_flags
+from repro.cpu.interval import BTB_SETS, PREDICTOR_SIZES
 from repro.experiments.studies import get_study
 from repro.obs.atomicio import atomic_write_text
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.telemetry import RunTelemetry
+from repro.workloads.generator import generate_trace
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 RESULT_PATH = REPO_ROOT / "BENCH_kernels.json"
@@ -69,6 +81,11 @@ PREDICT_FLOOR = 3.0
 #: the stacked ensemble fit must beat the per-fold loop by at least
 #: this on the paper-recipe (per-sample) config
 ENSEMBLE_FIT_FLOOR = 3.0
+#: each flat-loop branch pass must beat the class-stepped one by at
+#: least this
+BRANCH_PROFILE_FLOOR = 3.0
+#: the timed branch passes
+BRANCH_PASSES = ("tournament", "btb")
 ENSEMBLE_STUDIES = ("memory-system", "processor")
 
 
@@ -248,11 +265,39 @@ def _bench_ensemble_fit(study_name, repeats):
     return out
 
 
+def _bench_branch_profile(repeats):
+    """Mesa's branch passes at every profiled size: flat loops versus the
+    class-stepped reference, both over the same arrays a profile build
+    passes them."""
+    trace = generate_trace("mesa")
+    mask = trace.branch_mask
+    pcs, targets, taken = trace.pc[mask], trace.target[mask], trace.taken[mask]
+
+    def tournament(flags):
+        return lambda: [flags(pcs, taken, entries) for entries in PREDICTOR_SIZES]
+
+    def btb(flags):
+        return lambda: [flags(pcs, targets, taken, sets) for sets in BTB_SETS]
+
+    passes = {
+        "tournament": (
+            tournament(reference_misprediction_flags),
+            tournament(misprediction_flags),
+        ),
+        "btb": (btb(reference_btb_miss_flags), btb(btb_miss_flags)),
+    }
+    out = {"benchmark": "mesa", "n_branches": len(pcs), "repeats": repeats}
+    for key, (reference, flat) in passes.items():
+        reference_s, flat_s, speedup = _paired(reference, flat, repeats)
+        out[key] = {"reference_s": reference_s, "flat_s": flat_s, "speedup": speedup}
+    return out
+
+
 @pytest.fixture(scope="module")
 def results():
     repeats = 3 if SMALL else 5
     data = {
-        "schema": 3,
+        "schema": 4,
         "small": SMALL,
         "repeats": repeats,
         "predict_space": _bench_predict_space(repeats),
@@ -260,10 +305,14 @@ def results():
             study: _bench_ensemble_fit(study, repeats)
             for study in ENSEMBLE_STUDIES
         },
+        # a flat pass takes milliseconds, so one stall moves its pair's
+        # ratio a lot: three times the pairs settle the median
+        "branch_profile": _bench_branch_profile(3 * repeats),
         "gate": {
             "tolerance": TOLERANCE,
             "predict_floor": PREDICT_FLOOR,
             "ensemble_fit_floor": ENSEMBLE_FIT_FLOOR,
+            "branch_profile_floor": BRANCH_PROFILE_FLOOR,
         },
     }
     atomic_write_text(
@@ -286,10 +335,22 @@ def test_bench_kernels_report(results):
         for study in ENSEMBLE_STUDIES
         for key in ("paper", "batch_default")
     )
+    branch = results["branch_profile"]
+    branch_lines = "".join(
+        "  branch pass %-10s %.1fx  (flat %.3fs vs class-stepped %.3fs)\n"
+        % (
+            key + ",",
+            branch[key]["speedup"],
+            branch[key]["flat_s"],
+            branch[key]["reference_s"],
+        )
+        for key in BRANCH_PASSES
+    )
     emit(
         "kernel benches (small=%s)\n"
         "  predict %d pts warm:   %.1fx  (chunked %.4fs vs per-config %.2fs)\n"
         "  predict cold (+matrix): %.1fx\n"
+        "%s"
         "%s"
         "  -> %s"
         % (
@@ -300,6 +361,7 @@ def test_bench_kernels_report(results):
             predict["per_config_full_equiv_s"],
             predict["speedup_cold"],
             ensemble_lines,
+            branch_lines,
             RESULT_PATH,
         )
     )
@@ -341,3 +403,16 @@ def test_bench_kernels_regression_gate(results):
                 f"{baseline['ensemble_fit'][study][key]['speedup']:.2f}x "
                 f"- 25%)"
             )
+
+    for key in BRANCH_PASSES:
+        got = results["branch_profile"][key]["speedup"]
+        assert got >= BRANCH_PROFILE_FLOOR, (
+            f"flat-loop {key} pass speedup {got:.2f}x fell below the hard "
+            f"{BRANCH_PROFILE_FLOOR}x floor"
+        )
+        want = TOLERANCE * baseline["branch_profile"][key]["speedup"]
+        assert got >= want, (
+            f"flat-loop {key} pass speedup regressed: {got:.2f}x vs gate "
+            f"{want:.2f}x (baseline "
+            f"{baseline['branch_profile'][key]['speedup']:.2f}x - 25%)"
+        )

@@ -4,8 +4,8 @@
 Four document kinds are understood:
 
 * ``kernels`` — the ``BENCH_kernels.json`` report written by
-  ``benchmarks/test_bench_kernels.py`` (schema 3: ``predict_space``,
-  ``ensemble_fit`` and ``gate`` sections);
+  ``benchmarks/test_bench_kernels.py`` (schema 4: ``predict_space``,
+  ``ensemble_fit``, ``branch_profile`` and ``gate`` sections);
 * ``explore`` — ``--telemetry-out`` documents from ``repro explore``
   (``BENCH_explore_*.json``: the ``repro.obs.report`` shape with
   ``summary``/``iterations``/``telemetry``);
@@ -42,7 +42,7 @@ import sys
 from pathlib import Path
 from typing import Any, Dict, List
 
-KERNELS_SCHEMA = 3
+KERNELS_SCHEMA = 4
 EXPLORE_SCHEMA = 1
 STRATEGIES_SCHEMA = 2
 CAMPAIGN_SCHEMA = 1
@@ -64,7 +64,15 @@ PREDICT_KEYS = (
 ENSEMBLE_STUDIES = ("memory-system", "processor")
 ENSEMBLE_CONFIGS = ("paper", "batch_default")
 ENSEMBLE_KEYS = ("batch_size", "max_epochs", "stacked_s", "perfold_s", "speedup")
-GATE_KEYS = ("tolerance", "predict_floor", "ensemble_fit_floor")
+#: required passes and per-pass fields in the branch_profile section
+BRANCH_PASSES = ("tournament", "btb")
+BRANCH_KEYS = ("reference_s", "flat_s", "speedup")
+GATE_KEYS = (
+    "tolerance",
+    "predict_floor",
+    "ensemble_fit_floor",
+    "branch_profile_floor",
+)
 
 #: required studies in a strategies document, and the minimum number of
 #: competing agents each must report
@@ -168,6 +176,15 @@ def check_kernels(doc: Dict[str, Any], check: Checker) -> None:
             section = check.require(block, path, config, dict)
             for key in ENSEMBLE_KEYS if section is not None else ():
                 check.number(section, f"{path}.{config}", key)
+
+    branch = check.require(doc, "$", "branch_profile", dict)
+    if branch is not None:
+        check.require(branch, "branch_profile", "benchmark", str)
+        check.number(branch, "branch_profile", "n_branches")
+        for name in BRANCH_PASSES:
+            section = check.require(branch, "branch_profile", name, dict)
+            for key in BRANCH_KEYS if section is not None else ():
+                check.number(section, f"branch_profile.{name}", key)
 
     gate = check.require(doc, "$", "gate", dict)
     if gate is not None:

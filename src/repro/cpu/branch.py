@@ -8,10 +8,21 @@ capacity (1K/2K/4K entries) and the BTB (1K/2K sets, 2-way).
 
 Bimodal and gshare predictors are provided both as tournament components
 and as standalone baselines for ablation studies.
+
+Each structure is implemented twice.  The classes keep per-branch state
+behind ``predict``/``update``/``lookup``; the cycle-level simulator
+(:mod:`repro.cpu.ooo`) steps them one branch at a time, and they are the
+reference.  The profile builders need only a flag per branch over a whole
+stream, so :func:`misprediction_flags` and :func:`btb_miss_flags` run the
+same state machines as one loop over plain Python lists, several times
+faster than stepping the classes (no per-branch method calls or numpy
+scalars).  They take every mask and initial value from a freshly built
+instance, and the tests pin them flag for flag to the stepped classes.
 """
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Sequence
 
 import numpy as np
@@ -229,15 +240,63 @@ def misprediction_flags(
 ) -> "np.ndarray":
     """Run a tournament predictor over a branch stream; return a boolean
     array marking every mispredicted branch.  Per-branch flags let interval
-    profiles attribute mispredictions with full warm-up history."""
+    profiles attribute mispredictions with full warm-up history.
+
+    One flat loop over Python lists, in :meth:`TournamentPredictor.update`'s
+    order: predict from the pre-update choice, train the choice counter
+    only when the components disagree, then train local, then global.
+    Every mask and initial value comes from a fresh ``TournamentPredictor``,
+    so the two implementations share their geometry."""
     predictor = TournamentPredictor(entries)
-    flags = np.zeros(len(pcs), dtype=bool)
-    for i, (pc, taken) in enumerate(zip(pcs, outcomes)):
-        pc = int(pc)
-        taken = bool(taken)
-        flags[i] = predictor.predict(pc) != taken
-        predictor.update(pc, taken)
-    return flags
+    local, gshare = predictor.local, predictor.global_
+    local_mask, global_mask = local._mask, gshare._mask
+    choice_mask = predictor._choice_mask
+    local_history_mask = local._history_mask
+    pattern_mask = local._pattern_mask
+    global_history_mask = gshare._history_mask
+    histories = local.histories.tolist()
+    patterns = local.counters.tolist()
+    counters = gshare.counters.tolist()
+    choice = predictor.choice.tolist()
+    history = gshare.history
+    flags = [False] * len(pcs)
+    for i, (pc, taken) in enumerate(
+        zip(np.asarray(pcs).tolist(), np.asarray(outcomes, dtype=bool).tolist())
+    ):
+        word = pc >> 2
+        h = word & local_mask
+        p = histories[h] & pattern_mask
+        g = (word ^ history) & global_mask
+        local_counter = patterns[p]
+        global_counter = counters[g]
+        local_pred = local_counter >= 2
+        global_pred = global_counter >= 2
+        if local_pred != global_pred:
+            c = word & choice_mask
+            chosen = choice[c]
+            flags[i] = (global_pred if chosen >= 2 else local_pred) != taken
+            if global_pred == taken:
+                if chosen < 3:
+                    choice[c] = chosen + 1
+            elif chosen > 0:
+                choice[c] = chosen - 1
+        else:  # the components agree, so the choice neither matters nor trains
+            flags[i] = local_pred != taken
+        if taken:
+            if local_counter < 3:
+                patterns[p] = local_counter + 1
+            if global_counter < 3:
+                counters[g] = global_counter + 1
+            histories[h] = ((histories[h] << 1) | 1) & local_history_mask
+            history = ((history << 1) | 1) & global_history_mask
+        else:
+            if local_counter > 0:
+                patterns[p] = local_counter - 1
+            if global_counter > 0:
+                counters[g] = global_counter - 1
+            histories[h] = (histories[h] << 1) & local_history_mask
+            history = (history << 1) & global_history_mask
+    return np.array(flags, dtype=bool)
 
 
 def measure_misprediction_rate(
@@ -259,14 +318,32 @@ def btb_miss_flags(
     ways: int = 2,
 ) -> "np.ndarray":
     """Run a BTB over the branch stream; return a boolean array (over all
-    branches) marking taken branches that missed in the BTB."""
+    branches) marking taken branches that missed in the BTB.
+
+    One flat loop over the taken branches, keeping a most-recently-used-
+    first list of tags per set, with :class:`BranchTargetBuffer`'s
+    lookup-then-update semantics; targets never decide a hit, so they are
+    not stored."""
     btb = BranchTargetBuffer(sets, ways)
+    mask = btb._mask
+    lru = [[] for _ in range(sets)]
+    missed = []
+    for i, pc in compress(
+        enumerate(np.asarray(pcs).tolist()), np.asarray(taken, dtype=bool).tolist()
+    ):
+        tag = pc >> 2
+        order = lru[tag & mask]
+        if tag in order:
+            if order[0] != tag:
+                order.remove(tag)
+                order.insert(0, tag)
+        else:
+            missed.append(i)
+            if len(order) >= ways:
+                order.pop()
+            order.insert(0, tag)
     flags = np.zeros(len(pcs), dtype=bool)
-    for i, (pc, target, was_taken) in enumerate(zip(pcs, targets, taken)):
-        if not was_taken:
-            continue
-        flags[i] = btb.lookup(int(pc)) == -1
-        btb.update(int(pc), int(target))
+    flags[missed] = True
     return flags
 
 

@@ -118,10 +118,13 @@ class ApplicationProfile:
 
     Building a profile is the expensive step; once built, evaluating any
     design point costs microseconds.  For mesa's default-length trace the
-    build takes ~1.2-1.7 s on a 2-core host: the dataflow ILP curve
-    ~0.5-0.8 s and the tournament-predictor pass ~0.3-0.6 s (both
-    sequential recurrences), the seven stack-distance streams ~0.2-0.3 s
-    and the BTB pass ~0.05 s.
+    build takes ~1.1-1.3 s on a 2-core host.  The dataflow ILP curve, a
+    sequential recurrence, is most of it at ~0.7-0.85 s; the seven
+    stack-distance streams take ~0.2-0.35 s.  The branch passes are
+    flat loops (:func:`~repro.cpu.branch.misprediction_flags`,
+    :func:`~repro.cpu.branch.btb_miss_flags`): ~0.07-0.08 s for the
+    tournament predictor at all three sizes and ~0.01-0.02 s for the BTB
+    at both.
     """
 
     name: str

@@ -75,8 +75,8 @@ def get_application_profile(
     benchmark: str, trace_length: Optional[int] = None
 ) -> ApplicationProfile:
     """Build (and memoize, in memory and on disk) the measured profile for
-    ``benchmark``.  Profile construction costs ~1-2 s (mesa's default
-    trace on a 2-core host: ~0.1 s trace generation, then the split given
+    ``benchmark``.  Profile construction costs ~1.3-1.5 s (mesa's default
+    trace on a 2-core host: ~0.15 s trace generation, then the split given
     in :class:`ApplicationProfile`); everything that consumes profiles
     costs microseconds, so caching dominates total cost for repeated
     studies.

@@ -1,7 +1,15 @@
 """Tests for branch predictors and the BTB."""
 
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from tests.reference_branch import (
+    reference_btb_miss_flags,
+    reference_misprediction_flags,
+)
 
 from repro.cpu import (
     BimodalPredictor,
@@ -13,6 +21,47 @@ from repro.cpu import (
     measure_misprediction_rate,
 )
 from repro.cpu.branch import btb_miss_flags, misprediction_flags
+from repro.cpu.interval import BTB_SETS, PREDICTOR_SIZES
+from repro.workloads.generator import generate_trace
+
+#: sha256 of ``np.packbits(flags)`` over mesa's default-length branch
+#: stream (26,318 branches); the BTB sees only 20 cold misses at both sizes
+MESA_MISPREDICTION_DIGESTS = {
+    1024: "dffaa7c230ebed3fbcde7e3e7ba449cdb918be7ce1d4dc39535185debd4e9ca8",
+    2048: "de61e42b7603290182eedc1447b699b2dc3329461830d2835aae553473422052",
+    4096: "5c7e74a248c6363710232422cc3766fbf6dbfbf594cedfcdc0da5b5cdaf7b7f7",
+}
+MESA_BTB_DIGESTS = {
+    1024: "2713d1447886c5127af7513c0abc8196e60562c9acec3d9cf2f3bfe9fc328296",
+    2048: "2713d1447886c5127af7513c0abc8196e60562c9acec3d9cf2f3bfe9fc328296",
+}
+
+
+@st.composite
+def _branch_streams(draw, max_size=600):
+    """``(pc, target, taken)`` streams over a few static branches, as in a
+    program.  Each branch recurs and repeats its own short outcome
+    pattern, so counters, histories and BTB sets are revisited in the
+    same contexts and actually train; tiny tables alias heavily."""
+    static = draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, 1 << 14),
+                st.integers(0, 1 << 14),
+                st.lists(st.booleans(), min_size=1, max_size=8),
+            ),
+            min_size=1,
+            max_size=48,
+        )
+    )
+    picks = draw(st.lists(st.integers(0, len(static) - 1), max_size=max_size))
+    seen = [0] * len(static)
+    stream = []
+    for i in picks:
+        pc, target, pattern = static[i]
+        stream.append((pc, target, pattern[seen[i] % len(pattern)]))
+        seen[i] += 1
+    return stream
 
 
 class TestBimodal:
@@ -171,3 +220,106 @@ class TestBTB:
             BranchTargetBuffer(100, 2)
         with pytest.raises(ValueError):
             BranchTargetBuffer(128, 0)
+
+
+def _flags_digest(flags):
+    return hashlib.sha256(np.packbits(flags).tobytes()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def mesa_branches():
+    trace = generate_trace("mesa")
+    mask = trace.branch_mask
+    return trace.pc[mask], trace.target[mask], trace.taken[mask]
+
+
+class TestFlatLoops:
+    """The flat-loop passes against the class-stepped reference."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        stream=_branch_streams(),
+        entries=st.sampled_from((4, 8, 16, 32, 64) + PREDICTOR_SIZES),
+        as_arrays=st.booleans(),
+    )
+    def test_misprediction_flags_match_reference(self, stream, entries, as_arrays):
+        pcs = [pc for pc, _, _ in stream]
+        outcomes = [int(taken) for _, _, taken in stream]  # 0/1, not bool
+        if as_arrays:
+            pcs = np.array(pcs, dtype=np.uint64)
+            outcomes = np.array(outcomes, dtype=bool)
+        got = misprediction_flags(pcs, outcomes, entries)
+        want = reference_misprediction_flags(pcs, outcomes, entries)
+        assert got.dtype == want.dtype == bool
+        np.testing.assert_array_equal(got, want)
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        stream=_branch_streams(),
+        sets=st.sampled_from((1, 2, 4, 16, 64) + BTB_SETS),
+        ways=st.sampled_from((1, 2, 4)),
+        as_arrays=st.booleans(),
+    )
+    def test_btb_miss_flags_match_reference(self, stream, sets, ways, as_arrays):
+        pcs = [pc for pc, _, _ in stream]
+        targets = [target for _, target, _ in stream]
+        taken = [int(t) for _, _, t in stream]  # 0/1, not bool
+        if as_arrays:
+            pcs = np.array(pcs, dtype=np.uint64)
+            targets = np.array(targets, dtype=np.uint64)
+            taken = np.array(taken, dtype=bool)
+        got = btb_miss_flags(pcs, targets, taken, sets, ways)
+        want = reference_btb_miss_flags(pcs, targets, taken, sets, ways)
+        assert got.dtype == want.dtype == bool
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("entries", (4, 16, 64) + PREDICTOR_SIZES)
+    def test_misprediction_flags_match_reference_on_traces(
+        self, gzip_trace, mcf_trace, entries
+    ):
+        for trace in (gzip_trace, mcf_trace):
+            pcs = trace.pc[trace.branch_mask]
+            taken = trace.taken[trace.branch_mask]
+            np.testing.assert_array_equal(
+                misprediction_flags(pcs, taken, entries),
+                reference_misprediction_flags(pcs, taken, entries),
+            )
+
+    @pytest.mark.parametrize("ways", (1, 2, 4))
+    @pytest.mark.parametrize("sets", (1, 4, 16) + BTB_SETS)
+    def test_btb_miss_flags_match_reference_on_traces(
+        self, gzip_trace, mcf_trace, sets, ways
+    ):
+        for trace in (gzip_trace, mcf_trace):
+            mask = trace.branch_mask
+            args = (trace.pc[mask], trace.target[mask], trace.taken[mask], sets, ways)
+            np.testing.assert_array_equal(
+                btb_miss_flags(*args), reference_btb_miss_flags(*args)
+            )
+
+    def test_empty_streams(self):
+        for pcs in ([], np.array([], dtype=np.uint64)):
+            flags = misprediction_flags(pcs, [], 1024)
+            assert flags.dtype == bool and flags.shape == (0,)
+            flags = btb_miss_flags(pcs, [], [], 1024)
+            assert flags.dtype == bool and flags.shape == (0,)
+
+    def test_rejects_bad_geometry(self):
+        with pytest.raises(ValueError):
+            misprediction_flags([0], [1], 1000)
+        with pytest.raises(ValueError):
+            btb_miss_flags([0], [0], [1], 100)
+        with pytest.raises(ValueError):
+            btb_miss_flags([0], [0], [1], 128, ways=0)
+
+    @pytest.mark.parametrize("entries", PREDICTOR_SIZES)
+    def test_mesa_misprediction_digest(self, mesa_branches, entries):
+        pcs, _, taken = mesa_branches
+        flags = misprediction_flags(pcs, taken, entries)
+        assert _flags_digest(flags) == MESA_MISPREDICTION_DIGESTS[entries]
+
+    @pytest.mark.parametrize("sets", BTB_SETS)
+    def test_mesa_btb_digest(self, mesa_branches, sets):
+        pcs, targets, taken = mesa_branches
+        flags = btb_miss_flags(pcs, targets, taken, sets)
+        assert _flags_digest(flags) == MESA_BTB_DIGESTS[sets]

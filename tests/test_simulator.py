@@ -1,8 +1,10 @@
 """Tests for the SIM(p, A) facade and its caches."""
 
 import dataclasses
+import hashlib
 import pickle
 
+import numpy as np
 import pytest
 
 from repro.cpu import (
@@ -17,6 +19,8 @@ from repro.workloads.generator import generate_trace
 from repro.workloads.spec import get_workload
 
 TRACE_LEN = 6_000
+#: digest of ``ApplicationProfile.from_trace`` on gzip at ``TRACE_LEN``
+PROFILE_DIGEST = "58a8b4acf8e279f6f5285920a35bff9d2daa6a271a18fa6c1fb99a7eee760340"
 
 
 class TestFacade:
@@ -143,3 +147,44 @@ class TestProfileCacheKey:
         profile = get_application_profile("gzip", TRACE_LEN)
         assert profile.name == "gzip"
         assert (cache_dir / f"profile-v2-gzip-{TRACE_LEN}-{seed}.pkl").exists()
+
+
+def _profile_digest(profile):
+    """sha256 over a profile's numeric contents in a fixed order: the
+    rates and the ILP curve as float64 bytes, each reuse profile's counts
+    and sorted distances as int64 bytes.  Pickle bytes are not pinned,
+    because numpy versions may pickle arrays differently."""
+    digest = hashlib.sha256()
+
+    def put(values, dtype):
+        digest.update(np.asarray(values, dtype=dtype).tobytes())
+
+    put([profile.n_instructions], np.int64)
+    for table in (
+        profile.mix,
+        profile.mispredict_rates,
+        profile.btb_miss_rates,
+        profile.ilp_curve,
+    ):
+        keys = sorted(table)
+        digest.update(repr(keys).encode())
+        put([table[key] for key in keys], np.float64)
+    put([profile.taken_fraction, profile.serial_load_fraction], np.float64)
+    for reuse_profiles in (
+        profile.data_profiles,
+        profile.load_profiles,
+        profile.instr_profiles,
+    ):
+        for size in sorted(reuse_profiles):
+            reuse = reuse_profiles[size]
+            put([size, reuse.n_references, reuse.n_cold], np.int64)
+            put(reuse._sorted_distances, np.int64)
+            put([reuse.store_fraction], np.float64)
+    return digest.hexdigest()
+
+
+def test_profile_digest_lock():
+    """Every number a short gzip profile holds is pinned: a faster
+    profile pass must measure exactly what the old one did."""
+    profile = ApplicationProfile.from_trace(generate_trace("gzip", TRACE_LEN))
+    assert _profile_digest(profile) == PROFILE_DIGEST
