@@ -30,7 +30,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
-import warnings
 from pathlib import Path
 from typing import List, Optional
 
@@ -137,16 +136,6 @@ def _resolve_benchmark(study, benchmark: Optional[str]) -> str:
 
 def _run_context(args: argparse.Namespace) -> RunContext:
     """The RunContext a subcommand threads through every layer."""
-    if getattr(args, "n_jobs", None) is not None:
-        # FutureWarning: shown by default to an application's users,
-        # where a DeprecationWarning raised outside __main__ is hidden
-        warnings.warn(
-            "--n-jobs is deprecated and ignored: batches are always "
-            "simulated in this process (the simulation process pool was "
-            "removed)",
-            FutureWarning,
-            stacklevel=2,
-        )
     return RunContext(
         rng=np.random.default_rng(args.seed),
         telemetry=args.telemetry,
@@ -682,11 +671,6 @@ def build_parser() -> argparse.ArgumentParser:
         "and BENCH_strategies.json for the shootout)",
     )
     explore.add_argument(
-        "--n-jobs", type=int, default=None, metavar="N",
-        help="deprecated and ignored: batches are always simulated in "
-        "this process (the simulation process pool was removed)",
-    )
-    explore.add_argument(
         "--checkpoint", metavar="PATH", default=None,
         help="persist round state (samples, targets, RNG state, "
         "predictor) to PATH after every round via atomic writes; the "
@@ -790,11 +774,6 @@ def build_parser() -> argparse.ArgumentParser:
     profile.add_argument(
         "--no-alloc", action="store_true",
         help="skip tracemalloc (pure wall-clock profiling)",
-    )
-    profile.add_argument(
-        "--n-jobs", type=int, default=None, metavar="N",
-        help="deprecated and ignored: batches are always simulated in "
-        "this process (the simulation process pool was removed)",
     )
     profile.set_defaults(func=cmd_profile)
 

@@ -27,8 +27,7 @@ from __future__ import annotations
 
 import dataclasses
 import os
-import warnings
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -76,12 +75,6 @@ class RunContext:
     metrics:
         Counter/timer registry (the module-global, normally disabled,
         :data:`~repro.obs.metrics.METRICS` when omitted).
-    n_jobs:
-        Deprecated and ignored (one DeprecationWarning, at construction;
-        :meth:`fork` and :meth:`replace` copies do not repeat it).  It
-        sized the simulation process pool, which evaluated every batch
-        bit-identically to the serial path and has been removed: a batch
-        is always evaluated in-process.
     cache_dir:
         Root for on-disk caches (:func:`default_cache_dir` when
         omitted; ``None`` after resolution disables disk caching).
@@ -90,18 +83,9 @@ class RunContext:
     rng: Optional[np.random.Generator] = None
     telemetry: Optional[RunTelemetry] = None
     metrics: Optional[MetricsRegistry] = None
-    n_jobs: InitVar[Optional[int]] = None
     cache_dir: Optional[Path] = None
 
-    def __post_init__(self, n_jobs: Optional[int]) -> None:
-        if n_jobs is not None:
-            warnings.warn(
-                "passing n_jobs= to RunContext is deprecated and ignored; "
-                "the simulation process pool was removed and every batch "
-                "is evaluated in-process (see docs/api.md)",
-                DeprecationWarning,
-                stacklevel=3,
-            )
+    def __post_init__(self) -> None:
         if self.rng is None:
             self.rng = np.random.default_rng()
         if self.telemetry is None:

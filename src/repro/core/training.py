@@ -123,6 +123,13 @@ class TrainingConfig:
     plateau-triggered decay, which reach the same solutions as the paper's
     sigmoid/0.001/0.5 one to two orders of magnitude faster.  Use
     :meth:`paper_settings` for the literal hyperparameters.
+
+    Early stopping checks the held-aside error every ``check_interval``
+    epochs.  After every ``decay_after`` checks without improvement a
+    decaying fit (``lr_decay`` < 1) multiplies its learning rate by
+    ``lr_decay`` and returns to its best weights, and it stops at
+    ``min(patience, 2 * decay_after)`` checks without improvement: its
+    second fruitless decay.  ``patience`` bounds fits that do not decay.
     """
 
     hidden_layers: tuple = (DEFAULT_HIDDEN_UNITS, DEFAULT_HIDDEN_UNITS)
@@ -133,6 +140,8 @@ class TrainingConfig:
     batch_size: int = 32
     max_epochs: int = 3000
     check_interval: int = 10
+    #: checks without improvement before a fit that does not decay
+    #: stops; a decaying fit stops at min(patience, 2 * decay_after)
     patience: int = 40
     lr_decay: float = 0.5
     decay_after: int = 10
@@ -255,6 +264,13 @@ class TargetRecipe:
     * **no plateau decay** — multi-target fits keep the learning rate
       fixed (``lr_decay`` 1.0); the scalar recipe's decay measured
       8.56 % final error on the same run.
+
+    The stop rule follows from the second: a decaying scalar fit stops
+    at its second plateau decay without improvement (20 checks on the
+    default recipe), while a multi-target fit never decays and so keeps
+    the full ``patience`` tail (400 epochs on the default recipe).  It
+    needs it: stopping after 20 checks raised ``osc-tight`` true error
+    at every seed tried (4.14 -> 5.55 % at seed 17).
     """
 
     n_targets: int = 1
@@ -365,7 +381,14 @@ class _FoldProgram:
         self.y_es = y_es[:, 0]
         self.scaler = scaler
         self.n_outputs = y_train.shape[1]
-        self.cfg = TargetRecipe(self.n_outputs).config(config)
+        self.cfg = cfg = TargetRecipe(self.n_outputs).config(config)
+        # checks without improvement before the fit stops: a decaying
+        # fit stops at its second fruitless plateau decay, a fixed-rate
+        # one waits out ``patience``
+        self.stop_after = (
+            min(cfg.patience, 2 * cfg.decay_after)
+            if cfg.lr_decay < 1.0 else cfg.patience
+        )
         self.seed = int(seed)
         self.telemetry = telemetry
         self.metrics = metrics
@@ -552,7 +575,7 @@ class _FoldProgram:
                 self.learning_rate *= cfg.lr_decay
                 kernel.set_member_weights(self.member, self.best_weights)
                 kernel.reset_member_velocity(self.member)
-            if self.checks_without_improvement >= cfg.patience:
+            if self.checks_without_improvement >= self.stop_after:
                 history.stopped_early = True
 
     def _complete(self, kernel: EnsembleTrainingKernel) -> None:

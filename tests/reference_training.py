@@ -377,6 +377,11 @@ class EarlyStoppingTrainer:
         history = TrainingHistory()
         best_weights = network.get_weights()
         checks_without_improvement = 0
+        # a decaying fit stops at its second plateau decay without
+        # improvement; one that never decays waits out ``patience``
+        stop_after = cfg.patience
+        if cfg.lr_decay < 1.0:
+            stop_after = min(stop_after, 2 * cfg.decay_after)
         learning_rate = cfg.learning_rate
         dead_streak = 0
 
@@ -468,7 +473,7 @@ class EarlyStoppingTrainer:
                     learning_rate *= cfg.lr_decay
                     network.set_weights(best_weights)
                     kernel.reset_velocity()
-                if checks_without_improvement >= cfg.patience:
+                if checks_without_improvement >= stop_after:
                     history.stopped_early = True
                     break
 

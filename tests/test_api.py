@@ -199,6 +199,15 @@ def test_crossval_legacy_kwargs_removed():
             CrossValidationEnsemble(k=4, **{name: None})
 
 
+def test_run_context_n_jobs_removed():
+    """``RunContext(n_jobs=)`` sized the removed simulation process
+    pool; after its deprecation window it fails loudly."""
+    with pytest.raises(TypeError, match="n_jobs"):
+        RunContext(n_jobs=2)
+    with pytest.raises(TypeError, match="n_jobs"):
+        RunContext.seeded(1, n_jobs=2)
+
+
 def test_explorer_legacy_kwargs_removed(tiny_space):
     for name in ("rng", "telemetry", "metrics"):
         with pytest.raises(TypeError, match=name):

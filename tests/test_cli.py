@@ -198,37 +198,15 @@ class TestRobustnessFlags:
         with pytest.raises(SystemExit, match=message):
             main(["explore", *argv])
 
-    def test_deprecated_n_jobs_runs_serially(self, tmp_path):
-        """``--n-jobs`` still parses for one release; the CLI warns with
-        a ``FutureWarning`` and the run evaluates in-process, identically
-        to a run without it."""
-
-        def explore(*extra):
-            telemetry_out = tmp_path / f"run{len(extra)}.json"
-            argv = [
-                "explore", "--benchmark", "gzip", "--training", "fast",
-                "--batch-size", "15", "--max-simulations", "15",
-                "--target-error", "50", "--seed", "1",
-                "--telemetry-out", str(telemetry_out), *extra,
-            ]
-            assert main(argv) == 0
-            return json.loads(telemetry_out.read_text())
-
-        plain = explore()
-        with pytest.warns(FutureWarning, match="--n-jobs"):
-            legacy = explore("--n-jobs", "2")
-        def trajectory(report):
-            return [
-                (row["n_simulations"], row["error_mean"], row["error_std"])
-                for row in report["iterations"]
-            ]
-
-        assert trajectory(legacy) == trajectory(plain)
-        start = [
-            event for event in legacy["telemetry"]["events"]
-            if event["name"] == "explore.start"
-        ]
-        assert start[0]["payload"]["backend"] == "SerialBackend"
+    @pytest.mark.parametrize("command", ["explore", "profile"])
+    def test_removed_n_jobs_is_rejected(self, command, capsys):
+        """``--n-jobs`` on ``explore``/``profile`` is removed: argparse
+        rejects it with exit code 2 (``campaign run --n-jobs`` stays,
+        see ``test_campaign_run_parsing``)."""
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([command, "--n-jobs", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --n-jobs" in capsys.readouterr().err
 
     @pytest.mark.parametrize("entry", [
         ["-m", "repro.cli"],
@@ -237,11 +215,10 @@ class TestRobustnessFlags:
         ["-c", "import sys; from repro.cli import main; sys.exit(main())"],
     ], ids=["python-m", "console-script"])
     @pytest.mark.parametrize("command", ["explore", "profile"])
-    def test_deprecated_n_jobs_notice_shown_once(self, tmp_path, entry,
-                                                 command):
-        """Under Python's default warning filters (no ``-W``, no
-        ``PYTHONWARNINGS``), ``--n-jobs`` prints its notice exactly once
-        on stderr, however the CLI is started."""
+    def test_removed_n_jobs_fails_loudly(self, tmp_path, entry, command):
+        """However the CLI is started, ``--n-jobs`` on ``explore`` /
+        ``profile`` exits 2 before any work, naming the flag on
+        stderr."""
         env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
         src = str(Path(__file__).resolve().parents[1] / "src")
         env["PYTHONPATH"] = os.pathsep.join(
@@ -256,9 +233,9 @@ class TestRobustnessFlags:
             ],
             capture_output=True, text=True, cwd=tmp_path, env=env,
         )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stderr.count("--n-jobs is deprecated") == 1, proc.stderr
-        assert proc.stderr.count("Warning:") == 1, proc.stderr
+        assert proc.returncode == 2, proc.stderr
+        assert "unrecognized arguments: --n-jobs 2" in proc.stderr
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestCampaignCommands:

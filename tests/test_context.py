@@ -1,10 +1,8 @@
 """Tests for RunContext."""
 
-import dataclasses
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 from repro.core.context import RunContext, default_cache_dir
 from repro.obs.metrics import METRICS, MetricsRegistry
@@ -66,26 +64,3 @@ class TestSeedingAndForking:
         changed = context.replace(cache_dir=tmp_path)
         assert changed.cache_dir == tmp_path
         assert changed.rng is context.rng
-
-
-class TestDeprecatedNJobs:
-    """``n_jobs`` sized the removed simulation process pool; it is
-    accepted and ignored for one release."""
-
-    def test_warns_once_at_construction(self):
-        with pytest.warns(DeprecationWarning, match="n_jobs") as record:
-            RunContext(n_jobs=2)
-        assert len(record) == 1
-        assert record[0].filename == __file__
-        with pytest.warns(DeprecationWarning, match="n_jobs") as record:
-            RunContext.seeded(1, n_jobs=2)
-        assert len(record) == 1
-
-    def test_copies_do_not_warn_again(self, recwarn):
-        with pytest.deprecated_call():
-            context = RunContext.seeded(1, n_jobs=2)
-        recwarn.clear()
-        context.fork(2)
-        context.replace(cache_dir=None)
-        dataclasses.replace(context)
-        assert len(recwarn) == 0

@@ -1,7 +1,5 @@
 """Tests for k-fold cross-validation ensembles."""
 
-import warnings
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -121,20 +119,6 @@ class TestCrossValidationEnsemble:
         )
         assert abs(estimate.mean - true_error) < max(2.0, true_error)
 
-    def test_parallel_jobs_equivalent(self, fast_training):
-        """The deprecated ``n_jobs`` is ignored: a fit under
-        ``RunContext(n_jobs=2)`` equals one without it, bit for bit."""
-        x, y = make_problem(np.random.default_rng(5), n=120)
-
-        def fit(context):
-            return CrossValidationEnsemble(
-                k=4, training=fast_training, context=context
-            ).fit(x, y)
-
-        with pytest.deprecated_call():
-            legacy = RunContext.seeded(7, n_jobs=2)
-        assert fit(RunContext.seeded(7)) == fit(legacy)
-
     def test_accepts_context(self, fast_training):
         x, y = make_problem(np.random.default_rng(5), n=120)
         context = RunContext.seeded(7)
@@ -154,20 +138,17 @@ class TestCrossValidationEnsemble:
 
 
 class TestParallelObservability:
-    """The deprecated ``n_jobs`` changes neither the fit nor its
-    observability: the folds train side by side in this process and
-    emit the same events and counters whether it is passed or not."""
+    """The folds train side by side in one kernel, and two equal-seed
+    fits emit the same predictions, events and counters."""
 
     @staticmethod
-    def _fit(n_jobs, training):
+    def _fit(training):
         metrics = MetricsRegistry(enabled=True)
         telemetry = RunTelemetry(metrics=metrics)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            context = RunContext(
-                rng=np.random.default_rng(7), telemetry=telemetry,
-                metrics=metrics, n_jobs=n_jobs,
-            )
+        context = RunContext(
+            rng=np.random.default_rng(7), telemetry=telemetry,
+            metrics=metrics,
+        )
         x, y = make_problem(np.random.default_rng(5), n=120)
         ensemble = CrossValidationEnsemble(
             k=4, training=training, context=context
@@ -176,33 +157,33 @@ class TestParallelObservability:
         return ensemble.predict(x[:16]), telemetry, metrics
 
     def test_predictions_bit_identical(self, fast_training):
-        serial, _, _ = self._fit(None, fast_training)
-        parallel, _, _ = self._fit(2, fast_training)
-        np.testing.assert_array_equal(serial, parallel)
+        first, _, _ = self._fit(fast_training)
+        second, _, _ = self._fit(fast_training)
+        np.testing.assert_array_equal(first, second)
 
     def test_telemetry_streams_identical(self, fast_training):
-        _, serial, _ = self._fit(None, fast_training)
-        _, parallel, _ = self._fit(2, fast_training)
-        assert [e.name for e in serial.events] == [
-            e.name for e in parallel.events
+        _, first, _ = self._fit(fast_training)
+        _, second, _ = self._fit(fast_training)
+        assert [e.name for e in first.events] == [
+            e.name for e in second.events
         ]
         # training events carry no wall-clock fields, so their payloads
         # must match exactly, fold by fold
         for name in ("train.check", "train.stop"):
-            assert [e.payload for e in serial.events_named(name)] == [
-                e.payload for e in parallel.events_named(name)
+            assert [e.payload for e in first.events_named(name)] == [
+                e.payload for e in second.events_named(name)
             ]
 
     def test_metrics_counters_identical(self, fast_training):
-        _, _, serial = self._fit(None, fast_training)
-        _, _, parallel = self._fit(2, fast_training)
-        assert serial.counter("train.epochs") == parallel.counter(
+        _, _, first = self._fit(fast_training)
+        _, _, second = self._fit(fast_training)
+        assert first.counter("train.epochs") == second.counter(
             "train.epochs"
         )
-        assert serial.counter("crossval.epochs") == parallel.counter(
+        assert first.counter("crossval.epochs") == second.counter(
             "crossval.epochs"
         )
-        assert serial.counter("crossval.fits") == parallel.counter(
+        assert first.counter("crossval.fits") == second.counter(
             "crossval.fits"
         )
 

@@ -532,6 +532,44 @@ class TestEngineParity:
         if hostile:
             assert got_met.counter("train.restarts") > 0
 
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_decaying_stop_rule_matches_reference(self, width):
+        """A config that reaches the decaying-fit stop rule: a width-1
+        fit stops at its second fruitless plateau decay (2 x
+        ``decay_after`` = 6 checks, long before ``patience`` 40), while
+        a width-3 fit never decays and waits out all 40.  Both engines
+        stop every fold on the same epoch, with the same events and
+        counters."""
+        training = TrainingConfig(
+            hidden_layers=(8,), max_epochs=2000, check_interval=1,
+            decay_after=3, patience=40,
+        )
+        x, y = width_problem(width, hostile=False)
+        names = ("ipc", "hit_rate", "energy_nj") if width == 3 else ()
+        got_pred, got_est, got_tel, got_met = self._fit(
+            "stacked", k=10, training=training, seed=3, x=x, y=y,
+            target_names=names,
+        )
+        want_pred, want_est, want_tel, want_met = self._fit(
+            "perfold", k=10, training=training, seed=3, x=x, y=y,
+            target_names=names,
+        )
+        assert got_est == want_est
+        np.testing.assert_array_equal(
+            got_pred.predict_all(x), want_pred.predict_all(x)
+        )
+        for name in ("train.check", "train.stop", "train.restart"):
+            assert [e.payload for e in got_tel.events_named(name)] == [
+                e.payload for e in want_tel.events_named(name)
+            ]
+        for counter in ("train.epochs", "train.diverged", "train.restarts"):
+            assert got_met.counter(counter) == want_met.counter(counter)
+        stops = [e.payload for e in got_tel.events_named("train.stop")]
+        assert len(stops) == 10
+        assert all(stop["stopped_early"] for stop in stops)
+        tail = 6 if width == 1 else 40
+        assert {s["epochs_run"] - s["best_epoch"] for s in stops} == {tail}
+
     # n=122 with k=4 makes ragged folds (sizes 31/31/30/30): the
     # stacked engine must split them into same-length kernel groups
     @pytest.mark.parametrize("n,k", [(120, 4), (122, 4), (123, 10)])

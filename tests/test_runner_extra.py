@@ -5,13 +5,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.core.context import RunContext
 from repro.core.training import TrainingConfig
-from repro.experiments import encoded_space, get_study
+from repro.experiments import encoded_space, get_study, runner
 from repro.experiments.runner import (
+    CurvePoint,
     LearningCurve,
     _curve_cache_path,
+    _load_cached_curve,
+    _store_cached_curve,
     _training_fingerprint,
 )
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.telemetry import RunTelemetry
 
 CACHE_DIR = Path("/tmp/repro-cache-test")
 
@@ -43,6 +49,36 @@ class TestCacheKeys:
             study, "mesa", "simpoint", (50,), 0, TrainingConfig(), CACHE_DIR
         )
         assert a.name != b.name
+
+    def test_curve_from_runner_version_2_is_not_loaded(
+        self, tmp_path, monkeypatch
+    ):
+        """Version-2 curves were trained under the patience-only stop
+        rule, with the same ``TrainingConfig`` repr as today's; they
+        must miss instead of being served as current."""
+        args = (
+            get_study("memory-system"), "gzip", "true", (50,), 0,
+            TrainingConfig(), tmp_path,
+        )
+        context = RunContext(
+            telemetry=RunTelemetry(), metrics=MetricsRegistry(enabled=True),
+            cache_dir=tmp_path,
+        )
+        with monkeypatch.context() as patch:
+            patch.setattr(runner, "RUNNER_VERSION", 2)
+            stale = _curve_cache_path(*args)
+        curve = LearningCurve(
+            study="memory-system", benchmark="gzip", source="true", seed=0,
+            points=[CurvePoint(50, 0.01, 4.0, 1.0, 4.2, 1.1, 0.5)],
+        )
+        _store_cached_curve(stale, curve, context)
+        assert _load_cached_curve(stale, 1, context) == curve
+
+        current = _curve_cache_path(*args)
+        assert current.name.startswith(f"curve-v{runner.RUNNER_VERSION}-")
+        assert current != stale
+        assert _load_cached_curve(current, 1, context) is None
+        assert context.metrics.counter("cache.misses") == 1
 
     def test_no_cache_dir_disables_caching(self):
         study = get_study("processor")

@@ -1,6 +1,8 @@
 """Tests for the early-stopping training recipe and its percentage-error
 weighting, driven through one-task ``StackedEnsembleTrainer`` runs."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -138,3 +140,49 @@ class TestTraining:
             np.mean(np.abs(y[150:] - y[:150].mean()) / y[150:] * 100)
         )
         assert history.best_error < trivial
+
+
+class TestStopRule:
+    """A decaying fit stops at its second plateau decay without
+    improvement, ``min(patience, 2 * decay_after)`` checks after its
+    best; a fit that never decays waits out ``patience``."""
+
+    CONFIG = TrainingConfig(
+        hidden_layers=(8,), max_epochs=5000, check_interval=5,
+        decay_after=3, patience=20,
+    )
+
+    @staticmethod
+    def _tail(fit_one_task, config, width):
+        """Epochs the fit ran past its best, read from ``train.stop``."""
+        x, y = make_problem(np.random.default_rng(0), n=150)
+        if width == 3:
+            y = np.column_stack([y, 0.1 + 0.5 * x[:, 1], 0.05 + 0.3 * x[:, 0]])
+        scaler = TargetScaler().fit(y[:100])
+        result = fit_one_task(
+            config, x[:100], y[:100], x[100:], y[100:], scaler, capture=True
+        )
+        (stop,) = [p for name, p in result.events if name == "train.stop"]
+        assert stop["stopped_early"]
+        return stop["epochs_run"] - stop["best_epoch"]
+
+    def test_decaying_scalar_fit_stops_at_second_fruitless_decay(
+        self, fit_one_task
+    ):
+        cfg = self.CONFIG
+        assert self._tail(fit_one_task, cfg, 1) == (
+            2 * cfg.decay_after * cfg.check_interval
+        )
+
+    @pytest.mark.parametrize(
+        "width, lr_decay", [(3, 0.5), (1, 1.0)], ids=["width3", "no-decay"]
+    )
+    def test_fit_that_never_decays_waits_out_patience(
+        self, fit_one_task, width, lr_decay
+    ):
+        """Multi-target fits never decay (``TargetRecipe``), and neither
+        does a scalar fit with ``lr_decay`` 1.0."""
+        cfg = dataclasses.replace(self.CONFIG, lr_decay=lr_decay)
+        assert self._tail(fit_one_task, cfg, width) == (
+            cfg.patience * cfg.check_interval
+        )
