@@ -19,7 +19,12 @@ Times the two hot paths the vectorized kernels replaced:
   at every ``PREDICTOR_SIZES`` entry count and the BTB at every
   ``BTB_SETS`` set count, on mesa's default-length branch stream —
   through the flat loops of ``repro.cpu.branch`` versus the
-  class-stepped reference of ``tests/reference_branch.py``.
+  class-stepped reference of ``tests/reference_branch.py``;
+* the cache-policy study's simulators — all five replacement policies
+  at every size and associativity of its design space (64-byte blocks),
+  on osc-tight's default-length stream — through the flat loops of
+  ``repro.memory.policies`` versus the per-set classes of
+  ``tests/reference_policies.py``.
 
 Results are written to ``BENCH_kernels.json`` at the repo root — via
 ``repro.obs.atomicio``, so an interrupted bench never leaves a torn
@@ -27,7 +32,8 @@ artifact — and the CI bench-smoke job uploads it.  The gate compares
 the *dimensionless speedup ratios* — not wall-clock seconds — against
 the committed baseline in ``benchmarks/baselines/``, failing on a >25%
 regression, plus hard floors of 3x on full-space prediction, 3x on
-the paper-recipe ensemble fit and 3x on each branch pass.  Ratios of two measurements taken on
+the paper-recipe ensemble fit, 3x on each branch pass and 1.5x on the
+five-policy simulation total.  Ratios of two measurements taken on
 the same machine in the same process are stable across hardware
 generations in a way raw seconds are not.  Each gated speedup is the
 median of per-repetition ratios: every repetition times the two paths
@@ -49,6 +55,7 @@ from tests.reference_branch import (
     reference_btb_miss_flags,
     reference_misprediction_flags,
 )
+from tests.reference_policies import reference_simulate_policy
 from tests.reference_training import RobustTrainer
 
 from repro.core import encoding
@@ -62,7 +69,9 @@ from repro.core.network import FeedForwardNetwork
 from repro.core.training import TargetRecipe, TrainingConfig
 from repro.cpu.branch import btb_miss_flags, misprediction_flags
 from repro.cpu.interval import BTB_SETS, PREDICTOR_SIZES
+from repro.experiments.cachepolicy import KB, build_cache_policy_space
 from repro.experiments.studies import get_study
+from repro.memory.policies import POLICY_NAMES, simulate_policy
 from repro.obs.atomicio import atomic_write_text
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.telemetry import RunTelemetry
@@ -86,6 +95,11 @@ ENSEMBLE_FIT_FLOOR = 3.0
 BRANCH_PROFILE_FLOOR = 3.0
 #: the timed branch passes
 BRANCH_PASSES = ("tournament", "btb")
+#: the five flat-loop policy simulators together must beat the per-set
+#: classes by at least this (ARC alone gains least, ~1.6-1.9x)
+POLICY_SIM_FLOOR = 1.5
+#: block size of the timed policy-simulation geometries
+POLICY_SIM_BLOCK = 64
 ENSEMBLE_STUDIES = ("memory-system", "processor")
 
 
@@ -293,11 +307,47 @@ def _bench_branch_profile(repeats):
     return out
 
 
+def _bench_policy_sim(repeats):
+    """The cache-policy study's five simulators at every size and
+    associativity of its space: flat loops versus the per-set classes,
+    both over osc-tight's default-length block stream."""
+    space = build_cache_policy_space()
+    blocks = generate_trace("osc-tight").block_addresses(POLICY_SIM_BLOCK)
+    geometries = [
+        (size_kb * KB // (POLICY_SIM_BLOCK * ways), ways)
+        for size_kb in space.parameter("size_kb").values
+        for ways in space.parameter("associativity").values
+    ]
+
+    def every_policy(simulate):
+        return lambda: [
+            simulate(blocks, n_sets=n_sets, n_ways=ways, policy=policy)
+            for policy in POLICY_NAMES
+            for n_sets, ways in geometries
+        ]
+
+    reference_s, flat_s, speedup = _paired(
+        every_policy(reference_simulate_policy),
+        every_policy(simulate_policy),
+        repeats,
+    )
+    return {
+        "workload": "osc-tight",
+        "n_accesses": len(blocks),
+        "n_geometries": len(geometries),
+        "block_bytes": POLICY_SIM_BLOCK,
+        "repeats": repeats,
+        "reference_s": reference_s,
+        "flat_s": flat_s,
+        "speedup": speedup,
+    }
+
+
 @pytest.fixture(scope="module")
 def results():
     repeats = 3 if SMALL else 5
     data = {
-        "schema": 4,
+        "schema": 5,
         "small": SMALL,
         "repeats": repeats,
         "predict_space": _bench_predict_space(repeats),
@@ -308,11 +358,15 @@ def results():
         # a flat pass takes milliseconds, so one stall moves its pair's
         # ratio a lot: three times the pairs settle the median
         "branch_profile": _bench_branch_profile(3 * repeats),
+        # a timed path takes ~0.5 s, long enough that one stall moves
+        # its pair little
+        "policy_sim": _bench_policy_sim(repeats),
         "gate": {
             "tolerance": TOLERANCE,
             "predict_floor": PREDICT_FLOOR,
             "ensemble_fit_floor": ENSEMBLE_FIT_FLOOR,
             "branch_profile_floor": BRANCH_PROFILE_FLOOR,
+            "policy_sim_floor": POLICY_SIM_FLOOR,
         },
     }
     atomic_write_text(
@@ -346,12 +400,14 @@ def test_bench_kernels_report(results):
         )
         for key in BRANCH_PASSES
     )
+    policy = results["policy_sim"]
     emit(
         "kernel benches (small=%s)\n"
         "  predict %d pts warm:   %.1fx  (chunked %.4fs vs per-config %.2fs)\n"
         "  predict cold (+matrix): %.1fx\n"
         "%s"
         "%s"
+        "  policy sims x%d:   %.1fx  (flat %.3fs vs per-set classes %.3fs)\n"
         "  -> %s"
         % (
             results["small"],
@@ -362,6 +418,10 @@ def test_bench_kernels_report(results):
             predict["speedup_cold"],
             ensemble_lines,
             branch_lines,
+            len(POLICY_NAMES) * policy["n_geometries"],
+            policy["speedup"],
+            policy["flat_s"],
+            policy["reference_s"],
             RESULT_PATH,
         )
     )
@@ -416,3 +476,15 @@ def test_bench_kernels_regression_gate(results):
             f"{want:.2f}x (baseline "
             f"{baseline['branch_profile'][key]['speedup']:.2f}x - 25%)"
         )
+
+    got = results["policy_sim"]["speedup"]
+    assert got >= POLICY_SIM_FLOOR, (
+        f"flat-loop policy simulation speedup {got:.2f}x fell below the "
+        f"hard {POLICY_SIM_FLOOR}x floor"
+    )
+    want = TOLERANCE * baseline["policy_sim"]["speedup"]
+    assert got >= want, (
+        f"flat-loop policy simulation speedup regressed: {got:.2f}x vs "
+        f"gate {want:.2f}x (baseline "
+        f"{baseline['policy_sim']['speedup']:.2f}x - 25%)"
+    )

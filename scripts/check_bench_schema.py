@@ -4,8 +4,9 @@
 Four document kinds are understood:
 
 * ``kernels`` — the ``BENCH_kernels.json`` report written by
-  ``benchmarks/test_bench_kernels.py`` (schema 4: ``predict_space``,
-  ``ensemble_fit``, ``branch_profile`` and ``gate`` sections);
+  ``benchmarks/test_bench_kernels.py`` (schema 5: ``predict_space``,
+  ``ensemble_fit``, ``branch_profile``, ``policy_sim`` and ``gate``
+  sections);
 * ``explore`` — ``--telemetry-out`` documents from ``repro explore``
   (``BENCH_explore_*.json``: the ``repro.obs.report`` shape with
   ``summary``/``iterations``/``telemetry``);
@@ -42,7 +43,7 @@ import sys
 from pathlib import Path
 from typing import Any, Dict, List
 
-KERNELS_SCHEMA = 4
+KERNELS_SCHEMA = 5
 EXPLORE_SCHEMA = 1
 STRATEGIES_SCHEMA = 2
 CAMPAIGN_SCHEMA = 1
@@ -67,11 +68,20 @@ ENSEMBLE_KEYS = ("batch_size", "max_epochs", "stacked_s", "perfold_s", "speedup"
 #: required passes and per-pass fields in the branch_profile section
 BRANCH_PASSES = ("tournament", "btb")
 BRANCH_KEYS = ("reference_s", "flat_s", "speedup")
+#: required numeric fields in the policy_sim section
+POLICY_SIM_KEYS = (
+    "n_accesses",
+    "n_geometries",
+    "reference_s",
+    "flat_s",
+    "speedup",
+)
 GATE_KEYS = (
     "tolerance",
     "predict_floor",
     "ensemble_fit_floor",
     "branch_profile_floor",
+    "policy_sim_floor",
 )
 
 #: required studies in a strategies document, and the minimum number of
@@ -185,6 +195,12 @@ def check_kernels(doc: Dict[str, Any], check: Checker) -> None:
             section = check.require(branch, "branch_profile", name, dict)
             for key in BRANCH_KEYS if section is not None else ():
                 check.number(section, f"branch_profile.{name}", key)
+
+    policy = check.require(doc, "$", "policy_sim", dict)
+    if policy is not None:
+        check.require(policy, "policy_sim", "workload", str)
+        for key in POLICY_SIM_KEYS:
+            check.number(policy, "policy_sim", key)
 
     gate = check.require(doc, "$", "gate", dict)
     if gate is not None:

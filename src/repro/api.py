@@ -192,7 +192,7 @@ def explore(
 
     Pass ``seed`` for a reproducible run, or a full ``context``
     (:class:`RunContext`) to also control telemetry, metrics and the
-    evaluation worker budget — one or the other, not both.  With
+    cache directory — one or the other, not both.  With
     ``checkpoint``, completed rounds persist to that path and a killed
     run resumes bit-identically (including the agent's own state).
     """

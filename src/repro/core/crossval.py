@@ -132,7 +132,7 @@ class CrossValidationEnsemble:
         folds' replayed ``train.*`` events, and one ``crossval.fit``
         summary; ``train.fold`` timings and ``crossval.*`` counters go
         to the context's metrics.  Folds always train in this
-        process, whatever the worker budget.
+        process.
     """
 
     def __init__(

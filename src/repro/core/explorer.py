@@ -15,9 +15,10 @@ while a pluggable agent proposes each round's batch.  The default
 uniform random sampling bit-for-bit; ``agent=`` selects committee /
 evolutionary / annealing / Bayesian-optimization strategies (see
 :data:`repro.search.AGENTS`).  Every round's batch is evaluated in one
-:class:`~repro.core.backend.EvaluationBackend` call, so serial,
-process-pool and caching evaluation are interchangeable (plain
-simulate callables are adapted automatically).
+:class:`~repro.core.backend.EvaluationBackend` call: in-process
+through :class:`~repro.core.backend.SerialBackend` (plain simulate
+callables are adapted automatically), with wrappers such as the
+resilience layer composed around it.
 """
 
 from __future__ import annotations
@@ -64,8 +65,9 @@ class DesignSpaceExplorer:
         The parameter space under study.
     simulate:
         What evaluates configurations: an
-        :class:`~repro.core.backend.EvaluationBackend` (serial,
-        process-pool, caching, ...) or a plain
+        :class:`~repro.core.backend.EvaluationBackend` (a
+        :class:`~repro.core.backend.SerialBackend`, possibly wrapped
+        by the resilience layer) or a plain
         ``Callable[[Config], float]``, which is adapted with
         :func:`~repro.core.backend.as_backend`.  The explorer always
         evaluates whole batches through the backend, so swapping
@@ -94,8 +96,8 @@ class DesignSpaceExplorer:
         replay bit-identically.
     context:
         :class:`~repro.core.context.RunContext` carrying the seeded
-        generator, telemetry, metrics and the evaluation worker
-        budget; forwarded whole to the ensembles the loop trains.
+        generator, telemetry, metrics and the cache directory;
+        forwarded whole to the ensembles the loop trains.
         Each training round emits one ``search.propose`` and one
         ``explore.round`` event (cumulative simulation count, estimated
         error mean/SD, round wall time) on the context's telemetry,

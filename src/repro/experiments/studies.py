@@ -320,10 +320,9 @@ def list_studies() -> Tuple[StudyInfo, ...]:
 class StudySimulator:
     """Picklable ``SIM(p, A)`` callable for one (study, benchmark) pair.
 
-    Holds only names, so shipping one to a worker process costs a few
-    bytes; the worker resolves the study and the memoized interval
-    simulator locally, which is how process-pool backends initialize
-    simulator state once per worker instead of pickling it per task.
+    Holds only names, so it pickles in a few bytes; whichever process
+    calls it resolves the study and the memoized interval simulator
+    locally, once per process.
     """
 
     study_name: str
@@ -344,7 +343,7 @@ class SimPointStudySimulator:
     The (expensive) SimPoint selection and interval profiles are built
     lazily in whichever process first evaluates a point, through the
     memoized :func:`repro.simpoint.get_simpoint_simulator` — once per
-    worker under a process-pool backend.
+    process.
     """
 
     study_name: str

@@ -121,7 +121,8 @@ class Cache:
         self._block_shift = block_bytes.bit_length() - 1
         self._set_mask = n_sets - 1
         # per set: resident tag -> dirty flag, least recently used first
-        # (the representation of repro.memory.policies._LRUSet)
+        # (the representation of the LRU loop of repro.memory.policies,
+        # which keys each set by block address instead of tag)
         self._lines: List["OrderedDict[int, bool]"] = [
             OrderedDict() for _ in range(n_sets)
         ]

@@ -8,6 +8,12 @@ exposes through ``block_addresses`` — the same trace machinery behind
 the stack-distance profiler, so hit rates emerge from genuine locality
 behaviour rather than closed-form formulas.
 
+Each simulator is one loop over the whole stream.  A block's set is
+its low address bits (``block & (n_sets - 1)``); the set's state is a
+few dicts created on its first access and kept inline in the loop.  A
+block maps to exactly one (set, tag) pair, so the dicts are keyed by
+the block address itself and no tag is ever split off.
+
 Belady's OPT (evict the block reused furthest in the future) is also
 implemented, but only as the oracle baseline the tests hold every
 realizable policy against; it never appears in a design space.
@@ -15,8 +21,8 @@ realizable policy against; it never appears in a design space.
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import Dict, Iterable, List, Tuple
+from collections import OrderedDict, defaultdict
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -27,194 +33,195 @@ POLICY_NAMES: Tuple[str, ...] = ("lru", "fifo", "lfu", "2q", "arc")
 ORACLE_POLICY = "opt"
 
 
-class _LRUSet:
+def _lru_hits(stream: List[int], set_mask: int, n_ways: int) -> int:
     """Least-recently-used: hits refresh recency, misses evict the LRU way."""
-
-    def __init__(self, n_ways: int):
-        self.n_ways = n_ways
-        self.lines: "OrderedDict[int, None]" = OrderedDict()
-
-    def access(self, tag: int) -> bool:
-        lines = self.lines
-        if tag in lines:
-            lines.move_to_end(tag)
-            return True
-        if len(lines) >= self.n_ways:
+    sets: Dict[int, "OrderedDict[int, None]"] = defaultdict(OrderedDict)
+    hits = 0
+    for block in stream:
+        lines = sets[block & set_mask]
+        if block in lines:
+            lines.move_to_end(block)
+            hits += 1
+            continue
+        if len(lines) >= n_ways:
             lines.popitem(last=False)
-        lines[tag] = None
-        return False
+        lines[block] = None
+    return hits
 
 
-class _FIFOSet:
+def _fifo_hits(stream: List[int], set_mask: int, n_ways: int) -> int:
     """First-in-first-out: hits do not refresh the eviction order."""
-
-    def __init__(self, n_ways: int):
-        self.n_ways = n_ways
-        self.lines: "OrderedDict[int, None]" = OrderedDict()
-
-    def access(self, tag: int) -> bool:
-        lines = self.lines
-        if tag in lines:
-            return True
-        if len(lines) >= self.n_ways:
+    sets: Dict[int, "OrderedDict[int, None]"] = defaultdict(OrderedDict)
+    hits = 0
+    for block in stream:
+        lines = sets[block & set_mask]
+        if block in lines:
+            hits += 1
+            continue
+        if len(lines) >= n_ways:
             lines.popitem(last=False)
-        lines[tag] = None
-        return False
+        lines[block] = None
+    return hits
 
 
-class _LFUSet:
-    """Least-frequently-used with FIFO tie-breaking among equal counts."""
+def _lfu_hits(stream: List[int], set_mask: int, n_ways: int) -> int:
+    """Least-frequently-used with FIFO tie-breaking among equal counts.
 
-    def __init__(self, n_ways: int):
-        self.n_ways = n_ways
-        self.freq: Dict[int, int] = {}
-        self.order: Dict[int, int] = {}
-        self._clock = 0
-
-    def access(self, tag: int) -> bool:
-        if tag in self.freq:
-            self.freq[tag] += 1
-            return True
-        if len(self.freq) >= self.n_ways:
-            victim = min(
-                self.freq, key=lambda t: (self.freq[t], self.order[t])
-            )
-            del self.freq[victim]
-            del self.order[victim]
-        self.freq[tag] = 1
-        self.order[tag] = self._clock
-        self._clock += 1
-        return False
+    A set's dict holds its blocks in insertion order (a hit changes a
+    count, not the order), so ``min`` — which keeps the first of equal
+    keys — evicts the oldest insertion among the least-used blocks.
+    """
+    sets: Dict[int, Dict[int, int]] = defaultdict(dict)
+    hits = 0
+    for block in stream:
+        counts = sets[block & set_mask]
+        if block in counts:
+            counts[block] += 1
+            hits += 1
+            continue
+        if len(counts) >= n_ways:
+            del counts[min(counts, key=counts.__getitem__)]
+        counts[block] = 1
+    return hits
 
 
-class _TwoQSet:
+def _twoq_hits(stream: List[int], set_mask: int, n_ways: int) -> int:
     """Simplified 2Q: a FIFO probation queue in front of an LRU main cache.
 
-    New blocks enter the ``A1in`` FIFO; blocks evicted from it leave a
-    ghost entry in ``A1out``.  A miss whose tag is remembered by the
-    ghost queue is promoted straight into the LRU-managed ``Am`` — one
+    New blocks enter the ``a1in`` FIFO; blocks evicted from it leave a
+    ghost entry in ``a1out``.  A miss whose block is remembered by the
+    ghost queue is promoted straight into the LRU-managed ``am`` — one
     touch is never enough to pollute the main cache, which is exactly
     what defeats LRU-hostile scans.
     """
-
-    def __init__(self, n_ways: int):
-        self.n_ways = n_ways
-        self.kin = max(1, n_ways // 4)
-        self.kout = max(1, n_ways // 2)
-        self.a1in: "OrderedDict[int, None]" = OrderedDict()
-        self.a1out: "OrderedDict[int, None]" = OrderedDict()
-        self.am: "OrderedDict[int, None]" = OrderedDict()
-
-    def _reclaim(self) -> None:
-        if len(self.a1in) + len(self.am) < self.n_ways:
-            return
-        if self.a1in and (len(self.a1in) > self.kin or not self.am):
-            victim, _ = self.a1in.popitem(last=False)
-            self.a1out[victim] = None
-            if len(self.a1out) > self.kout:
-                self.a1out.popitem(last=False)
+    kin = max(1, n_ways // 4)
+    kout = max(1, n_ways // 2)
+    sets = defaultdict(lambda: (OrderedDict(), OrderedDict(), OrderedDict()))
+    hits = 0
+    for block in stream:
+        a1in, a1out, am = sets[block & set_mask]
+        if block in am:
+            am.move_to_end(block)
+            hits += 1
+            continue
+        if block in a1in:
+            hits += 1
+            continue
+        if len(a1in) + len(am) >= n_ways:
+            if a1in and (len(a1in) > kin or not am):
+                a1out[a1in.popitem(last=False)[0]] = None
+                if len(a1out) > kout:
+                    a1out.popitem(last=False)
+            else:
+                am.popitem(last=False)
+        if block in a1out:
+            del a1out[block]
+            am[block] = None
         else:
-            self.am.popitem(last=False)
-
-    def access(self, tag: int) -> bool:
-        if tag in self.am:
-            self.am.move_to_end(tag)
-            return True
-        if tag in self.a1in:
-            return True
-        self._reclaim()
-        if tag in self.a1out:
-            del self.a1out[tag]
-            self.am[tag] = None
-        else:
-            self.a1in[tag] = None
-        return False
+            a1in[block] = None
+    return hits
 
 
-class _ARCSet:
+def _arc_hits(stream: List[int], set_mask: int, n_ways: int) -> int:
     """Adaptive Replacement Cache (Megiddo & Modha, FAST'03).
 
     Two resident LRU lists — ``t1`` (seen once) and ``t2`` (seen at
     least twice) — plus ghost lists ``b1``/``b2`` of recently evicted
-    tags.  Ghost hits steer the adaptation target ``p``: hits in ``b1``
-    grow the recency list, hits in ``b2`` grow the frequency list.
+    blocks.  Ghost hits steer the set's adaptation target ``p``: hits in
+    ``b1`` grow the recency list, hits in ``b2`` grow the frequency list.
+    A miss that needs room runs REPLACE, which demotes the LRU block of
+    ``t1`` or ``t2`` to its ghost list, before the block is inserted.
     """
-
-    def __init__(self, n_ways: int):
-        self.c = n_ways
-        self.p = 0.0
-        self.t1: "OrderedDict[int, None]" = OrderedDict()
-        self.t2: "OrderedDict[int, None]" = OrderedDict()
-        self.b1: "OrderedDict[int, None]" = OrderedDict()
-        self.b2: "OrderedDict[int, None]" = OrderedDict()
-
-    def _replace(self, in_b2: bool) -> None:
-        if self.t1 and (
-            len(self.t1) > self.p
-            or (in_b2 and len(self.t1) == int(self.p))
-        ):
-            victim, _ = self.t1.popitem(last=False)
-            self.b1[victim] = None
-        elif self.t2:
-            victim, _ = self.t2.popitem(last=False)
-            self.b2[victim] = None
-        elif self.t1:
-            victim, _ = self.t1.popitem(last=False)
-            self.b1[victim] = None
-
-    def access(self, tag: int) -> bool:
-        if tag in self.t1:
-            del self.t1[tag]
-            self.t2[tag] = None
-            return True
-        if tag in self.t2:
-            self.t2.move_to_end(tag)
-            return True
-        if tag in self.b1:
-            self.p = min(
-                float(self.c),
-                self.p + max(1.0, len(self.b2) / max(1, len(self.b1))),
-            )
-            self._replace(in_b2=False)
-            del self.b1[tag]
-            self.t2[tag] = None
-            return False
-        if tag in self.b2:
-            self.p = max(
-                0.0,
-                self.p - max(1.0, len(self.b1) / max(1, len(self.b2))),
-            )
-            self._replace(in_b2=True)
-            del self.b2[tag]
-            self.t2[tag] = None
-            return False
-        # full miss
-        if len(self.t1) + len(self.b1) == self.c:
-            if len(self.t1) < self.c:
-                self.b1.popitem(last=False)
-                self._replace(in_b2=False)
+    c = float(n_ways)
+    sets = defaultdict(
+        lambda: (OrderedDict(), OrderedDict(), OrderedDict(), OrderedDict())
+    )
+    targets: Dict[int, float] = defaultdict(float)  # per-set ``p``
+    hits = 0
+    for block in stream:
+        s = block & set_mask
+        t1, t2, b1, b2 = sets[s]
+        if block in t2:  # first: most hits re-touch a frequent block
+            t2.move_to_end(block)
+            hits += 1
+            continue
+        if block in t1:
+            del t1[block]
+            t2[block] = None
+            hits += 1
+            continue
+        p = targets[s]
+        in_b2 = False
+        into = t2
+        if block in b1:
+            p = targets[s] = min(c, p + max(1.0, len(b2) / max(1, len(b1))))
+            del b1[block]
+        elif block in b2:
+            p = targets[s] = max(0.0, p - max(1.0, len(b1) / max(1, len(b2))))
+            del b2[block]
+            in_b2 = True
+        else:
+            into = t1
+            if len(t1) + len(b1) == n_ways:
+                if len(t1) == n_ways:
+                    t1.popitem(last=False)
+                    t1[block] = None
+                    continue
+                b1.popitem(last=False)
             else:
-                self.t1.popitem(last=False)
-        elif len(self.t1) + len(self.t2) + len(self.b1) + len(self.b2) >= self.c:
-            if (
-                len(self.t1) + len(self.t2) + len(self.b1) + len(self.b2)
-                >= 2 * self.c
-            ):
-                if self.b2:
-                    self.b2.popitem(last=False)
-                elif self.b1:
-                    self.b1.popitem(last=False)
-            self._replace(in_b2=False)
-        self.t1[tag] = None
-        return False
+                listed = len(t1) + len(t2) + len(b1) + len(b2)
+                if listed < n_ways:
+                    t1[block] = None
+                    continue
+                if listed >= 2 * n_ways:
+                    if b2:
+                        b2.popitem(last=False)
+                    elif b1:
+                        b1.popitem(last=False)
+        # REPLACE
+        if t1 and (len(t1) > p or (in_b2 and len(t1) == int(p))):
+            b1[t1.popitem(last=False)[0]] = None
+        elif t2:
+            b2[t2.popitem(last=False)[0]] = None
+        elif t1:
+            b1[t1.popitem(last=False)[0]] = None
+        into[block] = None
+    return hits
 
 
-_POLICY_SETS = {
-    "lru": _LRUSet,
-    "fifo": _FIFOSet,
-    "lfu": _LFUSet,
-    "2q": _TwoQSet,
-    "arc": _ARCSet,
+def _opt_hits(stream: List[int], set_mask: int, n_ways: int) -> int:
+    """Belady's OPT: evict the resident block reused furthest ahead.
+
+    Next uses are stream positions (``len(stream)`` for "never again");
+    a block lives in exactly one set, so within a set they order the
+    same way as positions in that set's own sub-stream would.
+    """
+    n = len(stream)
+    next_use = [n] * n
+    last_seen: Dict[int, int] = {}
+    for i in range(n - 1, -1, -1):
+        block = stream[i]
+        next_use[i] = last_seen.get(block, n)
+        last_seen[block] = i
+    sets: Dict[int, Dict[int, int]] = defaultdict(dict)
+    hits = 0
+    for block, upcoming in zip(stream, next_use):
+        resident = sets[block & set_mask]
+        if block in resident:
+            hits += 1
+        elif len(resident) >= n_ways:
+            del resident[max(resident, key=resident.__getitem__)]
+        resident[block] = upcoming
+    return hits
+
+
+_POLICY_HITS = {
+    "lru": _lru_hits,
+    "fifo": _fifo_hits,
+    "lfu": _lfu_hits,
+    "2q": _twoq_hits,
+    "arc": _arc_hits,
+    ORACLE_POLICY: _opt_hits,
 }
 
 
@@ -223,41 +230,6 @@ def _validate_geometry(n_sets: int, n_ways: int) -> None:
         raise ValueError(f"associativity must be positive, got {n_ways}")
     if n_sets <= 0 or n_sets & (n_sets - 1):
         raise ValueError(f"set count must be a power of two, got {n_sets}")
-
-
-def _split_by_set(
-    blocks: np.ndarray, n_sets: int
-) -> Iterable[Tuple[int, np.ndarray]]:
-    """Yield ``(set_index, tag_stream)`` for each non-empty set."""
-    blocks = np.asarray(blocks, dtype=np.uint64)
-    mask = np.uint64(n_sets - 1)
-    set_idx = blocks & mask
-    tags = blocks >> np.uint64(int(n_sets).bit_length() - 1)
-    for s in np.unique(set_idx):
-        yield int(s), tags[set_idx == s]
-
-
-def _opt_hits(tags: np.ndarray, n_ways: int) -> int:
-    """Belady's OPT hit count for one set's tag stream."""
-    n = len(tags)
-    # next use of each access (n means "never again")
-    next_use = np.empty(n, dtype=np.int64)
-    last_seen: Dict[int, int] = {}
-    for i in range(n - 1, -1, -1):
-        tag = int(tags[i])
-        next_use[i] = last_seen.get(tag, n)
-        last_seen[tag] = i
-    resident: Dict[int, int] = {}  # tag -> next use index
-    hits = 0
-    for i in range(n):
-        tag = int(tags[i])
-        if tag in resident:
-            hits += 1
-        elif len(resident) >= n_ways:
-            victim = max(resident, key=resident.__getitem__)
-            del resident[victim]
-        resident[tag] = int(next_use[i])
-    return hits
 
 
 def simulate_policy(
@@ -270,23 +242,14 @@ def simulate_policy(
     Returns hits / accesses (0.0 for an empty stream).
     """
     _validate_geometry(n_sets, n_ways)
-    blocks = np.asarray(blocks, dtype=np.uint64)
-    if len(blocks) == 0:
+    stream = np.asarray(blocks, dtype=np.uint64).tolist()
+    if not stream:
         return 0.0
-    hits = 0
-    if policy == ORACLE_POLICY:
-        for _, tags in _split_by_set(blocks, n_sets):
-            hits += _opt_hits(tags, n_ways)
-    else:
-        if policy not in _POLICY_SETS:
-            choices = sorted((*_POLICY_SETS, ORACLE_POLICY))
-            raise ValueError(f"unknown policy {policy!r}; choices: {choices}")
-        make_set = _POLICY_SETS[policy]
-        for _, tags in _split_by_set(blocks, n_sets):
-            state = make_set(n_ways)
-            access = state.access
-            hits += sum(access(int(t)) for t in tags)
-    return hits / len(blocks)
+    if policy not in _POLICY_HITS:
+        raise ValueError(
+            f"unknown policy {policy!r}; choices: {sorted(_POLICY_HITS)}"
+        )
+    return _POLICY_HITS[policy](stream, n_sets - 1, n_ways) / len(stream)
 
 
 def cache_hit_rate(

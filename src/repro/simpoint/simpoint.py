@@ -241,9 +241,9 @@ def get_simpoint_simulator(
     """Build (and memoize per process) the SimPoint evaluator.
 
     Selection + interval profiling dominate construction cost while
-    per-point evaluation is microseconds, so worker processes that
-    evaluate many design points (the process-pool backends) should pay
-    the construction once — this is their entry point.
+    per-point evaluation is microseconds, so a process that evaluates
+    many design points (an exploration, a campaign cell, a service job)
+    should pay the construction once — this is its entry point.
     """
     key = (benchmark, interval_length, trace_length, seed)
     if key not in _SIMULATOR_CACHE:

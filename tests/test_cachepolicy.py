@@ -2,9 +2,11 @@
 
 Three layers under test:
 
-* :mod:`repro.memory.policies` — per-set replacement-policy state
-  machines, held against hand-computed hit/miss sequences, the
-  Belady OPT oracle bound and the detailed LRU ``Cache``;
+* :mod:`repro.memory.policies` — the flat-loop replacement-policy
+  simulators, held against hand-computed hit/miss sequences, the
+  Belady OPT oracle bound, the detailed LRU ``Cache``, the per-set
+  classes of ``tests/reference_policies.py`` and a digest of the
+  study's hit rates;
 * the phased synthetic workloads and the ``cache-policy`` design space
   (config/index round-trips, one-hot encoding bounds under a
   policy-dominated space);
@@ -21,6 +23,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from tests.reference_policies import LRUSet, reference_simulate_policy
 
 from repro import api
 from repro.core import ParameterEncoder
@@ -41,7 +44,6 @@ from repro.memory import Cache
 from repro.memory.policies import (
     ORACLE_POLICY,
     POLICY_NAMES,
-    _LRUSet,
     cache_hit_rate,
     simulate_policy,
 )
@@ -146,9 +148,12 @@ class TestPoliciesByHand:
             simulate_policy(np.array([1]), n_sets=3, n_ways=1, policy="lru")
 
     def test_empty_stream(self):
-        assert simulate_policy(
-            np.array([], dtype=np.uint64), n_sets=1, n_ways=1, policy="lru"
-        ) == 0.0
+        for policy in POLICY_NAMES + (ORACLE_POLICY,):
+            for blocks in ([], np.array([], dtype=np.uint64)):
+                for n_sets, n_ways in ((1, 1), (8192, 16)):
+                    assert simulate_policy(
+                        blocks, n_sets=n_sets, n_ways=n_ways, policy=policy
+                    ) == 0.0
 
 
 class TestOracleBound:
@@ -200,7 +205,7 @@ class TestCacheMatchesLRUSet:
     def test_read_stream_matches_policy_lru(
         self, blocks, n_sets, n_ways, block_bytes
     ):
-        """The detailed cache and the study's per-set LRU state machine
+        """The detailed cache and the reference per-set LRU state machine
         are one replacement policy: identical per-access hit/miss
         sequences on any read-only stream and geometry, and the same
         hit rate as ``simulate_policy(..., policy="lru")``."""
@@ -209,7 +214,7 @@ class TestCacheMatchesLRUSet:
         sets = {}
         expected = []
         for block in blocks:
-            lru = sets.setdefault(block & (n_sets - 1), _LRUSet(n_ways))
+            lru = sets.setdefault(block & (n_sets - 1), LRUSet(n_ways))
             expected.append(lru.access(block >> set_bits))
         observed = [cache.access(block * block_bytes).hit for block in blocks]
         assert observed == expected
@@ -247,6 +252,102 @@ class TestCacheHitRateOnTraces:
                 associativity=4,
                 policy="lru",
             )
+
+
+@st.composite
+def _block_streams(draw):
+    """``(stream, n_sets, n_ways)`` shaped like a program's reference
+    stream.  A hot working set is packed into one to three sets, with
+    more blocks per set than ways (up to twice as many), so those sets
+    evict, refresh and re-reference evicted blocks at any geometry.  The
+    stream strings together random touches of it, loops over parts of
+    it, sequential scans and one-off references."""
+    n_sets = draw(st.sampled_from(tuple(1 << k for k in range(14))))
+    n_ways = draw(st.sampled_from((1, 2, 4, 8, 16)))
+    rng = draw(st.randoms(use_true_random=False))
+    set_bits = n_sets.bit_length() - 1
+    hot = [
+        (tag << set_bits) | index
+        for index in range(rng.randint(1, 3))
+        for tag in rng.sample(
+            range(1 << 12), rng.randint(n_ways + 1, 2 * n_ways + 2)
+        )
+    ]
+    stream = []
+    for _ in range(rng.randint(1, 12)):
+        kind = rng.choice(("random", "loop", "scan", "once"))
+        if kind == "random":
+            stream += rng.choices(hot, k=rng.randint(4, 80))
+        elif kind == "loop":
+            stream += rng.sample(hot, rng.randint(2, len(hot))) * rng.randint(2, 4)
+        elif kind == "scan":
+            start = rng.randrange(1 << 20)
+            stream += range(start, start + rng.randint(1, 96))
+        else:
+            stream += [rng.randrange(1 << 30) for _ in range(rng.randint(0, 8))]
+    return stream, n_sets, n_ways
+
+
+class TestFlatLoopsMatchReference:
+    """The flat-loop simulators against the per-set classes."""
+
+    @pytest.mark.parametrize("policy", POLICY_NAMES + (ORACLE_POLICY,))
+    @settings(max_examples=150, deadline=None)
+    @given(case=_block_streams(), as_array=st.booleans())
+    def test_hit_rate_matches_reference(self, policy, case, as_array):
+        stream, n_sets, n_ways = case
+        blocks = np.asarray(stream, dtype=np.uint64) if as_array else stream
+        got = simulate_policy(
+            blocks, n_sets=n_sets, n_ways=n_ways, policy=policy
+        )
+        want = reference_simulate_policy(
+            blocks, n_sets=n_sets, n_ways=n_ways, policy=policy
+        )
+        assert got == want
+
+    @pytest.mark.parametrize(
+        "n_sets,n_ways", [(1, 16), (16, 4), (256, 2), (8192, 1)]
+    )
+    def test_oracle_matches_reference_on_phased_traces(self, n_sets, n_ways):
+        """OPT is outside the design space, so the hit-rate digests
+        below do not cover it."""
+        for workload in PHASED_BENCHMARKS:
+            blocks = generate_trace(workload, 3000).block_addresses(32)
+            assert simulate_policy(
+                blocks, n_sets=n_sets, n_ways=n_ways, policy=ORACLE_POLICY
+            ) == reference_simulate_policy(
+                blocks, n_sets=n_sets, n_ways=n_ways, policy=ORACLE_POLICY
+            )
+
+
+#: sha256 of the float64 hit rates at every point of the 600-point
+#: cache-policy space (``space.config_at`` order) on a 4000-instruction
+#: trace of each phased workload, recorded from the per-set classes of
+#: ``tests/reference_policies.py``
+HIT_RATE_DIGESTS = {
+    "osc-tight": "89052192f4fbf782650e8d52f0cc50a7cb32c3312a74e965b2f4dab7083076e2",
+    "osc-scan": "a4cf3ab13f4634826a98f16f69b08bf3476f1f4d31ec95c617dc900bfff04303",
+    "osc-pointer": "33b2731901263cf2a6ea5b05fc79e7d3affc147e186f1a41f3a8c246ca2d4593",
+}
+
+
+class TestHitRateDigestLock:
+    @pytest.mark.parametrize("workload", PHASED_BENCHMARKS)
+    def test_space_hit_rates_match_digest(self, workload):
+        space = build_cache_policy_space()
+        trace = generate_trace(workload, 4000)
+        rates = [
+            cache_hit_rate(
+                trace,
+                size_bytes=int(point["size_kb"]) * 1024,
+                block_bytes=int(point["block"]),
+                associativity=int(point["associativity"]),
+                policy=str(point["policy"]),
+            )
+            for point in map(space.config_at, range(len(space)))
+        ]
+        digest = hashlib.sha256(np.asarray(rates, dtype=np.float64).tobytes())
+        assert digest.hexdigest() == HIT_RATE_DIGESTS[workload]
 
 
 # ----------------------------------------------------------------------
