@@ -127,9 +127,12 @@ class TrainingConfig:
     Early stopping checks the held-aside error every ``check_interval``
     epochs.  After every ``decay_after`` checks without improvement a
     decaying fit (``lr_decay`` < 1) multiplies its learning rate by
-    ``lr_decay`` and returns to its best weights, and it stops at
-    ``min(patience, 2 * decay_after)`` checks without improvement: its
-    second fruitless decay.  ``patience`` bounds fits that do not decay.
+    ``lr_decay`` and returns to its best weights, and it stops at the
+    last fruitless decay its ``patience`` reaches, and at the second at
+    most: ``decay_after * min(2, patience // decay_after)`` checks
+    without improvement (20 on the default recipe, 10 on
+    :meth:`fast_settings`).  ``patience`` alone stops fits that do not
+    decay and fits whose ``patience`` is below ``decay_after``.
     """
 
     hidden_layers: tuple = (DEFAULT_HIDDEN_UNITS, DEFAULT_HIDDEN_UNITS)
@@ -141,7 +144,8 @@ class TrainingConfig:
     max_epochs: int = 3000
     check_interval: int = 10
     #: checks without improvement before a fit that does not decay
-    #: stops; a decaying fit stops at min(patience, 2 * decay_after)
+    #: stops; a decaying fit stops at
+    #: decay_after * min(2, patience // decay_after) when that is > 0
     patience: int = 40
     lr_decay: float = 0.5
     decay_after: int = 10
@@ -199,7 +203,11 @@ class TrainingConfig:
 
     @classmethod
     def fast_settings(cls) -> "TrainingConfig":
-        """Cheaper settings for tests and quick sweeps."""
+        """Cheaper settings for tests and quick sweeps.
+
+        ``patience`` 15 reaches one plateau decay (``decay_after`` 10),
+        so a fit stops 10 checks (100 epochs) after its best, at that
+        decay."""
         return cls(max_epochs=600, patience=15, check_interval=10)
 
     #: preset names accepted by :meth:`from_preset` (and the CLI's
@@ -266,9 +274,11 @@ class TargetRecipe:
       8.56 % final error on the same run.
 
     The stop rule follows from the second: a decaying scalar fit stops
-    at its second plateau decay without improvement (20 checks on the
-    default recipe), while a multi-target fit never decays and so keeps
-    the full ``patience`` tail (400 epochs on the default recipe).  It
+    at the last plateau decay without improvement that its ``patience``
+    reaches, and at the second at most (``decay_after * min(2, patience
+    // decay_after)`` checks: 20 on the default recipe, 10 on ``fast``),
+    while a multi-target fit never decays and so keeps the full
+    ``patience`` tail (400 epochs on the default recipe).  It
     needs it: stopping after 20 checks raised ``osc-tight`` true error
     at every seed tried (4.14 -> 5.55 % at seed 17).
     """
@@ -383,11 +393,13 @@ class _FoldProgram:
         self.n_outputs = y_train.shape[1]
         self.cfg = cfg = TargetRecipe(self.n_outputs).config(config)
         # checks without improvement before the fit stops: a decaying
-        # fit stops at its second fruitless plateau decay, a fixed-rate
-        # one waits out ``patience``
+        # fit stops at the last plateau decay its patience reaches, and
+        # at the second at most; a fit that never decays, or whose
+        # patience ends before its first decay, waits out ``patience``
+        decays = min(2, cfg.patience // cfg.decay_after)
         self.stop_after = (
-            min(cfg.patience, 2 * cfg.decay_after)
-            if cfg.lr_decay < 1.0 else cfg.patience
+            decays * cfg.decay_after
+            if cfg.lr_decay < 1.0 and decays else cfg.patience
         )
         self.seed = int(seed)
         self.telemetry = telemetry

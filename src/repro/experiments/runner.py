@@ -57,7 +57,7 @@ from .studies import (
 )
 
 #: bump when the experiment pipeline changes incompatibly
-RUNNER_VERSION = 3
+RUNNER_VERSION = 4
 
 #: the paper trains on 50..2000 simulations in increments of 50
 PAPER_SIZES: Tuple[int, ...] = tuple(range(50, 2001, 50))

@@ -242,13 +242,13 @@ def simulate_policy(
     Returns hits / accesses (0.0 for an empty stream).
     """
     _validate_geometry(n_sets, n_ways)
-    stream = np.asarray(blocks, dtype=np.uint64).tolist()
-    if not stream:
-        return 0.0
     if policy not in _POLICY_HITS:
         raise ValueError(
             f"unknown policy {policy!r}; choices: {sorted(_POLICY_HITS)}"
         )
+    stream = np.asarray(blocks, dtype=np.uint64).tolist()
+    if not stream:
+        return 0.0
     return _POLICY_HITS[policy](stream, n_sets - 1, n_ways) / len(stream)
 
 

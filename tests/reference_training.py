@@ -377,11 +377,13 @@ class EarlyStoppingTrainer:
         history = TrainingHistory()
         best_weights = network.get_weights()
         checks_without_improvement = 0
-        # a decaying fit stops at its second plateau decay without
-        # improvement; one that never decays waits out ``patience``
+        # a decaying fit stops at the last plateau decay its patience
+        # reaches, and at the second at most; one that never decays, or
+        # whose patience ends before its first decay, waits out
+        # ``patience``
         stop_after = cfg.patience
-        if cfg.lr_decay < 1.0:
-            stop_after = min(stop_after, 2 * cfg.decay_after)
+        if cfg.lr_decay < 1.0 and cfg.patience >= cfg.decay_after:
+            stop_after = cfg.decay_after * min(2, cfg.patience // cfg.decay_after)
         learning_rate = cfg.learning_rate
         dead_streak = 0
 

@@ -532,17 +532,26 @@ class TestEngineParity:
         if hostile:
             assert got_met.counter("train.restarts") > 0
 
-    @pytest.mark.parametrize("width", [1, 3])
-    def test_decaying_stop_rule_matches_reference(self, width):
-        """A config that reaches the decaying-fit stop rule: a width-1
-        fit stops at its second fruitless plateau decay (2 x
-        ``decay_after`` = 6 checks, long before ``patience`` 40), while
-        a width-3 fit never decays and waits out all 40.  Both engines
-        stop every fold on the same epoch, with the same events and
-        counters."""
+    @pytest.mark.parametrize(
+        "width, patience, tail",
+        [
+            pytest.param(1, 40, 6, id="1"),
+            pytest.param(3, 40, 40, id="3"),
+            pytest.param(1, 5, 3, id="1-patience5"),
+            pytest.param(3, 5, 5, id="3-patience5"),
+        ],
+    )
+    def test_decaying_stop_rule_matches_reference(self, width, patience, tail):
+        """Configs that reach the decaying-fit stop rule (``decay_after``
+        3).  With ``patience`` 40 a width-1 fit stops at its second
+        fruitless plateau decay (6 checks); with ``patience`` 5 its
+        patience reaches only the first decay, so it stops there (3
+        checks).  A width-3 fit never decays and waits out ``patience``.
+        Both engines stop every fold on the same epoch, with the same
+        events and counters."""
         training = TrainingConfig(
             hidden_layers=(8,), max_epochs=2000, check_interval=1,
-            decay_after=3, patience=40,
+            decay_after=3, patience=patience,
         )
         x, y = width_problem(width, hostile=False)
         names = ("ipc", "hit_rate", "energy_nj") if width == 3 else ()
@@ -567,7 +576,6 @@ class TestEngineParity:
         stops = [e.payload for e in got_tel.events_named("train.stop")]
         assert len(stops) == 10
         assert all(stop["stopped_early"] for stop in stops)
-        tail = 6 if width == 1 else 40
         assert {s["epochs_run"] - s["best_epoch"] for s in stops} == {tail}
 
     # n=122 with k=4 makes ragged folds (sizes 31/31/30/30): the

@@ -50,22 +50,20 @@ class TestCacheKeys:
         )
         assert a.name != b.name
 
-    def test_curve_from_runner_version_2_is_not_loaded(
-        self, tmp_path, monkeypatch
-    ):
-        """Version-2 curves were trained under the patience-only stop
-        rule, with the same ``TrainingConfig`` repr as today's; they
-        must miss instead of being served as current."""
+    @staticmethod
+    def _assert_stale_version_misses(tmp_path, monkeypatch, version, training):
+        """A curve cached under runner ``version`` with ``training`` is
+        found under its own path but misses under today's."""
         args = (
             get_study("memory-system"), "gzip", "true", (50,), 0,
-            TrainingConfig(), tmp_path,
+            training, tmp_path,
         )
         context = RunContext(
             telemetry=RunTelemetry(), metrics=MetricsRegistry(enabled=True),
             cache_dir=tmp_path,
         )
         with monkeypatch.context() as patch:
-            patch.setattr(runner, "RUNNER_VERSION", 2)
+            patch.setattr(runner, "RUNNER_VERSION", version)
             stale = _curve_cache_path(*args)
         curve = LearningCurve(
             study="memory-system", benchmark="gzip", source="true", seed=0,
@@ -79,6 +77,27 @@ class TestCacheKeys:
         assert current != stale
         assert _load_cached_curve(current, 1, context) is None
         assert context.metrics.counter("cache.misses") == 1
+
+    def test_curve_from_runner_version_2_is_not_loaded(
+        self, tmp_path, monkeypatch
+    ):
+        """Version-2 curves were trained under the patience-only stop
+        rule, with the same ``TrainingConfig`` repr as today's; they
+        must miss instead of being served as current."""
+        self._assert_stale_version_misses(
+            tmp_path, monkeypatch, 2, TrainingConfig()
+        )
+
+    def test_curve_from_runner_version_3_is_not_loaded(
+        self, tmp_path, monkeypatch
+    ):
+        """Version-3 curves trained with ``fast_settings`` stopped at
+        ``min(patience, 2 * decay_after)`` = 15 checks, today's rule
+        stops that config at 10, and its repr did not change; they must
+        miss instead of being served as current."""
+        self._assert_stale_version_misses(
+            tmp_path, monkeypatch, 3, TrainingConfig.fast_settings()
+        )
 
     def test_no_cache_dir_disables_caching(self):
         study = get_study("processor")

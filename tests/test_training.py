@@ -143,9 +143,11 @@ class TestTraining:
 
 
 class TestStopRule:
-    """A decaying fit stops at its second plateau decay without
-    improvement, ``min(patience, 2 * decay_after)`` checks after its
-    best; a fit that never decays waits out ``patience``."""
+    """A decaying fit stops at the last plateau decay its patience
+    reaches, and at the second at most: ``decay_after * min(2, patience
+    // decay_after)`` checks after its best.  A fit that never decays,
+    or whose ``patience`` is below ``decay_after``, waits out
+    ``patience``."""
 
     CONFIG = TrainingConfig(
         hidden_layers=(8,), max_epochs=5000, check_interval=5,
@@ -173,6 +175,28 @@ class TestStopRule:
         assert self._tail(fit_one_task, cfg, 1) == (
             2 * cfg.decay_after * cfg.check_interval
         )
+
+    @pytest.mark.parametrize(
+        "patience, checks", [(5, 3), (2, 2)],
+        ids=["one-decay-reached", "no-decay-reached"],
+    )
+    def test_decaying_fit_stops_at_last_decay_its_patience_reaches(
+        self, fit_one_task, patience, checks
+    ):
+        """``decay_after`` 3: ``patience`` 5 reaches one decay, so the
+        fit stops there, not at ``patience``; ``patience`` 2 reaches
+        none, so ``patience`` stops the fit."""
+        cfg = dataclasses.replace(self.CONFIG, patience=patience)
+        assert self._tail(fit_one_task, cfg, 1) == checks * cfg.check_interval
+
+    def test_fast_preset_stops_at_its_first_fruitless_decay(
+        self, fit_one_task
+    ):
+        """``fast`` (patience 15, ``decay_after`` 10) stops 10 checks
+        after its best, where its one plateau decay falls."""
+        cfg = TrainingConfig.fast_settings()
+        assert (cfg.patience, cfg.decay_after) == (15, 10)
+        assert self._tail(fit_one_task, cfg, 1) == 10 * cfg.check_interval
 
     @pytest.mark.parametrize(
         "width, lr_decay", [(3, 0.5), (1, 1.0)], ids=["width3", "no-decay"]
