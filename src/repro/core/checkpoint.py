@@ -337,22 +337,27 @@ def save_json_checkpoint(
     Same discipline as :func:`save_checkpoint` — checksummed envelope,
     atomic write, rotation of the previous good file to ``<path>.prev``
     — but the artifact stays a plain JSON document, so campaign
-    manifests remain greppable and diffable while still being
-    self-healing.  Non-finite floats are rejected (``allow_nan=False``):
-    they would round-trip as invalid JSON and silently break
-    checksums.
+    manifests remain greppable while still being self-healing.  The
+    file is compact: the envelope is written around the payload's
+    :func:`canonical_json`, the same string the checksum covers, so a
+    save encodes the payload once.  Non-finite floats are rejected
+    (``allow_nan=False``): they would round-trip as invalid JSON and
+    silently break checksums.
     """
     telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
     metrics = metrics if metrics is not None else METRICS
     path = Path(path)
-    digest = hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
-    envelope = {
-        "format": JSON_CHECKPOINT_FORMAT,
-        "version": JSON_CHECKPOINT_VERSION,
-        "sha256": digest,
-        "payload": payload,
-    }
-    text = json.dumps(envelope, sort_keys=True, indent=2, allow_nan=False)
+    body = canonical_json(payload)
+    digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
+    # the envelope is written around the one canonical encoding of the
+    # payload, keys in sorted order: the whole file is compact JSON,
+    # equal to canonical_json of the envelope, for one encoder pass
+    text = (
+        f'{{"format":{json.dumps(JSON_CHECKPOINT_FORMAT)},'
+        f'"payload":{body},'
+        f'"sha256":"{digest}",'
+        f'"version":{JSON_CHECKPOINT_VERSION}}}'
+    )
     rotated = path.exists()
     if rotated:
         os.replace(path, previous_path(path))

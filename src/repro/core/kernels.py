@@ -17,16 +17,19 @@ implements it as one fused numpy kernel:
   per layer per batch; backward writes each layer's gradient into its
   view of the buffer, and the Equation 3.2 momentum update is then five
   whole-buffer operations per batch, whatever the depth.  The epoch's
-  presentations are gathered with a single fancy-index, and finiteness
-  is checked once per epoch with one weight reduction — non-finite
-  values cannot "un-diverge" under gradient descent with momentum, so
-  checking after the epoch detects the failure in the same epoch a
-  per-batch guard would.
+  presentations are gathered with one ``take`` per array, activations
+  and deltas are computed in place in buffers the kernel keeps, and
+  finiteness is checked once per epoch with one weight reduction —
+  non-finite values cannot "un-diverge" under gradient descent with
+  momentum, so checking after the epoch detects the failure in the same
+  epoch a per-batch guard would.
 * Early stopping, restarts and quarantine become per-member active
-  masks: a stopped or diverged member's row is excluded from the
-  batched epoch (frozen in place), and a restart reseeds only that row.
-  The periodic early-stopping check is batched the same way
-  (:meth:`~EnsembleTrainingKernel.check_members`).
+  masks: the active members' rows lead the flat arrays, so a stopped or
+  diverged member's row simply leaves the trained block (frozen in
+  place) and a restart reseeds only that row.  The periodic
+  early-stopping check is batched the same way
+  (:meth:`~EnsembleTrainingKernel.member_health`,
+  :meth:`~EnsembleTrainingKernel.predict_members`).
 
 Inference is :func:`~repro.core.network.forward_raw`, under both
 :meth:`~repro.core.network.FeedForwardNetwork.predict` and
@@ -41,14 +44,16 @@ reference in ``tests/reference_training.py``.  This relies on numpy
 evaluating an ``(m, a, b) @ (m, b, c)`` matmul as the same BLAS GEMM per
 2-D slice it would run for one member alone (whatever the batch and
 output strides), on row-sum reductions over the batch axis preserving
-the 2-D accumulation order, and on the update being elementwise —
+the 2-D accumulation order, on a K = 1 matmul being one exact product
+per element (so a width-1 layer's backward broadcasts it instead), and
+on the update being elementwise —
 deferring every layer's update to the end of the batch changes no
 value, because backprop reads only pre-update weights.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -72,27 +77,30 @@ class EnsembleTrainingKernel:
     Each member's parameters are one row of ``P`` floats — every layer's
     ``(fan_in + 1) * fan_out`` weights back to back, bias row first — so
     the weights, the velocity and the gradient buffer of all ``m``
-    members are three contiguous ``(m, P)`` arrays.  :attr:`weights` and
-    :attr:`velocity` hold per-layer ``(m, fan_in + 1, fan_out)`` views
-    into them.  An epoch runs every *active* member as batched matmuls:
-    one ``(m, batch, fan_in) @ (m, fan_in, fan_out)`` forward GEMM stack
-    per layer, the mirrored backward GEMMs writing straight into the
-    gradient views, then one Equation 3.2 momentum update over the
-    whole flat rows with a per-member learning rate.
+    members are three contiguous ``(m, P)`` arrays.  The active members'
+    rows lead, in ascending member order: an epoch trains that leading
+    block in place, as ``(m, batch, fan_in) @ (m, fan_in, fan_out)``
+    forward GEMM stacks, the mirrored backward GEMMs writing straight
+    into the gradient rows, then one Equation 3.2 momentum update over
+    the whole block with a per-member learning rate.  Its layer views
+    are built once per active count, and the epoch's presentations,
+    activations and deltas live in buffers the kernel keeps, so an
+    epoch copies no rows and allocates no activations.
 
     Members are the unit of control, not the unit of work:
 
     * :meth:`deactivate` freezes a member's row (early stop, or
-      quarantine after restarts are exhausted) — it simply stops being
-      gathered into the batched epoch, so its weights stay exactly
-      where the caller left them;
+      quarantine after restarts are exhausted): the row moves out of
+      the leading block, and its weights stay exactly where the caller
+      left them;
     * :meth:`reinit_member` reseeds one row from a freshly initialized
       network (the divergence-restart path) without touching any other
-      member;
-    * reads (:meth:`members_finite`, :meth:`check_members`,
-      :meth:`get_member_weights`) and writes
+      member, and moves it back into the block;
+    * reads (:meth:`members_finite`, :meth:`member_health`,
+      :meth:`predict_members`, :meth:`get_member_weights`) and writes
       (:meth:`set_member_weights`, :meth:`reset_member_velocity`)
-      mirror the single-network reference's operations bit-for-bit
+      address members by index, whatever row holds them, and mirror
+      the single-network reference's operations bit-for-bit
       (``tests/reference_training.py``), so the early-stopping
       bookkeeping built on top of them reproduces per-fold
       trajectories exactly.
@@ -108,7 +116,9 @@ class EnsembleTrainingKernel:
     with the same presentation orders — ``tests/test_ensemble_kernel.py``
     locks this per op against the single-network reference kernel and
     end-to-end through
-    :class:`~repro.core.crossval.CrossValidationEnsemble`.
+    :class:`~repro.core.crossval.CrossValidationEnsemble`.  Which row
+    holds a member never matters: each 2-D slice of a stacked matmul is
+    its own GEMM with the same shapes and strides.
     """
 
     def __init__(
@@ -161,33 +171,47 @@ class EnsembleTrainingKernel:
                     f"got {len(x)} and {n} (group ragged folds by size)"
                 )
         self.networks: List[FeedForwardNetwork] = list(networks)
-        self.n_members = len(networks)
+        m = self.n_members = len(networks)
         self.n_inputs = first.n_inputs
         self.n_outputs = first.n_outputs
         self.n_samples = n
-        # (m, n, F) / (m, n, O): each member's own dataset, stacked
-        self.x = np.stack(xs)
-        self.y = np.stack(ys)
+        # every member's dataset back to back: member j's sample i is
+        # row j * n + i, so an epoch's presentations are one take
+        self._x_rows = np.concatenate(xs)
+        self._y_rows = np.concatenate(ys)
         # layer l occupies columns [bounds[l], bounds[l + 1]) of a row;
         # row 0 of its (fan_in + 1, fan_out) view is the bias, exactly
         # as in FeedForwardNetwork
         self._shapes = shapes
         self._bounds = np.cumsum([0] + [r * c for r, c in shapes]).tolist()
-        self._flat_weights = np.empty((self.n_members, self._bounds[-1]))
+        self._flat_weights = np.empty((m, self._bounds[-1]))
         # every member starts from rest: fresh networks carry no
         # training state, and a restart zeroes its row again
         self._flat_velocity = np.zeros_like(self._flat_weights)
         self._flat_grads = np.empty_like(self._flat_weights)
-        self.weights = self._layer_views(self._flat_weights)
-        self.velocity = self._layer_views(self._flat_velocity)
+        self._weight_layers = self._layer_views(self._flat_weights)
+        self._velocity_layers = self._layer_views(self._flat_velocity)
         for member, network in enumerate(networks):
-            for layer in range(len(shapes)):
-                self.weights[layer][member] = network.weights[layer]
-        # the full-active epoch's views, built once
-        self._full_views = self._epoch_views(
-            self._flat_weights, self._flat_grads
-        )
-        self._active = np.ones(self.n_members, dtype=bool)
+            for layer, weight in enumerate(self._weight_layers):
+                weight[member] = network.weights[layer]
+        # row r of the flat arrays holds member _members[r], and member
+        # j lives in row _rows[j]; the _n_active active members lead
+        self._active = np.ones(m, dtype=bool)
+        self._members = np.arange(m)
+        self._rows = np.arange(m)
+        self._n_active = m
+        self._offsets = self._epoch_offsets()
+        # the epoch's buffers: flat presentation rows and the gathered
+        # samples, then per-layer activations, deltas and derivatives
+        # sized for the largest batch seen (allocated on first use)
+        self._epoch_rows = np.empty((m, n), dtype=np.intp)
+        self._x_epoch = np.empty((m, n, self.n_inputs))
+        self._y_epoch = np.empty((m, n, self.n_outputs))
+        self._capacity = 0
+        self._buffers: Tuple[List[np.ndarray], ...] = ([], [], [])
+        # layer and batch views, keyed by active count (and batch rows)
+        self._epoch_views: dict = {}
+        self._batch_views: dict = {}
         self._hidden_forward = first.hidden_activation.forward
         self._hidden_deriv = first.hidden_activation.derivative_from_output
         self._output_forward = first.output_activation.forward
@@ -208,56 +232,119 @@ class EnsembleTrainingKernel:
             )
         ]
 
-    def _epoch_views(self, flat_weights: np.ndarray, flat_grads: np.ndarray):
-        """The batch loop's per-layer views: linear weights, their
-        transposes and bias rows of ``flat_weights``; linear and bias
-        gradient rows of ``flat_grads``."""
-        weights = self._layer_views(flat_weights)
-        grads = self._layer_views(flat_grads)
-        return (
-            [w[:, 1:] for w in weights],
-            [w[:, 1:].transpose(0, 2, 1) for w in weights],
-            [w[:, 0][:, None, :] for w in weights],
-            [g[:, 1:] for g in grads],
-            [g[:, 0] for g in grads],
-        )
+    def _views_for(self, n_active: int):
+        """The batch loop's views of the leading ``n_active`` rows: the
+        weight, velocity and gradient blocks; per layer, the linear
+        weights, their transposes and bias rows, then the linear and
+        bias gradient rows.  Built once per active count."""
+        views = self._epoch_views.get(n_active)
+        if views is None:
+            weights = self._flat_weights[:n_active]
+            grads = self._flat_grads[:n_active]
+            w = self._layer_views(weights)
+            g = self._layer_views(grads)
+            views = self._epoch_views[n_active] = (
+                weights,
+                self._flat_velocity[:n_active],
+                grads,
+                [layer[:, 1:] for layer in w],
+                [layer[:, 1:].transpose(0, 2, 1) for layer in w],
+                [layer[:, 0][:, None, :] for layer in w],
+                [layer[:, 1:] for layer in g],
+                [layer[:, 0] for layer in g],
+            )
+        return views
+
+    def _batch_buffers(self, n_active: int, rows: int):
+        """Per-layer activation, delta and hidden-derivative buffers of
+        ``(n_active, rows, fan_out)``, views into the kernel's own."""
+        key = (n_active, rows)
+        views = self._batch_views.get(key)
+        if views is None:
+            if rows > self._capacity:
+                widths = [shape[1] for shape in self._shapes]
+                m = self.n_members
+                self._capacity = rows
+                self._buffers = (
+                    [np.empty((m, rows, w)) for w in widths],
+                    [np.empty((m, rows, w)) for w in widths],
+                    [np.empty((m, rows, w)) for w in widths[:-1]],
+                )
+                self._batch_views.clear()
+            views = self._batch_views[key] = tuple(
+                [buffer[:n_active, :rows] for buffer in buffers]
+                for buffers in self._buffers
+            )
+        return views
 
     # -- active-mask control -------------------------------------------
     @property
     def active_members(self) -> np.ndarray:
         """Indices of members the next epoch will train, ascending."""
-        return np.flatnonzero(self._active)
+        return self._members[: self._n_active].copy()
 
     def deactivate(self, member: int) -> None:
         """Freeze ``member``: exclude its row from batched epochs."""
-        self._active[member] = False
+        self._set_active(member, False)
+
+    def _set_active(self, member: int, active: bool) -> None:
+        """Flip one member's mask and reorder the rows so the active
+        members lead in ascending order (a few KB per change)."""
+        if self._active[member] == active:
+            return
+        self._active[member] = active
+        members = np.concatenate(
+            (np.flatnonzero(self._active), np.flatnonzero(~self._active))
+        )
+        moved = self._rows[members]
+        for flat in (self._flat_weights, self._flat_velocity):
+            flat[...] = flat[moved]
+        self._members = members
+        self._rows[members] = np.arange(self.n_members)
+        self._n_active = int(self._active.sum())
+        self._offsets = self._epoch_offsets()
+
+    def _epoch_offsets(self) -> np.ndarray:
+        """Each row's first flat sample row, repeated across an epoch:
+        ``orders + offsets`` are the rows one ``take`` gathers."""
+        return np.repeat(
+            self._members[:, None] * self.n_samples, self.n_samples, axis=1
+        )
 
     # -- per-member views and writes -----------------------------------
+    @property
+    def velocity(self) -> List[np.ndarray]:
+        """Every member's momentum as per-layer ``(members, fan_in + 1,
+        fan_out)`` copies, in member order."""
+        return [layer[self._rows] for layer in self._velocity_layers]
+
     def get_member_weights(self, member: int) -> List[np.ndarray]:
         """Deep copy of one member's weights (early-stopping snapshot);
         mirrors :meth:`FeedForwardNetwork.get_weights`."""
-        return [w[member].copy() for w in self.weights]
+        row = self._rows[member]
+        return [w[row].copy() for w in self._weight_layers]
 
     def set_member_weights(
         self, member: int, weights: Sequence[np.ndarray]
     ) -> None:
         """Restore one member's weights from :meth:`get_member_weights`;
         mirrors :meth:`FeedForwardNetwork.set_weights`."""
-        if len(weights) != len(self.weights):
+        if len(weights) != len(self._weight_layers):
             raise ValueError(
-                f"expected {len(self.weights)} weight matrices, "
+                f"expected {len(self._weight_layers)} weight matrices, "
                 f"got {len(weights)}"
             )
-        for own, new in zip(self.weights, weights):
-            if own[member].shape != new.shape:
+        row = self._rows[member]
+        for own, new in zip(self._weight_layers, weights):
+            if own[row].shape != new.shape:
                 raise ValueError(
-                    f"weight shape mismatch: {own[member].shape} vs {new.shape}"
+                    f"weight shape mismatch: {own[row].shape} vs {new.shape}"
                 )
-            own[member] = new
+            own[row] = new
 
     def reset_member_velocity(self, member: int) -> None:
         """Zero one member's momentum (used after weight restores)."""
-        self._flat_velocity[member] = 0.0
+        self._flat_velocity[self._rows[member]] = 0.0
 
     def reinit_member(
         self, member: int, network: FeedForwardNetwork
@@ -273,89 +360,89 @@ class EnsembleTrainingKernel:
                 "replacement network does not match the stacked architecture"
             )
         self.networks[member] = network
-        for layer, weight in enumerate(self.weights):
-            weight[member] = network.weights[layer]
+        row = self._rows[member]
+        for layer, weight in enumerate(self._weight_layers):
+            weight[row] = network.weights[layer]
         self.reset_member_velocity(member)
-        self._active[member] = True
+        self._set_active(member, True)
 
     def sync_member(self, member: int) -> FeedForwardNetwork:
         """Copy one member's stacked weights back into its network
         object and return the network (the velocity stays here)."""
         network = self.networks[member]
-        for layer in range(len(self.weights)):
-            network.weights[layer][...] = self.weights[layer][member]
+        row = self._rows[member]
+        for layer, weight in enumerate(self._weight_layers):
+            network.weights[layer][...] = weight[row]
         return network
 
     # -- batched health and inference ----------------------------------
     def members_finite(self) -> np.ndarray:
-        """Weight finiteness for every member at once: one bool per
-        member, from one reduction over the flat rows (the post-epoch
-        guard runs every epoch, so this is on the hot path)."""
-        return np.isfinite(self._flat_weights).all(axis=1)
+        """Weight finiteness for every member at once, in member order:
+        one bool per member, from one reduction over the flat rows (the
+        post-epoch guard runs every epoch, so this is on the hot
+        path)."""
+        finite = np.logical_and.reduce(np.isfinite(self._flat_weights), axis=1)
+        return finite[self._rows]
 
-    def check_members(
-        self,
-        members: Sequence[int],
-        xs: Sequence[np.ndarray],
-        max_weight: float,
-    ) -> List[Tuple[WeightHealth, Optional[np.ndarray]]]:
-        """The early-stopping check of several members at once.
-
-        Returns one ``(health, outputs)`` pair per entry of ``members``:
-        the member's :class:`~repro.core.network.WeightHealth` (finite /
-        max-|w| / fraction above :data:`SATURATION_THRESHOLD`), and its
-        outputs on ``xs[j]``, shape ``(len(xs[j]), n_outputs)`` and equal
-        to :meth:`FeedForwardNetwork.predict` — or ``None`` when the
-        health is not ``ok(max_weight)``, since a single-network check
-        stops there and never predicts.  Outputs are returned as
-        computed, NaN/inf included; the caller applies ``predict``'s
-        non-finite guard.  Members whose ``xs`` have equal length share
-        one stacked forward pass.
-        """
-        members = np.asarray(members, dtype=np.intp)
-        for x in xs:
-            if x.ndim != 2 or x.shape[1] != self.n_inputs:
-                raise ValueError(
-                    f"expected {self.n_inputs} input features, got shape "
-                    f"{x.shape}"
-                )
-        rows = self._flat_weights[members]
+    def member_health(self, members: Sequence[int]) -> List[WeightHealth]:
+        """The :class:`~repro.core.network.WeightHealth` of several
+        members at once (finite / max-|w| / fraction above
+        :data:`SATURATION_THRESHOLD`), one per entry of ``members``."""
+        rows = self._flat_weights[self._rows[np.asarray(members, np.intp)]]
         magnitudes = np.abs(rows)
-        finite = np.isfinite(rows).all(axis=1)
-        max_abs = np.zeros(len(members))
+        max_abs = magnitudes.max(axis=1)
+        # inf and NaN both leave a non-finite maximum
+        finite = np.isfinite(max_abs)
         with np.errstate(invalid="ignore"):
             saturated = (magnitudes > SATURATION_THRESHOLD).sum(axis=1)
-            for start, stop in zip(self._bounds, self._bounds[1:]):
-                layer_max = magnitudes[:, start:stop].max(axis=1)
+        if not finite.all():
+            for j in np.flatnonzero(np.isnan(max_abs)):
                 # the reference weight_health takes a running Python
                 # max() over layers: a NaN layer maximum never wins
-                max_abs = np.where(layer_max > max_abs, layer_max, max_abs)
+                best = 0.0
+                for start, stop in zip(self._bounds, self._bounds[1:]):
+                    layer_max = magnitudes[j, start:stop].max()
+                    if layer_max > best:
+                        best = layer_max
+                max_abs[j] = best
         total = self._bounds[-1]
-        healths = [
-            WeightHealth(
-                finite=bool(finite[j]),
-                max_abs=float(max_abs[j]),
-                saturation=int(saturated[j]) / total,
+        return [
+            WeightHealth(finite=ok, max_abs=top, saturation=count / total)
+            for ok, top, count in zip(
+                finite.tolist(), max_abs.tolist(), saturated.tolist()
             )
-            for j in range(len(members))
         ]
-        outputs: List[Optional[np.ndarray]] = [None] * len(members)
-        by_length: dict = {}
-        for j, health in enumerate(healths):
-            if health.ok(max_weight):
-                by_length.setdefault(len(xs[j]), []).append(j)
+
+    def predict_members(
+        self, members: Sequence[int], x: np.ndarray
+    ) -> np.ndarray:
+        """Several members' outputs on their own inputs, as one stacked
+        forward pass.
+
+        ``x`` is ``(len(members), rows, n_inputs)`` — member
+        ``members[j]`` sees ``x[j]`` — and the result ``(len(members),
+        rows, n_outputs)``, each slice equal to that member's
+        :meth:`FeedForwardNetwork.predict` without its non-finite guard
+        (NaN/inf are returned as computed).
+        """
+        members = np.asarray(members, dtype=np.intp)
+        if x.ndim != 3 or len(x) != len(members) or x.shape[2] != self.n_inputs:
+            raise ValueError(
+                f"expected ({len(members)}, rows, {self.n_inputs}) inputs, "
+                f"got shape {x.shape}"
+            )
         last = len(self._shapes) - 1
-        for group in by_length.values():
-            a = np.stack([xs[j] for j in group])
-            for layer, w in enumerate(self._layer_views(rows[group])):
-                net = a @ w[:, 1:] + w[:, 0][:, None, :]
-                a = (
-                    self._output_forward(net) if layer == last
-                    else self._hidden_forward(net)
-                )
-            for row, j in enumerate(group):
-                outputs[j] = a[row]
-        return list(zip(healths, outputs))
+        a = x
+        for layer, w in enumerate(
+            self._layer_views(self._flat_weights[self._rows[members]])
+        ):
+            net = a @ w[:, 1:]
+            net += w[:, 0][:, None, :]
+            a = (
+                self._output_forward(net, out=net) if layer == last
+                else self._hidden_forward(net, out=net)
+            )
+        return a
 
     # -- the batched epoch ---------------------------------------------
     def run_epoch(
@@ -370,10 +457,10 @@ class EnsembleTrainingKernel:
         Parameters
         ----------
         orders:
-            ``(n_active, n_presentations)`` presentation indices — one
-            row per active member, in ascending member order (the order
-            of :attr:`active_members`).  Each row is that member's own
-            weighted presentation draw.
+            ``(n_active, n_samples)`` presentation indices in
+            ``[0, n_samples)`` — one row per active member, in ascending
+            member order (the order of :attr:`active_members`).  Each
+            row is that member's own weighted presentation draw.
         batch_size:
             Updates happen every ``batch_size`` presentations: the mean
             gradient of half squared error over the batch, then one
@@ -390,14 +477,13 @@ class EnsembleTrainingKernel:
         failed rows — the same epoch-granularity detection the
         per-fold guard gave.
         """
-        idx = self.active_members
-        n_active = len(idx)
+        n_active = self._n_active
         if n_active == 0:
             raise ValueError("no active members to train")
         orders = np.asarray(orders)
-        if orders.ndim != 2 or orders.shape[0] != n_active:
+        if orders.shape != (n_active, self.n_samples):
             raise ValueError(
-                f"orders must have shape ({n_active}, n_presentations), "
+                f"orders must have shape ({n_active}, {self.n_samples}), "
                 f"got {orders.shape}"
             )
         learning_rates = np.asarray(learning_rates, dtype=np.float64)
@@ -407,25 +493,20 @@ class EnsembleTrainingKernel:
                 f"got {learning_rates.shape}"
             )
 
-        # one gather for the whole epoch, all members at once
-        x_ep = self.x[idx[:, None], orders]
-        y_ep = self.y[idx[:, None], orders]
-        full = n_active == self.n_members
-        # full-active epochs update the master rows in place through the
-        # prebuilt views; partial epochs gather the active rows as one
-        # block, train the copy, and scatter it back (a few KB per
-        # member — negligible next to one batch of activations)
-        if full:
-            weights = self._flat_weights
-            velocity = self._flat_velocity
-            grads = self._flat_grads
-            views = self._full_views
-        else:
-            weights = self._flat_weights[idx]
-            velocity = self._flat_velocity[idx]
-            grads = self._flat_grads[:n_active]
-            views = self._epoch_views(weights, grads)
-        w_lin, w_lin_t, w_bias, g_lin, g_bias = views
+        # the epoch's presentations of every active member: one take
+        # each into the kernel's buffers, in active-row order
+        flat_rows = np.add(
+            orders, self._offsets[:n_active], out=self._epoch_rows[:n_active]
+        )
+        x_ep = self._x_rows.take(
+            flat_rows, axis=0, out=self._x_epoch[:n_active], mode="wrap"
+        )
+        y_ep = self._y_rows.take(
+            flat_rows, axis=0, out=self._y_epoch[:n_active], mode="wrap"
+        )
+        (
+            weights, velocity, grads, w_lin, w_lin_t, w_bias, g_lin, g_bias
+        ) = self._views_for(n_active)
         n_layers = len(w_lin)
         last = n_layers - 1
         hidden_forward = self._hidden_forward
@@ -433,42 +514,47 @@ class EnsembleTrainingKernel:
         output_forward = self._output_forward
         output_deriv = self._output_deriv
         lr = learning_rates[:, None]
-        n = orders.shape[1]
+        n = self.n_samples
 
         for start in range(0, n, batch_size):
             stop = start + batch_size
             xb = x_ep[:, start:stop]
             yb = y_ep[:, start:stop]
             m = xb.shape[1]
+            acts, deltas, derivs = self._batch_buffers(n_active, m)
 
             # -- forward: one stacked matmul per layer ------------------
-            activations: List[np.ndarray] = [xb]
             a = xb
             for layer in range(n_layers):
-                net = a @ w_lin[layer] + w_bias[layer]
+                net = np.matmul(a, w_lin[layer], out=acts[layer])
+                net += w_bias[layer]
                 a = (
-                    output_forward(net) if layer == last
-                    else hidden_forward(net)
+                    output_forward(net, out=net) if layer == last
+                    else hidden_forward(net, out=net)
                 )
-                activations.append(a)
 
             # -- backward into the gradient rows, output layer first ----
-            delta = a - yb
+            delta = np.subtract(a, yb, out=deltas[last])
             if output_deriv is not None:
                 delta *= output_deriv(a)
             for layer in range(last, -1, -1):
-                previous = activations[layer]
-                delta.sum(axis=1, out=g_bias[layer])
+                previous = acts[layer - 1] if layer else xb
+                np.add.reduce(delta, axis=1, out=g_bias[layer])
                 np.matmul(
                     previous.transpose(0, 2, 1), delta, out=g_lin[layer]
                 )
                 if layer > 0:
                     # every update waits for the end of the batch, so
                     # backprop sees the pre-update weights, exactly as
-                    # the per-fold path
-                    delta = np.matmul(
-                        delta, w_lin_t[layer]
-                    ) * hidden_deriv(previous)
+                    # the per-fold path; a width-1 layer's K = 1 matmul
+                    # is one product per element, so it broadcasts
+                    back = deltas[layer - 1]
+                    if delta.shape[2] == 1:
+                        np.multiply(delta, w_lin_t[layer], out=back)
+                    else:
+                        np.matmul(delta, w_lin_t[layer], out=back)
+                    back *= hidden_deriv(previous, out=derivs[layer - 1])
+                    delta = back
 
             # -- Equation 3.2 over the whole rows -----------------------
             grads /= m
@@ -476,8 +562,3 @@ class EnsembleTrainingKernel:
             grads *= lr
             velocity -= grads
             weights += velocity
-
-        if not full:
-            self._flat_weights[idx] = weights
-            self._flat_velocity[idx] = velocity
-

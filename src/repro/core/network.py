@@ -33,7 +33,7 @@ DEFAULT_INIT_RANGE = 0.01
 
 #: |weight| above which a sigmoid/tanh unit fed unit-range inputs is
 #: effectively saturated (gradient ~ 0); used by
-#: :meth:`~repro.core.kernels.EnsembleTrainingKernel.check_members`
+#: :meth:`~repro.core.kernels.EnsembleTrainingKernel.member_health`
 SATURATION_THRESHOLD = 4.0
 
 
@@ -217,7 +217,8 @@ def forward_raw(network: FeedForwardNetwork, x: np.ndarray) -> np.ndarray:
     finite-guard: :meth:`FeedForwardNetwork.predict` validates around
     it once per call, and
     :class:`~repro.core.ensemble.EnsemblePredictor` once per point set
-    rather than once per chunk.
+    rather than once per chunk.  Each layer's bias add and activation
+    run in place on its matmul's result, so ``x`` is never written.
     """
     a = x
     weights = network.weights
@@ -225,6 +226,10 @@ def forward_raw(network: FeedForwardNetwork, x: np.ndarray) -> np.ndarray:
     hidden = network.hidden_activation
     output = network.output_activation
     for layer, w in enumerate(weights):
-        net = a @ w[1:] + w[0]
-        a = output.forward(net) if layer == last else hidden.forward(net)
+        net = a @ w[1:]
+        net += w[0]
+        a = (
+            output.forward(net, out=net) if layer == last
+            else hidden.forward(net, out=net)
+        )
     return a

@@ -31,9 +31,10 @@ multi-target fit departs from the scalar recipe.
 from __future__ import annotations
 
 import dataclasses
+import math
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -95,8 +96,8 @@ class PresentationSampler:
     cumulative distribution on every call, then inverts it with
     ``cdf.searchsorted(rng.random(n), side="right")``.  A fold's
     presentation probabilities never change, so this builds the CDF once
-    and runs only the inversion per epoch, consuming the generator
-    exactly as ``choice`` does.
+    and runs only the inversion, consuming the generator exactly as
+    ``choice`` does.
     """
 
     def __init__(self, probabilities: np.ndarray):
@@ -104,9 +105,20 @@ class PresentationSampler:
         cdf /= cdf[-1]
         self.cdf = cdf
 
-    def draw(self, rng: np.random.Generator) -> np.ndarray:
-        """One presentation order of ``len(probabilities)`` indices."""
-        return self.cdf.searchsorted(rng.random(len(self.cdf)), side="right")
+    def draw(
+        self, rng: np.random.Generator, epochs: Optional[int] = None
+    ) -> np.ndarray:
+        """One presentation order of ``len(probabilities)`` indices, or
+        ``epochs`` of them as an ``(epochs, n)`` matrix.
+
+        ``rng.random((epochs, n))`` fills its rows with the doubles
+        ``epochs`` successive ``rng.random(n)`` calls would return, so
+        the matrix equals that many single draws, row for row, and
+        leaves the generator in the same state.
+        """
+        n = len(self.cdf)
+        size = n if epochs is None else (epochs, n)
+        return self.cdf.searchsorted(rng.random(size), side="right")
 
 
 @dataclass(frozen=True)
@@ -353,6 +365,19 @@ class FoldResult:
             metrics.merge(self.metrics)
 
 
+class _Check(NamedTuple):
+    """One fold's early-stopping check, as its group's batched pass
+    computed it (:class:`_GroupChecks`).  A fold whose weight health
+    fails is not evaluated, as a single-network check stops there:
+    only ``health`` is set.  ``es_error`` and ``spread`` (the primary
+    output's ``ptp``) are set only when the outputs are finite."""
+
+    health: WeightHealth
+    outputs_finite: bool = False
+    es_error: float = math.nan
+    spread: float = math.nan
+
+
 class _FoldProgram:
     """The per-fold early-stopping/restart state machine.
 
@@ -389,7 +414,10 @@ class _FoldProgram:
         self.y_norm = scaler.transform(y_train)
         self.x_es = x_es
         self.y_es = y_es[:, 0]
-        self.scaler = scaler
+        # the primary column's inverse scaling, as
+        # TargetScaler.inverse_transform applies it
+        self.es_span = scaler.span[0]
+        self.es_low = scaler.low[0]
         self.n_outputs = y_train.shape[1]
         self.cfg = cfg = TargetRecipe(self.n_outputs).config(config)
         # checks without improvement before the fit stops: a decaying
@@ -450,8 +478,20 @@ class _FoldProgram:
         self.attempt_wall = 0.0
 
     def draw_order(self) -> np.ndarray:
-        """This attempt's next weighted presentation order."""
-        return self.sampler.draw(self.rng)
+        """This attempt's next weighted presentation order.
+
+        Orders are drawn one ``check_interval`` block at a time, the
+        same values one draw per epoch gives.  Draws a block holds past
+        the attempt's end are never used by a later attempt: a restart
+        builds a fresh generator.
+        """
+        cfg = self.cfg
+        at = self.epoch % cfg.check_interval
+        if at == 0:
+            self.orders = self.sampler.draw(
+                self.rng, min(cfg.check_interval, cfg.max_epochs - self.epoch)
+            )
+        return self.orders[at]
 
     # -- the early-stopping layer --------------------------------------
     def _diverged(
@@ -476,7 +516,7 @@ class _FoldProgram:
         self,
         kernel: EnsembleTrainingKernel,
         weights_finite: bool,
-        check: Optional[Tuple[WeightHealth, Optional[np.ndarray]]] = None,
+        check: Optional[_Check] = None,
     ) -> None:
         """Post-epoch bookkeeping for this fold's member row.
 
@@ -486,9 +526,8 @@ class _FoldProgram:
         propagating.  ``weights_finite`` is the member's entry of the
         group's :meth:`EnsembleTrainingKernel.members_finite`, and
         ``check`` — given when :meth:`check_due` — its entry of the
-        group's :meth:`EnsembleTrainingKernel.check_members`, so the
-        guard and the check cost one batched computation per group
-        instead of one per fold.
+        group's :class:`_GroupChecks`, so the guard and the check cost
+        one batched computation per group instead of one per fold.
         """
         cfg = self.cfg
         self.epoch += 1
@@ -503,7 +542,7 @@ class _FoldProgram:
                 )
             self.history.epochs_run = epoch
             if epoch % cfg.check_interval == 0:
-                self._run_check(kernel, epoch, *check)
+                self._run_check(kernel, epoch, check)
         except TrainingDiverged as exc:
             self._restart_or_quarantine(kernel, exc)
             return
@@ -511,14 +550,11 @@ class _FoldProgram:
             self._complete(kernel)
 
     def _run_check(
-        self,
-        kernel: EnsembleTrainingKernel,
-        epoch: int,
-        health: WeightHealth,
-        outputs: Optional[np.ndarray],
+        self, kernel: EnsembleTrainingKernel, epoch: int, check: _Check
     ) -> None:
         cfg = self.cfg
         history = self.history
+        health = check.health
         if not health.ok(cfg.max_weight):
             reason = (
                 "weight explosion" if health.finite else "non-finite weights"
@@ -532,17 +568,15 @@ class _FoldProgram:
                 max_abs=health.max_abs,
                 saturation=health.saturation,
             )
-        if not np.isfinite(outputs).all():
+        if not check.outputs_finite:
             # FeedForwardNetwork.predict's non-finite output guard
             self._diverged(
                 "network output contains non-finite values",
                 reason="non-finite output",
                 epoch=epoch,
             )
-        raw = outputs[:, 0]
-        predictions = self.scaler.inverse_transform(outputs)[:, 0]
-        es_error = float(np.mean(percentage_errors(predictions, self.y_es)))
-        if not np.isfinite(es_error) or es_error > cfg.divergence_error:
+        es_error = check.es_error
+        if not math.isfinite(es_error) or es_error > cfg.divergence_error:
             self._diverged(
                 f"early-stopping error {es_error:g} exceeds the "
                 f"divergence threshold {cfg.divergence_error:g}",
@@ -552,7 +586,7 @@ class _FoldProgram:
             )
         # dead-network detection needs >= 2 ES points: spread over a
         # single prediction is zero by definition, not a collapse
-        if len(raw) >= 2 and float(np.ptp(raw)) < DEAD_PREDICTION_SPREAD:
+        if len(self.y_es) >= 2 and check.spread < DEAD_PREDICTION_SPREAD:
             self.dead_streak += 1
             if self.dead_streak >= cfg.dead_checks:
                 self._diverged(
@@ -636,6 +670,95 @@ class _FoldProgram:
             self.network = None
             self.done = True
             kernel.deactivate(self.member)
+
+
+class _GroupChecks:
+    """The early-stopping checks of one fold group, batched.
+
+    Each fold's check reads its early-stopping inputs, its primary
+    targets and its scaler's primary column; those never change, so
+    they are stacked once per early-stopping-set length.  A call then
+    makes one weight-health pass over the due folds and, for the
+    healthy ones, one stacked pass per length for their outputs'
+    finiteness and, where finite, the inverse scaling, mean percentage
+    error and spread (``ptp``) of the primary output.  Each value
+    equals its single-fold computation (``TargetScaler.inverse_transform``,
+    ``percentage_errors``, ``np.mean``, ``np.ptp``): elementwise
+    arithmetic, and reductions along each fold's own contiguous row.
+    """
+
+    def __init__(self, programs: Sequence[_FoldProgram], max_weight: float):
+        self.max_weight = max_weight
+        by_length: Dict[int, List[_FoldProgram]] = {}
+        for program in programs:
+            by_length.setdefault(len(program.y_es), []).append(program)
+        #: member -> its position in its length's stacks
+        self.position: Dict[int, int] = {}
+        #: members whose early-stopping truths hold a zero, which
+        #: percentage error cannot take (their first check raises)
+        self.zero_truth = {
+            program.member for program in programs
+            if np.any(program.y_es == 0)
+        }
+        #: length -> (inputs, truths, |truths|, span, low), stacked
+        self.stacks: Dict[int, Tuple[np.ndarray, ...]] = {}
+        for length, group in by_length.items():
+            for at, program in enumerate(group):
+                self.position[program.member] = at
+            truths = np.stack([program.y_es for program in group])
+            self.stacks[length] = (
+                np.stack([program.x_es for program in group]),
+                truths,
+                np.abs(truths),
+                np.array([[program.es_span] for program in group]),
+                np.array([[program.es_low] for program in group]),
+            )
+
+    def __call__(
+        self,
+        kernel: EnsembleTrainingKernel,
+        programs: Sequence[_FoldProgram],
+    ) -> Dict[int, _Check]:
+        """One :class:`_Check` per member of the due ``programs``."""
+        healths = kernel.member_health([program.member for program in programs])
+        checks: Dict[int, _Check] = {}
+        by_length: Dict[int, List[Tuple[_FoldProgram, WeightHealth]]] = {}
+        for program, health in zip(programs, healths):
+            if health.ok(self.max_weight):
+                by_length.setdefault(len(program.y_es), []).append(
+                    (program, health)
+                )
+            else:
+                checks[program.member] = _Check(health)
+        for length, due in by_length.items():
+            inputs, truths, magnitudes, span, low = self.stacks[length]
+            at = np.array([self.position[program.member] for program, _ in due])
+            outputs = kernel.predict_members(
+                [program.member for program, _ in due], inputs[at]
+            )
+            finite = np.isfinite(outputs).all(axis=(1, 2))
+            if not finite.all():
+                for (program, health), ok in zip(due, finite.tolist()):
+                    if not ok:
+                        checks[program.member] = _Check(health)
+                due = [entry for entry, ok in zip(due, finite) if ok]
+                at, outputs = at[finite], outputs[finite]
+                if not due:
+                    continue
+            if any(program.member in self.zero_truth for program, _ in due):
+                raise ValueError(
+                    "percentage error is undefined for zero truths"
+                )
+            raw = outputs[:, :, 0]
+            predictions = raw * span[at] + low[at]
+            errors = 100.0 * np.abs(predictions - truths[at]) / magnitudes[at]
+            es_errors = errors.mean(axis=1).tolist()
+            spreads = np.ptp(raw, axis=1).tolist()
+            for (program, health), es_error, spread in zip(
+                due, es_errors, spreads
+            ):
+                checks[program.member] = _Check(health, True, es_error, spread)
+        return checks
 
 
 class StackedEnsembleTrainer:
@@ -756,13 +879,14 @@ class StackedEnsembleTrainer:
             [program.y_norm for program in group],
         )
         orders = np.empty((len(group), kernel.n_samples), dtype=np.intp)
+        run_checks = _GroupChecks(group, cfg.max_weight)
         while True:
             active = [program for program in group if not program.done]
             if not active:
                 break
             step_start = time.perf_counter()
-            # one weighted presentation draw per active fold, from that
-            # fold's own attempt rng — the same stream order as a
+            # each active fold's next weighted presentation order, from
+            # that fold's own attempt rng — the same stream order as a
             # single-network fit
             for row, program in enumerate(active):
                 orders[row] = program.draw_order()
@@ -780,19 +904,7 @@ class StackedEnsembleTrainer:
                 program for program in active
                 if program.check_due(finite[program.member])
             ]
-            checks = {}
-            if due:
-                members = [program.member for program in due]
-                checks = dict(
-                    zip(
-                        members,
-                        kernel.check_members(
-                            members,
-                            [program.x_es for program in due],
-                            cfg.max_weight,
-                        ),
-                    )
-                )
+            checks = run_checks(kernel, due) if due else {}
             for program in active:
                 program.after_epoch(
                     kernel,

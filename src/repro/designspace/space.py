@@ -180,10 +180,10 @@ class DesignSpace:
         ``(N, P)`` integer grid in enumeration order: row ``i`` equals
         ``config_to_indices(config_at(i))``."""
         if not self.constraints:
+            # the cross product in row-major order: np.indices lays out
+            # each parameter's index grid, one row per parameter
             shape = tuple(p.cardinality for p in self.parameters)
-            return np.column_stack(
-                np.unravel_index(np.arange(self.cross_product_size), shape)
-            )
+            return np.indices(shape).reshape(len(shape), -1).T
         return np.asarray(self._materialize(), dtype=np.intp)
 
     def _rank(self, idx: IndexTuple) -> int:

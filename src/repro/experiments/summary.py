@@ -3,11 +3,15 @@
 ``generate_experiments_md`` runs (or loads from cache) every evaluation
 experiment and writes a Markdown report comparing the paper's published
 numbers with this reproduction's, table by table and figure by figure.
+It prints one line per section to stderr with the section's elapsed
+seconds as it goes.
 """
 
 from __future__ import annotations
 
 import platform
+import sys
+import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..obs.atomicio import atomic_write_text
@@ -251,12 +255,25 @@ def generate_experiments_md(
         "there; the other three SimPoint-study applications behave like "
         "the paper's.\n"
     )
-    _table51_section(lines, seed)
-    _learning_curve_section(lines, benchmarks, seed)
-    _estimation_section(lines, benchmarks, seed)
-    _simpoint_section(lines, seed)
-    _gains_section(lines, seed)
-    _training_time_section(lines, seed)
+    sections = (
+        ("Table 5.1", lambda: _table51_section(lines, seed)),
+        ("curves", lambda: _learning_curve_section(lines, benchmarks, seed)),
+        ("estimation", lambda: _estimation_section(lines, benchmarks, seed)),
+        ("SimPoint", lambda: _simpoint_section(lines, seed)),
+        ("gains", lambda: _gains_section(lines, seed)),
+        ("training times", lambda: _training_time_section(lines, seed)),
+    )
+    for name, section in sections:
+        # one progress line per section on stderr, so a slow section
+        # shows itself while the report runs
+        started = time.perf_counter()
+        section()
+        print(
+            f"report: {name} section done in "
+            f"{time.perf_counter() - started:.1f} s",
+            file=sys.stderr,
+            flush=True,
+        )
 
     text = "\n".join(lines)
     if path:

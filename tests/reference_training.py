@@ -164,7 +164,7 @@ def train_batch(
 def weight_health(network: FeedForwardNetwork) -> WeightHealth:
     """Numeric health of ``network``'s weights (finite / max-|w| /
     saturation fraction), one layer at a time: the reference for
-    :meth:`~repro.core.kernels.EnsembleTrainingKernel.check_members`."""
+    :meth:`~repro.core.kernels.EnsembleTrainingKernel.member_health`."""
     max_abs = 0.0
     saturated = 0
     total = 0

@@ -554,6 +554,57 @@ class TestJsonCheckpoints:
         path.write_text("garbage")
         assert load_json_checkpoint(path, strict=True) == {"round": 1}
 
+    def test_compact_envelope_loads_rotates_and_heals(self, tmp_path):
+        """A save writes the envelope around the payload's one canonical
+        encoding: the file is the canonical JSON of the whole envelope.
+        Loading verifies its checksum, the previous save rotates to
+        ``.prev``, a torn primary heals from it, and an indented file
+        from the earlier two-pass writer still loads."""
+        import json as json_mod
+
+        from repro.core.checkpoint import (
+            JSON_CHECKPOINT_FORMAT,
+            JSON_CHECKPOINT_VERSION,
+            canonical_json,
+            load_json_checkpoint,
+            save_json_checkpoint,
+        )
+
+        path = tmp_path / "REGISTRY.json"
+        first = {"records": [{"id": "j1", "state": "done", "error": 0.5}]}
+        second = {
+            "records": first["records"] + [
+                {"id": "j2", "state": "accepted", "note": "caf\u00e9 \"q\""}
+            ]
+        }
+        save_json_checkpoint(path, first)
+        save_json_checkpoint(path, second)
+        text = path.read_text(encoding="utf-8")
+        body = canonical_json(second)
+        envelope = {
+            "format": JSON_CHECKPOINT_FORMAT,
+            "version": JSON_CHECKPOINT_VERSION,
+            "sha256": hashlib.sha256(body.encode("utf-8")).hexdigest(),
+            "payload": second,
+        }
+        assert text == canonical_json(envelope) + "\n"
+        assert json_mod.loads(text) == envelope
+        assert load_json_checkpoint(path) == second
+        assert load_json_checkpoint(previous_path(path)) == first
+
+        # a torn write of the primary falls back to the rotated round
+        metrics = MetricsRegistry(enabled=True)
+        path.write_text(text[: len(text) // 2], encoding="utf-8")
+        assert load_json_checkpoint(path, metrics=metrics) == first
+        assert metrics.counter("checkpoint.fallbacks") == 1
+
+        # the earlier writer's indented envelope reads the same
+        path.write_text(
+            json_mod.dumps(envelope, sort_keys=True, indent=2) + "\n",
+            encoding="utf-8",
+        )
+        assert load_json_checkpoint(path) == second
+
     def test_canonical_json_is_stable(self):
         from repro.core.checkpoint import canonical_json
 

@@ -158,6 +158,49 @@ class TestCommands:
             "workload.profile", "design.matrix", "explore", "predict.space"
         ]
 
+    def test_report_prints_one_progress_line_per_section(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        """``repro report`` names each section on stderr as it
+        finishes, with its elapsed seconds; stdout and the written
+        report are unchanged."""
+        import re
+
+        from repro.experiments import summary
+
+        for name in (
+            "_table51_section",
+            "_learning_curve_section",
+            "_estimation_section",
+            "_simpoint_section",
+            "_gains_section",
+            "_training_time_section",
+        ):
+            monkeypatch.setattr(
+                summary,
+                name,
+                lambda lines, *args, name=name: lines.append(f"stub {name}"),
+            )
+        out_path = tmp_path / "EXPERIMENTS.md"
+        assert main(
+            ["report", "--output", str(out_path), "--benchmarks", "mesa"]
+        ) == 0
+        captured = capsys.readouterr()
+        assert captured.out == f"wrote {out_path}\n"
+        lines = captured.err.splitlines()
+        assert [
+            re.fullmatch(r"report: (.+) section done in \d+\.\d s", line)
+            .group(1)
+            for line in lines
+        ] == [
+            "Table 5.1", "curves", "estimation", "SimPoint", "gains",
+            "training times",
+        ]
+        text = out_path.read_text()
+        assert text.index("stub _table51_section") < text.index(
+            "stub _training_time_section"
+        )
+
     def test_unknown_figure(self):
         with pytest.raises(SystemExit):
             main(["figure", "9.9"])

@@ -208,8 +208,9 @@ class TestEnsembleTrainingKernel:
 
     def test_predict_member_matches_network(self):
         """The batched check's outputs equal each member's own
-        ``predict``, with early-stopping sets of unequal length (the
-        ``n=123, k=10`` layout: 12- and 13-row sets) in one call."""
+        ``predict``, for members in any order, one stacked pass per
+        early-stopping-set length (the ``n=123, k=10`` layout: 12- and
+        13-row sets), after a deactivation moved the rows."""
         members = 4
         stacked = EnsembleTrainingKernel(
             *zip(*[_member(i, (6,), "sigmoid", 1) for i in range(members)])
@@ -220,17 +221,21 @@ class TestEnsembleTrainingKernel:
             np.full(members, 0.05),
             0.9,
         )
+        stacked.deactivate(1)
         probe_rng = np.random.default_rng(5)
         probes = [
             probe_rng.random((rows, N_FEATURES)) for rows in (12, 13, 12, 13)
         ]
-        due = [3, 0, 1]
-        checks = stacked.check_members(due, [probes[i] for i in due], 1e6)
-        assert len(checks) == len(due)
-        for i, (health, outputs) in zip(due, checks):
-            network = stacked.sync_member(i)
-            assert health == weight_health(network)
-            np.testing.assert_array_equal(outputs, network.predict(probes[i]))
+        for due in ([2, 0], [3, 1]):
+            outputs = stacked.predict_members(
+                due, np.stack([probes[i] for i in due])
+            )
+            assert outputs.shape == (2, len(probes[due[0]]), 1)
+            healths = stacked.member_health(due)
+            for i, health, got in zip(due, healths, outputs):
+                network = stacked.sync_member(i)
+                assert health == weight_health(network)
+                np.testing.assert_array_equal(got, network.predict(probes[i]))
 
     def test_members_finite_flags_only_broken_member(self):
         stacked = EnsembleTrainingKernel(
@@ -252,8 +257,8 @@ class TestEnsembleTrainingKernel:
     def test_member_weight_health_matches_network(self):
         """The batched check's weight health equals
         the reference ``weight_health`` member by member — healthy,
-        saturated, NaN and exploded (``inf``) — and a member whose
-        health fails is not evaluated."""
+        saturated, NaN and exploded (``inf``) — and only the first two
+        pass the check's ``ok`` gate."""
         stacked = EnsembleTrainingKernel(
             *zip(*[_member(i, (8, 5), "tanh", 1) for i in range(5)])
         )
@@ -269,10 +274,9 @@ class TestEnsembleTrainingKernel:
             for layer, at, value in changes:
                 weights[layer][at] = value
             stacked.set_member_weights(member, weights)
-        probe = np.random.default_rng(6).random((12, N_FEATURES))
         members = list(range(5))
-        checks = stacked.check_members(members, [probe] * 5, 1e6)
-        for member, (got, outputs) in zip(members, checks):
+        healths = stacked.member_health(members)
+        for member, got in zip(members, healths):
             network = stacked.sync_member(member)
             want = weight_health(network)
             assert (got.finite, got.max_abs, got.saturation) == (
@@ -280,14 +284,12 @@ class TestEnsembleTrainingKernel:
                 want.max_abs,
                 want.saturation,
             )
-            assert (outputs is None) == (not want.ok(1e6))
-        healths = [health for health, _ in checks]
         assert healths[1].saturation > 0
         assert not healths[2].finite and healths[2].max_abs == 9.0
         assert not healths[3].finite and healths[3].max_abs == np.inf
         assert healths[4].finite and healths[4].max_abs == 2e6
-        assert [outputs is None for _, outputs in checks] == [
-            False, False, True, True, True
+        assert [health.ok(1e6) for health in healths] == [
+            True, True, False, False, False
         ]
 
     def test_ragged_training_sets_rejected(self):
@@ -397,6 +399,106 @@ def reference_fit(x, y, k, training, seed, target_names=()):
             estimate, per_target=tuple(zip(target_names, columns))
         )
     return predictor, estimate, telemetry, metrics, folds
+
+
+class TestBatchedChecks:
+    """The group's batched early-stopping check against the per-fold
+    reference: six folds share one training-set length (one kernel)
+    but hold early-stopping sets of 6 and 7 rows, and three of them
+    check healthy while the others meet a non-finite output (a NaN row
+    only their early-stopping set holds), a dead network (one input
+    repeated) and an exploding weight (a scaler whose narrow span blows
+    the normalized targets up), side by side in one stacked pass."""
+
+    def test_matches_reference_fold_by_fold(self):
+        rng = np.random.default_rng(11)
+        x = rng.random((60, 3))
+        y = 0.5 + 0.8 * x[:, 0] + 0.4 * x[:, 1] * x[:, 2]
+        nan_row, twins = 60, [61, 62]
+        x = np.vstack([x, np.full((1, 3), np.nan), x[:1], x[:1]])
+        y = np.concatenate([y, [1.0], [y[0], 1.1 * y[0]]])
+        train, test = np.arange(40), np.arange(54, 60)
+        es_sets = [
+            range(40, 46),
+            range(40, 47),
+            [40, 41, nan_row, 42, 43, 44],
+            twins * 3,
+            range(46, 52),
+            range(47, 54),
+        ]
+        tasks = [
+            (train, np.asarray(es), test, seed)
+            for seed, es in enumerate(es_sets, start=1)
+        ]
+        shared = TargetScaler().fit(y[:60])
+        narrow = TargetScaler().fit(np.array([0.9, 0.95]))
+        scalers = [shared] * 4 + [narrow, shared]
+        training = TrainingConfig(
+            hidden_layers=(8,),
+            max_epochs=80,
+            patience=6,
+            check_interval=10,
+            max_restarts=1,
+            dead_checks=2,
+            max_weight=20.0,
+        )
+        stacked = StackedEnsembleTrainer(training).fit_folds(
+            x, y, tasks, scalers, capture_telemetry=True, capture_metrics=True
+        )
+        reference = reference_folds(x, y, tasks, scalers, training)
+        reasons = []
+        for got, want in zip(stacked, reference):
+            assert got.events == want.events
+            assert got.error == want.error
+            assert got.history == want.history
+            for counter in ("train.epochs", "train.diverged", "train.restarts"):
+                assert got.metrics.counter(counter) == (
+                    want.metrics.counter(counter)
+                )
+            names = [name for name, _ in got.events]
+            assert names.count("train.restart") == names.count(
+                "train.diverged"
+            ) - (got.error is not None)
+            reasons.append(
+                [p["reason"] for n, p in got.events if n == "train.diverged"]
+            )
+        checks = [
+            [p["es_error"] for n, p in fold.events if n == "train.check"]
+            for fold in stacked
+        ]
+        for fold, errors in zip(stacked, checks):
+            if fold.history is not None:
+                assert fold.history.es_errors == errors
+        assert reasons == [
+            [],
+            [],
+            ["non-finite output"] * 2,
+            ["dead network"] * 2,
+            ["weight explosion"] * 2,
+            [],
+        ]
+        assert [fold.diverged for fold in stacked] == [
+            False, False, True, True, True, False
+        ]
+
+
+    def test_zero_truth_fails_at_first_check_like_reference(
+        self, fast_training
+    ):
+        """A zero early-stopping truth has no percentage error: the
+        batched check raises the reference's ``ValueError`` instead of
+        scoring the fold."""
+        x, y = make_problem(np.random.default_rng(4), n=40)
+        y = y.copy()
+        y[30] = 0.0
+        tasks = [(np.arange(30), np.arange(30, 35), np.arange(35, 40), 2)]
+        scalers = [TargetScaler().fit(y[:30])]
+        with pytest.raises(ValueError, match="zero truths"):
+            reference_folds(x, y, tasks, scalers, fast_training)
+        with pytest.raises(ValueError, match="zero truths"):
+            StackedEnsembleTrainer(fast_training).fit_folds(
+                x, y, tasks, scalers
+            )
 
 
 #: a recipe that lets near-zero targets diverge within a few checks

@@ -16,7 +16,9 @@ made the swap safe:
   with per-config encoding;
 * ``presentation_probabilities`` is computed once per fit, not once per
   epoch, and the cached-CDF ``PresentationSampler`` that draws from it
-  equals ``Generator.choice`` draw for draw.
+  equals ``Generator.choice`` draw for draw, and a block of draws equals
+  as many single draws;
+* ``forward_raw``'s in-place layers never write its input.
 """
 
 from __future__ import annotations
@@ -339,3 +341,69 @@ def test_presentation_sampler_matches_generator_choice(
         assert got.dtype == want.dtype
         np.testing.assert_array_equal(got, want)
     assert ours.random() == theirs.random()
+
+
+@given(
+    n=st.integers(min_value=1, max_value=300),
+    epochs=st.integers(min_value=1, max_value=12),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    attempt=st.integers(min_value=0, max_value=3),
+)
+@example(n=20, epochs=10, seed=17, attempt=0)
+@example(n=181, epochs=3, seed=11, attempt=2)
+@settings(max_examples=100, deadline=None)
+def test_presentation_block_equals_successive_draws(n, epochs, seed, attempt):
+    """A block of ``epochs`` orders, drawn at once, equals that many
+    single draws row for row in values and dtype, and leaves the
+    generator in the same state: the fold trainer draws one
+    early-stopping interval ahead with it."""
+    targets = np.random.default_rng(seed ^ 0xB10C).uniform(0.05, 5.0, n)
+    sampler = training_mod.PresentationSampler(
+        training_mod.presentation_probabilities(targets)
+    )
+    ours = _advanced_rng(seed, attempt)
+    theirs = _advanced_rng(seed, attempt)
+    block = sampler.draw(ours, epochs)
+    singles = [sampler.draw(theirs) for _ in range(epochs)]
+    assert block.shape == (epochs, n)
+    assert block.dtype == singles[0].dtype
+    np.testing.assert_array_equal(block, np.stack(singles))
+    assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+@pytest.mark.parametrize("hidden_activation", ["sigmoid", "tanh"])
+@pytest.mark.parametrize("output_activation", ["identity", "sigmoid"])
+def test_forward_raw_never_writes_its_input(
+    hidden_activation, output_activation
+):
+    """The in-place bias add and activation run on each layer's own
+    matmul result: the caller's matrix, a chunk view of the shared
+    read-only design matrix in prediction, is left untouched, and the
+    outputs equal the allocating forward pass."""
+    from repro.core.network import forward_raw
+
+    network = FeedForwardNetwork(
+        n_inputs=4,
+        hidden_layers=(6, 5),
+        n_outputs=2,
+        hidden_activation=hidden_activation,
+        output_activation=output_activation,
+        rng=np.random.default_rng(8),
+        init_range=0.5,
+    )
+    x = np.random.default_rng(9).uniform(-2.0, 2.0, (33, 4))
+    before = x.copy()
+    frozen = x.copy()
+    frozen.setflags(write=False)
+    got = forward_raw(network, x)
+    np.testing.assert_array_equal(x, before)
+    np.testing.assert_array_equal(forward_raw(network, frozen[3:20]), got[3:20])
+    a = before
+    for layer, w in enumerate(network.weights):
+        activation = (
+            network.output_activation if layer == network.n_layers - 1
+            else network.hidden_activation
+        )
+        a = activation.forward(a @ w[1:] + w[0])
+    np.testing.assert_array_equal(got, a)
+    assert not np.shares_memory(got, x)
