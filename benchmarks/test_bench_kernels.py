@@ -358,9 +358,9 @@ def results():
         # a flat pass takes milliseconds, so one stall moves its pair's
         # ratio a lot: three times the pairs settle the median
         "branch_profile": _bench_branch_profile(3 * repeats),
-        # a timed path takes ~0.5 s, long enough that one stall moves
-        # its pair little
-        "policy_sim": _bench_policy_sim(repeats),
+        # a pair takes ~1-2 s, yet its ratio swung 1.8-2.5x between
+        # runs on a shared host: three times the pairs settle the median
+        "policy_sim": _bench_policy_sim(3 * repeats),
         "gate": {
             "tolerance": TOLERANCE,
             "predict_floor": PREDICT_FLOOR,

@@ -9,7 +9,9 @@ Four document kinds are understood:
   sections);
 * ``explore`` — ``--telemetry-out`` documents from ``repro explore``
   (``BENCH_explore_*.json``: the ``repro.obs.report`` shape with
-  ``summary``/``iterations``/``telemetry``);
+  ``summary``/``iterations``/``telemetry``; every ``telemetry.phases``
+  path carries a numeric ``count``/``total_s``, and the parent of an
+  ``a/b`` path is a phase too);
 * ``strategies`` — the ``BENCH_strategies.json`` shootout written by
   ``benchmarks/test_bench_strategies.py`` (schema 2: per-study
   simulations-to-threshold for every search agent, a per-target error
@@ -231,7 +233,17 @@ def check_explore(doc: Dict[str, Any], check: Checker) -> None:
     telemetry = check.require(doc, "$", "telemetry", dict)
     if telemetry is not None:
         check.number(telemetry, "telemetry", "elapsed_s")
-        check.require(telemetry, "telemetry", "phases", dict)
+        phases = check.require(telemetry, "telemetry", "phases", dict) or {}
+        for path, stats in phases.items():
+            where = f"telemetry.phases[{path!r}]"
+            if not isinstance(stats, dict):
+                check.fail(where, "expected {count, total_s}")
+                continue
+            check.number(stats, where, "count")
+            check.number(stats, where, "total_s")
+            parent = path.rpartition("/")[0]
+            if parent and parent not in phases:
+                check.fail(where, f"parent phase {parent!r} missing")
         events = check.require(telemetry, "telemetry", "events", list)
         for i, event in enumerate(events or ()):
             if not isinstance(event, dict) or "name" not in event:

@@ -77,7 +77,6 @@ from .experiments import (
 from .obs import (
     METRICS,
     MetricsRegistry,
-    PhaseProfiler,
     RunTelemetry,
     TelemetryReport,
     enable_metrics,
@@ -116,7 +115,6 @@ __all__ = [
     "MultiTaskNetwork",
     "NominalParameter",
     "ParameterEncoder",
-    "PhaseProfiler",
     "PlackettBurmanStudy",
     "PredicateConstraint",
     "ResilientBackend",

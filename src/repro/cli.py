@@ -30,6 +30,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
+import tracemalloc
 from pathlib import Path
 from typing import List, Optional
 
@@ -85,12 +86,12 @@ from .experiments.studies import (
 from .obs import (
     METRICS,
     NULL_TELEMETRY,
-    PhaseProfiler,
     RunTelemetry,
     TelemetryReport,
     disable_metrics,
     enable_metrics,
 )
+from .obs.report import phase_table
 from .workloads.spec import SPEC_WORKLOADS
 
 
@@ -400,22 +401,24 @@ def cmd_profile(args: argparse.Namespace) -> int:
     """Run a small exploration and print a phase-by-phase breakdown.
 
     Phases cover workload profiling, the design-matrix build, the
-    exploration loop (further split into simulation vs training via
-    telemetry phases) and full-space prediction; each row reports wall
-    seconds and, unless ``--no-alloc``, tracemalloc peak/net allocations.
+    exploration loop (with its simulation and training phases nested
+    under it) and full-space prediction; each row reports wall seconds
+    and, unless ``--no-alloc``, tracemalloc peak/net allocations.
     """
     study = get_study(args.study)
     benchmark = _resolve_benchmark(study, args.benchmark)
     telemetry = args.telemetry
-    profiler = PhaseProfiler(trace_allocations=not args.no_alloc)
     context = _run_context(args)
-    with profiler:
-        with profiler.phase("workload.profile"):
+    tracing = not args.no_alloc and not tracemalloc.is_tracing()
+    if tracing:
+        tracemalloc.start()
+    try:
+        with telemetry.phase("workload.profile"):
             get_interval_simulator(benchmark)
-        with profiler.phase("design.matrix"):
+        with telemetry.phase("design.matrix"):
             design_matrix(study.space)
         with _evaluation_backend(args, context) as backend:
-            with profiler.phase("explore"):
+            with telemetry.phase("explore"):
                 explorer = DesignSpaceExplorer(
                     study.space,
                     backend,
@@ -427,8 +430,11 @@ def cmd_profile(args: argparse.Namespace) -> int:
                     target_error=args.target_error,
                     max_simulations=args.max_simulations,
                 )
-        with profiler.phase("predict.space"):
+        with telemetry.phase("predict.space"):
             result.predict_space()
+    finally:
+        if tracing:
+            tracemalloc.stop()
 
     print(
         f"profile: {study.name} study, {benchmark}, "
@@ -437,15 +443,13 @@ def cmd_profile(args: argparse.Namespace) -> int:
         f"final estimate {result.final_estimate.mean:.2f}%"
     )
     print()
-    print(profiler.render())
-    if telemetry.phases:
-        print()
-        print("explore sub-phases (accumulated over rounds):")
-        for name in sorted(telemetry.phases):
-            stats = telemetry.phases[name]
-            print(
-                f"  {name:<20} {stats.total_s:8.3f}s over {stats.count} calls"
-            )
+    # this command runs inside its own ``cli.profile`` phase
+    prefix = f"cli.{args.command}/"
+    print("\n".join(phase_table({
+        path[len(prefix):]: stats
+        for path, stats in telemetry.phases.items()
+        if path.startswith(prefix)
+    })))
     counters = args.metrics.counters
     if counters:
         print()

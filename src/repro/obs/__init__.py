@@ -1,4 +1,4 @@
-"""Observability: metrics, run telemetry, reports and profiling.
+"""Observability: metrics, run telemetry, reports and resource accounting.
 
 The paper's evaluation is an exercise in cost accounting — simulations,
 epochs and seconds traded for accuracy (Table 5.1, Figure 5.8).  This
@@ -9,11 +9,12 @@ package is the substrate that accounting flows through at runtime:
   paths (no-op when disabled), with a process-global instance
   (:data:`METRICS`) for simulator-level counters;
 * :mod:`repro.obs.telemetry` — the :class:`RunTelemetry` event stream
-  training, cross-validation and the explorer emit into;
+  training, cross-validation and the explorer emit into, and the one
+  phase timer: nested ``/``-joined phase paths with wall time and,
+  while tracemalloc traces them, peak/net allocation;
 * :mod:`repro.obs.report` — :class:`TelemetryReport`, rendering a run
-  summary as Markdown or the stable JSON document CI diffs;
-* :mod:`repro.obs.profile` — :class:`PhaseProfiler` behind the
-  ``repro profile`` subcommand;
+  summary as Markdown or the stable JSON document CI diffs; its phase
+  table is also what the ``repro profile`` subcommand prints;
 * :mod:`repro.obs.atomicio` — write-temp-then-rename file writes, so an
   interrupted run never leaves a truncated artifact (telemetry
   documents, metrics snapshots, caches, checkpoints);
@@ -38,7 +39,6 @@ from .metrics import (
     disable_metrics,
     enable_metrics,
 )
-from .profile import PhaseProfiler, PhaseRecord
 from .report import TelemetryReport
 from .resources import ResourceMeter, ResourceUsage
 from .telemetry import (
@@ -52,8 +52,6 @@ __all__ = [
     "METRICS",
     "MetricsRegistry",
     "NULL_TELEMETRY",
-    "PhaseProfiler",
-    "PhaseRecord",
     "PhaseStats",
     "ResourceMeter",
     "ResourceUsage",

@@ -18,7 +18,7 @@ from typing import Dict, List, Optional
 
 from .atomicio import atomic_write_text
 from .metrics import MetricsRegistry
-from .telemetry import RunTelemetry
+from .telemetry import PhaseStats, RunTelemetry
 
 #: bump when the report document layout changes incompatibly
 SCHEMA_VERSION = 1
@@ -30,6 +30,54 @@ def _fmt_seconds(seconds: float) -> str:
     if seconds >= 1:
         return f"{seconds:.2f}s"
     return f"{seconds * 1000:.1f}ms"
+
+
+def phase_table(phases: Dict[str, PhaseStats]) -> List[str]:
+    """Markdown table of a phase tree, one row per ``/``-joined path.
+
+    Rows come in tree order: each parent, then its children, siblings
+    in first-entry order.  A row's share is its total over its parent's;
+    top-level rows share the summed top-level time.  Allocation columns
+    appear when any phase was traced.
+    """
+    order = {path: i for i, path in enumerate(phases)}
+
+    def tree_key(path: str) -> tuple:
+        parts = path.split("/")
+        return tuple(
+            order.get("/".join(parts[:k]), order[path])
+            for k in range(1, len(parts) + 1)
+        )
+
+    def parent(path: str) -> Optional[PhaseStats]:
+        return phases.get(path.rpartition("/")[0])
+
+    top_total = sum(
+        stats.total_s for path, stats in phases.items() if parent(path) is None
+    )
+    alloc = any(stats.alloc_peak_kb is not None for stats in phases.values())
+    lines = [
+        "| phase | calls | total | share |"
+        + (" peak alloc | net alloc |" if alloc else ""),
+        "|---|---:|---:|---:|" + ("---:|---:|" if alloc else ""),
+    ]
+    for path in sorted(phases, key=tree_key):
+        stats = phases[path]
+        whole = top_total if parent(path) is None else parent(path).total_s
+        share = 100.0 * stats.total_s / whole if whole else 0.0
+        row = (
+            f"| {path} | {stats.count} "
+            f"| {_fmt_seconds(stats.total_s)} | {share:.1f}% |"
+        )
+        if alloc and stats.alloc_peak_kb is not None:
+            row += (
+                f" {stats.alloc_peak_kb:,.1f} KB "
+                f"| {stats.alloc_net_kb:+,.1f} KB |"
+            )
+        elif alloc:
+            row += " - | - |"
+        lines.append(row)
+    return lines
 
 
 class TelemetryReport:
@@ -141,25 +189,8 @@ class TelemetryReport:
             lines.append("")
 
         if self.telemetry.phases:
-            total = sum(
-                stats.total_s for stats in self.telemetry.phases.values()
-            )
-            lines += [
-                "## Time per phase",
-                "",
-                "| phase | calls | total | share |",
-                "|---|---:|---:|---:|",
-            ]
-            for name in sorted(
-                self.telemetry.phases,
-                key=lambda n: -self.telemetry.phases[n].total_s,
-            ):
-                stats = self.telemetry.phases[name]
-                share = 100.0 * stats.total_s / total if total else 0.0
-                lines.append(
-                    f"| {name} | {stats.count} "
-                    f"| {_fmt_seconds(stats.total_s)} | {share:.1f}% |"
-                )
+            lines += ["## Time per phase", ""]
+            lines += phase_table(self.telemetry.phases)
             lines.append("")
 
         if self.metrics is not None and self.metrics.counters:

@@ -14,6 +14,11 @@ Event names and payload fields are documented in
 ``docs/observability.md``; the JSON form round-trips through
 :meth:`RunTelemetry.to_json` / :meth:`RunTelemetry.from_json`.
 
+Phases nest: :meth:`RunTelemetry.phase` records each one under the
+``/``-joined path of the phases open around it (``cli.explore/
+explore.train``), with tracemalloc peak/net allocation whenever
+tracemalloc traced the phase from entry to exit (``repro profile``).
+
 A disabled stream (or the shared :data:`NULL_TELEMETRY`) makes ``emit``
 and ``phase`` no-ops, so instrumentation hooks can be unconditional in
 library code.
@@ -23,6 +28,7 @@ from __future__ import annotations
 
 import json
 import time
+import tracemalloc
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional
@@ -64,14 +70,33 @@ class TelemetryEvent:
 
 @dataclass
 class PhaseStats:
-    """Accumulated wall time of one named phase."""
+    """Accumulated wall time of one phase path.
+
+    ``alloc_peak_kb`` (max over calls) and ``alloc_net_kb`` (summed) are
+    None unless tracemalloc traced a call from entry to exit.
+    """
 
     count: int = 0
     total_s: float = 0.0
+    alloc_peak_kb: Optional[float] = None
+    alloc_net_kb: Optional[float] = None
 
     def to_dict(self) -> Dict[str, float]:
-        """JSON-ready form."""
-        return {"count": self.count, "total_s": self.total_s}
+        """JSON-ready form; the alloc keys only when measured."""
+        out = {"count": self.count, "total_s": self.total_s}
+        if self.alloc_peak_kb is not None:
+            out["alloc_peak_kb"] = self.alloc_peak_kb
+            out["alloc_net_kb"] = self.alloc_net_kb
+        return out
+
+
+@dataclass
+class _OpenPhase:
+    """A phase on the stack; ``base`` is None unless tracemalloc traces it."""
+
+    path: str
+    base: Optional[int] = None  # traced bytes at entry
+    peak: int = 0  # running peak, kept across children's reset_peak()
 
 
 class RunTelemetry:
@@ -83,7 +108,7 @@ class RunTelemetry:
         When False, :meth:`emit` and :meth:`phase` are no-ops.
     metrics:
         Optional registry that phase durations are mirrored into (as
-        ``phase.<name>`` timers), keeping the two views consistent.
+        ``phase.<path>`` timers), keeping the two views consistent.
     """
 
     def __init__(
@@ -98,6 +123,7 @@ class RunTelemetry:
         self.events: List[TelemetryEvent] = []
         self.phases: Dict[str, PhaseStats] = {}
         self.dropped = 0
+        self._open: List[_OpenPhase] = []
         self._subscribers: List[Callable[[TelemetryEvent], None]] = []
 
     # -- producing -----------------------------------------------------
@@ -119,25 +145,51 @@ class RunTelemetry:
     def phase(self, name: str) -> Iterator[None]:
         """Time a named phase of the run.
 
-        Repeated phases accumulate (``explore.train`` across rounds);
-        durations are mirrored into the attached metrics registry as
-        ``phase.<name>`` timers when one is present.
+        The phase is recorded under the ``/``-joined path of the phases
+        open around it (a phase with none open keeps its flat name);
+        a path takes its place in :attr:`phases` when first entered, so
+        parents precede their children.  Repeated phases accumulate
+        (``explore.train`` across rounds); durations are mirrored into
+        the attached metrics registry as ``phase.<path>`` timers when
+        one is present.  While tracemalloc traces the whole phase, its
+        peak and net allocation are recorded too.
         """
         if not self.enabled:
             yield
             return
+        parent = self._open[-1] if self._open else None
+        path = f"{parent.path}/{name}" if parent else name
+        stats = self.phases.get(path)
+        if stats is None:
+            stats = self.phases[path] = PhaseStats()
+        frame = _OpenPhase(path)
+        if tracemalloc.is_tracing():
+            frame.base, peak = tracemalloc.get_traced_memory()
+            if parent is not None:
+                parent.peak = max(parent.peak, peak)
+            tracemalloc.reset_peak()
+        self._open.append(frame)
         start = time.perf_counter()
         try:
             yield
         finally:
             elapsed = time.perf_counter() - start
-            stats = self.phases.get(name)
-            if stats is None:
-                stats = self.phases[name] = PhaseStats()
+            self._open.pop()
             stats.count += 1
             stats.total_s += elapsed
+            if frame.base is not None and tracemalloc.is_tracing():
+                current, peak = tracemalloc.get_traced_memory()
+                peak = max(peak, frame.peak)
+                if parent is not None:
+                    parent.peak = max(parent.peak, peak)
+                stats.alloc_peak_kb = max(
+                    stats.alloc_peak_kb or 0.0, (peak - frame.base) / 1024.0
+                )
+                stats.alloc_net_kb = (stats.alloc_net_kb or 0.0) + (
+                    current - frame.base
+                ) / 1024.0
             if self.metrics is not None:
-                self.metrics.observe(f"phase.{name}", elapsed)
+                self.metrics.observe(f"phase.{path}", elapsed)
 
     def subscribe(self, callback: Callable[[TelemetryEvent], None]) -> None:
         """Invoke ``callback`` with every subsequently emitted event."""
@@ -162,7 +214,7 @@ class RunTelemetry:
             "elapsed_s": self.elapsed_s,
             "dropped": self.dropped,
             "phases": {
-                name: stats.to_dict() for name, stats in self.phases.items()
+                path: stats.to_dict() for path, stats in self.phases.items()
             },
             "events": [event.to_dict() for event in self.events],
         }
@@ -182,10 +234,8 @@ class RunTelemetry:
         stream.events = [
             TelemetryEvent.from_dict(e) for e in data.get("events", [])
         ]
-        for name, stats in dict(data.get("phases", {})).items():
-            stream.phases[name] = PhaseStats(
-                count=int(stats["count"]), total_s=float(stats["total_s"])
-            )
+        for path, stats in dict(data.get("phases", {})).items():
+            stream.phases[path] = PhaseStats(**stats)
         return stream
 
     @classmethod

@@ -4,11 +4,13 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from repro.cli import build_parser, main
+from repro.experiments import STUDY_NAMES
 
 
 class TestParser:
@@ -87,6 +89,23 @@ class TestParser:
         assert args.metrics_out == "m.json"
 
 
+#: ``repro profile``'s rows: its four steps, explore's phases nested
+PROFILE_PHASES = [
+    "workload.profile",
+    "design.matrix",
+    "explore",
+    "explore/explore.simulate",
+    "explore/explore.train",
+    "predict.space",
+]
+
+
+def _profile_table(out):
+    """The phase table ``repro profile`` prints: header, row names."""
+    lines = [line for line in out.splitlines() if line.startswith("| ")]
+    return lines[0], [line.split("|")[1].strip() for line in lines[1:]]
+
+
 class TestCommands:
     def test_simulate(self, capsys):
         assert (
@@ -137,26 +156,33 @@ class TestCommands:
             ["profile", "--benchmark", "gzip", "--batch-size", "20",
              "--max-simulations", "40", "--target-error", "1.0", "--no-alloc"]
         ) == 0
-        out = capsys.readouterr().out
-        table = out[out.index("phase "):out.index("\ntotal ")]
-        phases = [line.split()[0] for line in table.splitlines()[2:]]
-        assert phases == [
-            "workload.profile", "design.matrix", "explore", "predict.space"
-        ]
+        header, phases = _profile_table(capsys.readouterr().out)
+        assert phases == PROFILE_PHASES
+        assert "peak alloc" not in header
 
-    def test_profile_runs_every_registered_study(self, capsys):
-        """``cache-policy`` profiles its first registered workload."""
+    @pytest.mark.parametrize("study", STUDY_NAMES)
+    def test_profile_runs_every_registered_study(self, study, capsys):
+        """Scalar studies profile ``mcf``; ``cache-policy`` profiles its
+        first registered workload."""
         assert main(
-            ["profile", "--study", "cache-policy", "--batch-size", "20",
+            ["profile", "--study", study, "--batch-size", "20",
              "--max-simulations", "20", "--no-alloc"]
         ) == 0
         out = capsys.readouterr().out
-        assert "profile: cache-policy study, osc-tight, 20 simulations" in out
-        table = out[out.index("phase "):out.index("\ntotal ")]
-        phases = [line.split()[0] for line in table.splitlines()[2:]]
-        assert phases == [
-            "workload.profile", "design.matrix", "explore", "predict.space"
-        ]
+        benchmark = "osc-tight" if study == "cache-policy" else "mcf"
+        assert f"profile: {study} study, {benchmark}, 20 simulations" in out
+        _, phases = _profile_table(out)
+        assert phases == PROFILE_PHASES
+
+    def test_profile_traces_allocations_by_default(self, capsys):
+        assert main(
+            ["profile", "--study", "cache-policy", "--batch-size", "20",
+             "--max-simulations", "20"]
+        ) == 0
+        header, phases = _profile_table(capsys.readouterr().out)
+        assert phases == PROFILE_PHASES
+        assert "| peak alloc | net alloc |" in header
+        assert not tracemalloc.is_tracing()
 
     def test_report_prints_one_progress_line_per_section(
         self, capsys, monkeypatch, tmp_path

@@ -1,14 +1,19 @@
 """Tests for the observability layer (metrics, telemetry, report, CLI)."""
 
 import json
+import re
+import subprocess
+import sys
 import time
+import tracemalloc
+from pathlib import Path
 
 from repro.cli import main
 from repro.core import DesignSpaceExplorer, RunContext
 from repro.obs import (
     METRICS,
     MetricsRegistry,
-    PhaseProfiler,
+    PhaseStats,
     RunTelemetry,
     TelemetryReport,
 )
@@ -147,6 +152,90 @@ class TestRunTelemetry:
         assert rebuilt.dropped == 0
 
 
+def _traced(fn):
+    """Run ``fn`` with tracemalloc tracing, restoring its prior state."""
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    try:
+        return fn()
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+
+
+class TestNestedPhases:
+    def _nested(self, telemetry):
+        with telemetry.phase("run"):
+            with telemetry.phase("simulate"):
+                pass
+            with telemetry.phase("train"):
+                with telemetry.phase("fold"):
+                    pass
+            with telemetry.phase("simulate"):
+                pass
+        with telemetry.phase("report"):
+            pass
+
+    def test_paths_in_first_entry_order(self):
+        registry = MetricsRegistry()
+        telemetry = RunTelemetry(metrics=registry)
+        self._nested(telemetry)
+        assert list(telemetry.phases) == [
+            "run", "run/simulate", "run/train", "run/train/fold", "report",
+        ]
+        assert telemetry.phases["run/simulate"].count == 2
+        assert registry.timer_stats("phase.run/train/fold").count == 1
+
+    def test_top_level_name_stays_flat(self):
+        """A phase with nothing open around it keeps its flat name, so
+        ``phases.get("explore.train")`` finds a library-level run."""
+        telemetry = RunTelemetry()
+        with telemetry.phase("explore.train"):
+            pass
+        assert list(telemetry.phases) == ["explore.train"]
+
+    def test_alloc_fields_only_while_tracing(self):
+        telemetry = RunTelemetry()
+        with telemetry.phase("untraced"):
+            _ = [0] * 10_000
+        _traced(lambda: self._nested(telemetry))
+        assert "alloc_peak_kb" not in telemetry.phases["untraced"].to_dict()
+        fold = telemetry.phases["run/train/fold"].to_dict()
+        assert {"alloc_peak_kb", "alloc_net_kb"} <= set(fold)
+
+    def test_outer_peak_survives_inner_reset(self):
+        telemetry = RunTelemetry()
+
+        def run():
+            with telemetry.phase("outer"):
+                big = [0] * 200_000
+                del big
+                with telemetry.phase("inner"):
+                    small = [0] * 50_000
+                    del small
+
+        _traced(run)
+        outer = telemetry.phases["outer"].alloc_peak_kb
+        inner = telemetry.phases["outer/inner"].alloc_peak_kb
+        assert inner > 300  # 50k pointers ~ 390 KB
+        assert outer > 1000  # the 200k list freed before the inner reset
+        assert outer >= inner
+
+    def test_json_round_trip_keeps_paths_and_alloc(self):
+        telemetry = RunTelemetry()
+        _traced(lambda: self._nested(telemetry))
+        rebuilt = RunTelemetry.from_json(telemetry.to_json())
+        assert set(rebuilt.phases) == set(telemetry.phases)
+        for path, stats in telemetry.phases.items():
+            assert rebuilt.phases[path] == stats
+
+    def test_disabled_stream_ignores_nesting(self):
+        telemetry = RunTelemetry(enabled=False)
+        _traced(lambda: self._nested(telemetry))
+        assert telemetry.phases == {}
+
+
 class TestExplorerTelemetry:
     def test_one_round_event_per_batch(self, tiny_space, fast_training, rng):
         registry = MetricsRegistry()
@@ -224,6 +313,50 @@ class TestTelemetryReport:
         assert "explore.train" in text
         assert "`explore.simulations` = 16" in text
 
+    def test_phase_shares_follow_the_tree(self):
+        """Top-level shares sum to 100%; a child's share is its total
+        over its parent's, not over every phase's."""
+        telemetry = RunTelemetry()
+        telemetry.phases.update({
+            "cli.explore": PhaseStats(count=1, total_s=4.0),
+            "cli.explore/explore.simulate": PhaseStats(count=2, total_s=1.0),
+            "setup": PhaseStats(count=1, total_s=1.0),
+            "cli.explore/explore.train": PhaseStats(count=2, total_s=2.5),
+        })
+        text = TelemetryReport(telemetry).to_markdown()
+        rows = re.findall(r"^\| (\S+) \| \d+ \| \S+ \| ([\d.]+)% \|$",
+                          text, flags=re.MULTILINE)
+        assert rows == [
+            ("cli.explore", "80.0"),
+            ("cli.explore/explore.simulate", "25.0"),
+            ("cli.explore/explore.train", "62.5"),
+            ("setup", "20.0"),
+        ]
+
+    def test_schema_check_wants_each_phase_parent(self, tmp_path):
+        telemetry, registry = self._run_stream()
+        with telemetry.phase("cli.explore"):
+            with telemetry.phase("explore.simulate"):
+                pass
+        doc = TelemetryReport(telemetry, registry).to_dict()
+        path = tmp_path / "BENCH_explore_test.json"
+        script = Path(__file__).resolve().parents[1] / "scripts" / (
+            "check_bench_schema.py"
+        )
+
+        def check():
+            path.write_text(json.dumps(doc))
+            return subprocess.run(
+                [sys.executable, str(script), str(path)],
+                capture_output=True, text=True,
+            )
+
+        assert check().returncode == 0
+        del doc["telemetry"]["phases"]["cli.explore"]
+        proc = check()
+        assert proc.returncode != 0
+        assert "parent phase 'cli.explore' missing" in proc.stdout + proc.stderr
+
     def test_write_picks_format_by_extension(self, tmp_path):
         telemetry, registry = self._run_stream()
         report = TelemetryReport(telemetry, registry)
@@ -234,30 +367,6 @@ class TestTelemetryReport:
         assert md_path.read_text().startswith("# Run report")
         data = json.loads(json_path.read_text())
         assert data["summary"]["n_simulations"] == 16
-
-
-class TestPhaseProfiler:
-    def test_records_phases_and_renders(self):
-        with PhaseProfiler(trace_allocations=False) as profiler:
-            with profiler.phase("setup"):
-                time.sleep(0.001)
-            with profiler.phase("work"):
-                list(range(1000))
-        assert [r.name for r in profiler.records] == ["setup", "work"]
-        assert profiler.total_seconds > 0
-        rendered = profiler.render()
-        assert "setup" in rendered and "work" in rendered
-        assert "total" in rendered
-        assert "peak alloc" not in rendered
-
-    def test_allocation_columns_when_tracing(self):
-        with PhaseProfiler(trace_allocations=True) as profiler:
-            with profiler.phase("alloc"):
-                _ = [0] * 50_000
-        record = profiler.records[0]
-        assert record.alloc_peak_kb is not None
-        assert record.alloc_peak_kb > 100  # 50k ints ≫ 100 KB
-        assert "peak alloc" in profiler.render()
 
 
 class TestCliObservability:
@@ -295,7 +404,11 @@ class TestCliObservability:
         assert row["n_simulations"] == 20
         assert "error_mean" in row and "error_std" in row
         phases = doc["telemetry"]["phases"]
-        assert "explore.simulate" in phases and "explore.train" in phases
+        assert list(phases) == [
+            "cli.explore",
+            "cli.explore/explore.simulate",
+            "cli.explore/explore.train",
+        ]
 
 
 class TestResourceMeter:
