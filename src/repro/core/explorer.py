@@ -34,7 +34,7 @@ from ..obs.metrics import MetricsRegistry
 from ..obs.telemetry import RunTelemetry
 
 # result types and the batch-size default moved to the search layer; they
-# are re-exported here (and resolved here by old pickled checkpoints)
+# are re-exported here
 from ..search.agents import AgentLike, make_agent
 from ..search.protocol import DEFAULT_BATCH_SIZE
 from ..search.result import ExplorationResult, ExplorationRound

@@ -16,7 +16,7 @@ earlier v2 writers still load.
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, Mapping
 
 import numpy as np
 
@@ -28,8 +28,9 @@ from .network import FeedForwardNetwork
 FORMAT_VERSION = 2
 
 
-def save_predictor(predictor: EnsemblePredictor, path: str) -> None:
-    """Write ``predictor`` to ``path`` (``.npz``)."""
+def predictor_arrays(predictor: EnsemblePredictor) -> Dict[str, np.ndarray]:
+    """``predictor`` as the format's named arrays (the ``.npz`` entries,
+    which round checkpoints embed too)."""
     arrays: Dict[str, np.ndarray] = {
         "format_version": np.array(FORMAT_VERSION),
         "n_networks": np.array(predictor.size),
@@ -47,7 +48,12 @@ def save_predictor(predictor: EnsemblePredictor, path: str) -> None:
         )
         for layer, weights in enumerate(network.weights):
             arrays[f"net{i}_w{layer}"] = weights
-    np.savez_compressed(path, **arrays)
+    return arrays
+
+
+def save_predictor(predictor: EnsemblePredictor, path: str) -> None:
+    """Write ``predictor`` to ``path`` (``.npz``)."""
+    np.savez_compressed(path, **predictor_arrays(predictor))
 
 
 def _rebuild_network(data, index: int) -> FeedForwardNetwork:
@@ -78,29 +84,34 @@ def _target_scaler(low: np.ndarray, high: np.ndarray) -> TargetScaler:
     return scaler
 
 
-def load_predictor(path: str) -> EnsemblePredictor:
-    """Read an ensemble previously written by :func:`save_predictor`."""
-    with np.load(path, allow_pickle=False) as data:
-        version = int(data["format_version"])
-        if version not in (1, FORMAT_VERSION):
-            raise ValueError(
-                f"unsupported predictor format v{version}; this build "
-                f"reads v1 and v{FORMAT_VERSION}"
-            )
-        low = data["scaler_low"]
-        high = data["scaler_high"]
-        if low.ndim == 0:
-            scaler = _target_scaler(low, high)
-        else:
-            scaler = [_target_scaler(lo, hi) for lo, hi in zip(low, high)]
-        target_names = (
-            tuple(str(name) for name in data["target_names"])
-            if "target_names" in data
-            else ()
+def predictor_from_arrays(data: Mapping[str, np.ndarray]) -> EnsemblePredictor:
+    """Rebuild the ensemble :func:`predictor_arrays` described."""
+    version = int(data["format_version"])
+    if version not in (1, FORMAT_VERSION):
+        raise ValueError(
+            f"unsupported predictor format v{version}; this build "
+            f"reads v1 and v{FORMAT_VERSION}"
         )
-        networks = [
-            _rebuild_network(data, i) for i in range(int(data["n_networks"]))
-        ]
+    low = data["scaler_low"]
+    high = data["scaler_high"]
+    if low.ndim == 0:
+        scaler = _target_scaler(low, high)
+    else:
+        scaler = [_target_scaler(lo, hi) for lo, hi in zip(low, high)]
+    target_names = (
+        tuple(str(name) for name in data["target_names"])
+        if "target_names" in data
+        else ()
+    )
+    networks = [
+        _rebuild_network(data, i) for i in range(int(data["n_networks"]))
+    ]
     return EnsemblePredictor(
         networks=networks, scaler=scaler, target_names=target_names
     )
+
+
+def load_predictor(path: str) -> EnsemblePredictor:
+    """Read an ensemble previously written by :func:`save_predictor`."""
+    with np.load(path, allow_pickle=False) as data:
+        return predictor_from_arrays(data)

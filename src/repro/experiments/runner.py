@@ -30,7 +30,7 @@ from __future__ import annotations
 import hashlib
 import os
 import pickle
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
@@ -230,10 +230,13 @@ def _load_curve_progress(
     """
     if path is None:
         return None
-    partial = load_checkpoint(
+    payload = load_checkpoint(
         path, context.telemetry, context.metrics, strict=False
     )
-    if not isinstance(partial, LearningCurve):
+    try:
+        points = [CurvePoint(**point) for point in payload["points"]]
+        partial = LearningCurve(**{**payload, "points": points})
+    except (KeyError, TypeError):  # no progress, or not a curve's
         return None
     same_run = (
         partial.study == study.name
@@ -365,7 +368,7 @@ def run_learning_curve(
         )
         if resume and progress is not None:
             save_checkpoint(
-                progress, curve, context.telemetry, context.metrics
+                progress, asdict(curve), context.telemetry, context.metrics
             )
 
     if use_cache and path is not None:

@@ -145,8 +145,8 @@ class TelemetryReport:
         return doc
 
     def to_json(self, indent: Optional[int] = 2) -> str:
-        """Serialize :meth:`to_dict` as JSON text."""
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
+        """:meth:`to_dict` as JSON text, ``phases`` in first-entry order."""
+        return json.dumps(self.to_dict(), indent=indent)
 
     # -- human view ----------------------------------------------------
     def to_markdown(self) -> str:

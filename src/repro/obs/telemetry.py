@@ -220,8 +220,8 @@ class RunTelemetry:
         }
 
     def to_json(self, indent: Optional[int] = 2) -> str:
-        """Serialize :meth:`to_dict` as JSON text."""
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
+        """:meth:`to_dict` as JSON text, ``phases`` in first-entry order."""
+        return json.dumps(self.to_dict(), indent=indent)
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "RunTelemetry":

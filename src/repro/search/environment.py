@@ -287,9 +287,11 @@ class Environment:
         return round_
 
     # -- checkpointing --------------------------------------------------
-    def checkpoint_state(self, agent: Agent) -> ExplorerCheckpoint:
-        """The resumable snapshot of this run after a completed round."""
-        return ExplorerCheckpoint(
+    def save(self, agent: Agent) -> None:
+        """Persist the round's resumable state (no-op without a path)."""
+        if self.checkpoint_path is None:
+            return
+        state = ExplorerCheckpoint(
             version=CHECKPOINT_VERSION,
             space_name=self.space.name,
             space_size=len(self.space),
@@ -299,57 +301,22 @@ class Environment:
             max_simulations=self.max_simulations,
             sampled_indices=list(self.sampled),
             targets=list(self.targets),
-            rounds=list(self.rounds),
+            rounds=[(r.n_samples, r.estimate) for r in self.rounds],
             rng_state=self.rng.bit_generator.state,
             predictor=self.predictor,
             converged=self.converged,
             agent=agent.name,
             agent_state={
-                "version": AGENT_STATE_VERSION,
-                "state": agent.state_dict(),
+                "version": AGENT_STATE_VERSION, "state": agent.state_dict()
             },
             target_rows=(
-                list(self.target_rows)
-                if self.multi_simulator is not None
-                else None
+                None if self.multi_simulator is None else list(self.target_rows)
             ),
         )
-
-    def save(self, agent: Agent) -> None:
-        """Persist the round (no-op without a checkpoint path)."""
-        if self.checkpoint_path is None:
-            return
         save_checkpoint(
-            self.checkpoint_path,
-            self.checkpoint_state(agent),
-            self.telemetry,
+            self.checkpoint_path, state.to_payload(), self.telemetry,
             self.metrics,
         )
-
-    def _validate_checkpoint(
-        self, state: ExplorerCheckpoint, agent: Agent
-    ) -> None:
-        """Reject checkpoints from a different run identity.
-
-        The space, batch size, fold count and agent define the run's
-        identity and must match exactly; ``target_error`` /
-        ``max_simulations`` may differ (extending a finished run's
-        budget is legitimate).
-        """
-        expected = (
-            ("version", CHECKPOINT_VERSION, state.version),
-            ("space_name", self.space.name, state.space_name),
-            ("space_size", len(self.space), state.space_size),
-            ("batch_size", self.batch_size, state.batch_size),
-            ("k", self.k, state.k),
-            ("agent", agent.name, getattr(state, "agent", "random")),
-        )
-        for name, want, got in expected:
-            if want != got:
-                raise CheckpointError(
-                    f"checkpoint is incompatible with this explorer: "
-                    f"{name} is {got!r}, expected {want!r}"
-                )
 
     def resume(self, agent: Agent) -> int:
         """Adopt a compatible checkpoint; returns the resumed round count.
@@ -357,43 +324,55 @@ class Environment:
         Restores the sampled set, trajectory, predictor, the RNG
         bit-generator state (so the next batch is redrawn exactly where
         the interrupted run left off) and the agent's own state from
-        the versioned agent-state slot.
+        the versioned agent-state slot.  The space, batch size, fold
+        count and agent define the run's identity and must match the
+        checkpoint's; ``target_error`` / ``max_simulations`` may differ
+        (extending a finished run's budget is legitimate).
         """
         if self.checkpoint_path is None:
             return 0
-        state = load_checkpoint(
+        payload = load_checkpoint(
             self.checkpoint_path, self.telemetry, self.metrics, strict=True
         )
-        if state is None:
+        if payload is None:
             return 0
-        if not isinstance(state, ExplorerCheckpoint):
-            raise CheckpointError(
-                f"checkpoint {self.checkpoint_path} holds a "
-                f"{type(state).__name__}, not an exploration state"
-            )
-        self._validate_checkpoint(state, agent)
-        self.sampled = list(state.sampled_indices)
-        self.targets = list(state.targets)
-        rows = getattr(state, "target_rows", None)
+        state = ExplorerCheckpoint.from_payload(payload)
+        for name, want, got in (
+            ("space_name", self.space.name, state.space_name),
+            ("space_size", len(self.space), state.space_size),
+            ("batch_size", self.batch_size, state.batch_size),
+            ("k", self.k, state.k),
+            ("agent", agent.name, state.agent),
+        ):
+            if want != got:
+                raise CheckpointError(
+                    f"checkpoint is incompatible with this explorer: "
+                    f"{name} is {got!r}, expected {want!r}"
+                )
+        self.sampled = state.sampled_indices
+        self.targets = state.targets
         if self.multi_simulator is not None:
-            if rows is None and state.sampled_indices:
+            if state.target_rows is None and state.sampled_indices:
                 raise CheckpointError(
                     f"checkpoint {self.checkpoint_path} was written by a "
                     "scalar-target run and cannot resume a multi-target "
                     "exploration"
                 )
-            self.target_rows = [tuple(row) for row in rows or []]
-        self.rounds = list(state.rounds)
+            self.target_rows = state.target_rows or []
+        self.rounds = [ExplorationRound(n, e) for n, e in state.rounds]
         self.predictor = state.predictor
         self.converged = state.converged
         if state.rng_state is not None:
-            self.rng.bit_generator.state = state.rng_state
-        slot = getattr(state, "agent_state", None)
+            try:
+                self.rng.bit_generator.state = state.rng_state
+            except (TypeError, ValueError, KeyError) as exc:
+                raise CheckpointError(
+                    f"checkpoint {self.checkpoint_path} carries an unusable "
+                    f"generator state: {exc!r}"
+                ) from exc
+        slot = state.agent_state
         if slot is not None:
-            if (
-                not isinstance(slot, dict)
-                or slot.get("version") != AGENT_STATE_VERSION
-            ):
+            if slot.get("version") != AGENT_STATE_VERSION:
                 raise CheckpointError(
                     f"checkpoint {self.checkpoint_path} carries an "
                     f"unsupported agent-state slot (expected version "

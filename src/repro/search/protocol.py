@@ -117,7 +117,7 @@ class Agent:
 
     Stateful agents (e.g. simulated annealing) round-trip their state
     through ``state_dict`` / ``load_state_dict``; the environment
-    persists it in the checkpoint's versioned agent-state slot.
+    persists it in the checkpoint's versioned agent-state slot, as JSON.
     """
 
     #: registry name; also recorded in checkpoints for compatibility checks

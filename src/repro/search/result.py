@@ -2,8 +2,8 @@
 
 :class:`ExplorationRound` and :class:`ExplorationResult` moved here
 from ``repro.core.explorer`` when the search layer was carved out (the
-environment produces them, the explorer re-exports them — existing
-imports and pickled checkpoints keep working).  Like
+environment produces them, the explorer re-exports them, so existing
+imports keep working).  Like
 :mod:`repro.search.protocol`, this module never imports ``repro.core``;
 the predictor/encoder/estimate it holds are duck-typed.
 """

@@ -8,7 +8,7 @@ before its driver acts on it, and every transition (running, done,
 quarantined, a retry's demotion back to accepted) is persisted
 atomically before the engine moves on — via the checksummed
 JSON-checkpoint envelope (sha256 + ``.prev`` rotation,
-:func:`repro.core.checkpoint.save_json_checkpoint`).  At any instant
+:func:`repro.core.checkpoint.save_checkpoint`).  At any instant
 the file on disk describes a consistent prefix of the driver's
 history, so a killed-and-restarted driver re-opens it, demotes jobs
 caught ``running`` back to ``accepted`` (their exploration checkpoints
@@ -30,9 +30,9 @@ from typing import Dict, List, Optional, Tuple, Type, Union
 
 from ..core.checkpoint import (
     CheckpointError,
-    load_json_checkpoint,
+    load_checkpoint,
     previous_path,
-    save_json_checkpoint,
+    save_checkpoint,
 )
 from ..obs.metrics import METRICS, MetricsRegistry
 from ..obs.telemetry import NULL_TELEMETRY, RunTelemetry
@@ -292,7 +292,7 @@ class StudyRegistry:
             "header": self.header,
             "records": self.records,
         }
-        save_json_checkpoint(self.path, payload, self.telemetry, self.metrics)
+        save_checkpoint(self.path, payload, self.telemetry, self.metrics)
         return self.path
 
     @classmethod
@@ -316,7 +316,7 @@ class StudyRegistry:
         ledger = cls(path, error=error, telemetry=telemetry, metrics=metrics)
         path = ledger.path
         try:
-            payload = load_json_checkpoint(
+            payload = load_checkpoint(
                 path, ledger.telemetry, ledger.metrics, strict=True
             )
         except CheckpointError as exc:

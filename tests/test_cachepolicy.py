@@ -625,50 +625,46 @@ class TestMultiTargetFit:
         assert outcome.estimate.target_names == ("ipc", "hit_rate")
 
 
-class TestPreviousReleaseCheckpoint:
-    def test_removed_predictor_class_refuses_to_resume(
-        self, tmp_path, monkeypatch
-    ):
-        """A cache-policy checkpoint written by the previous release
-        pickles its ``MultiTaskEnsemblePredictor``, a class this release
-        no longer has.  Resuming it must fail with CheckpointError — not
-        crash with a bare AttributeError, not silently start over."""
-        import repro.core.crossval as crossval
-        from repro.core.checkpoint import CheckpointError
+class TestMultiTargetResume:
+    def test_kill_and_resume_is_bit_identical(self, tmp_path, monkeypatch):
+        """A multi-target run killed in round 2 resumes from its round
+        checkpoint to exactly the uninterrupted run: samples, target
+        rows, per-target estimates and full-space predictions."""
         from repro.search.environment import Environment
 
-        class MultiTaskEnsemblePredictor:
-            """Stands in for the removed class while the file is written."""
-
-        MultiTaskEnsemblePredictor.__module__ = crossval.__name__
-        MultiTaskEnsemblePredictor.__qualname__ = "MultiTaskEnsemblePredictor"
-        monkeypatch.setattr(
-            crossval, "MultiTaskEnsemblePredictor",
-            MultiTaskEnsemblePredictor, raising=False,
-        )
-        checkpoint_state = Environment.checkpoint_state
-
-        def previous_release_state(self, agent):
-            state = checkpoint_state(self, agent)
-            state.predictor = MultiTaskEnsemblePredictor()
-            return state
-
-        monkeypatch.setattr(
-            Environment, "checkpoint_state", previous_release_state
-        )
-        # keep the run's checkpoint (and its .prev) as a killed run would
-        monkeypatch.setattr(Environment, "finish", lambda self: None)
         kwargs = dict(
-            study="cache-policy", workload="osc-tight", target_error=1.0,
-            batch_size=20, seed=7, training=_fast(),
-            checkpoint=tmp_path / "run.ckpt",
+            study="cache-policy", workload="osc-tight", target_error=0.001,
+            max_simulations=60, batch_size=20, seed=7, training=_fast(),
         )
-        api.explore(max_simulations=40, **kwargs)
-        monkeypatch.undo()
-        assert not hasattr(crossval, "MultiTaskEnsemblePredictor")
+        baseline = api.explore(**kwargs)
+        assert len(baseline.rounds) == 3
 
-        with pytest.raises(CheckpointError, match="MultiTaskEnsemblePredictor"):
-            api.explore(max_simulations=60, **kwargs)
+        path = tmp_path / "run.ckpt"
+        step = Environment.step
+
+        def killed_in_round_two(self, configs):
+            if len(self.rounds) == 1:
+                raise RuntimeError("host preempted")
+            return step(self, configs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(Environment, "step", killed_in_round_two)
+            with pytest.raises(RuntimeError, match="preempted"):
+                api.explore(checkpoint=str(path), **kwargs)
+        assert path.exists()
+
+        resumed = api.explore(checkpoint=str(path), **{**kwargs, "seed": 99})
+        assert resumed.sampled_indices == baseline.sampled_indices
+        assert resumed.target_rows == baseline.target_rows
+        assert [r.estimate for r in resumed.rounds] == [
+            r.estimate for r in baseline.rounds
+        ]
+        assert resumed.final_estimate.target_names == baseline.target_names
+        assert (
+            resumed.predict_space().tobytes()
+            == baseline.predict_space().tobytes()
+        )
+        assert not path.exists()
 
 
 class TestScalarDeprecations:

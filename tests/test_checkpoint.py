@@ -2,7 +2,9 @@
 
 import hashlib
 import os
+import pathlib
 import pickle
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -19,7 +21,11 @@ from repro.core import (
     previous_path,
     save_checkpoint,
 )
-from repro.core.checkpoint import CHECKPOINT_FORMAT
+from repro.core.checkpoint import (
+    CHECKPOINT_FORMAT,
+    ENVELOPE_VERSION,
+    canonical_json,
+)
 from repro.core.fitting import fit_cv_round
 from repro.experiments import run_learning_curve
 from repro.experiments.runner import (
@@ -174,23 +180,16 @@ class TestSelfHealingCheckpoints:
 
     def test_envelope_version_mismatch_rejected(self, tmp_path):
         path = tmp_path / "run.ckpt"
-        blob = pickle.dumps({"round": 9})
-        atomic_write_pickle(
-            path,
-            {
-                "format": CHECKPOINT_FORMAT,
-                "version": 1,
-                "sha256": hashlib.sha256(blob).hexdigest(),
-                "payload": blob,
-            },
-        )
+        payload = {"round": 9}
+        body = canonical_json(payload)
+        envelope = {
+            "format": CHECKPOINT_FORMAT,
+            "version": ENVELOPE_VERSION + 1,
+            "sha256": hashlib.sha256(body.encode("utf-8")).hexdigest(),
+            "payload": payload,
+        }
+        path.write_text(canonical_json(envelope))
         with pytest.raises(CheckpointError, match="version"):
-            load_checkpoint(path, strict=True)
-
-    def test_legacy_raw_pickle_rejected(self, tmp_path):
-        path = tmp_path / "run.ckpt"
-        path.write_bytes(pickle.dumps({"round": 1}))
-        with pytest.raises(CheckpointError, match="envelope"):
             load_checkpoint(path, strict=True)
 
     def test_clear_removes_previous_too(self, tmp_path):
@@ -340,11 +339,11 @@ class TestExplorerCheckpointing:
                 max_simulations=30,
                 sampled_indices=list(baseline.sampled_indices),
                 targets=list(baseline.primary_targets),
-                rounds=list(baseline.rounds),
+                rounds=[(r.n_samples, r.estimate) for r in baseline.rounds],
                 rng_state=None,
                 predictor=baseline.predictor,
                 converged=True,
-            ),
+            ).to_payload(),
         )
         counting = _InterruptedSimulator(fail_after=0)  # any call raises
         result = self._explorer(
@@ -371,24 +370,22 @@ class TestExplorerCheckpointing:
                 k=4,
                 target_error=3.0,
                 max_simulations=30,
-            ),
+            ).to_payload(),
         )
         with pytest.raises(CheckpointError, match="batch_size"):
             self._explorer(
                 tiny_space, smooth_simulator, fast_training
             ).explore(target_error=3.0, max_simulations=30, checkpoint=path)
 
-    @pytest.mark.parametrize("version", [2, 3])
+    @pytest.mark.parametrize("version", [2, 3, 4])
     def test_old_round_checkpoint_version_rejected(
         self, tiny_space, fast_training, tmp_path, version
     ):
-        """A round checkpoint written before predictors held
-        column-wise scalers (envelope version 2), or while networks
-        still pickled their momentum state (version 3), fails loudly,
-        naming its version, instead of resuming from a migrated
-        predictor."""
+        """A round-state payload of an earlier schema version fails
+        loudly, naming its version, instead of being migrated."""
         path = tmp_path / "old.ckpt"
-        blob = pickle.dumps(
+        save_checkpoint(
+            path,
             ExplorerCheckpoint(
                 version=version,
                 space_name=tiny_space.name,
@@ -397,18 +394,9 @@ class TestExplorerCheckpointing:
                 k=4,
                 target_error=3.0,
                 max_simulations=30,
-            )
+            ).to_payload(),
         )
-        atomic_write_pickle(
-            path,
-            {
-                "format": CHECKPOINT_FORMAT,
-                "version": version,
-                "sha256": hashlib.sha256(blob).hexdigest(),
-                "payload": blob,
-            },
-        )
-        assert CHECKPOINT_VERSION == 4
+        assert CHECKPOINT_VERSION == 5
         with pytest.raises(CheckpointError, match=f"version {version}"):
             self._explorer(
                 tiny_space, smooth_simulator, fast_training
@@ -423,6 +411,143 @@ class TestExplorerCheckpointing:
             self._explorer(
                 tiny_space, smooth_simulator, fast_training
             ).explore(target_error=3.0, max_simulations=30, checkpoint=path)
+
+
+#: a round checkpoint as the previous release wrote it: a tiny-space
+#: run (seed 3, batch 10, k 4) killed in round 2, its
+#: ``ExplorerCheckpoint`` pickled inside the v4 pickle envelope
+PICKLE_ENVELOPE_V4 = (
+    pathlib.Path(__file__).parent / "data" / "explorer_checkpoint_v4.ckpt"
+)
+
+
+def _kill_in_round(monkeypatch, round_number):
+    """Make ``Environment.step`` die as the given round starts, as a
+    killed host would: earlier rounds are checkpointed, this one is
+    not."""
+    from repro.search.environment import Environment
+
+    step = Environment.step
+
+    def dying_step(self, configs):
+        if len(self.rounds) == round_number - 1:
+            raise RuntimeError("host preempted")
+        return step(self, configs)
+
+    monkeypatch.setattr(Environment, "step", dying_step)
+
+
+class TestPayloadCheckpoints:
+    """Round state is JSON data: no load path unpickles, a previous
+    release's pickle is refused, and resume through NaN-marked failures
+    stays bit-identical."""
+
+    def _explorer(self, space, simulate, training, seed=3):
+        return DesignSpaceExplorer(
+            space, simulate, batch_size=10, k=4,
+            training=training, context=RunContext.seeded(seed),
+        )
+
+    def test_previous_release_pickle_refused_by_strict_resume(
+        self, tiny_space, fast_training, tmp_path
+    ):
+        path = tmp_path / "explore.ckpt"
+        path.write_bytes(PICKLE_ENVELOPE_V4.read_bytes())
+        assert pickle.loads(path.read_bytes())["version"] == 4
+        counting = _InterruptedSimulator(fail_after=0)  # any call raises
+        with pytest.raises(CheckpointError, match="cannot be read"):
+            self._explorer(tiny_space, counting, fast_training).explore(
+                target_error=1.0, max_simulations=30, checkpoint=path
+            )
+        assert counting.calls == 0
+        assert path.read_bytes() == PICKLE_ENVELOPE_V4.read_bytes()
+
+    def test_no_load_path_unpickles(
+        self, tiny_space, fast_training, tmp_path, monkeypatch
+    ):
+        baseline = self._explorer(
+            tiny_space, smooth_simulator, fast_training
+        ).explore(target_error=1.0, max_simulations=30)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a checkpoint load path unpickled")
+
+        for name in ("load", "loads", "Unpickler"):
+            monkeypatch.setattr(pickle, name, refuse)
+        path = tmp_path / "explore.ckpt"
+        with monkeypatch.context() as patch:
+            _kill_in_round(patch, 2)
+            with pytest.raises(RuntimeError, match="preempted"):
+                self._explorer(
+                    tiny_space, smooth_simulator, fast_training
+                ).explore(target_error=1.0, max_simulations=30,
+                          checkpoint=path)
+        assert path.exists()
+        metrics = MetricsRegistry(enabled=True)
+        resumed = DesignSpaceExplorer(
+            tiny_space, smooth_simulator, batch_size=10, k=4,
+            training=fast_training,
+            context=RunContext(
+                rng=np.random.default_rng(99), metrics=metrics,
+                telemetry=RunTelemetry(),
+            ),
+        ).explore(target_error=1.0, max_simulations=30, checkpoint=path)
+        assert metrics.counter("checkpoint.loads") == 1
+        assert resumed.sampled_indices == baseline.sampled_indices
+        assert resumed.rounds == baseline.rounds
+        assert (
+            resumed.predict_space().tobytes()
+            == baseline.predict_space().tobytes()
+        )
+
+    def test_resume_through_nan_marked_failures_is_bit_identical(
+        self, tiny_space, fast_training, tmp_path, monkeypatch
+    ):
+        """Evaluations that exhaust their retries are NaN targets; the
+        checkpoint spells them out and the resumed run reproduces the
+        uninterrupted one exactly."""
+        from repro.core.resilience import (
+            EvaluationError,
+            ResilientBackend,
+            RetryPolicy,
+        )
+
+        def broken_small_caches(config):
+            if config["size"] == 8:
+                raise EvaluationError("simulator crashed")
+            return smooth_simulator(config)
+
+        def run(seed, checkpoint=None):
+            backend = ResilientBackend(
+                broken_small_caches, policy=RetryPolicy(max_retries=1)
+            )
+            return self._explorer(
+                tiny_space, backend, fast_training, seed=seed
+            ).explore(target_error=0.001, max_simulations=30,
+                      checkpoint=checkpoint)
+
+        baseline = run(seed=3)
+        assert np.isnan(baseline.primary_targets).any()
+
+        path = tmp_path / "explore.ckpt"
+        with monkeypatch.context() as patch:
+            _kill_in_round(patch, 3)
+            with pytest.raises(RuntimeError, match="preempted"):
+                run(seed=3, checkpoint=path)
+        saved = load_checkpoint(path)
+        assert "nan" in saved["targets"]
+        assert saved["rounds"][-1]["estimate"]["n_failed"] > 0
+
+        resumed = run(seed=99, checkpoint=path)
+        assert resumed.sampled_indices == baseline.sampled_indices
+        np.testing.assert_array_equal(
+            resumed.primary_targets, baseline.primary_targets
+        )
+        assert resumed.rounds == baseline.rounds
+        assert (
+            resumed.predict_space().tobytes()
+            == baseline.predict_space().tobytes()
+        )
 
 
 @pytest.mark.slow
@@ -458,7 +583,7 @@ class TestCurveResume:
             study="memory-system", benchmark="gzip", source="true", seed=5,
             points=[baseline.points[0]],
         )
-        save_checkpoint(progress, partial)
+        save_checkpoint(progress, asdict(partial))
 
         context = self._context(tmp_path)
         resumed = run_learning_curve(
@@ -477,6 +602,30 @@ class TestCurveResume:
         # the progress file is cleared once the curve completes
         assert not progress.exists()
 
+    def test_previous_release_pickle_progress_starts_fresh(
+        self, tmp_path, fast_training
+    ):
+        from repro.experiments import get_study
+
+        study = get_study("memory-system")
+        cache = _curve_cache_path(
+            study, "gzip", "true", self.SIZES, 5, fast_training, tmp_path
+        )
+        progress = _progress_path(cache)
+        progress.write_bytes(PICKLE_ENVELOPE_V4.read_bytes())
+
+        context = self._context(tmp_path)
+        resumed = run_learning_curve(
+            "memory-system", "gzip", sizes=self.SIZES, source="true",
+            seed=5, training=fast_training, use_cache=False,
+            context=context, resume=True,
+        )
+        assert context.metrics.counter("checkpoint.corrupt") == 1
+        trained = context.telemetry.events_named("curve.point")
+        assert [e.payload["n_samples"] for e in trained] == list(self.SIZES)
+        assert [p.n_samples for p in resumed.points] == list(self.SIZES)
+        assert not progress.exists()
+
     def test_incompatible_partial_is_ignored(self, tmp_path, fast_training):
         from repro.experiments import get_study
 
@@ -488,7 +637,7 @@ class TestCurveResume:
         stale = LearningCurve(
             study="memory-system", benchmark="gzip", source="true", seed=6,
         )
-        save_checkpoint(progress, stale)
+        save_checkpoint(progress, asdict(stale))
 
         context = self._context(tmp_path)
         resumed = run_learning_curve(
@@ -503,56 +652,56 @@ class TestCurveResume:
 
 
 class TestJsonCheckpoints:
-    """The JSON envelope variant backing campaign manifests."""
+    """The envelope as campaign manifests and service registries use it."""
 
     def test_roundtrip_and_counters(self, tmp_path):
         from repro.core.checkpoint import (
-            load_json_checkpoint,
-            save_json_checkpoint,
+            load_checkpoint,
+            save_checkpoint,
         )
 
         metrics = MetricsRegistry(enabled=True)
         telemetry = RunTelemetry()
         path = tmp_path / "state.json"
         payload = {"cells": {"a": 1}, "nested": [1, 2, {"b": True}]}
-        save_json_checkpoint(path, payload, telemetry, metrics)
-        assert load_json_checkpoint(path) == payload
+        save_checkpoint(path, payload, telemetry, metrics)
+        assert load_checkpoint(path) == payload
         assert metrics.counter("checkpoint.saves") == 1
         assert telemetry.events_named("checkpoint.save")
 
     def test_missing_file_is_a_miss(self, tmp_path):
-        from repro.core.checkpoint import load_json_checkpoint
+        from repro.core.checkpoint import load_checkpoint
 
-        assert load_json_checkpoint(tmp_path / "absent.json") is None
+        assert load_checkpoint(tmp_path / "absent.json") is None
 
     def test_checksum_mismatch_strict_raises(self, tmp_path):
         import json as json_mod
 
         from repro.core.checkpoint import (
             CheckpointError,
-            load_json_checkpoint,
-            save_json_checkpoint,
+            load_checkpoint,
+            save_checkpoint,
         )
 
         path = tmp_path / "state.json"
-        save_json_checkpoint(path, {"value": 1})
+        save_checkpoint(path, {"value": 1})
         doc = json_mod.loads(path.read_text())
         doc["payload"]["value"] = 2  # tamper without updating the checksum
         path.write_text(json_mod.dumps(doc))
         with pytest.raises(CheckpointError, match="checksum"):
-            load_json_checkpoint(path, strict=True)
+            load_checkpoint(path, strict=True)
 
     def test_corrupt_primary_falls_back_to_previous(self, tmp_path):
         from repro.core.checkpoint import (
-            load_json_checkpoint,
-            save_json_checkpoint,
+            load_checkpoint,
+            save_checkpoint,
         )
 
         path = tmp_path / "state.json"
-        save_json_checkpoint(path, {"round": 1})
-        save_json_checkpoint(path, {"round": 2})
+        save_checkpoint(path, {"round": 1})
+        save_checkpoint(path, {"round": 2})
         path.write_text("garbage")
-        assert load_json_checkpoint(path, strict=True) == {"round": 1}
+        assert load_checkpoint(path, strict=True) == {"round": 1}
 
     def test_compact_envelope_loads_rotates_and_heals(self, tmp_path):
         """A save writes the envelope around the payload's one canonical
@@ -563,11 +712,11 @@ class TestJsonCheckpoints:
         import json as json_mod
 
         from repro.core.checkpoint import (
-            JSON_CHECKPOINT_FORMAT,
-            JSON_CHECKPOINT_VERSION,
+            CHECKPOINT_FORMAT,
+            ENVELOPE_VERSION,
             canonical_json,
-            load_json_checkpoint,
-            save_json_checkpoint,
+            load_checkpoint,
+            save_checkpoint,
         )
 
         path = tmp_path / "REGISTRY.json"
@@ -577,25 +726,25 @@ class TestJsonCheckpoints:
                 {"id": "j2", "state": "accepted", "note": "caf\u00e9 \"q\""}
             ]
         }
-        save_json_checkpoint(path, first)
-        save_json_checkpoint(path, second)
+        save_checkpoint(path, first)
+        save_checkpoint(path, second)
         text = path.read_text(encoding="utf-8")
         body = canonical_json(second)
         envelope = {
-            "format": JSON_CHECKPOINT_FORMAT,
-            "version": JSON_CHECKPOINT_VERSION,
+            "format": CHECKPOINT_FORMAT,
+            "version": ENVELOPE_VERSION,
             "sha256": hashlib.sha256(body.encode("utf-8")).hexdigest(),
             "payload": second,
         }
         assert text == canonical_json(envelope) + "\n"
         assert json_mod.loads(text) == envelope
-        assert load_json_checkpoint(path) == second
-        assert load_json_checkpoint(previous_path(path)) == first
+        assert load_checkpoint(path) == second
+        assert load_checkpoint(previous_path(path)) == first
 
         # a torn write of the primary falls back to the rotated round
         metrics = MetricsRegistry(enabled=True)
         path.write_text(text[: len(text) // 2], encoding="utf-8")
-        assert load_json_checkpoint(path, metrics=metrics) == first
+        assert load_checkpoint(path, metrics=metrics) == first
         assert metrics.counter("checkpoint.fallbacks") == 1
 
         # the earlier writer's indented envelope reads the same
@@ -603,7 +752,27 @@ class TestJsonCheckpoints:
             json_mod.dumps(envelope, sort_keys=True, indent=2) + "\n",
             encoding="utf-8",
         )
-        assert load_json_checkpoint(path) == second
+        assert load_checkpoint(path) == second
+
+    @pytest.mark.parametrize(
+        "name", ["REGISTRY_v1_envelope.json", "MANIFEST_v1_envelope.json"]
+    )
+    def test_ledgers_of_the_previous_release_load_unchanged(
+        self, tmp_path, name
+    ):
+        """A service registry and a campaign manifest written by the
+        previous release load, and saving their payload again writes
+        the very same bytes."""
+        from repro.serve.registry import StudyRegistry
+
+        original = (pathlib.Path(__file__).parent / "data" / name).read_bytes()
+        path = tmp_path / name
+        path.write_bytes(original)
+        ledger = StudyRegistry.load(path, required=())
+        assert ledger.records
+        rewritten = tmp_path / "rewritten.json"
+        save_checkpoint(rewritten, load_checkpoint(path))
+        assert rewritten.read_bytes() == original
 
     def test_canonical_json_is_stable(self):
         from repro.core.checkpoint import canonical_json

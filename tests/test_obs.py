@@ -18,6 +18,7 @@ from repro.obs import (
     TelemetryReport,
 )
 from repro.obs.metrics import _NULL_TIMER
+from repro.obs.report import phase_table
 
 
 def smooth_simulator(config):
@@ -229,6 +230,25 @@ class TestNestedPhases:
         assert set(rebuilt.phases) == set(telemetry.phases)
         for path, stats in telemetry.phases.items():
             assert rebuilt.phases[path] == stats
+
+    def test_json_round_trip_keeps_entry_order(self):
+        """Siblings entered ``train`` then ``simulate`` reload in that
+        order, from the stream's and from the report's JSON, so the
+        phase table of a reloaded run reads like the live one."""
+        telemetry = RunTelemetry()
+        with telemetry.phase("run"):
+            with telemetry.phase("train"):
+                pass
+            with telemetry.phase("simulate"):
+                pass
+        order = ["run", "run/train", "run/simulate"]
+        assert list(telemetry.phases) == order
+        rebuilt = RunTelemetry.from_json(telemetry.to_json())
+        assert list(rebuilt.phases) == order
+        document = json.loads(TelemetryReport(telemetry).to_json())
+        reloaded = RunTelemetry.from_dict(document["telemetry"])
+        assert list(reloaded.phases) == order
+        assert phase_table(rebuilt.phases) == phase_table(telemetry.phases)
 
     def test_disabled_stream_ignores_nesting(self):
         telemetry = RunTelemetry(enabled=False)

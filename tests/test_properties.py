@@ -291,14 +291,14 @@ class TestJsonCheckpointEnvelopeProperties:
 
         from repro.core.checkpoint import (
             canonical_json,
-            load_json_checkpoint,
-            save_json_checkpoint,
+            load_checkpoint,
+            save_checkpoint,
         )
 
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "state.json"
-            save_json_checkpoint(path, payload)
-            loaded = load_json_checkpoint(path, strict=True)
+            save_checkpoint(path, payload)
+            loaded = load_checkpoint(path, strict=True)
             assert canonical_json(loaded) == canonical_json(payload)
 
     @given(st.data())
@@ -313,16 +313,16 @@ class TestJsonCheckpointEnvelopeProperties:
 
         from repro.core.checkpoint import (
             canonical_json,
-            load_json_checkpoint,
-            save_json_checkpoint,
+            load_checkpoint,
+            save_checkpoint,
         )
 
         older = data.draw(json_payloads, label="older")
         newer = data.draw(json_payloads, label="newer")
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "state.json"
-            save_json_checkpoint(path, older)
-            save_json_checkpoint(path, newer)  # rotates older to .prev
+            save_checkpoint(path, older)
+            save_checkpoint(path, newer)  # rotates older to .prev
             raw = bytearray(path.read_bytes())
             position = data.draw(
                 st.integers(min_value=0, max_value=len(raw) - 1),
@@ -332,7 +332,7 @@ class TestJsonCheckpointEnvelopeProperties:
                 st.integers(min_value=0, max_value=255), label="byte"
             )
             path.write_bytes(bytes(raw))
-            loaded = load_json_checkpoint(path, strict=True)
+            loaded = load_checkpoint(path, strict=True)
             assert canonical_json(loaded) in (
                 canonical_json(newer),
                 canonical_json(older),
@@ -345,3 +345,178 @@ class TestJsonCheckpointEnvelopeProperties:
 
         reordered = dict(reversed(list(payload.items())))
         assert canonical_json(reordered) == canonical_json(payload)
+
+
+# ----------------------------------------------------------------------
+# round-state codec: ExplorerCheckpoint <-> JSON payload
+# ----------------------------------------------------------------------
+any_floats = st.floats(allow_nan=True, allow_infinity=True)
+finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+counts = st.integers(min_value=0, max_value=10**6)
+
+
+@st.composite
+def error_estimates(draw, depth=1):
+    per_target = None
+    if depth and draw(st.booleans()):
+        names = draw(
+            st.lists(st.text(max_size=6), min_size=0, max_size=3, unique=True)
+        )
+        per_target = tuple(
+            (name, draw(error_estimates(depth=depth - 1))) for name in names
+        )
+    from repro.core import ErrorEstimate
+
+    return ErrorEstimate(
+        mean=draw(finite_floats), std=draw(finite_floats),
+        n_training=draw(counts), n_failed=draw(counts),
+        n_folds_used=draw(counts), n_folds=draw(counts),
+        per_target=per_target,
+    )
+
+
+def _tiny_predictor(seed):
+    from repro.core import EnsemblePredictor, TargetScaler
+    from repro.core.network import FeedForwardNetwork
+
+    rng = np.random.default_rng(seed)
+    networks = [
+        FeedForwardNetwork(3, (4,), n_outputs=2, rng=rng) for _ in range(2)
+    ]
+    scalers = [TargetScaler().fit(rng.random((5, 2)) + 1.0) for _ in range(2)]
+    return EnsemblePredictor(networks, scalers, target_names=("ipc", "hits"))
+
+
+@st.composite
+def explorer_checkpoints(draw):
+    from repro.core import CHECKPOINT_VERSION, ExplorerCheckpoint
+
+    n = draw(st.integers(min_value=0, max_value=6))
+    multi = draw(st.booleans())
+    annealing = {
+        "version": 1,
+        "state": {
+            "current": draw(st.none() | st.integers(0, 10**6)),
+            "current_value": draw(st.none() | finite_floats),
+            "temperature": draw(finite_floats),
+            "n_seen": draw(counts),
+        },
+    }
+    seed = draw(st.integers(min_value=0, max_value=2**64 - 1))
+    return ExplorerCheckpoint(
+        version=CHECKPOINT_VERSION,
+        space_name=draw(st.text(max_size=12)),
+        space_size=draw(counts),
+        batch_size=draw(counts),
+        k=draw(counts),
+        target_error=draw(any_floats),
+        max_simulations=draw(counts),
+        sampled_indices=draw(st.lists(counts, min_size=n, max_size=n)),
+        targets=draw(st.lists(any_floats, min_size=n, max_size=n)),
+        rounds=draw(st.lists(st.tuples(counts, error_estimates()), max_size=3)),
+        rng_state=draw(st.sampled_from([
+            None, np.random.default_rng(seed).bit_generator.state,
+        ])),
+        predictor=_tiny_predictor(seed % 1000) if draw(st.booleans()) else None,
+        converged=draw(st.booleans()),
+        agent=draw(st.sampled_from(["random", "annealing"])),
+        agent_state=draw(st.sampled_from([None, annealing])),
+        target_rows=draw(st.lists(
+            st.tuples(any_floats, any_floats), min_size=n, max_size=n,
+        )) if multi else None,
+    )
+
+
+def _reloaded(state):
+    """``state`` through its payload, canonical JSON text and back."""
+    import json
+
+    from repro.core import ExplorerCheckpoint
+    from repro.core.checkpoint import canonical_json
+
+    text = canonical_json(state.to_payload())
+    return ExplorerCheckpoint.from_payload(json.loads(text))
+
+
+class TestExplorerCheckpointCodecProperties:
+    @given(explorer_checkpoints())
+    @settings(max_examples=60, deadline=None)
+    def test_round_trip(self, state):
+        loaded = _reloaded(state)
+        np.testing.assert_array_equal(loaded.targets, state.targets)
+        assert loaded.target_error == state.target_error or (
+            np.isnan(loaded.target_error) and np.isnan(state.target_error)
+        )
+        if state.target_rows is None:
+            assert loaded.target_rows is None
+        else:
+            np.testing.assert_array_equal(
+                np.array(loaded.target_rows, dtype=float).reshape(-1, 2),
+                np.array(state.target_rows, dtype=float).reshape(-1, 2),
+            )
+            assert all(type(row) is tuple for row in loaded.target_rows)
+        for name in (
+            "version", "space_name", "space_size", "batch_size", "k",
+            "max_simulations", "sampled_indices", "rounds", "rng_state",
+            "converged", "agent", "agent_state",
+        ):
+            assert getattr(loaded, name) == getattr(state, name), name
+        if state.predictor is None:
+            assert loaded.predictor is None
+        else:
+            x = np.random.default_rng(0).random((7, 3))
+            assert (
+                loaded.predictor.predict_all(x).tobytes()
+                == state.predictor.predict_all(x).tobytes()
+            )
+            assert loaded.predictor.target_names == ("ipc", "hits")
+        if state.rng_state is not None:
+            rng = np.random.default_rng()
+            rng.bit_generator.state = loaded.rng_state
+            twin = np.random.default_rng()
+            twin.bit_generator.state = state.rng_state
+            assert rng.random(4).tolist() == twin.random(4).tolist()
+
+    @given(explorer_checkpoints(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_missing_or_mistyped_field_is_a_checkpoint_error(
+        self, state, data
+    ):
+        import pytest
+
+        from repro.core import CheckpointError, ExplorerCheckpoint
+
+        payload = state.to_payload()
+        name = data.draw(st.sampled_from(sorted(payload)), label="field")
+        if data.draw(st.booleans(), label="drop"):
+            del payload[name]
+        else:
+            payload[name] = 1 if name in ("space_name", "agent") else "x"
+        with pytest.raises(CheckpointError):
+            ExplorerCheckpoint.from_payload(payload)
+
+    @given(explorer_checkpoints())
+    @settings(max_examples=30, deadline=None)
+    def test_nested_damage_is_a_checkpoint_error(self, state):
+        import pytest
+
+        from repro.core import CheckpointError, ExplorerCheckpoint
+
+        payload = state.to_payload()
+        payload["batch_size"] = True  # a bool is no count
+        damaged = [payload]
+        payload = state.to_payload()
+        if payload["rounds"]:
+            payload["rounds"][0]["estimate"].pop("n_folds")
+            damaged.append(payload)
+        payload = state.to_payload()
+        if payload["predictor"] is not None:
+            payload["predictor"]["net0_w0"]["data"] = "not base64!"
+            damaged.append(payload)
+        payload = state.to_payload()
+        if payload["targets"]:
+            payload["targets"][0] = None
+            damaged.append(payload)
+        for payload in damaged:
+            with pytest.raises(CheckpointError):
+                ExplorerCheckpoint.from_payload(payload)

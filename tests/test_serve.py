@@ -18,7 +18,7 @@ from repro.campaign import (
     manifest_path,
     run_campaign,
 )
-from repro.core.checkpoint import canonical_json, save_json_checkpoint
+from repro.core.checkpoint import canonical_json, save_checkpoint
 from repro.core.faults import CellFaultPlan
 from repro.core.supervise import (
     ProcessSupervisor,
@@ -325,14 +325,14 @@ class TestLedgerFiles:
         self, tmp_path, which, payload, message
     ):
         path_of, opens, error = LEDGER_FILES[which]
-        save_json_checkpoint(path_of(tmp_path), payload)
+        save_checkpoint(path_of(tmp_path), payload)
         with pytest.raises(error, match=message):
             opens(tmp_path)
 
     def test_service_record_needs_its_job_fields(self, tmp_path):
         record = dict(ACCEPTED_RECORD)
         del record["tenant"]
-        save_json_checkpoint(registry_path(tmp_path), {
+        save_checkpoint(registry_path(tmp_path), {
             "version": 2, "header": {}, "records": {"j000001-t": record},
         })
         with pytest.raises(ServeError, match="missing field.*'tenant'"):
@@ -345,7 +345,7 @@ class TestLedgerFiles:
             name="v1", studies=("memory-system",), workloads=("mcf",),
             seeds=(0,), budgets=(40,),
         )
-        save_json_checkpoint(path_of(tmp_path), {
+        save_checkpoint(path_of(tmp_path), {
             # the version-1 layouts of both files
             "manifest": {
                 "version": 1, "spec": spec.to_dict(),
